@@ -64,7 +64,7 @@ SCHEMA_FAMILIES = {"fastpath_walltime": 4, "dist_scaling": 7}
 #: trend series (problem shape + perf-relevant engine config; the
 #: runner's best-entry gate uses the same keys)
 FASTPATH_SHAPE_KEYS = ("m", "n_features", "n_clusters", "iters", "dtype",
-                       "workers", "chunk_bytes", "operand_cache")
+                       "workers", "chunk_bytes")
 
 #: config keys that must match for two dist records to share a series
 DIST_SHAPE_KEYS = ("m_grid", "n_features", "n_clusters", "iters",
@@ -452,7 +452,6 @@ _DIST_STAGES = (
     ("compute", "worker compute (assign)"),
     ("gather", "partial gather"),
     ("merge", "partial merge"),
-    ("combine", "pairwise combine (tree)"),
     ("update", "centroid update"),
     ("abft_check", "ABFT checksum verify"),
     ("checkpoint", "checkpoint save"),

@@ -33,17 +33,13 @@ entry), the final fleet size and the bit-identity flag against the
 single-worker fit.
 
 A **reduce run** (schema v6) measures the coordinator-occupancy
-scaling of the three reduce topologies over a widening fleet: for each
-worker count, one fit per topology (``star`` / ``stream`` / ``tree``)
-on the serial executor — arrivals are deterministic there, so the
-curve measures reduce *work*, not host thread scheduling — recording
-the coordinator's reduce-busy seconds (``dist_reduce_busy_s_``), the
-per-fit metrics delta, and the bit-identity flag.  The expected shape,
-gated by ``runner --smoke``: star's occupancy grows with the fleet
-(it re-feeds every row through the coordinator's merge each round)
-while stream hides commits behind later arrivals and tree leaves only
-a state adoption plus the inline checksum — both strictly below star
-once the fleet is wide.
+scaling of the stream merge over a widening fleet: for each worker
+count, one fit on the serial executor — arrivals are deterministic
+there, so the curve measures reduce *work*, not host thread
+scheduling — recording the coordinator's reduce-busy seconds
+(``dist_reduce_busy_s_``), the per-fit metrics delta, and the
+bit-identity flag.  ``runner --smoke`` gates every cell's bit-identity
+and the widest fleet's occupancy against the best prior entry.
 
 A **transport run** (schema v7) measures the zero-copy shared-memory
 data plane against the pickle-over-pipe baseline on the process
@@ -93,13 +89,13 @@ DEFAULT_RESULT_PATH = Path("BENCH_dist.json")
 #: on the process executor: walls, per-fit broadcast/gather pipe bytes,
 #: bytes-reduction ratios and boot/attach walls) plus ``boot_stats`` on
 #: the selfheal record — both gated by ``runner --smoke``.
-#: v6 added the ``reduce`` topology-scaling record (coordinator
-#: occupancy of star vs stream vs tree over a widening fleet, with
-#: per-fit metrics deltas) — gated by ``runner --smoke``.
+#: v6 added the ``reduce`` scaling record (coordinator occupancy of
+#: the merge over a widening fleet, with per-fit metrics deltas; early
+#: entries carry star and tree cells too) — gated by ``runner --smoke``.
 #: v5 added the traced crash-recovery pass (``trace`` key): the
 #: recovery fit re-run under a :class:`~repro.obs.trace.TraceRecorder`
-#: so the coordinator-side stage breakdown (gather / merge / combine /
-#: update / abft_check / checkpoint / recovery) lands in the record and
+#: so the coordinator-side stage breakdown (compute / merge / update /
+#: abft_check / checkpoint / recovery) lands in the record and
 #: ``docs/perf.md`` regenerates from the trajectory file alone.
 #: v2 added the ``elastic`` stall-then-shrink record; v3 the
 #: ``checkpoint`` sync-vs-async overhead record; v4 the ``selfheal``
@@ -120,12 +116,10 @@ def _fit_once(x, y0, *, n_clusters, iters, workers, executor, seed,
               checkpoint_every=0, worker_faults=None, elastic=False,
               round_timeout=None, checkpoint_sync=False,
               checkpoint_dir=None, target_workers=None, hot_spares=0,
-              heartbeat_interval=None, tracer=None,
-              reduce_topology="auto", transport="auto"):
+              heartbeat_interval=None, tracer=None, transport="auto"):
     """One timed sharded (or single-worker) fit; returns (model, wall)."""
     km = FTKMeans(n_clusters=n_clusters, variant="tensorop", mode="fast",
                   n_workers=workers, tracer=tracer,
-                  reduce_topology=reduce_topology,
                   transport=transport if workers > 1 else "auto",
                   executor=executor if workers > 1 else "serial",
                   checkpoint_every=checkpoint_every if workers > 1 else 0,
@@ -478,10 +472,9 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
                                base[0].cluster_centers_)),
     }
 
-    # -- reduce topologies: coordinator occupancy over a widening fleet
-    # serial executor on purpose: arrivals are deterministic, so the
-    # occupancy ordering (star above stream/tree once the fleet is
-    # wide) measures reduce work, not host thread scheduling
+    # -- reduce: coordinator occupancy over a widening fleet.  Serial
+    # executor on purpose: arrivals are deterministic, so the curve
+    # measures reduce work, not host thread scheduling
     reduce_curve = []
     single_wall = None
     for w in reduce_workers_grid:
@@ -490,36 +483,28 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
                 x, y0, n_clusters=n_clusters, iters=iters, workers=1,
                 executor="serial", seed=seed)
             continue
-        for topology in ("star", "stream", "tree"):
-            km_t, wall_t = _fit_once(
-                x, y0, n_clusters=n_clusters, iters=iters, workers=w,
-                executor="serial", seed=seed, reduce_topology=topology)
-            reduce_curve.append({
-                "workers": w,
-                "workers_effective": km_t.n_workers_,
-                "topology": topology,
-                "wall_s": wall_t,
-                "reduce_busy_s": km_t.dist_reduce_busy_s_,
-                "reduce_busy_per_round_s": (
-                    km_t.dist_reduce_busy_s_ / max(1, km_t.n_iter_)),
-                "bit_identical_vs_single": bool(
-                    np.array_equal(km_t.labels_, base[0].labels_)
-                    and np.array_equal(km_t.cluster_centers_,
-                                       base[0].cluster_centers_)),
-                "metrics": km_t.dist_metrics_,
-            })
-    widest = max(reduce_workers_grid)
-    auto_km, _ = _fit_once(
-        x, y0, n_clusters=n_clusters, iters=iters, workers=widest,
-        executor="serial", seed=seed, reduce_topology="auto")
+        km_t, wall_t = _fit_once(
+            x, y0, n_clusters=n_clusters, iters=iters, workers=w,
+            executor="serial", seed=seed)
+        reduce_curve.append({
+            "workers": w,
+            "workers_effective": km_t.n_workers_,
+            "topology": "stream",
+            "wall_s": wall_t,
+            "reduce_busy_s": km_t.dist_reduce_busy_s_,
+            "reduce_busy_per_round_s": (
+                km_t.dist_reduce_busy_s_ / max(1, km_t.n_iter_)),
+            "bit_identical_vs_single": bool(
+                np.array_equal(km_t.labels_, base[0].labels_)
+                and np.array_equal(km_t.cluster_centers_,
+                                   base[0].cluster_centers_)),
+            "metrics": km_t.dist_metrics_,
+        })
     reduce = {
         "m": x.shape[0],
         "executor": "serial",
         "workers_grid": list(reduce_workers_grid),
         "single_wall_s": single_wall,
-        "auto_resolved": {"workers": widest,
-                          "workers_effective": auto_km.n_workers_,
-                          "topology": auto_km.dist_reduce_topology_},
         "curve": reduce_curve,
     }
 
@@ -627,20 +612,11 @@ def _summarise(record: dict) -> str:
             f", bit-identical {tp['bit_identical_shm_vs_pipe']}")
     red = record.get("reduce")
     if red:
-        by_workers = {}
         for row in red["curve"]:
-            by_workers.setdefault(row["workers"], {})[row["topology"]] = row
-        for w, cells in sorted(by_workers.items()):
             lines.append(
-                f"  reduce W={w}: " + " | ".join(
-                    f"{t} busy {cells[t]['reduce_busy_s'] * 1e3:.2f} ms"
-                    f" (bit-identical {cells[t]['bit_identical_vs_single']})"
-                    for t in ("star", "stream", "tree") if t in cells))
-        auto = red["auto_resolved"]
-        lines.append(
-            f"  reduce auto: {auto['workers']} workers "
-            f"({auto['workers_effective']} effective) -> "
-            f"{auto['topology']}")
+                f"  reduce W={row['workers']}: busy "
+                f"{row['reduce_busy_s'] * 1e3:.2f} ms (bit-identical "
+                f"{row['bit_identical_vs_single']})")
     return "\n".join(lines)
 
 

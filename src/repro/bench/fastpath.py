@@ -60,8 +60,8 @@ DEFAULT_RESULT_PATH = Path("BENCH_fastpath.json")
 #: bounds_refresh) stored in the record so ``docs/perf.md`` can be
 #: regenerated from the trajectory file alone.  v3 added the
 #: bound-pruned assignment comparison (``pruning`` key); v2 the
-#: fault-free fast lane (``engine.batched_chunks``, operand-cache
-#: config, per-unit-path bit-identity check)
+#: fault-free fast lane (``engine.batched_chunks``, per-unit-path
+#: bit-identity check)
 SCHEMA = "fastpath_walltime/v4"
 
 #: shape of the acceptance benchmark (paper-scale-ish, CI-feasible)
@@ -69,12 +69,6 @@ FULL_SHAPE = dict(m=200_000, n_features=64, n_clusters=64, iters=8)
 
 #: shape of the smoke/gating run (< 60 s wall clock including baseline)
 SMOKE_SHAPE = dict(m=60_000, n_features=64, n_clusters=64, iters=3)
-
-#: operand-cache byte budget of the bench engine: the bench measures
-#: the fault-free fast lane, so the fit-lifetime operand caches are
-#: admitted regardless of the problem size (recorded in the config;
-#: pass --operand-cache to measure other policies)
-BENCH_OPERAND_CACHE = 1 << 30
 
 #: iterations of the pruning comparison: the workload converges (and
 #: the centroids bit-freeze) after ~3, so most of the loop runs in the
@@ -213,7 +207,7 @@ def _pruning_workload(m, n_features, n_clusters, dt, seed):
 
 
 def _pruning_bench(dev, dt, tile, tf32, *, m, n_features, n_clusters,
-                   chunk_bytes, workers, operand_cache, seed,
+                   chunk_bytes, workers, seed,
                    iters: int = PRUNE_ITERS) -> dict:
     """Pruned vs unpruned assignment in lockstep on one trajectory.
 
@@ -225,7 +219,7 @@ def _pruning_bench(dev, dt, tile, tf32, *, m, n_features, n_clusters,
     x, y0 = _pruning_workload(m, n_features, n_clusters, dt, seed)
     mode = resolve_prune_mode("auto")
     kw = dict(tile=tile, tf32=tf32, chunk_bytes=chunk_bytes,
-              workers=workers, operand_cache=operand_cache)
+              workers=workers)
     pruned = FastPathEngine(dev, dt, prune=mode, **kw)
     plain = FastPathEngine(dev, dt, prune="off", **kw)
     u = np.uint32 if dt.itemsize == 4 else np.uint64
@@ -273,7 +267,6 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
                        iters: int = FULL_SHAPE["iters"], *,
                        dtype="float32", device="a100",
                        chunk_bytes: int | None = None, workers: int = 1,
-                       operand_cache=BENCH_OPERAND_CACHE,
                        seed: int = 0, include_unchunked: bool = True) -> dict:
     """One wall-clock comparison run; returns the JSON-ready record."""
     if iters < 1:
@@ -287,8 +280,7 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
     tf32 = dt == np.dtype(np.float32)
 
     engine = FastPathEngine(dev, dt, tile=tile, tf32=tf32,
-                            chunk_bytes=chunk_bytes, workers=workers,
-                            operand_cache=operand_cache)
+                            chunk_bytes=chunk_bytes, workers=workers)
 
     def engine_assign(xa, ya):
         return engine.assign(xa, ya, PerfCounters())
@@ -301,18 +293,17 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
         fit_stats = (engine.stats.chunks_run, engine.stats.gemm_calls,
                      engine.stats.update_chunks_fed,
                      engine.stats.batched_chunks)
-        hoisted = (engine._cache.x_rounded is not None,
-                   engine._cache.x_t is not None)
+        hoisted_t = engine._cache.x_t is not None
         split = _lloyd_split(x, y0, n_clusters, iters, engine_assign)
     finally:
         engine.end_fit()
 
     # fast lane vs per-unit fault lane: one reference pass through an
-    # engine forced onto the legacy path (no operand caches, explicit
-    # unit walk) must agree bit-for-bit on first-iteration centroids
+    # engine forced onto the explicit unit walk must agree bit-for-bit
+    # on first-iteration centroids
     ref_engine = FastPathEngine(dev, dt, tile=tile, tf32=tf32,
                                 chunk_bytes=chunk_bytes, workers=workers,
-                                operand_cache="off", batch_chunks=False)
+                                batch_chunks=False)
     try:
         ref_engine.begin_fit(x, n_clusters)
         ref_labels, ref_best = ref_engine.assign(x, y0, PerfCounters())
@@ -328,7 +319,7 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
     pruning = _pruning_bench(dev, dt, tile, tf32, m=m,
                              n_features=n_features, n_clusters=n_clusters,
                              chunk_bytes=chunk_bytes, workers=workers,
-                             operand_cache=operand_cache, seed=seed)
+                             seed=seed)
 
     # -- traced pass: the same fused fit once more under the span
     # recorder, run *separately* so the headline engine wall above
@@ -339,7 +330,6 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
     recorder = TraceRecorder()
     traced_engine = FastPathEngine(dev, dt, tile=tile, tf32=tf32,
                                    chunk_bytes=chunk_bytes, workers=workers,
-                                   operand_cache=operand_cache,
                                    tracer=recorder)
     try:
         traced_engine.begin_fit(x, n_clusters)
@@ -366,7 +356,6 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
             "m": m, "n_features": n_features, "n_clusters": n_clusters,
             "iters": iters, "dtype": str(dt), "device": dev.name,
             "chunk_bytes": engine.chunk_bytes, "workers": workers,
-            "operand_cache": operand_cache,
             "seed": seed,
         },
         "engine": {
@@ -377,8 +366,7 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
             "gemm_calls": fit_stats[1],
             "update_chunks_fed": fit_stats[2],
             "batched_chunks": fit_stats[3],
-            "hoisted_rounded_operand": hoisted[0],
-            "hoisted_transposed_operand": hoisted[1],
+            "hoisted_transposed_operand": hoisted_t,
             "peak_scratch_bytes": engine.stats.peak_scratch_bytes,
         },
         # the fast lane's bit-identity contract, re-asserted per run
@@ -489,9 +477,8 @@ def _summarise(record: dict) -> str:
         f"peak_scratch={record['engine']['peak_scratch_bytes']} B",
         f"  fast lane      : batched_chunks="
         f"{record['engine']['batched_chunks']}"
-        f"/{record['engine']['chunks_run']} hoisted(rounded="
-        f"{record['engine']['hoisted_rounded_operand']}, transposed="
-        f"{record['engine']['hoisted_transposed_operand']}) "
+        f"/{record['engine']['chunks_run']} hoisted transpose "
+        f"{record['engine']['hoisted_transposed_operand']} "
         f"unit-path bit-identical {record['unit_path_bit_identical']} "
         f"(mismatch {record['unit_path_label_mismatch_frac']:.2e})",
         f"  engine (fused) : {record['engine']['wall_s']:.3f} s",
@@ -539,10 +526,6 @@ def main(argv=None) -> dict:
     parser.add_argument("--iters", type=int, default=None)
     parser.add_argument("--chunk-bytes", type=int, default=None)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--operand-cache", default=None,
-                        help="operand-cache policy: 'auto', 'off' or a "
-                             "byte budget (default: the bench's "
-                             "fast-lane budget)")
     parser.add_argument("--dtype", default="float32")
     parser.add_argument("--out", default=str(DEFAULT_RESULT_PATH),
                         help="trajectory JSON to append to ('-' to skip)")
@@ -553,14 +536,8 @@ def main(argv=None) -> dict:
                      ("n_clusters", args.clusters), ("iters", args.iters)):
         if val is not None:
             kwargs[key] = val
-    operand_cache = BENCH_OPERAND_CACHE
-    if args.operand_cache is not None:
-        operand_cache = (args.operand_cache
-                         if args.operand_cache in ("auto", "off")
-                         else int(args.operand_cache))
     record = run_fastpath_bench(chunk_bytes=args.chunk_bytes,
                                 workers=args.workers, dtype=args.dtype,
-                                operand_cache=operand_cache,
                                 **kwargs)
     print(_summarise(record))
     if args.out != "-":

@@ -11,18 +11,17 @@ self-healing run (appending to ``BENCH_dist.json``) — suitable as a
 tier-1 perf canary.  The self-healing record's per-recovered-round
 overhead and the fast-path record's bound-pruned assignment wall (plus
 its final ``active_frac``) are gated against the best prior same-host,
-same-shape entry just like the fast-path wall.  The reduce-topology
-curve (schema v6) is gated too: every cell must stay bit-identical to
-the single-worker fit, star occupancy must sit above stream and tree
-at the widest fleet, and stream/tree occupancy must not regress
-against the best prior entry.  The transport record (schema v7) is
-gated as well: the shared-memory fit must stay bit-identical to the
-pipe fit and the single-worker baseline, its pipe traffic must stay
-control-token-sized, and its wall must not regress against the best
-prior entry.  ``--trace-out`` forwards a trace output path to the dist
-smoke (a ``.jsonl`` suffix streams spans live as each closes; any
-other suffix writes a post-hoc Chrome trace
-JSON).  Unrecognised arguments after ``--smoke`` are forwarded to
+same-shape entry just like the fast-path wall.  The reduce curve
+(schema v6) is gated too: every cell must stay bit-identical to the
+single-worker fit, and the stream merge's occupancy at the widest
+fleet must not regress against the best prior entry.  The transport
+record (schema v7) is gated as well: the shared-memory fit must stay
+bit-identical to the pipe fit and the single-worker baseline, its pipe
+traffic must stay control-token-sized, and its wall must not regress
+against the best prior entry.  ``--trace-out`` forwards a trace output
+path to the dist smoke (a ``.jsonl`` suffix streams spans live as each
+closes; any other suffix writes a post-hoc Chrome trace JSON).
+Unrecognised arguments after ``--smoke`` are forwarded to
 :mod:`repro.bench.fastpath` (e.g. ``--m 2000 --iters 1`` for an even
 quicker shape); the sharded smoke keeps its fixed tiny shape and is
 skipped entirely with ``--dist-out -``.
@@ -74,8 +73,8 @@ REGRESSION_SLACK = 1.5
 
 #: config keys that must match for two records to be comparable —
 #: the problem shape AND the perf-relevant engine configuration (a
-#: deliberately slower config, e.g. --operand-cache off, must never be
-#: judged against the fast-lane best).  Shared with the trend gates in
+#: deliberately slower config, e.g. a smaller chunk budget, must never
+#: be judged against the fast-lane best).  Shared with the trend gates in
 #: :mod:`repro.bench.analysis` so both gates slice the same series.
 _SHAPE_KEYS = analysis.FASTPATH_SHAPE_KEYS
 
@@ -213,15 +212,12 @@ def check_selfheal_regression(record: dict, path, *,
 
 def check_reduce_scaling(record: dict, path, *,
                          slack: float = REGRESSION_SLACK) -> str:
-    """Gate the reduce-topology coordinator-occupancy curve (schema v6).
+    """Gate the reduce coordinator-occupancy curve (schema v6).
 
-    Two gates on the fresh record alone: every curve cell must be
-    bit-identical to the single-worker fit, and at the widest fleet
-    with at least 8 workers the star topology's ``reduce_busy_s`` must
-    sit strictly above both stream and tree — the whole point of the
-    alternate topologies.  Then stream and tree occupancy at the widest
-    fleet are compared against the best prior same-host, same-shape
-    entry with the usual slack; a 0.01 s noise floor keeps
+    Every curve cell of the fresh record must be bit-identical to the
+    single-worker fit.  Then the stream merge's occupancy at the widest
+    fleet is compared against the best prior same-host, same-shape
+    stream entry with the usual slack; a 0.01 s noise floor keeps
     millisecond-scale occupancies from tripping on scheduler jitter.
     Raises :class:`SystemExit` on a violation, returns a verdict line
     otherwise.
@@ -229,27 +225,15 @@ def check_reduce_scaling(record: dict, path, *,
     red = record.get("reduce")
     if not red or not red.get("curve"):
         return "reduce check skipped: record has no reduce curve"
-    by_workers: dict = {}
-    for row in red["curve"]:
-        by_workers.setdefault(row["workers"], {})[row["topology"]] = row
-    bad = [f"{r['topology']}@W={r['workers']}" for r in red["curve"]
+    bad = [f"W={r['workers']}" for r in red["curve"]
            if not r["bit_identical_vs_single"]]
     if bad:
         raise SystemExit(
-            f"REDUCE REGRESSION: topologies {', '.join(bad)} are no "
+            f"REDUCE REGRESSION: merges at {', '.join(bad)} are no "
             f"longer bit-identical to the single-worker fit")
-    widest = max(by_workers)
-    cells = by_workers[widest]
-    star = cells["star"]["reduce_busy_s"]
-    if widest >= 8:
-        slower = [t for t in ("stream", "tree")
-                  if cells[t]["reduce_busy_s"] >= star]
-        if slower:
-            raise SystemExit(
-                f"REDUCE REGRESSION: {', '.join(slower)} coordinator "
-                f"occupancy at {widest} workers is not below star "
-                f"({star * 1e3:.2f} ms) — the reduce topologies have "
-                f"stopped paying for themselves")
+    widest = max(r["workers"] for r in red["curve"])
+    fresh = next(r["reduce_busy_s"] for r in red["curve"]
+                 if r["workers"] == widest)
     path = Path(path)
     try:
         entries = json.loads(path.read_text()).get("entries", [])
@@ -257,31 +241,24 @@ def check_reduce_scaling(record: dict, path, *,
         return ("reduce check ok (fresh record only): no readable "
                 "trajectory")
     shape = {k: record["config"][k] for k in _DIST_SHAPE_KEYS}
-    prior = [e["reduce"] for e in entries[:-1]
+    prior = [row["reduce_busy_s"] for e in entries[:-1]
              if e.get("host") == record.get("host")
-             and e.get("reduce", {}).get("curve")
              and all(e.get("config", {}).get(k) == v
                      for k, v in shape.items())
-             and e["reduce"].get("workers_grid") == red["workers_grid"]]
+             and e.get("reduce", {}).get("workers_grid") == red["workers_grid"]
+             for row in e["reduce"].get("curve", [])
+             if row["workers"] == widest and row["topology"] == "stream"]
     if not prior:
         return ("reduce check ok (fresh record only): no prior "
                 "same-host entry at this shape")
-    verdicts = []
-    for topology in ("stream", "tree"):
-        best = min(
-            row["reduce_busy_s"] for p in prior for row in p["curve"]
-            if row["workers"] == widest and row["topology"] == topology)
-        fresh = cells[topology]["reduce_busy_s"]
-        if fresh > slack * max(best, 0.01):
-            raise SystemExit(
-                f"REDUCE REGRESSION: {topology} occupancy at {widest} "
-                f"workers {fresh * 1e3:.2f} ms exceeds {slack:.2f}x the "
-                f"best prior same-shape entry ({best * 1e3:.2f} ms) in "
-                f"{path.name}")
-        verdicts.append(f"{topology} {fresh * 1e3:.2f} ms "
-                        f"(best prior {best * 1e3:.2f} ms)")
-    return (f"reduce check ok at {widest} workers: star "
-            f"{star * 1e3:.2f} ms above " + ", ".join(verdicts))
+    best = min(prior)
+    if fresh > slack * max(best, 0.01):
+        raise SystemExit(
+            f"REDUCE REGRESSION: stream occupancy at {widest} workers "
+            f"{fresh * 1e3:.2f} ms exceeds {slack:.2f}x the best prior "
+            f"same-shape entry ({best * 1e3:.2f} ms) in {path.name}")
+    return (f"reduce check ok at {widest} workers: stream "
+            f"{fresh * 1e3:.2f} ms (best prior {best * 1e3:.2f} ms)")
 
 
 def check_transport(record: dict, path, *,

@@ -51,20 +51,6 @@ weighted *counts* ride the same continuation trick as the sums, so
 weighted accumulation stays bit-identical to the sequential one-shot
 pass for any feed granularity, shard boundary or worker count.
 
-State transfer (the distributed reduce's primitive):
-:meth:`StreamedAccumulator.export_state` snapshots the running fold —
-sums, counts, and the ``[lo, hi)`` row window it covers —
-:meth:`StreamedAccumulator.load_state` seeds a fresh accumulator with
-it, and :meth:`StreamedAccumulator.merge_from` adopts a state that was
-produced as a *continuation* of this accumulator's current fold.
-Because each per-bin sum is a strict sequential left fold, two
-fold-from-zero partials can never be added exactly; the only exact
-combine is seeding an accumulator with the prefix state and folding
-the suffix rows through it.  ``merge_from`` therefore refuses any
-state whose window does not start exactly where this accumulator
-stopped — the out-of-order combine rejection the distributed merge
-tree's ordering contract leans on.
-
 Hoisted transpose operand: the per-feed ``x_chunk.T`` staging copy is a
 strided gather that dominates the accumulation wall at large M.
 :meth:`StreamedAccumulator.bind_source_t` attaches a fit-lifetime
@@ -142,9 +128,6 @@ class StreamedAccumulator:
         self.feed_rows = max(MIN_FEED_ROWS,
                              STAGING_BYTES // (8 * self.n_features))
         self.samples_seen = 0
-        #: offset at which the current fold chain was seeded (reset /
-        #: load_state); exported so continuation order is checkable
-        self._fold_lo = 0
         self.feeds = 0
         #: lifetime tallies (never zeroed by reset): what the metrics
         #: registry exports as ``accumulate.*`` — per-iteration
@@ -214,21 +197,15 @@ class StreamedAccumulator:
                 f"got shape {source_t.shape}")
         self._src_t = source_t
 
-    def reset(self, offset: int = 0) -> None:
+    def reset(self) -> None:
         """Zero the running sums/counts (start of a Lloyd iteration).
 
         Bound weights survive a reset: the same fit re-feeds the same
-        stream every iteration, restarting at offset 0.  A non-zero
-        ``offset`` starts the fold mid-stream (bound weights and source
-        operands are then indexed from there) — the distributed combine
-        path's from-zero suffix fold.
+        stream every iteration, restarting at offset 0.
         """
-        if offset < 0:
-            raise ValueError(f"offset must be >= 0, got {offset}")
         self._sums_t[:] = 0.0
         self._counts[:] = 0.0
-        self.samples_seen = int(offset)
-        self._fold_lo = int(offset)
+        self.samples_seen = 0
         self.feeds = 0
 
     def _staging(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -338,78 +315,6 @@ class StreamedAccumulator:
             self._counts[:] = np.bincount(ext_l, weights=w[:n + rows],
                                           minlength=n)
         self.samples_seen += rows
-
-    # -- state transfer (distributed reduce primitive) -----------------
-    def export_state(self, base: int = 0) -> dict:
-        """Snapshot the running fold as a transferable state dict.
-
-        Returns ``{"lo", "hi", "sums_t", "counts"}`` where the arrays
-        are copies (safe to ship across a pipe) and ``[lo, hi)`` is the
-        stream window the fold covers, shifted by ``base`` — a worker
-        whose accumulator counts rows shard-locally passes
-        ``base=shard.lo`` so the exported window is absolute.
-        """
-        return {"lo": int(base) + self._fold_lo,
-                "hi": int(base) + self.samples_seen,
-                "sums_t": self._sums_t.copy(),
-                "counts": self._counts.copy()}
-
-    def load_state(self, state: dict) -> None:
-        """Seed this accumulator with an exported fold state.
-
-        The next ``feed`` continues the fold exactly where the exported
-        accumulator stopped: subsequent sums carry the identical
-        floating-point association as if this accumulator had folded
-        the whole ``[state['lo'], state['hi'])`` window itself.  Bound
-        weights/source operands must cover the absolute offsets.
-        """
-        sums_t = np.asarray(state["sums_t"], dtype=np.float64)
-        counts = np.asarray(state["counts"], dtype=np.float64)
-        if sums_t.shape != self._sums_t.shape:
-            raise ValueError(
-                f"state sums_t shape {sums_t.shape} != "
-                f"{self._sums_t.shape}")
-        if counts.shape != self._counts.shape:
-            raise ValueError(
-                f"state counts shape {counts.shape} != "
-                f"{self._counts.shape}")
-        np.copyto(self._sums_t, sums_t)
-        np.copyto(self._counts, counts)
-        self._fold_lo = int(state["lo"])
-        self.samples_seen = int(state["hi"])
-        self.feeds = 0
-
-    def merge_from(self, state: dict) -> None:
-        """Adopt a state produced as a *continuation* of this fold.
-
-        ``state`` must come from an accumulator that was seeded with
-        this accumulator's current state (via :meth:`load_state` —
-        possibly through further continuation hops) and then fed the
-        rows ``[self.samples_seen, state['hi'])`` in order; adopting
-        its arrays is then bit-equal to feeding those rows here.  A
-        state whose window does not start exactly at ``samples_seen``
-        is rejected — float addition is non-associative, so merging
-        out of continuation order cannot be exact.
-        """
-        if int(state["lo"]) != self._fold_lo:
-            raise ValueError(
-                f"merge_from chain origin {state['lo']} != "
-                f"fold origin {self._fold_lo}: state is not a "
-                f"continuation of this fold")
-        if int(state["hi"]) < self.samples_seen:
-            raise ValueError(
-                f"merge_from out of order: state covers rows up to "
-                f"{state['hi']} but this fold already reached "
-                f"{self.samples_seen}")
-        sums_t = np.asarray(state["sums_t"], dtype=np.float64)
-        if sums_t.shape != self._sums_t.shape:
-            raise ValueError(
-                f"state sums_t shape {sums_t.shape} != "
-                f"{self._sums_t.shape}")
-        np.copyto(self._sums_t, sums_t)
-        np.copyto(self._counts,
-                  np.asarray(state["counts"], dtype=np.float64))
-        self.samples_seen = int(state["hi"])
 
     # ------------------------------------------------------------------
     def metrics(self) -> dict:

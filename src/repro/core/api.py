@@ -99,10 +99,7 @@ class FTKMeans:
     plus the checkpoint-overhead split ``dist_checkpoint_save_s_``
     (in-loop save cost: full writes when ``checkpoint_sync=True``,
     snapshot+enqueue when async) and ``dist_checkpoint_flush_s_`` (the
-    end-of-fit flush barrier of the async writer), the reduce-topology
-    pair ``dist_reduce_topology_`` (the resolved topology of the fit's
-    last round — see ``reduce_topology`` in
-    :class:`~repro.core.config.KMeansConfig`) and ``dist_reduce_busy_s_``
+    end-of-fit flush barrier of the async writer), ``dist_reduce_busy_s_``
     (coordinator occupancy of the reduce: wall seconds of merge work
     not hidden under still-computing workers), the transport quartet
     ``dist_transport_`` (the resolved round-loop transport, 'pipe' or
@@ -119,12 +116,7 @@ class FTKMeans:
 
     ``spawn_hook`` (constructor-only, like ``worker_faults``) is the
     fleet manager's budget callback for booting replacement workers
-    during re-expansion: ``spawn_hook(n_needed) -> int | None``;
-    ``event_hook`` (also constructor-only, deprecated in favour of
-    ``event_bus``) receives the fleet's ordered structured membership
-    events as dicts through the backwards-compatible shim (heartbeat /
-    promote / shrink / expand — see
-    :class:`repro.dist.fleet.FleetManager`).
+    during re-expansion: ``spawn_hook(n_needed) -> int | None``.
 
     ``tracer`` (constructor-only) attaches a
     :class:`repro.obs.trace.TraceRecorder` recording the fit's stage
@@ -143,28 +135,27 @@ class FTKMeans:
                  tile=None, abft="none", p_inject: float = 0.0,
                  dmr_update: bool = True, use_tf32: bool = True,
                  chunk_bytes: int | None = None, engine_workers: int = 1,
-                 operand_cache="auto", prune: str = "auto",
+                 prune: str = "auto",
                  update_mode: str = "auto", batch_size: int | None = None,
                  n_workers: int = 1, executor: str = "serial",
                  checkpoint_every: int = 0, checkpoint_sync: bool = False,
                  round_timeout=None, elastic: bool = False,
                  target_workers: int | None = None, hot_spares: int = 0,
                  heartbeat_interval: float | None = None,
-                 reduce_topology: str = "auto",
                  transport: str = "auto",
                  reassignment_mode: str = "deterministic",
                  reassignment_ratio: float = 0.01,
                  init: str = "k-means++", max_iter: int = 50,
                  tol: float = 1e-4, seed: int | None = None,
                  init_centroids=None, worker_faults=None,
-                 checkpoint_dir=None, spawn_hook=None, event_hook=None,
+                 checkpoint_dir=None, spawn_hook=None,
                  tracer=None, event_bus=None):
         self.config = KMeansConfig(
             n_clusters=n_clusters, variant=variant, dtype=np.dtype(dtype),
             device=device, mode=mode, tile=tile, abft=abft,
             p_inject=p_inject, dmr_update=dmr_update, use_tf32=use_tf32,
             chunk_bytes=chunk_bytes, engine_workers=engine_workers,
-            operand_cache=operand_cache, prune=prune,
+            prune=prune,
             update_mode=update_mode, batch_size=batch_size,
             n_workers=n_workers, executor=executor,
             checkpoint_every=checkpoint_every,
@@ -172,7 +163,6 @@ class FTKMeans:
             round_timeout=round_timeout, elastic=elastic,
             target_workers=target_workers, hot_spares=hot_spares,
             heartbeat_interval=heartbeat_interval,
-            reduce_topology=reduce_topology,
             transport=transport,
             reassignment_mode=reassignment_mode,
             reassignment_ratio=reassignment_ratio,
@@ -183,7 +173,6 @@ class FTKMeans:
         # kept off the (picklable, worker-shipped) config, like
         # worker_faults: hooks are caller-side callables
         self._spawn_hook = spawn_hook
-        self._event_hook = event_hook
         self._tracer = tracer
         self._event_bus = event_bus
 
@@ -362,7 +351,6 @@ class FTKMeans:
                 sync=True if cfg.checkpoint_sync else None),
             worker_faults=self._worker_faults,
             spawn_hook=self._spawn_hook,
-            event_hook=self._event_hook,
             event_bus=self._event_bus,
             tracer=self._tracer)
         res = coord.fit(x, y0, sample_weight=w)
@@ -388,7 +376,6 @@ class FTKMeans:
         self.dist_checkpoint_save_s_ = res.checkpoint_save_s
         self.dist_checkpoint_flush_s_ = res.checkpoint_flush_s
         self.dist_reduce_busy_s_ = res.reduce_busy_s
-        self.dist_reduce_topology_ = res.reduce_topology
         self.dist_transport_ = res.transport
         self.dist_broadcast_bytes_ = res.broadcast_bytes
         self.dist_gather_bytes_ = res.gather_bytes

@@ -83,14 +83,13 @@ class AssignmentKernelBase(ABC):
 
     def __init__(self, device: DeviceSpec, dtype, *, mode: str = "fast",
                  injector=None, chunk_bytes: int | None = None,
-                 workers: int = 1, operand_cache="auto", prune="auto"):
+                 workers: int = 1, prune="auto"):
         self.device = device
         self.dtype = np.dtype(dtype)
         self.mode = mode
         self.injector = injector
         self.chunk_bytes = chunk_bytes
         self.workers = workers
-        self.operand_cache = operand_cache
         self.prune = prune
         self.model = TimingModel(device)
         self._engine: FastPathEngine | None = None
@@ -107,8 +106,8 @@ class AssignmentKernelBase(ABC):
             self._engine = FastPathEngine(
                 self.device, self.dtype, tile=getattr(self, "tile", None),
                 injector=self.injector, chunk_bytes=self.chunk_bytes,
-                workers=self.workers, operand_cache=self.operand_cache,
-                prune=self.prune, **self._engine_options())
+                workers=self.workers, prune=self.prune,
+                **self._engine_options())
         return self._engine
 
     def feed_centroid_shifts(self, shifts, y) -> None:

@@ -12,8 +12,7 @@ from repro.gemm.tiling import TileConfig
 from repro.gpusim.device import DeviceSpec, get_device
 
 __all__ = ["KMeansConfig", "VARIANT_NAMES", "MODES", "UPDATE_MODES",
-           "EXECUTORS", "REASSIGNMENT_MODES", "PRUNE_MODES",
-           "REDUCE_TOPOLOGIES", "TRANSPORTS"]
+           "EXECUTORS", "REASSIGNMENT_MODES", "PRUNE_MODES", "TRANSPORTS"]
 
 #: assignment-stage implementations, in the paper's optimisation order
 VARIANT_NAMES = ("naive", "v1", "v2", "v3", "tensorop", "ft")
@@ -27,11 +26,6 @@ UPDATE_MODES = ("auto", "oneshot", "streamed")
 
 #: executor backends of the sharded multi-worker layer (repro.dist)
 EXECUTORS = ("serial", "thread", "process")
-
-#: reduce topologies of the sharded coordinator ('auto' resolves per
-#: effective worker count: 'tree' on wide fleets, 'stream' mid-size,
-#: 'star' for small ones)
-REDUCE_TOPOLOGIES = ("auto", "star", "stream", "tree")
 
 #: bulk-payload transports of the sharded round loop ('auto' resolves
 #: per executor: the zero-copy shared-memory plane on the process
@@ -82,21 +76,6 @@ class KMeansConfig:
         Worker threads the engine may dispatch independent sample-chunks
         across (the per-chunk budget divides accordingly, so the total
         scratch footprint stays under ``chunk_bytes``).
-    operand_cache:
-        Budget policy of the engine's fit-lifetime operand caches — the
-        hoisted TF32-rounded sample matrix and the transposed update
-        -feed operand, which move per-iteration rounding/transpose work
-        out of the Lloyd loop with bit-identical results.  'auto'
-        (default) budgets them against ``chunk_bytes``; an int is an
-        explicit byte budget — set one to admit the fast lane on fits
-        whose sample matrix outgrows the chunk budget; 'off' disables
-        hoisting (the legacy per-iteration path).  The budget is
-        **cumulative** across both caches (each is one more copy of
-        ``x``, so both hoist only when the budget covers
-        ``2 * x.nbytes``) and the rounded matrix claims it first; an
-        operand that does not fit simply stays on the per-iteration
-        path.  The same policy gates the coordinator's merge-operand
-        hoist in sharded fits.
     prune:
         Cross-iteration bound pruning of the assignment stage
         (:mod:`repro.core.bounds`): once most samples stop changing
@@ -190,19 +169,6 @@ class KMeansConfig:
         dead worker's shard skips the child cold-start; in-process
         backends treat a spare as a promotion token.  The pool is
         re-provisioned after every promotion/expansion.
-    reduce_topology:
-        With ``n_workers > 1``: how the coordinator reduces the
-        workers' per-shard partial sums each round.  'star' (legacy)
-        gathers every partial and re-feeds all rows sequentially after
-        the full collect; 'stream' starts the same sequential re-feed
-        as shard results *arrive* (committing strictly in shard order,
-        so merge time hides under the slowest worker); 'tree' pushes
-        the reduce onto the workers — pairwise continuation combines
-        along the shard order, so the coordinator only adopts the final
-        state.  All three produce bit-identical centroids (the float
-        association never changes; see ``docs/distributed.md``).
-        'auto' (default) picks 'tree' for 8+ workers, 'stream' for
-        3-7 and 'star' below.
     transport:
         With ``n_workers > 1``: how the round loop's bulk payloads
         move between the coordinator and the workers.  'pipe' pickles
@@ -217,8 +183,8 @@ class KMeansConfig:
         buffer instead of W pipe sends, and labels/distances/partials
         come back through per-worker shared slots — the pipes carry
         only control/ack tokens.  Both transports are bit-identical to
-        each other and to ``n_workers=1`` for every topology ×
-        membership history.  'auto' (default) picks 'shm' on the
+        each other and to ``n_workers=1`` for every membership
+        history.  'auto' (default) picks 'shm' on the
         process executor (falling back to 'pipe' with a warning if
         segment creation fails) and 'pipe' elsewhere; an explicit
         'shm' raises instead of falling back.
@@ -257,7 +223,6 @@ class KMeansConfig:
     use_tf32: bool = True
     chunk_bytes: int | None = None
     engine_workers: int = 1
-    operand_cache: str | int = "auto"
     prune: str = "auto"
     update_mode: str = "auto"
     batch_size: int | None = None
@@ -270,7 +235,6 @@ class KMeansConfig:
     target_workers: int | None = None
     hot_spares: int = 0
     heartbeat_interval: float | None = None
-    reduce_topology: str = "auto"
     transport: str = "auto"
     reassignment_mode: str = "deterministic"
     reassignment_ratio: float = 0.01
@@ -304,17 +268,6 @@ class KMeansConfig:
         if self.engine_workers < 1:
             raise ValueError(
                 f"engine_workers must be >= 1, got {self.engine_workers}")
-        if isinstance(self.operand_cache, str):
-            if self.operand_cache not in ("auto", "off"):
-                raise ValueError(
-                    f"operand_cache must be 'auto', 'off' or a byte "
-                    f"budget, got {self.operand_cache!r}")
-        else:
-            self.operand_cache = int(self.operand_cache)
-            if self.operand_cache < 0:
-                raise ValueError(
-                    f"operand_cache byte budget must be >= 0, "
-                    f"got {self.operand_cache}")
         if self.prune not in PRUNE_MODES:
             raise ValueError(
                 f"unknown prune mode {self.prune!r}; "
@@ -373,10 +326,6 @@ class KMeansConfig:
                 raise ValueError(
                     f"heartbeat_interval must be > 0, "
                     f"got {self.heartbeat_interval}")
-        if self.reduce_topology not in REDUCE_TOPOLOGIES:
-            raise ValueError(
-                f"unknown reduce_topology {self.reduce_topology!r}; "
-                f"choose from {REDUCE_TOPOLOGIES}")
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r}; "
@@ -413,32 +362,6 @@ class KMeansConfig:
         if self.update_mode != "auto":
             return self.update_mode
         return "streamed" if self.mode == "fast" else "oneshot"
-
-    def resolved_reduce_topology(self, n_workers: int | None = None) -> str:
-        """The effective coordinator reduce topology ('auto' resolved).
-
-        Parameters
-        ----------
-        n_workers : int, optional
-            Effective worker count to resolve 'auto' against (a shrunk
-            fleet may differ from the configured ``n_workers``);
-            defaults to the configured count.
-
-        Returns
-        -------
-        str
-            'tree' for 8+ workers, 'stream' for 3-7, 'star' below when
-            ``reduce_topology='auto'``; otherwise ``reduce_topology``
-            verbatim.
-        """
-        if self.reduce_topology != "auto":
-            return self.reduce_topology
-        w = self.n_workers if n_workers is None else int(n_workers)
-        if w >= 8:
-            return "tree"
-        if w >= 3:
-            return "stream"
-        return "star"
 
     def resolved_transport(self, executor: str | None = None) -> str:
         """The effective round-loop transport ('auto' resolved).

@@ -50,23 +50,19 @@ explicit Python walk would have issued, so the result is bit-identical
 by construction (a *flat* chunk-sized GEMM would not be: BLAS results
 are not row-batching-invariant in general).  The unit grid is only
 walked in Python when fault plans actually intersect the chunk, keeping
-the fault lane's replay semantics byte-for-byte untouched.  Two
-fit-lifetime **operand caches** (gated by ``operand_cache`` and charged
-to the allocation tracker) hoist per-iteration work out of the loop:
+the fault lane's replay semantics byte-for-byte untouched.  TF32 chunks
+always walk the units, rounding each unit's samples right before its
+GEMM, so no rounded copy of the samples outlives a unit.
 
-* the TF32-rounded sample matrix — today's code re-rounds every inner
-  unit every iteration; rounding is elementwise, so the hoisted copy is
-  bit-identical and pays the rounding cost once per fit;
-* a transposed copy of the samples for the fused update accumulator —
-  the per-feed ``x_chunk.T`` staging copy dominates the accumulation
-  wall (strided gather); the accumulator reads contiguous feature rows
-  from the bound transpose instead (:meth:`StreamedAccumulator.bind_source_t`),
-  feeding bincount the identical float64 values.
-
-Either cache falls back to the legacy per-iteration path when it does
-not fit the operand budget (``operand_cache='auto'`` budgets them
-against ``chunk_bytes``; pass an explicit byte budget to let large fits
-hoist, or ``'off'`` to disable).
+One fit-lifetime **operand cache** (charged to the allocation tracker)
+hoists per-iteration work out of the loop: a transposed copy of the
+samples for the fused update accumulator.  The per-feed ``x_chunk.T``
+staging copy dominates the accumulation wall (strided gather); the
+accumulator reads contiguous feature rows from the bound transpose
+instead (:meth:`StreamedAccumulator.bind_source_t`), feeding bincount
+the identical float64 values.  The copy is made only when the sample
+matrix fits ``chunk_bytes``; larger fits keep the per-feed staging
+path, with the same bits.
 
 Fused centroid-update accumulation: ``assign`` optionally takes a
 :class:`repro.core.accumulate.StreamedAccumulator` and feeds it each
@@ -102,9 +98,7 @@ from repro.utils.bits import flip_bit
 __all__ = [
     "GEMM_UNIT_ROWS",
     "DEFAULT_CHUNK_BYTES",
-    "OPERAND_CACHE_MODES",
     "unit_rows_for_tile",
-    "resolve_operand_budget",
     "transpose_blocked",
     "BlockMap",
     "FitCache",
@@ -127,32 +121,6 @@ GEMM_UNIT_ROWS = 256
 
 #: memory budget when neither ``chunk_bytes`` nor a device is given
 DEFAULT_CHUNK_BYTES = 8 << 20
-
-#: string modes of the ``operand_cache`` knob (an int is an explicit
-#: byte budget for the fit-lifetime operand caches)
-OPERAND_CACHE_MODES = ("auto", "off")
-
-
-def resolve_operand_budget(operand_cache, chunk_bytes: int) -> int:
-    """Byte budget for fit-lifetime hoisted operand caches.
-
-    ``'auto'`` budgets them against ``chunk_bytes`` (an operand cache
-    never exceeds what the caller already allows per assignment pass);
-    an int is an explicit byte budget — set it to admit the fast lane's
-    hoists on fits whose sample matrix outgrows the chunk budget;
-    ``'off'`` (or 0) disables hoisting entirely.
-    """
-    if operand_cache == "auto":
-        return int(chunk_bytes)
-    if operand_cache == "off":
-        return 0
-    budget = int(operand_cache)
-    if budget < 0:
-        raise ValueError(
-            f"operand_cache must be 'auto', 'off' or a byte budget >= 0, "
-            f"got {operand_cache!r}")
-    return budget
-
 
 def transpose_blocked(x: np.ndarray) -> np.ndarray:
     """Contiguous transposed copy of ``x``, built row band by row band.
@@ -248,10 +216,7 @@ class FitCache:
     chunks: list[tuple[int, int]] | None = None
     workers: int = 1             # effective worker count for this geometry
     block_map: BlockMap | None = None
-    x_rounded: np.ndarray | None = None  # hoisted TF32-rounded operand
     x_t: np.ndarray | None = None        # hoisted transposed update operand
-    x_t_failed: bool = False             # transpose hoist known over budget
-    operand_bytes: int = 0               # operand-cache bytes charged
     bounds: BoundsState | None = None    # cross-round pruning state
 
 
@@ -298,13 +263,6 @@ class FastPathEngine:
     workers:
         Worker threads for independent chunks; the per-chunk budget is
         ``chunk_bytes // workers`` so the total stays bounded.
-    operand_cache:
-        Budget policy of the fit-lifetime operand caches (the hoisted
-        TF32-rounded matrix and the transposed update-feed operand):
-        'auto' (default) budgets them against ``chunk_bytes``, an int is
-        an explicit byte budget, 'off' disables hoisting.  An operand
-        that does not fit falls back to the legacy per-iteration path —
-        hoisted or not, the produced bits are identical.
     batch_chunks:
         Dispatch a fault-free chunk's unit grid as one stacked matmul
         (default).  False forces the per-unit Python walk everywhere —
@@ -335,9 +293,8 @@ class FastPathEngine:
                  tile: TileConfig | None = None, tf32: bool = False,
                  injector=None, scheme: AbftScheme = NONE,
                  safety: float = 4.0, chunk_bytes: int | None = None,
-                 workers: int = 1, operand_cache="auto",
-                 batch_chunks: bool = True, prune="auto", alloc_hook=None,
-                 tracer=None):
+                 workers: int = 1, batch_chunks: bool = True,
+                 prune="auto", alloc_hook=None, tracer=None):
         self.device = device
         self.dtype = np.dtype(dtype)
         self.tile = tile
@@ -355,9 +312,8 @@ class FastPathEngine:
         if int(workers) < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.operand_cache = operand_cache
-        self.operand_budget = resolve_operand_budget(operand_cache,
-                                                     self.chunk_bytes)
+        # the hoisted update operand is admitted while x fits this
+        self.operand_budget = self.chunk_bytes
         self.batch_chunks = bool(batch_chunks)
         self.prune = prune
         self._prune_mode = resolve_prune_mode(prune)
@@ -419,7 +375,6 @@ class FastPathEngine:
         """
         self._cache = self._build_cache(x, n_clusters, preload=preload)
         self._adopt_operands(self._cache, preload)
-        self._hoist_rounded(self._cache)
         return self._cache
 
     def end_fit(self) -> None:
@@ -486,52 +441,37 @@ class FastPathEngine:
         cache.block_map = (BlockMap.for_shape(cache.x.shape[0], n, k, self.tile)
                            if self.tile is not None else None)
 
-    # -- fit-lifetime operand caches ------------------------------------
-    def _operand_fits(self, cache: FitCache, nbytes: int) -> bool:
-        return cache.operand_bytes + nbytes <= self.operand_budget
-
+    # -- fit-lifetime operand cache -------------------------------------
     def _adopt_operands(self, cache: FitCache, preload: dict | None) -> None:
         """Adopt previously exported operand caches into a fresh fit.
 
-        Validation mirrors what the builders would produce (shape and
-        dtype at this fit's geometry) and the budget is charged exactly
-        as if the operand had been built here — the rounded matrix
-        first, preserving the cumulative-budget precedence — so an
+        Validation mirrors what the builder would produce (shape and
+        dtype at this fit's geometry, within the operand budget), so an
         adopted cache behaves byte-for-byte like a rebuilt one.
         """
         if not preload:
             return
         m, k = cache.x.shape
-        cand = preload.get("x_rounded")
-        if (self.tf32 and cand is not None and cand.shape == (m, k)
-                and cand.dtype == self.dtype
-                and self._operand_fits(cache, cand.nbytes)):
-            cache.x_rounded = np.ascontiguousarray(cand)
-            cache.operand_bytes += cand.nbytes
-            self._record_alloc("operand_cache_rounded", cand.nbytes)
         cand = preload.get("x_t")
         if (cand is not None and cand.shape == (k, m)
                 and cand.dtype == self.dtype
-                and self._operand_fits(cache, cand.nbytes)):
+                and cand.nbytes <= self.operand_budget):
             cache.x_t = np.ascontiguousarray(cand)
-            cache.operand_bytes += cand.nbytes
             self._record_alloc("operand_cache_transpose", cand.nbytes)
 
     def export_operands(self) -> dict:
         """The active fit cache's x-derived invariants, for checkpointing.
 
         Returns whatever is currently materialised — the per-sample
-        norms always, the TF32-rounded matrix and the transposed update
-        operand when hoisted — keyed for :meth:`begin_fit`'s ``preload``.
-        The arrays are the live cache objects (cheap); callers that
-        persist them must serialise or copy.
+        norms always, the transposed update operand when hoisted — keyed
+        for :meth:`begin_fit`'s ``preload``.  The arrays are the live
+        cache objects (cheap); callers that persist them must serialise
+        or copy.
         """
         cache = self._cache
         if cache is None:
             return {}
         out = {"x_norms": cache.x_norms}
-        if cache.x_rounded is not None:
-            out["x_rounded"] = cache.x_rounded
         if cache.x_t is not None:
             out["x_t"] = cache.x_t
         return out
@@ -549,35 +489,6 @@ class FastPathEngine:
             return None
         return self._ensure_update_operand(self._cache)
 
-    def _hoist_rounded(self, cache: FitCache) -> None:
-        """Hoist the TF32-rounded sample matrix (fit caches only).
-
-        Rounding is elementwise, so the hoisted copy carries exactly the
-        bits the per-unit ``round_tf32`` calls would produce — it only
-        moves the rounding cost out of the Lloyd loop.  Over budget the
-        engine keeps re-rounding per unit, as before.
-        """
-        if not self.tf32 or cache.x_rounded is not None:
-            return
-        nbytes = cache.x.nbytes
-        if not self._operand_fits(cache, nbytes):
-            return
-        cache.x_rounded = self._round_blocked(cache.x)
-        cache.operand_bytes += nbytes
-        self._record_alloc("operand_cache_rounded", nbytes)
-
-    @staticmethod
-    def _round_blocked(x: np.ndarray) -> np.ndarray:
-        """``round_tf32`` row block by row block into one preallocated
-        copy: elementwise rounding is blocking-invariant, and the blocks
-        keep the rounder's temporaries cache-sized instead of three
-        matrix-sized allocations."""
-        out = np.empty_like(x)
-        step = max(1, (4 << 20) // max(1, x.shape[1] * x.itemsize))
-        for lo in range(0, x.shape[0], step):
-            out[lo:lo + step] = round_tf32(x[lo:lo + step])
-        return out
-
     def _ensure_update_operand(self, cache: FitCache) -> np.ndarray | None:
         """Hoist the transposed update-feed operand (fit caches only).
 
@@ -587,14 +498,9 @@ class FastPathEngine:
         conversion happens at the same element granularity either way,
         so the accumulated bits never move.
         """
-        if cache.x_t is None and not cache.x_t_failed:
-            nbytes = cache.x.nbytes
-            if self._operand_fits(cache, nbytes):
-                cache.x_t = transpose_blocked(cache.x)
-                cache.operand_bytes += nbytes
-                self._record_alloc("operand_cache_transpose", nbytes)
-            else:
-                cache.x_t_failed = True
+        if cache.x_t is None and cache.x.nbytes <= self.operand_budget:
+            cache.x_t = transpose_blocked(cache.x)
+            self._record_alloc("operand_cache_transpose", cache.x.nbytes)
         return cache.x_t
 
     # -- scratch pool ---------------------------------------------------
@@ -916,12 +822,12 @@ class FastPathEngine:
         stats.  The fault-free fast lane dispatches the whole unit grid
         as one stacked matmul (same per-unit BLAS GEMM sequence, so the
         bits match the walk exactly); chunks a fault plan targets — and
-        TF32 chunks without a hoisted rounded operand — walk the units
-        in Python as before.  With an ``active`` mask, fault-free
-        chunks route through the pruned lane unless every unit is
-        active anyway; fault-planned chunks always compute in full (the
-        replay coordinates assume chunk-row geometry) and their rows
-        stop being trusted as pruning history.
+        TF32 chunks, which round per unit — walk the units in Python.
+        With an ``active`` mask, fault-free chunks route through the
+        pruned lane unless every unit is active anyway; fault-planned
+        chunks always compute in full (the replay coordinates assume
+        chunk-row geometry) and their rows stop being trusted as pruning
+        history.
         """
         rows = hi - lo
         chunk_plans = self._chunk_plans(lo, hi, cache, plans)
@@ -937,28 +843,25 @@ class FastPathEngine:
         # inner GEMMs on the fixed unit grid (globally aligned: lo is a
         # unit multiple), so the call sequence is chunking-invariant
         unit = self.unit_rows
-        xsrc = cache.x_rounded if (self.tf32
-                                   and cache.x_rounded is not None) else x
-        rounded = not self.tf32 or cache.x_rounded is not None
-        batched = (self.batch_chunks and not chunk_plans and rounded
-                   and xsrc.flags.c_contiguous)
+        batched = (self.batch_chunks and not chunk_plans and not self.tf32
+                   and x.flags.c_contiguous)
         with tr.span("gemm", lo=int(lo), hi=int(hi), batched=batched):
             if batched:
-                k = xsrc.shape[1]
+                k = x.shape[1]
                 q, rem = divmod(rows, unit)
                 calls = q + (1 if rem else 0)
                 if q:
-                    np.matmul(xsrc[lo:lo + q * unit].reshape(q, unit, k),
+                    np.matmul(x[lo:lo + q * unit].reshape(q, unit, k),
                               yr_t, out=acc[:q * unit].reshape(q, unit, -1))
                 if rem:
-                    np.matmul(xsrc[lo + q * unit:hi], yr_t,
+                    np.matmul(x[lo + q * unit:hi], yr_t,
                               out=acc[q * unit:rows])
             else:
                 calls = 0
                 for u0 in range(lo, hi, unit):
                     u1 = min(u0 + unit, hi)
-                    xa = xsrc[u0:u1]
-                    if not rounded:
+                    xa = x[u0:u1]
+                    if self.tf32:
                         xa = round_tf32(xa)
                     np.matmul(xa, yr_t, out=acc[u0 - lo:u1 - lo])
                     calls += 1
@@ -1012,9 +915,6 @@ class FastPathEngine:
         rows = hi - lo
         n = yr_t.shape[1]
         act = active[lo:hi]
-        xsrc = cache.x_rounded if (self.tf32
-                                   and cache.x_rounded is not None) else x
-        rounded = not self.tf32 or cache.x_rounded is not None
         q, rem = divmod(rows, unit)
         idx = (np.flatnonzero(act[:q * unit].reshape(q, unit).any(axis=1))
                if q else np.empty(0, dtype=np.int64))
@@ -1026,8 +926,9 @@ class FastPathEngine:
         if na == q and (tail_active or not rem):
             return None
         calls = 0
-        batched = (self.batch_chunks and rounded and xsrc.flags.c_contiguous)
-        k = xsrc.shape[1]
+        batched = (self.batch_chunks and not self.tf32
+                   and x.flags.c_contiguous)
+        k = x.shape[1]
         if na:
             flat = scratch[:na * unit]
             with tr.span("gemm", lo=int(lo), hi=int(hi), batched=batched,
@@ -1036,13 +937,13 @@ class FastPathEngine:
                     # fancy-index gather of the active units: a contiguous
                     # (na, unit, K) copy, so the stacked matmul issues the
                     # identical per-unit GEMMs the full grid would
-                    gathered = xsrc[lo:lo + q * unit].reshape(q, unit, k)[idx]
+                    gathered = x[lo:lo + q * unit].reshape(q, unit, k)[idx]
                     np.matmul(gathered, yr_t, out=flat.reshape(na, unit, n))
                     calls += na
                 else:
                     for t, u in enumerate(idx):
-                        xa = xsrc[lo + u * unit: lo + (u + 1) * unit]
-                        if not rounded:
+                        xa = x[lo + u * unit: lo + (u + 1) * unit]
+                        if self.tf32:
                             xa = round_tf32(xa)
                         np.matmul(xa, yr_t,
                                   out=flat[t * unit:(t + 1) * unit])
@@ -1054,8 +955,8 @@ class FastPathEngine:
             tail = scratch[na * unit:na * unit + rem]
             with tr.span("gemm", lo=int(lo + q * unit), hi=int(hi),
                          batched=False, pruned=True):
-                xa = xsrc[lo + q * unit:hi]
-                if not rounded:
+                xa = x[lo + q * unit:hi]
+                if self.tf32:
                     xa = round_tf32(xa)
                 np.matmul(xa, yr_t, out=tail)
             calls += 1

@@ -189,11 +189,11 @@ class FtAssignment(TensorOpAssignment):
                  tile=None, use_tf32: bool = True,
                  scheme: str | AbftScheme = FTKMEANS, safety: float = 4.0,
                  stages: int | None = None, chunk_bytes: int | None = None,
-                 workers: int = 1, operand_cache="auto", prune="auto"):
+                 workers: int = 1, prune="auto"):
         super().__init__(device, dtype, mode=mode, injector=injector,
                          tile=tile, use_tf32=use_tf32, stages=stages,
                          chunk_bytes=chunk_bytes, workers=workers,
-                         operand_cache=operand_cache, prune=prune)
+                         prune=prune)
         self.scheme = get_scheme(scheme)
         self.safety = safety
         if self.scheme.name == "wu":

@@ -40,10 +40,10 @@ class V1GemmAssignment(AssignmentKernelBase):
     def __init__(self, device, dtype, *, mode="fast", injector=None,
                  tile: TileConfig | None = None,
                  chunk_bytes: int | None = None, workers: int = 1,
-                 operand_cache="auto", prune="auto"):
+                 prune="auto"):
         super().__init__(device, dtype, mode=mode, injector=injector,
                          chunk_bytes=chunk_bytes, workers=workers,
-                         operand_cache=operand_cache, prune=prune)
+                         prune=prune)
         self.tile = tile if tile is not None else default_simt_tile(dtype)
 
     # ------------------------------------------------------------------

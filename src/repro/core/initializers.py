@@ -1,7 +1,10 @@
 """Centroid initialisation: uniform-random and k-means++.
 
-Initialisation runs on the host in the paper's system (it is O(K·N) work
-against O(M·N·K) per iteration), so these are plain NumPy.
+Initialisation runs on the host in the paper's system, so these are
+plain NumPy.  Random init is O(K·N).  k-means++ is not cheap: each of
+its K centres builds an (M, N) float64 temporary to update the running
+distances, so it costs O(M·N·K) — as much as one Lloyd iteration, and
+more memory traffic.
 """
 
 from __future__ import annotations

@@ -56,9 +56,7 @@ def build_assignment(cfg: KMeansConfig, n_samples: int, n_features: int,
     tile = _resolve_tile(cfg, n_samples, n_features)
     kwargs: dict = dict(mode=cfg.mode, injector=injector,
                         chunk_bytes=cfg.chunk_bytes,
-                        workers=cfg.engine_workers,
-                        operand_cache=cfg.operand_cache,
-                        prune=cfg.prune)
+                        workers=cfg.engine_workers, prune=cfg.prune)
     if cfg.variant in ("v1", "v2", "v3"):
         kwargs["tile"] = tile
     elif cfg.variant == "tensorop":

@@ -10,9 +10,7 @@ the failure class orthogonal to the paper's in-device SEUs.
   round protocol (:func:`make_executor`);
 * :class:`Coordinator` — map-reduce Lloyd with a sequential-continuation
   merge (bit-identical to single-worker for any shard count *and any
-  membership history*), selectable reduce topology (``star`` /
-  ``stream`` / ``tree`` / ``auto``, all bit-identical; see
-  :func:`combine_schedule` for the pairwise tree), an ABFT checksum
+  membership history*) streamed as results arrive, an ABFT checksum
   over the merged partials, checkpoint/restart recovery, round-deadline
   stall detection (:class:`WorkerStall`) and elastic
   shrink-onto-survivors recovery;
@@ -52,14 +50,12 @@ from repro.dist.faults import (
     WorkerFaultPlan,
     WorkerStall,
 )
-from repro.dist.plan import CombineStep, Shard, ShardPlan, combine_schedule
+from repro.dist.plan import Shard, ShardPlan
 from repro.dist.worker import RoundResult, ShardWorker
 
 __all__ = [
     "ShardPlan",
     "Shard",
-    "CombineStep",
-    "combine_schedule",
     "ReduceOccupancy",
     "ShardWorker",
     "RoundResult",

@@ -45,7 +45,7 @@ stores, where there is no I/O to hide).
 
 :class:`WorkerCacheStore` is the second, orthogonal store in this
 module: shard-keyed checkpoints of the *workers'* engine operand caches
-(norms + hoisted operand copies), so a replacement worker booting onto
+(norms + the hoisted transposed operand), so a replacement worker booting onto
 a shard skips recomputing per-fit invariants the dead worker already
 paid for.  Unlike coordinator snapshots these never affect the fit's
 bits — a missing or compacted entry only costs boot time.  Both stores
@@ -335,7 +335,7 @@ class WorkerCacheStore:
 
     A worker booting onto a shard spends its start-up on per-fit
     invariants: the x-norm pass and (budget permitting) the hoisted
-    rounded/transposed operand copies.  Those are pure functions of the
+    transposed operand copy.  Those are pure functions of the
     shard rows — identical for the original worker, a respawn, and a
     promoted spare — so the first worker to build them checkpoints the
     result here and every later boot onto the same rows preloads it
@@ -347,9 +347,9 @@ class WorkerCacheStore:
 
     **Compaction.**  Entries are split into a *light* part (the norm
     vector — one float per row) that is always kept, and a *heavy* part
-    (the rounded/transposed sample copies — each as large as the shard
-    itself) kept only while the pool fits ``budget_bytes``; when a save
-    would overflow, the oldest heavy payloads are evicted first and the
+    (the transposed sample copy — as large as the shard itself) kept
+    only while the pool fits ``budget_bytes``; when a save would
+    overflow, the oldest heavy payloads are evicted first and the
     new one is skipped if it alone cannot fit.  Large ``K·N`` fits thus
     degrade to norm-only preloads instead of mirroring the dataset.
 
@@ -385,7 +385,7 @@ class WorkerCacheStore:
     #: always-kept operand names (small: O(rows) scalars)
     LIGHT_KEYS = ("x_norms",)
     #: budget-gated operand names (each O(shard) bytes)
-    HEAVY_KEYS = ("x_rounded", "x_t")
+    HEAVY_KEYS = ("x_t",)
 
     def __init__(self, directory: str | os.PathLike | None = None, *,
                  budget_bytes: int = 256 << 20, sync: bool | None = None):

@@ -4,8 +4,8 @@
 
 1. broadcasts the centroids to every worker (one ``run_round`` through
    the configured executor, with any fault directives for the round);
-2. gathers per-shard labels / min distances / fused partial sums, in
-   worker order;
+2. gathers per-shard labels / min distances / fused partial sums as
+   they arrive;
 3. **merges with sequential-continuation semantics**: the shard feeds
    replay through one :class:`StreamedAccumulator` in shard order, so
    the merged sums carry exactly the bits a single-worker fused pass
@@ -49,38 +49,17 @@ fault-injection schedule's semantics byte-for-byte unchanged, and any
 *real* worker loss in an overlapped round surfaces at collect time and
 runs the ordinary recovery path.
 
-**Reduce topologies.**  ``cfg.reduce_topology`` picks how step 3's
-sequential-continuation merge is *scheduled* — never what it computes
-(all topologies produce bit-identical sums, proven by the hypothesis
-suites in ``tests/distributed/test_reduce_topology.py``):
-
-* ``'star'`` — the legacy shape above: collect every result, then
-  re-feed all shards through the coordinator's accumulator.  The
-  coordinator is busy for the whole merge *after* the slowest worker
-  answered.
-* ``'stream'`` — results are consumed in **arrival** order
-  (``collect_round_stream``) but committed strictly in **shard**
-  order: as soon as the next uncommitted shard's result is in, its
-  gather writes and merge re-feed run while later workers still
-  compute.  Only the commit remainder past the last arrival occupies
-  the coordinator.
-* ``'tree'`` — workers combine partial fold states pairwise in
-  continuation order (:func:`repro.dist.plan.combine_schedule`): each
-  combine seeds the owner's accumulator with the prefix state and
-  folds the next row range in order, so ``ceil(log2 W)`` message
-  exchanges replace ``W`` coordinator-side merge segments.  The
-  coordinator's reduce work shrinks to the gather, the final-state
-  adopt and an inline pre-update ABFT checksum (on alarm it falls
-  back to the authoritative star re-feed and the standard per-shard
-  localization).
-* ``'auto'`` (default) — ``'tree'`` at 8+ workers, ``'stream'`` at
-  3–7, ``'star'`` below, resolved per round against the current
-  plan's effective worker count.
-
-``DistFitResult.reduce_busy_s`` reports the coordinator occupancy of
-the chosen topology: reduce work counts only insofar as it extends
-past the round's last result arrival (work hidden under a still-
-computing worker is free).
+**Stream merge.**  Step 2 consumes results in **arrival** order
+(``collect_round_stream``) but step 3 commits them strictly in
+**shard** order: as soon as the next uncommitted shard's result is in,
+its gather writes and merge re-feed run while later workers still
+compute, so only the commit remainder past the last arrival occupies
+the coordinator.  The commit order is the order the continuation merge
+requires, so the sums never depend on which worker answered first
+(proven by the suites in ``tests/distributed/test_reduce_topology.py``).
+``DistFitResult.reduce_busy_s`` reports that occupancy: reduce work
+counts only insofar as it extends past the round's last result arrival
+(work hidden under a still-computing worker is free).
 
 **Failure detection and elastic membership.**  ``round_timeout`` arms
 the executors' round deadline: a worker that has not answered in time
@@ -138,14 +117,14 @@ import numpy as np
 from repro.core.accumulate import StreamedAccumulator
 from repro.core.config import TRANSPORTS, KMeansConfig
 from repro.core.convergence import ConvergenceMonitor
-from repro.core.engine import resolve_operand_budget, transpose_blocked
+from repro.core.engine import transpose_blocked
 from repro.core.update import UpdateStage
 from repro.core.variants import _resolve_tile, build_assignment
 from repro.dist.checkpoint import CheckpointStore, WorkerCacheStore
 from repro.dist.executors import BaseExecutor, make_executor
 from repro.dist.faults import WorkerCrash, WorkerFaultInjector
 from repro.dist.fleet import FleetManager
-from repro.dist.plan import ShardPlan, combine_schedule
+from repro.dist.plan import ShardPlan
 from repro.dist.shm import ShmSession
 from repro.dist.worker import RoundResult, build_worker
 from repro.gpusim.clock import SimClock
@@ -192,7 +171,6 @@ class DistFitResult:
     expands: int = 0                     # workers regrown toward target
     heartbeat_failures: int = 0          # losses caught by heartbeat
     reduce_busy_s: float = 0.0           # coordinator reduce occupancy
-    reduce_topology: str = "star"        # resolved topology (last round)
     transport: str = "pipe"              # resolved round-loop transport
     broadcast_bytes: int = 0             # pipe bytes coordinator->workers
     gather_bytes: int = 0                # pipe bytes workers->coordinator
@@ -210,9 +188,8 @@ class ReduceOccupancy:
     arrival, :meth:`segment` after each coordinator-side reduce
     segment; :meth:`end_round` folds
     ``sum(max(0, t1 - max(t0, t_last)))`` over the round's segments
-    into :attr:`busy_s`.  Blocking waits (collect, combine round
-    trips) are never recorded — they are worker time, not coordinator
-    work.
+    into :attr:`busy_s`.  Blocking waits on the collect are never
+    recorded — they are worker time, not coordinator work.
     """
 
     def __init__(self):
@@ -313,11 +290,6 @@ class Coordinator:
         ``spawn_hook(n_needed) -> int | None`` — budget/veto on booting
         replacement workers during re-expansion (promotion of
         already-booted spares never consults it).
-    event_hook : callable, optional
-        Deprecated dict-callable event log, forwarded to the
-        :class:`FleetManager`, which subscribes it to the event bus
-        through the backwards-compatible shim (see
-        :class:`repro.dist.fleet.FleetManager`).
     event_bus : :class:`repro.obs.events.EventBus`, optional
         Bus for the fit's structured events: fleet membership events
         (source ``"fleet"``), coordinator ``recovery`` / ``restore`` /
@@ -374,7 +346,7 @@ class Coordinator:
                  target_workers: int | None = None,
                  hot_spares: int | None = None,
                  heartbeat_interval: float | None = None,
-                 spawn_hook=None, event_hook=None,
+                 spawn_hook=None,
                  event_bus: EventBus | None = None, tracer=None,
                  worker_cache: WorkerCacheStore | None = None,
                  transport: str | None = None):
@@ -420,8 +392,7 @@ class Coordinator:
             heartbeat_interval=(cfg.heartbeat_interval
                                 if heartbeat_interval is None
                                 else heartbeat_interval),
-            spawn_hook=spawn_hook, event_hook=event_hook,
-            event_bus=self.event_bus)
+            spawn_hook=spawn_hook, event_bus=self.event_bus)
         # the snapshot store and the executor publish on the fit's bus
         # unless pre-wired to one of their own
         if getattr(self.store, "event_bus", None) is None:
@@ -479,13 +450,6 @@ class Coordinator:
                                             probe.engine.unit_rows)
         base_seed = cfg.seed if cfg.seed is not None else 0
 
-        # tree rounds need the workers' fold states on every result;
-        # membership can only shrink below (or regrow back to) the
-        # initial plan, so the initial resolution decides once per fit
-        # whether any round of this fit can be a tree round
-        export_state = (cfg.reduce_topology == "tree"
-                        or (cfg.reduce_topology == "auto"
-                            and plan.n_workers >= 8))
         # refresh the shard operand-cache entry once per recovery
         # window, so a replacement booting after a *late* crash still
         # preloads even if compaction evicted the boot-time entry
@@ -523,23 +487,20 @@ class Coordinator:
         # hundred bytes and attaches the shard as a view in O(1).
         def make_factory(p: ShardPlan):
             if shm_session is not None:
-                shm_session.make_slots(p, n_clusters, k, cfg.dtype,
-                                       export_state)
+                shm_session.make_slots(p, n_clusters, k, cfg.dtype)
                 return partial(build_worker, plan=p, cfg=worker_cfg,
                                n_clusters=n_clusters,
                                data_ref=shm_session.data_ref,
                                weight_ref=shm_session.weight_ref,
                                base_seed=base_seed,
                                cache_store=self.worker_cache,
-                               cache_refresh_every=cache_refresh_every,
-                               export_state=export_state)
+                               cache_refresh_every=cache_refresh_every)
             return partial(build_worker, x=x, plan=p, cfg=worker_cfg,
                            n_clusters=n_clusters,
                            sample_weight=sample_weight,
                            base_seed=base_seed,
                            cache_store=self.worker_cache,
-                           cache_refresh_every=cache_refresh_every,
-                           export_state=export_state)
+                           cache_refresh_every=cache_refresh_every)
 
         factory = make_factory(plan)
 
@@ -550,13 +511,12 @@ class Coordinator:
         # merge-operand hoist: one transposed copy of x lets every
         # round's sequential-continuation re-feed read contiguous
         # feature rows instead of re-transposing all of x (identical
-        # bits; same budget policy as the engine's operand caches).
+        # bits; same budget as the engine's transposed operand).
         # The same copy serves the update stage's DMR duplicate
         # re-accumulation, which streams the full x once per iteration.
         chunk_budget = (cfg.chunk_bytes if cfg.chunk_bytes is not None
                         else cfg.device.fastpath_chunk_bytes())
-        if x.nbytes <= resolve_operand_budget(cfg.operand_cache,
-                                              chunk_budget):
+        if x.nbytes <= chunk_budget:
             xt = transpose_blocked(x)
             merge_acc.bind_source_t(xt)
             updater.bind_source_t(x, xt)
@@ -609,11 +569,6 @@ class Coordinator:
                    and getattr(self.executor, "supports_overlap", False))
         round_times: deque[float] = deque(maxlen=self.ADAPTIVE_WINDOW)
         occ = ReduceOccupancy()
-        # re-resolved per round against the plan the round ran on (an
-        # elastic shrink can cross an 'auto' threshold mid-fit); this
-        # initial value only seeds the result field for 0-round fits
-        topology = cfg.resolved_reduce_topology(plan.n_workers)
-
         # the fit span brackets the whole round loop including the
         # shutdown/flush tail; opened by hand (not ``with``) so the
         # 200-line loop below keeps its indentation — closed in the
@@ -649,85 +604,28 @@ class Coordinator:
                                         "broadcast_bytes", 0) - b0)
                     pending = (it, directives, t_send, plan)
                 cur, directives, t_send, cur_plan = pending
-                topology = cfg.resolved_reduce_topology(cur_plan.n_workers)
                 occ.begin_round()
-                g0 = getattr(self.executor, "gather_bytes", 0)
-                abft_done = False
-                round_span = None
                 try:
-                    if topology == "stream":
-                        # arrival-ordered consume, shard-ordered commit:
-                        # the per-shard merge spans nest under the
-                        # compute span they genuinely overlap
-                        with tr.span("compute", iteration=int(cur)):
-                            results = self._stream_reduce(
-                                cur_plan, x, labels, best, counters,
-                                clock, merge_acc, occ, tr)
-                        merged = merge_acc.packed()
-                    else:
-                        with tr.span("compute", iteration=int(cur)):
-                            results = self.executor.collect_round()
-                        occ.arrival()
+                    # arrival-ordered consume, shard-ordered commit: the
+                    # per-shard merge spans nest under the compute span
+                    # they genuinely overlap
+                    with tr.span("compute", iteration=int(cur)) as sp:
+                        g0 = getattr(self.executor, "gather_bytes", 0)
+                        results = self._stream_reduce(
+                            cur_plan, x, labels, best, counters, clock,
+                            merge_acc, occ, tr)
+                        if sp is not None:
+                            sp.meta["payload_bytes"] = (
+                                getattr(self.executor,
+                                        "gather_bytes", 0) - g0)
+                    merged = merge_acc.packed()
                     # between-round liveness sweep (rate-limited): a
                     # worker that answered its round but wedged after
                     # is caught here, not one full round budget later.
                     # No round is in flight at this point — the next
-                    # speculative send happens after the merge.
+                    # speculative send happens after the update.
                     self.fleet.maybe_heartbeat(cur)
-                    if topology != "stream":
-                        # the ``round`` span covers the coordinator-side
-                        # stages of an answered round (gather -> reduce
-                        # -> update -> tail); stream rounds open it
-                        # after the try — their gather/merge already
-                        # streamed under the compute span
-                        round_span = tr.span("round", iteration=int(cur))
-                        round_span.__enter__()
-                        # -- gather (worker order == sample order) -----
-                        with tr.span("gather") as sp:
-                            t0 = time.monotonic()
-                            for res, shard in zip(results,
-                                                  cur_plan.shards):
-                                labels[shard.lo:shard.hi] = res.labels
-                                best[shard.lo:shard.hi] = res.best
-                                counters.merge(res.counters)
-                            self._charge_round(clock, results)
-                            occ.segment(t0)
-                            if sp is not None:
-                                sp.meta["payload_bytes"] = (
-                                    getattr(self.executor,
-                                            "gather_bytes", 0) - g0)
-                        if topology == "tree":
-                            # pairwise combine tree on the workers; a
-                            # mid-combine death routes into the same
-                            # recovery handler as a round death
-                            merged = self._tree_reduce(
-                                results, cur_plan, labels, merge_acc,
-                                occ, tr, cur)
-                            # inline pre-update checksum: the combine
-                            # chain ran on workers, so its output is
-                            # vetted before the update adopts it
-                            counters.checksum_tests += 1
-                            with tr.span("abft_check"):
-                                t0 = time.monotonic()
-                                merged = self._tree_check(
-                                    merged, results, cur_plan, x,
-                                    labels, sample_weight, merge_acc,
-                                    faults_seen, trace, cur)
-                                occ.segment(t0)
-                            abft_done = True
-                        else:
-                            # -- sequential-continuation merge (star) --
-                            with tr.span("merge"):
-                                t0 = time.monotonic()
-                                merge_acc.reset()
-                                for shard in cur_plan.shards:
-                                    merge_acc.feed(x[shard.slice],
-                                                   labels[shard.slice])
-                                merged = merge_acc.packed()
-                                occ.segment(t0)
                 except WorkerCrash as crash:
-                    if round_span is not None:
-                        round_span.__exit__(None, None, None)
                     pending = None
                     recoveries += 1
                     crash_workers_lost += len(crash.crashed_ids)
@@ -830,13 +728,12 @@ class Coordinator:
                 pending = None
                 round_times.append(time.monotonic() - t_send)
                 occ.end_round()
-                if round_span is None:
-                    # stream round: the reduce streamed under compute,
-                    # so the round span brackets update + tail only.
-                    # Under double buffering the *next* round's
-                    # broadcast nests here, where it genuinely happens.
-                    round_span = tr.span("round", iteration=int(cur))
-                    round_span.__enter__()
+                # the reduce streamed under compute, so the round span
+                # brackets update + tail only.  Under double buffering
+                # the *next* round's broadcast nests here, where it
+                # genuinely happens.
+                round_span = tr.span("round", iteration=int(cur))
+                round_span.__enter__()
 
                 # -- the exact single-device update + convergence ------
                 with tr.span("update"):
@@ -883,12 +780,11 @@ class Coordinator:
 
                 # -- off-critical tail ---------------------------------
                 self._count_directives(faults_seen, trace, directives, cur)
-                if not abft_done:
-                    counters.checksum_tests += 1
-                    with tr.span("abft_check"):
-                        self._check_partials(merged, results, cur_plan, x,
-                                             labels, sample_weight,
-                                             faults_seen, trace, cur)
+                counters.checksum_tests += 1
+                with tr.span("abft_check"):
+                    self._check_partials(merged, results, cur_plan, x,
+                                         labels, sample_weight,
+                                         faults_seen, trace, cur)
                 best64 = best.astype(np.float64)
                 inertia = float(np.sum(best64 * sample_weight)
                                 if sample_weight is not None
@@ -971,8 +867,7 @@ class Coordinator:
             checkpoint_save_s=ckpt_save_s, checkpoint_flush_s=ckpt_flush_s,
             promotions=self.fleet.promotions, expands=self.fleet.expands,
             heartbeat_failures=heartbeat_failures,
-            reduce_busy_s=occ.busy_s, reduce_topology=topology,
-            transport=transport,
+            reduce_busy_s=occ.busy_s, transport=transport,
             broadcast_bytes=int(getattr(self.executor,
                                         "broadcast_bytes", 0)),
             gather_bytes=int(getattr(self.executor, "gather_bytes", 0)),
@@ -1019,7 +914,7 @@ class Coordinator:
                        counters: PerfCounters, clock: SimClock,
                        merge_acc: StreamedAccumulator,
                        occ: ReduceOccupancy, tr) -> list[RoundResult]:
-        """The ``'stream'`` topology's collect: arrival-ordered consume,
+        """The round's collect and merge: arrival-ordered consume,
         shard-ordered commit.
 
         Results are buffered as they arrive and committed strictly in
@@ -1060,78 +955,6 @@ class Coordinator:
                                "shards and no failure raised")
         self._charge_round(clock, results)
         return results
-
-    def _tree_reduce(self, results: list[RoundResult],
-                     cur_plan: ShardPlan, labels: np.ndarray,
-                     merge_acc: StreamedAccumulator,
-                     occ: ReduceOccupancy, tr, it: int) -> np.ndarray:
-        """The ``'tree'`` topology's reduce: pairwise combines on the
-        workers, in continuation order.
-
-        Worker 0's exported fold state seeds the chain; each
-        :class:`~repro.dist.plan.CombineStep`'s owner extends the
-        prefix over its row range (level 1 folds the owner's own shard
-        from its cached labels; deeper levels ship the gathered label
-        slice).  The coordinator's only reduce work is adopting the
-        final state — the combines themselves are worker time, like
-        the round's compute.  A worker dying mid-combine raises
-        :class:`WorkerCrash` into the standard recovery path.
-        """
-        by_wid = {res.worker_id: res for res in results}
-        state = by_wid[cur_plan.shards[0].worker_id].state
-        if state is None:  # pragma: no cover - defensive
-            raise RuntimeError("tree reduce needs workers built with "
-                               "export_state=True")
-        for step in combine_schedule(cur_plan):
-            lab = None if step.level == 1 else labels[step.lo:step.hi]
-            with tr.span("combine", level=int(step.level),
-                         lo=int(step.lo), hi=int(step.hi),
-                         owner=int(step.owner_id)):
-                state = self.executor.combine(step.owner_id, state,
-                                              step.lo, step.hi, it, lab)
-        t0 = time.monotonic()
-        merge_acc.reset()
-        merge_acc.merge_from(state)
-        occ.segment(t0)
-        return merge_acc.packed()
-
-    def _tree_check(self, merged: np.ndarray, results: list[RoundResult],
-                    cur_plan: ShardPlan, x: np.ndarray,
-                    labels: np.ndarray,
-                    sample_weight: np.ndarray | None,
-                    merge_acc: StreamedAccumulator, faults_seen: dict,
-                    trace: list[dict], it: int) -> np.ndarray:
-        """Pre-update checksum over tree-combined sums; returns the
-        sums the update may trust.
-
-        Clean rounds return ``merged`` unchanged.  On alarm the
-        coordinator falls back to the authoritative star re-feed — the
-        tree's output is discarded wholesale, so a corruption anywhere
-        in the combine chain is *contained*, not merely detected — and
-        localizes the offender through the standard per-shard recompute
-        (:meth:`_check_partials`).
-        """
-        total = np.zeros_like(merged)
-        for res in results:
-            total += res.partial
-        scale = np.maximum(1.0, np.maximum(np.abs(total), np.abs(merged)))
-        if not (np.abs(total - merged) > self.partial_tol * scale).any():
-            return merged
-        merge_acc.reset()
-        for shard in cur_plan.shards:
-            merge_acc.feed(x[shard.slice], labels[shard.slice])
-        authoritative = merge_acc.packed()
-        if not np.array_equal(authoritative, merged):
-            # the combine chain itself was corrupted (not just a
-            # returned partial copy): the per-shard localization below
-            # cannot see it, so count the containment here
-            faults_seen["detected"] += 1
-            faults_seen["corrected"] += 1
-            trace.append({"kind": "combine_mismatch_detected",
-                          "iteration": it})
-        self._check_partials(authoritative, results, cur_plan, x, labels,
-                             sample_weight, faults_seen, trace, it)
-        return authoritative
 
     @staticmethod
     def _count_directives(faults_seen: dict, trace: list[dict],

@@ -63,26 +63,15 @@ overlapped coordinator work can never eat a worker's round budget.
 
 **Streaming collect.**  ``collect_round_stream()`` yields ``(worker_id,
 result)`` pairs in *arrival* order instead of blocking for the full
-worker-order list — the coordinator's ``'stream'`` reduce topology
-commits each shard's merge work as soon as (in-shard-order) results
-allow, hiding merge time under the slowest worker.  Failure semantics
+worker-order list — the coordinator's stream merge commits each
+shard's merge work as soon as (in-shard-order) results allow, hiding
+merge time under the slowest worker.  Failure semantics
 are identical to ``collect_round``: every failure of the round is
 collected and one typed exception raised *after* the stream ends, so a
 consumer that buffered early arrivals discards them through the same
 recovery path.  The base implementation degrades to worker order (one
 blocking collect, then yield); backends whose workers genuinely race
 override it with true arrival order.
-
-**Tree combine.**  ``combine(worker_id, seed_state, lo, hi, iteration,
-labels)`` runs one tree-reduce step on the named worker (see
-:meth:`repro.dist.worker.ShardWorker.combine`): the worker seeds an
-accumulator with the prefix fold state and extends it over ``[lo, hi)``.
-On the process backend this is a round-trip message; a child that dies
-mid-combine surfaces as :class:`WorkerCrash` exactly like a round
-death, and a combine that answers past ``round_timeout`` is escalated
-like a round stall.  Worker-side ``ValueError``\\ s (out-of-order
-combine, missing labels) re-raise in the coordinator — they are
-scheduling bugs, not worker faults.
 
 **Membership management.**  The fleet manager
 (:mod:`repro.dist.fleet`) drives four further verbs on top of the round
@@ -148,8 +137,6 @@ def _result_nbytes(res: RoundResult) -> int:
     for arr in (res.labels, res.best, res.partial):
         if arr is not None:
             n += arr.nbytes
-    if res.state is not None:
-        n += (res.state["sums_t"].nbytes + res.state["counts"].nbytes + 64)
     return n
 
 
@@ -297,17 +284,6 @@ class BaseExecutor(ABC):
         for res in self.collect_round():
             yield res.worker_id, res
 
-    def combine(self, worker_id: int, seed_state: dict, lo: int, hi: int,
-                iteration: int, labels=None) -> dict:
-        """Run one tree-reduce combine on the named worker.
-
-        Shared in-process implementation: a direct method call (the
-        combine then runs on the coordinator's thread, like the serial
-        backend's rounds).  Returns the extended prefix state.
-        """
-        return self._workers[worker_id].combine(seed_state, lo, hi,
-                                                iteration, labels)
-
     def cancel_round(self) -> None:
         """Abandon a sent-but-uncollected round (no results wanted).
 
@@ -415,7 +391,7 @@ class SerialExecutor(BaseExecutor):
         Sequential, so "arrival order" is worker order — but yielding
         per worker (instead of after the full loop) lets the streaming
         merge interleave with the remaining workers' compute, which is
-        what the ``'stream'`` topology tests on this backend.  A worker
+        what the stream-merge tests exercise on this backend.  A worker
         classified retroactively stalled is not yielded (its result is
         doomed to the recovery discard anyway); failures raise after
         the loop, exactly like :meth:`run_round`.
@@ -674,12 +650,6 @@ _SPARE_READY = "__spare_ready__"
 #: heartbeat reply sentinel
 _PONG = "__pong__"
 
-#: first element of a combine reply carrying a worker-side exception
-#: (ValueError contract violations etc.) back to the coordinator — a
-#: combine has a real return value, so errors need an in-band marker
-_COMBINE_ERR = "__combine_error__"
-
-
 def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
     """Process-executor child loop: build the worker, answer messages.
 
@@ -735,19 +705,6 @@ def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
                 if worker is not None:
                     worker.ping()
                 conn.send(_PONG)
-            elif tag == "combine":
-                _, seed_state, lo, hi, iteration, labels = msg
-                try:
-                    out = worker.combine(seed_state, lo, hi, iteration,
-                                         labels)
-                except WorkerCrash:
-                    os._exit(17)
-                except Exception as exc:
-                    # contract violations (out-of-order seed, missing
-                    # labels) are coordinator bugs: marshal them back to
-                    # re-raise there, instead of dying like a fault
-                    out = (_COMBINE_ERR, exc)
-                conn.send(out)
             elif tag == "shmround":
                 _, bcast_ref, slot_ref, generation, iteration, directive = msg
                 y = _shm_read_broadcast(bcast_ref, generation)
@@ -760,8 +717,7 @@ def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
                 # not a pipe copy); the ack is token-sized
                 _shm_write_slot(slot_ref, result, generation)
                 conn.send(dataclasses.replace(
-                    result, labels=None, best=None, partial=None,
-                    state=None))
+                    result, labels=None, best=None, partial=None))
             else:                              # "round"
                 _, y, iteration, directive = msg
                 try:
@@ -870,7 +826,6 @@ class ProcessExecutor(BaseExecutor):
             res.labels = data["labels"]
             res.best = data["best"]
             res.partial = data["partial"]
-            res.state = data["state"]
         else:
             self.gather_bytes += _result_nbytes(res)
         return res
@@ -1135,41 +1090,6 @@ class ProcessExecutor(BaseExecutor):
         if crashed or stalled:
             raise _round_failure(iteration, crashed, stalled,
                                  crash_reason="worker process died")
-
-    def combine(self, worker_id: int, seed_state: dict, lo: int, hi: int,
-                iteration: int, labels=None) -> dict:
-        """One tree-combine round trip to the named child.
-
-        A broken pipe at either phase is a worker death
-        (:class:`WorkerCrash`); an answer missing past ``round_timeout``
-        escalates the child exactly like a round stall
-        (:class:`WorkerStall`).  Worker-side exceptions arrive marshalled
-        under the ``_COMBINE_ERR`` marker and re-raise here.
-        """
-        conn = self._conns.get(worker_id)
-        if conn is None:
-            raise WorkerCrash(worker_id, iteration,
-                              reason="worker process died")
-        payload = ("combine", seed_state, lo, hi, iteration, labels)
-        # combine traffic stays on the pipe under both transports (an
-        # O(log W) trickle of continuation states, not a bulk payload)
-        # and counts against the same per-fit byte totals
-        self.broadcast_bytes += _pickled_nbytes(payload)
-        try:
-            conn.send(payload)
-            if self.round_timeout is not None:
-                if not conn.poll(self.round_timeout):
-                    self._kill_worker(worker_id)
-                    raise WorkerStall(worker_id, iteration)
-            out = conn.recv()
-        except (BrokenPipeError, EOFError, OSError):
-            self._kill_worker(worker_id)
-            raise WorkerCrash(worker_id, iteration,
-                              reason="worker process died") from None
-        if isinstance(out, tuple) and len(out) == 2 and out[0] == _COMBINE_ERR:
-            raise out[1]
-        self.gather_bytes += _pickled_nbytes(out)
-        return out
 
     def run_round(self, y, iteration, directives) -> list[RoundResult]:
         self.send_round(y, iteration, directives)

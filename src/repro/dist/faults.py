@@ -26,11 +26,6 @@ kind                      models
                           to the round deadline (the round was
                           answered); only the between-round heartbeat
                           of the fleet manager catches it
-``crash_combine``         the worker answers its round normally, then
-                          dies when the coordinator asks it to run a
-                          tree-reduce ``combine`` — the mid-reduce
-                          crash the tree topology's recovery replay
-                          must absorb bit-exactly
 ========================  ==========================================
 
 Faults can be scheduled explicitly (tests, benchmarks:
@@ -50,8 +45,7 @@ import numpy as np
 
 from repro.gpusim.faults import FaultPlan
 
-__all__ = ["CRASH", "STALL", "CORRUPT_PARTIAL", "WEDGE", "CRASH_COMBINE",
-           "WORKER_FAULT_KINDS",
+__all__ = ["CRASH", "STALL", "CORRUPT_PARTIAL", "WEDGE", "WORKER_FAULT_KINDS",
            "WorkerCrash", "WorkerStall", "WorkerFaultPlan",
            "WorkerFaultInjector"]
 
@@ -59,8 +53,7 @@ CRASH = "crash"
 STALL = "stall"
 CORRUPT_PARTIAL = "corrupt_partial"
 WEDGE = "wedge"
-CRASH_COMBINE = "crash_combine"
-WORKER_FAULT_KINDS = (CRASH, STALL, CORRUPT_PARTIAL, WEDGE, CRASH_COMBINE)
+WORKER_FAULT_KINDS = (CRASH, STALL, CORRUPT_PARTIAL, WEDGE)
 
 
 class WorkerCrash(RuntimeError):
@@ -206,14 +199,6 @@ class WorkerFaultInjector:
                                     wedge_s=wedge_s)])
 
     @classmethod
-    def crash_combine_at(cls, worker_id: int,
-                         iteration: int) -> "WorkerFaultInjector":
-        """Worker answers ``iteration``'s round, then dies inside the
-        tree reduce's ``combine`` step (no-op on topologies that never
-        ask it to combine)."""
-        return cls([WorkerFaultPlan(CRASH_COMBINE, worker_id, iteration)])
-
-    @classmethod
     def corrupt_at(cls, worker_id: int, iteration: int, *, bit: int = 55,
                    row_frac: float = 0.5,
                    col_frac: float = 0.5) -> "WorkerFaultInjector":
@@ -287,8 +272,6 @@ class WorkerFaultInjector:
                 directives[wid] = {"stall_s": plan.stall_s}
             elif plan.kind == WEDGE:
                 directives[wid] = {"wedge_s": plan.wedge_s}
-            elif plan.kind == CRASH_COMBINE:
-                directives[wid] = {"crash_combine": True}
             else:
                 directives[wid] = {"corrupt": plan.seu}
         return directives

@@ -77,26 +77,14 @@ class FleetManager:
     spawn_hook : callable, optional
         ``spawn_hook(n_needed) -> int | None`` — budget on booting new
         workers (see module docstring).
-    event_hook : callable, optional
-        **Deprecated** in favour of ``event_bus`` — kept as a
-        backwards-compatible shim.  ``event_hook(event: dict) -> None``
-        receives the same payloads as before (a dict with an
-        ``"event"`` key plus action-specific fields); internally the
-        callable is subscribed to the fleet's event bus through
-        :func:`repro.obs.events.legacy_hook_adapter` filtered to
-        ``source="fleet"``, so it sees exactly the fleet event stream
-        it always did — in the same relative order a full-bus
-        subscriber observes those events — while new coordinator /
-        checkpoint / executor kinds stay bus-only.  Exceptions from
-        the hook propagate — keep it cheap and non-throwing.
     event_bus : :class:`repro.obs.events.EventBus`, optional
         Bus the manager publishes membership events onto (source
         ``"fleet"``): ``heartbeat`` sweeps (and ``heartbeat_failed``
         when a sweep detects a loss, published before the typed
         failure propagates), ``promote`` / ``shrink`` recovery
         decisions and ``expand`` regrowth.  A private bus is created
-        when neither a bus nor a legacy hook is given, so
-        :attr:`event_bus` is always subscribable.  Subscribers run
+        when none is given, so :attr:`event_bus` is always
+        subscribable.  Subscribers run
         synchronously in publish order on the fit thread.
     """
 
@@ -107,7 +95,7 @@ class FleetManager:
     def __init__(self, target_workers: int | None = None,
                  hot_spares: int = 0,
                  heartbeat_interval: float | None = None,
-                 spawn_hook=None, event_hook=None, event_bus=None):
+                 spawn_hook=None, event_bus=None):
         if target_workers is not None and target_workers < 1:
             raise ValueError(
                 f"target_workers must be >= 1, got {target_workers}")
@@ -120,14 +108,7 @@ class FleetManager:
         self.hot_spares = int(hot_spares)
         self.heartbeat_interval = heartbeat_interval
         self.spawn_hook = spawn_hook
-        self.event_hook = event_hook
         self.event_bus = event_bus if event_bus is not None else EventBus()
-        if event_hook is not None:
-            # deprecated dict-callable path: subscribe it through the
-            # legacy adapter, filtered to fleet events — the PR 7 hook
-            # never saw other subsystems, and the shared bus now
-            # carries coordinator/checkpoint/executor kinds too
-            self.event_bus.subscribe_legacy(event_hook, source="fleet")
         self.executor = None
         self._last_beat = 0.0
         #: counters the coordinator folds into its fit result

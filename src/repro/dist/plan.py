@@ -17,19 +17,6 @@ extra.  When there are fewer units than requested workers, the plan
 clamps to one shard per unit (the effective worker count the coordinator
 then uses).
 
-**Tree reduce schedule.**  :func:`combine_schedule` derives the
-coordinator's pairwise combine tree from a plan: level ``l`` extends
-the running *prefix* — the continuation fold over shards ``[0, p)`` —
-by the next ``p`` shards (``p`` doubles per level), so the whole
-reduce is ``ceil(log2(W))`` combine messages instead of ``W - 1``
-coordinator-side merge segments.  Each combine is owned by the lowest
-worker of its right-hand range: it seeds an accumulator with the
-prefix state and folds the range's rows in order, which keeps the
-float association — and therefore every merged bit — identical to the
-sequential star merge.  (A fuller binary tree would not help: float
-addition is non-associative, so a combine whose left operand is not
-the global prefix produces sums no exact reduce can use.)
-
 **Elastic membership.**  :meth:`ShardPlan.replan` re-partitions the same
 ``[0, m)`` rows onto an arbitrary member set — the surviving workers
 after a loss, or a grown set when replacements spawn.  The re-plan keeps
@@ -45,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.utils.arrays import ceil_div
 
-__all__ = ["Shard", "ShardPlan", "CombineStep", "combine_schedule"]
+__all__ = ["Shard", "ShardPlan"]
 
 
 def _partition(m: int, unit_rows: int, worker_ids) -> tuple["Shard", ...]:
@@ -151,57 +138,3 @@ class ShardPlan:
 
     def shard_sizes(self) -> tuple[int, ...]:
         return tuple(s.rows for s in self.shards)
-
-
-@dataclass(frozen=True)
-class CombineStep:
-    """One level of the pairwise combine tree.
-
-    The owner worker receives the prefix state (the continuation fold
-    over rows ``[0, lo)``), folds rows ``[lo, hi)`` through it in
-    order, and returns the extended prefix state covering ``[0, hi)``.
-
-    Attributes
-    ----------
-    level:
-        1-based tree level (``prefix_shards`` doubles per level).
-    lo, hi:
-        Absolute row range the owner folds at this level (adjacent to
-        the prefix: ``lo`` equals the prefix state's ``hi``).
-    owner_id:
-        Worker that executes the combine — the lowest-id member of the
-        right-hand shard range (level 1's owner folds exactly its own
-        shard, so its cached round labels suffice).
-    prefix_shards:
-        Number of shards the incoming prefix state covers.
-    """
-
-    level: int
-    lo: int
-    hi: int
-    owner_id: int
-    prefix_shards: int
-
-
-def combine_schedule(plan: ShardPlan) -> tuple[CombineStep, ...]:
-    """The plan's pairwise combine tree, in execution order.
-
-    Level ``l`` combines the prefix over shards ``[0, p)`` with shards
-    ``[p, min(2p, W))`` where ``p = 2**(l-1)`` — ``ceil(log2(W))``
-    steps total, each strictly extending the prefix in shard order.  A
-    single-shard plan needs no combine (the coordinator adopts worker
-    0's partial directly).
-    """
-    shards = plan.shards
-    w = len(shards)
-    steps = []
-    p = 1
-    level = 1
-    while p < w:
-        q = min(2 * p, w)
-        steps.append(CombineStep(
-            level=level, lo=shards[p].lo, hi=shards[q - 1].hi,
-            owner_id=shards[p].worker_id, prefix_shards=p))
-        p = q
-        level += 1
-    return tuple(steps)

@@ -21,8 +21,7 @@ small control/ack tokens:
   token named, raising :class:`StaleGenerationError` on any mismatch)
   instead of being pickled into ``W`` pipes.
 * **Result slots** — each worker owns one slot segment per shard plan;
-  a round's labels / min-distances / fused partial (and, under the
-  tree topology, the exported continuation state) are written there
+  a round's labels / min-distances / fused partial are written there
   and the pipe carries back a stripped, token-sized ack.  The
   coordinator *copies* arrays out of the slot at collect time, so an
   overlapped next round can never scribble over partials the ABFT
@@ -74,8 +73,8 @@ __all__ = ["SEGMENT_PREFIX", "ArrayRef", "BroadcastRef", "SlotRef",
 SEGMENT_PREFIX = "reproshm"
 
 #: int64 header words of the broadcast buffer and the result slots:
-#: [gen_begin, gen_end, iteration, has_state]
-_HEADER_WORDS = 4
+#: [gen_begin, gen_end, iteration]
+_HEADER_WORDS = 3
 _HEADER_BYTES = _HEADER_WORDS * 8
 
 
@@ -117,7 +116,6 @@ class SlotRef:
     n_clusters: int
     n_features: int
     dtype: str            # kernel dtype of ``best``
-    with_state: bool      # slot reserves the continuation-state region
 
 
 def _align8(n: int) -> int:
@@ -143,10 +141,6 @@ def _slot_layout(ref: SlotRef) -> tuple[dict, int]:
     region("labels", (ref.rows,), np.int64)
     region("best", (ref.rows,), dtype)
     region("partial", (ref.n_clusters, ref.n_features + 1), np.float64)
-    if ref.with_state:
-        region("sums_t", (ref.n_features, ref.n_clusters), np.float64)
-        region("counts", (ref.n_clusters,), np.float64)
-        region("lohi", (2,), np.int64)
     return fields, off
 
 
@@ -224,13 +218,6 @@ def write_slot(ref: SlotRef, result, generation: int) -> None:
     v["labels"][:] = result.labels
     v["best"][:] = result.best
     v["partial"][:] = result.partial
-    has_state = int(ref.with_state and result.state is not None)
-    if has_state:
-        v["sums_t"][:] = result.state["sums_t"]
-        v["counts"][:] = result.state["counts"]
-        v["lohi"][0] = int(result.state["lo"])
-        v["lohi"][1] = int(result.state["hi"])
-    header[3] = has_state
     header[2] = int(result.iteration)
     header[1] = int(generation)
 
@@ -322,7 +309,7 @@ class ShmSession:
 
     # -- result slots ---------------------------------------------------
     def make_slots(self, plan, n_clusters: int, n_features: int,
-                   dtype, with_state: bool) -> None:
+                   dtype) -> None:
         """(Re)build one result slot per worker of ``plan``.
 
         A no-op when the plan's shard geometry matches the current
@@ -342,8 +329,7 @@ class ShmSession:
         for shard in plan.shards:
             ref = SlotRef(name="", rows=int(shard.hi - shard.lo),
                           n_clusters=int(n_clusters),
-                          n_features=int(n_features), dtype=dtype.str,
-                          with_state=bool(with_state))
+                          n_features=int(n_features), dtype=dtype.str)
             _, size = _slot_layout(ref)
             seg = self._create(
                 f"slot{self._slot_epoch}w{shard.worker_id}", size)
@@ -366,18 +352,12 @@ class ShmSession:
         out = {"labels": v["labels"].copy(), "best": v["best"].copy(),
                "partial": v["partial"].copy()}
         header = v["header"]
-        state = None
-        if ref.with_state and int(header[3]):
-            state = {"lo": int(v["lohi"][0]), "hi": int(v["lohi"][1]),
-                     "sums_t": v["sums_t"].copy(),
-                     "counts": v["counts"].copy()}
         gen_begin, gen_end = int(header[0]), int(header[1])
         if not (gen_begin == gen_end == int(expected_generation)):
             raise StaleGenerationError(
                 f"slot read (worker {worker_id}) expected generation "
                 f"{expected_generation}, slot is stamped "
                 f"[{gen_begin}, {gen_end}]")
-        out["state"] = state
         out["iteration"] = int(header[2])
         return out
 

@@ -41,16 +41,7 @@ __all__ = ["RoundResult", "ShardWorker", "build_worker"]
 
 @dataclass
 class RoundResult:
-    """One worker's answer for one Lloyd iteration (picklable).
-
-    ``state`` carries the shard's accumulator fold state (absolute row
-    window, see :meth:`StreamedAccumulator.export_state`) when the
-    worker was built with ``export_state=True`` — the tree reduce's
-    combine seed.  It is exported *before* any corrupt-partial
-    directive touches the returned ``partial`` copy, so an injected
-    flip stays detectable by the coordinator's checksum without ever
-    entering the tree-combined sums.
-    """
+    """One worker's answer for one Lloyd iteration (picklable)."""
 
     worker_id: int
     iteration: int
@@ -60,7 +51,6 @@ class RoundResult:
     counters: PerfCounters
     timings: list = field(default_factory=list)
     wall_s: float = 0.0
-    state: dict | None = None
 
     @property
     def sim_time_s(self) -> float:
@@ -90,7 +80,7 @@ class ShardWorker:
         Shard-local operand-cache checkpoints (see
         :class:`repro.dist.checkpoint.WorkerCacheStore`).  On boot the
         worker preloads its shard's entry (skipping the x-norm pass and,
-        when cached, the transposed/rounded operand builds) and saves a
+        when cached, the transposed operand build) and saves a
         fresh export after ``begin_fit`` so a replacement worker booting
         onto the same shard skips them too.  Purely a boot-time
         optimisation: preloaded operands are validated (shape/dtype)
@@ -104,25 +94,12 @@ class ShardWorker:
         re-saves it, so replacement preloads stay warm past the first
         recovery window.  Refreshes are first-writer-wins re-saves of
         the same per-fit-static operands — they never change bits.
-    shard_lo : int
-        Absolute row offset of ``x_shard`` in the full sample matrix
-        (the base of exported fold states).
-    x_full, weight_full : ndarray, optional
-        The *full* sample matrix / weight vector (references, not
-        copies — the worker factory already closes over them), needed
-        by the tree reduce's :meth:`combine`: a combine's right-hand
-        row range spans other workers' shards at levels past the first.
-    export_state : bool
-        Ship the shard's accumulator fold state on every
-        :class:`RoundResult` (tree topology only — the state seeds the
-        first combine).
     """
 
     def __init__(self, worker_id: int, x_shard: np.ndarray, cfg,
                  n_clusters: int, *, sample_weight=None, base_seed: int = 0,
                  cache_store=None, cache_key: str | None = None,
-                 cache_refresh_every: int = 0, shard_lo: int = 0,
-                 x_full=None, weight_full=None, export_state: bool = False):
+                 cache_refresh_every: int = 0):
         if cfg.mode != "fast":
             raise ValueError("ShardWorker requires mode='fast'")
         if cfg.tile == "auto":
@@ -149,16 +126,6 @@ class ShardWorker:
         self.acc = StreamedAccumulator(n_clusters, k)
         self.acc.bind_weights(sample_weight)
         self.cache_refresh_every = int(cache_refresh_every)
-        self.shard_lo = int(shard_lo)
-        self.x_full = x_full
-        self.weight_full = weight_full
-        self.export_state = bool(export_state)
-        #: lazily built combine accumulator (tree reduce): bound to the
-        #: *full* weight vector because its fold windows are absolute
-        self._combine_acc: StreamedAccumulator | None = None
-        self._last_labels: np.ndarray | None = None
-        self._last_iteration: int | None = None
-        self._crash_combine = False
         self.rounds_run = 0
         self._wedge_s = 0.0
         # cooperative cancellation: the engine checks this token at
@@ -193,19 +160,10 @@ class ShardWorker:
                 time.sleep(float(directive["stall_s"]))
             if directive.get("crash"):
                 raise WorkerCrash(self.worker_id, iteration)
-            if directive.get("crash_combine"):
-                # armed now, fired when the coordinator asks this
-                # worker to run a tree combine for this round
-                self._crash_combine = True
         self._round_injector(iteration)
         self.acc.reset()
         res = self.kernel.assign(self.x, y, accumulator=self.acc)
         partial = self.acc.packed()
-        # exported before the corrupt directive below flips a bit in the
-        # returned *copy*: the combine seed never carries the corruption,
-        # while the checksum over returned partials still detects it
-        state = (self.acc.export_state(base=self.shard_lo)
-                 if self.export_state else None)
         if directive and "corrupt" in directive:
             plan = directive["corrupt"]
             r, c = plan.locate(partial.shape[0], partial.shape[1])
@@ -214,9 +172,6 @@ class ShardWorker:
             # wedge AFTER answering: the round succeeds, the next ping
             # hangs — visible only to the between-round heartbeat
             self._wedge_s = float(directive["wedge_s"])
-        labels = res.labels.copy()
-        self._last_labels = labels
-        self._last_iteration = int(iteration)
         self.rounds_run += 1
         if (self.cache_refresh_every and self.cache_store is not None
                 and self.cache_key
@@ -228,62 +183,9 @@ class ShardWorker:
                 self.cache_key, self.kernel.engine.export_operands)
         return RoundResult(
             worker_id=self.worker_id, iteration=iteration,
-            labels=labels, best=res.min_sqdist.copy(),
+            labels=res.labels.copy(), best=res.min_sqdist.copy(),
             partial=partial, counters=res.counters, timings=res.timings,
-            wall_s=time.perf_counter() - t0, state=state)
-
-    def combine(self, seed_state: dict, lo: int, hi: int, iteration: int,
-                labels: np.ndarray | None = None) -> dict:
-        """One tree-reduce step: extend the prefix fold over this range.
-
-        Seeds an accumulator with ``seed_state`` (the continuation fold
-        over rows ``[0, lo)``) and folds rows ``[lo, hi)`` through it in
-        sample order — bit-equal to the coordinator's sequential star
-        merge reaching ``hi``.  ``labels`` are the range's assignments
-        from this round's gather; ``None`` means the range is exactly
-        this worker's own shard (level 1), whose labels are still
-        cached from :meth:`run_round`.
-
-        Raises ``ValueError`` when the seed state does not stop exactly
-        at ``lo`` — an out-of-order combine can never be exact, so the
-        ordering contract is enforced here, on the worker, where a
-        scheduling bug would otherwise silently change bits.
-        """
-        if self._crash_combine:
-            self._crash_combine = False
-            raise WorkerCrash(self.worker_id, iteration,
-                              reason="injected (mid-combine)")
-        if int(seed_state["hi"]) != int(lo):
-            raise ValueError(
-                f"out-of-order combine: seed state stops at row "
-                f"{seed_state['hi']}, combine range starts at {lo}")
-        if labels is None:
-            own_hi = self.shard_lo + self.x.shape[0]
-            if lo != self.shard_lo or hi != own_hi:
-                raise ValueError(
-                    f"combine without labels must cover this worker's "
-                    f"own shard [{self.shard_lo}, {own_hi}), got "
-                    f"[{lo}, {hi})")
-            if self._last_labels is None or self._last_iteration != int(
-                    iteration):
-                raise ValueError(
-                    f"no cached labels for iteration {iteration}")
-            labels = self._last_labels
-        rows = self.x if (lo == self.shard_lo
-                          and hi == self.shard_lo + self.x.shape[0]) else None
-        if rows is None:
-            if self.x_full is None:
-                raise ValueError(
-                    "combine past the worker's own shard needs x_full")
-            rows = self.x_full[lo:hi]
-        acc = self._combine_acc
-        if acc is None:
-            acc = StreamedAccumulator(self.n_clusters, self.x.shape[1])
-            acc.bind_weights(self.weight_full)
-            self._combine_acc = acc
-        acc.load_state(seed_state)
-        acc.feed(rows, labels)
-        return acc.export_state()
+            wall_s=time.perf_counter() - t0)
 
     def ping(self) -> bool:
         """Heartbeat probe: answer promptly unless wedged.
@@ -317,7 +219,6 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
                  n_clusters: int, sample_weight=None,
                  base_seed: int = 0, cache_store=None,
                  cache_refresh_every: int = 0,
-                 export_state: bool = False,
                  data_ref=None, weight_ref=None) -> ShardWorker:
     """Module-level worker factory (picklable for the process executor).
 
@@ -329,10 +230,7 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
 
     ``cache_store`` keys the worker's operand-cache checkpoint by its
     shard's row range, so any worker booting onto the same rows — the
-    original, a respawn, or a promoted spare — shares one entry.  The
-    full ``x`` / ``sample_weight`` references ride into the worker for
-    the tree reduce's cross-shard combines (the factory closure holds
-    them already, so this costs nothing).
+    original, a respawn, or a promoted spare — shares one entry.
 
     Under the shared-memory transport the factory carries ``data_ref``
     / ``weight_ref`` (:class:`repro.dist.shm.ArrayRef`) instead of the
@@ -353,6 +251,4 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
     return ShardWorker(worker_id, x[shard.lo:shard.hi], cfg, n_clusters,
                        sample_weight=w, base_seed=base_seed,
                        cache_store=cache_store, cache_key=key,
-                       cache_refresh_every=cache_refresh_every,
-                       shard_lo=shard.lo, x_full=x, weight_full=sample_weight,
-                       export_state=export_state)
+                       cache_refresh_every=cache_refresh_every)

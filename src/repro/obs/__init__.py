@@ -9,13 +9,13 @@ the coordinator, the fleet, and the checkpoint store:
   gauges / histograms unifying ``PerfCounters``, ``EngineStats`` and
   the ``dist_*`` result fields, with snapshot/delta and JSONL export.
 - :class:`~repro.obs.events.EventBus` — ordered, subscribable
-  structured events generalising the PR 7 fleet ``event_hook``.
+  structured events of the distributed stack.
 
 See ``docs/observability.md`` for the span taxonomy, the metric table
 and the event schema.
 """
 
-from repro.obs.events import Event, EventBus, legacy_hook_adapter
+from repro.obs.events import Event, EventBus
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                dist_result_metric_names,
                                engine_stat_metric_names,
@@ -23,7 +23,7 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from repro.obs.trace import NULL_TRACER, Span, TraceRecorder, active_tracer
 
 __all__ = [
-    "Event", "EventBus", "legacy_hook_adapter",
+    "Event", "EventBus",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "perf_counter_metric_names", "engine_stat_metric_names",
     "dist_result_metric_names",

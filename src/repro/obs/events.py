@@ -1,10 +1,10 @@
 """Ordered, subscribable structured events for the distributed stack.
 
-:class:`EventBus` generalises the fleet-only ``event_hook`` callable of
-PR 7 into the subscription surface the future ``repro.serve`` layer
-needs: the coordinator publishes recovery / restore / re-expand
-events, the checkpoint store publishes save / flush events, and the
-heartbeat path publishes liveness events — all through one bus with a
+:class:`EventBus` is the subscription surface of the distributed
+stack: the fleet manager publishes membership events, the coordinator
+publishes recovery / restore / re-expand events, the checkpoint store
+publishes save / flush events, and the heartbeat path publishes
+liveness events — all through one bus with a
 **total order** (a monotonically increasing ``seq`` stamped under the
 publisher lock) and a bounded replayable history.
 
@@ -12,18 +12,9 @@ Events are plain :class:`Event` records: a ``kind`` string, a
 ``source`` subsystem tag (``fleet`` / ``coordinator`` / ``checkpoint``),
 the order stamp, and a flat ``fields`` dict of scalars.  Subscribers
 are called synchronously in subscription order on the publishing
-thread; a subscriber that raises propagates to the publisher (same
-contract the legacy fleet hook had — a failing hook fails the fit
-loudly rather than dropping events silently).
-
-Backwards compatibility: :func:`legacy_hook_adapter` wraps an
-old-style ``event_hook(dict)`` callable so it keeps receiving the
-exact PR 7 payload shape ``{"event": kind, **fields}``, and
-:meth:`EventBus.subscribe_legacy` can filter by ``source`` — the
-fleet shim subscribes with ``source="fleet"`` so old hooks see
-exactly the fleet stream they always did (the bus carries new
-coordinator/checkpoint/executor kinds that never reached them), in
-the same order a full-bus subscriber observes it.
+thread; a subscriber that raises propagates to the publisher (a
+failing subscriber fails the fit loudly rather than dropping events
+silently).
 """
 
 from __future__ import annotations
@@ -33,7 +24,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["Event", "EventBus", "legacy_hook_adapter"]
+__all__ = ["Event", "EventBus"]
 
 
 @dataclass(frozen=True)
@@ -45,31 +36,9 @@ class Event:
     seq: int
     fields: dict = field(default_factory=dict)
 
-    def to_legacy_dict(self) -> dict:
-        """The PR 7 ``event_hook`` payload shape."""
-        return {"event": self.kind, **self.fields}
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "source": self.source,
                 "seq": self.seq, **self.fields}
-
-
-def legacy_hook_adapter(hook, *, source: str | None = None):
-    """Wrap an old-style ``event_hook(dict)`` callable as a subscriber.
-
-    The wrapped callable receives each event re-shaped to the PR 7
-    payload ``{"event": kind, **fields}`` — the ``source``/``seq``
-    envelope stays on the bus side, so code written against the old
-    hook keeps working unchanged.  With ``source`` set, events from
-    other subsystems are filtered out (the fleet shim uses
-    ``source="fleet"`` to preserve the old hook's event surface).
-    """
-    def _subscriber(event: Event) -> None:
-        if source is not None and event.source != source:
-            return
-        hook(event.to_legacy_dict())
-    _subscriber.__wrapped_hook__ = hook
-    return _subscriber
 
 
 class EventBus:
@@ -101,11 +70,6 @@ class EventBus:
                 self._subscribers.remove(token)
             except ValueError:
                 pass
-
-    def subscribe_legacy(self, hook, *, source: str | None = None) -> object:
-        """Subscribe an old-style ``event_hook(dict)`` callable,
-        optionally filtered to one publishing ``source``."""
-        return self.subscribe(legacy_hook_adapter(hook, source=source))
 
     def publish(self, kind: str, source: str = "", **fields) -> Event:
         """Stamp, record, and deliver one event; returns it."""

@@ -16,7 +16,7 @@ def _fp_entry(wall, *, host="ci", m=1024, schema=None, trace=None,
     e = {"host": host, "bench": "fastpath_walltime",
          "config": {"m": m, "n_features": 64, "n_clusters": 64,
                     "iters": 1, "dtype": "float32", "workers": 1,
-                    "chunk_bytes": 20971520, "operand_cache": 1 << 30},
+                    "chunk_bytes": 20971520},
          "engine": {"wall_s": wall}}
     if schema:
         e["schema"] = schema

@@ -72,9 +72,9 @@ class TestSmokeGate:
         assert record["unchunked"]["update_per_iter_s"]
         assert record["label_mismatch_frac"] <= 1e-3
         assert record["engine"]["update_chunks_fed"] >= 1
-        # the fast-lane columns of schema v2
-        assert record["engine"]["batched_chunks"] >= 1
-        assert record["engine"]["hoisted_rounded_operand"] is True
+        # the fast-lane columns of schema v2: the TF32 bench rounds per
+        # unit, so its chunks walk; x fits the budget, so x_t hoists
+        assert record["engine"]["batched_chunks"] == 0
         assert record["engine"]["hoisted_transposed_operand"] is True
         assert record["unit_path_label_mismatch_frac"] == 0.0
         assert record["unit_path_bit_identical"] is True
@@ -119,12 +119,11 @@ class TestRegressionGate:
     best prior same-shape entry and fails loudly past the slack."""
 
     @staticmethod
-    def _entry(wall, m=1024, host="ci", workers=1, operand_cache=1 << 30):
+    def _entry(wall, m=1024, host="ci", workers=1, chunk_bytes=20971520):
         return {"host": host,
                 "config": {"m": m, "n_features": 64, "n_clusters": 64,
                            "iters": 1, "dtype": "float32",
-                           "workers": workers, "chunk_bytes": 20971520,
-                           "operand_cache": operand_cache},
+                           "workers": workers, "chunk_bytes": chunk_bytes},
                 "engine": {"wall_s": wall}}
 
     def test_fresh_slow_record_fails(self, tmp_path):
@@ -172,7 +171,7 @@ class TestRegressionGate:
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v2",
              "entries": [self._entry(0.1, host="fastbox"),
-                         self._entry(0.1, operand_cache="off"),
+                         self._entry(0.1, chunk_bytes=1 << 20),
                          self._entry(0.1, workers=4), fresh]}))
         assert "skipped" in runner.check_fastpath_regression(fresh, out)
 
@@ -202,8 +201,7 @@ class TestPruningGate:
         return {"host": host,
                 "config": {"m": m, "n_features": 64, "n_clusters": 64,
                            "iters": 1, "dtype": "float32",
-                           "workers": 1, "chunk_bytes": 20971520,
-                           "operand_cache": 1 << 30},
+                           "workers": 1, "chunk_bytes": 20971520},
                 "pruning": {"iters": iters,
                             "pruned_assign_wall_s": wall,
                             "final_active_frac": frac}}
@@ -323,28 +321,21 @@ class TestDistSmokeGate:
         tr = record["trace"]
         assert tr["bit_identical_vs_untraced"] is True
         assert tr["spans"] >= 1 and tr["dropped"] == 0
-        for stage in ("fit", "round", "gather", "merge", "update",
+        for stage in ("fit", "round", "compute", "merge", "update",
                       "recovery"):
             assert stage in tr["stage_totals"], stage
-        # the reduce topology-occupancy curve of schema v6: every cell
-        # bit-identical, star above stream and tree at the widest fleet
+        # the reduce occupancy curve of schema v6: one stream cell per
+        # sharded fleet width, every cell bit-identical
         red = record["reduce"]
         assert red["workers_grid"] == record["config"]["reduce_workers_grid"]
         assert red["single_wall_s"] > 0
-        by_workers = {}
         for row in red["curve"]:
+            assert row["topology"] == "stream"
             assert row["bit_identical_vs_single"] is True
             assert row["reduce_busy_s"] >= 0
             assert row["metrics"]["dist.n_iter"] >= 1
-            by_workers.setdefault(row["workers"], {})[row["topology"]] = row
-        assert all(set(c) == {"star", "stream", "tree"}
-                   for c in by_workers.values())
-        widest = max(by_workers)
-        cells = by_workers[widest]
-        star = cells["star"]["reduce_busy_s"]
-        assert star > cells["stream"]["reduce_busy_s"]
-        assert star > cells["tree"]["reduce_busy_s"]
-        assert red["auto_resolved"]["topology"] == "tree"
+        assert [r["workers"] for r in red["curve"]] == [
+            w for w in red["workers_grid"] if w > 1]
         # the shared-memory transport record of schema v7: bit-identical
         # to the pipe fit, pipe traffic down to control tokens, and the
         # re-expand-visible boot stats on the selfheal record
@@ -425,3 +416,48 @@ class TestSelfhealGate:
                          self._entry(0.1, workers=4),
                          legacy_v3, fresh]}))
         assert "skipped" in runner.check_selfheal_regression(fresh, out)
+
+
+class TestReduceGate:
+    """The reduce curve is gated on bit-identity and on the stream
+    merge's occupancy at the widest fleet against the best prior
+    same-host, same-shape stream cell (star/tree cells of older
+    entries never count)."""
+
+    @staticmethod
+    def _entry(busy, host="ci", identical=True, extra=()):
+        curve = [{"workers": 8, "topology": "stream",
+                  "reduce_busy_s": busy,
+                  "bit_identical_vs_single": identical}]
+        curve += [{"workers": 8, "topology": t, "reduce_busy_s": 0.0,
+                   "bit_identical_vs_single": True} for t in extra]
+        return {"host": host,
+                "config": {"m_grid": [16384], "n_features": 32,
+                           "n_clusters": 16, "iters": 3,
+                           "dtype": "float32", "checkpoint_every": 2},
+                "reduce": {"workers_grid": [1, 8], "curve": curve}}
+
+    def _write(self, tmp_path, entries):
+        out = tmp_path / "dist.json"
+        out.write_text(json.dumps({"schema": "dist_scaling/v7",
+                                   "entries": entries}))
+        return out
+
+    def test_bit_mismatch_fails(self, tmp_path):
+        fresh = self._entry(0.01, identical=False)
+        out = self._write(tmp_path, [fresh])
+        with pytest.raises(SystemExit, match="bit-identical"):
+            runner.check_reduce_scaling(fresh, out)
+
+    def test_slow_stream_fails_against_prior_stream_only(self, tmp_path):
+        fresh = self._entry(1.0)
+        out = self._write(tmp_path, [
+            self._entry(0.1, extra=("star", "tree")),
+            self._entry(0.001, host="fastbox"), fresh])
+        with pytest.raises(SystemExit, match="stream occupancy"):
+            runner.check_reduce_scaling(fresh, out, slack=1.5)
+
+    def test_noise_floor_spares_tiny_occupancy(self, tmp_path):
+        fresh = self._entry(0.012)
+        out = self._write(tmp_path, [self._entry(0.002), fresh])
+        assert "ok" in runner.check_reduce_scaling(fresh, out, slack=1.5)

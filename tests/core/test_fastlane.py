@@ -1,11 +1,11 @@
 """Property tests of the fault-free fast lane.
 
-The contract: the hoisted operand caches (TF32-rounded matrix,
-transposed update-feed operand) and the stacked per-chunk GEMM dispatch
-are pure implementation shortcuts — labels, best-distance **bit
-patterns** and fused update sums are identical to the legacy per-unit
-path for any configuration, and under SEU injection the unit walk still
-fires for every chunk a fault plan targets.
+The contract: the hoisted transposed update-feed operand and the
+stacked per-chunk GEMM dispatch are pure implementation shortcuts —
+labels, best-distance **bit patterns** and fused update sums are
+identical to the per-unit walk for any configuration, and under SEU
+injection the unit walk still fires for every chunk a fault plan
+targets.
 """
 
 import numpy as np
@@ -13,24 +13,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import FTKMeans
 from repro.core.accumulate import StreamedAccumulator, accumulate_oneshot
 from repro.core.config import KMeansConfig
-from repro.core.engine import FastPathEngine, resolve_operand_budget
+from repro.core.engine import FastPathEngine
 from repro.core.tensorop import default_tensorop_tile
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.faults import FaultInjector
 
 TILE = default_tensorop_tile(np.float32)
 
+#: a chunk budget below the fixture's x.nbytes: nothing is hoisted
+SMALL_CHUNK = 256 * 10 * 4
 
-def _run(x, y, *, operand_cache, batch_chunks, chunk_bytes=None,
+
+def _run(x, y, *, batch_chunks, chunk_bytes=None,
          tf32=True, injector_seed=None, p=0.7, weights=None, workers=1):
     """One fused assignment pass; returns everything comparable."""
     inj = (FaultInjector(injector_seed, p, np.float32)
            if injector_seed is not None else None)
     eng = FastPathEngine(None, np.float32, tile=TILE, tf32=tf32,
                          injector=inj, chunk_bytes=chunk_bytes,
-                         operand_cache=operand_cache,
                          batch_chunks=batch_chunks, workers=workers)
     acc = StreamedAccumulator(y.shape[0], x.shape[1])
     acc.bind_weights(weights)
@@ -43,8 +46,7 @@ def _run(x, y, *, operand_cache, batch_chunks, chunk_bytes=None,
             "best_bits": best.view(np.uint32).copy(),
             "sums_bits": acc.packed().view(np.uint64).copy(),
             "stats": eng.stats,
-            "hoisted": (eng._cache.x_rounded is not None,
-                        eng._cache.x_t is not None),
+            "hoisted": eng._cache.x_t is not None,
             "counters": counters,
         }
     finally:
@@ -60,13 +62,17 @@ def data():
 
 
 class TestFastLaneBitIdentity:
-    def test_hoisted_and_batched_vs_per_unit(self, data):
+    @pytest.mark.parametrize("tf32", [True, False])
+    def test_hoisted_and_batched_vs_per_unit(self, data, tf32):
         """The acceptance property: fast lane == per-unit path, bitwise."""
         x, y = data
-        ref = _run(x, y, operand_cache="off", batch_chunks=False)
-        fast = _run(x, y, operand_cache=1 << 30, batch_chunks=True)
-        assert fast["hoisted"] == (True, True)
-        assert fast["stats"].batched_chunks == fast["stats"].chunks_run > 0
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
+                   tf32=tf32)
+        fast = _run(x, y, batch_chunks=True, tf32=tf32)
+        assert not ref["hoisted"] and fast["hoisted"]
+        # TF32 rounds per unit, so its chunks always walk
+        stats = fast["stats"]
+        assert stats.batched_chunks == (0 if tf32 else stats.chunks_run)
         assert np.array_equal(ref["labels"], fast["labels"])
         assert np.array_equal(ref["best_bits"], fast["best_bits"])
         assert np.array_equal(ref["sums_bits"], fast["sums_bits"])
@@ -74,14 +80,14 @@ class TestFastLaneBitIdentity:
     def test_hoist_only_and_batch_only(self, data):
         """Each shortcut is independently bit-identical."""
         x, y = data
-        ref = _run(x, y, operand_cache="off", batch_chunks=False)
-        hoist_only = _run(x, y, operand_cache=1 << 30, batch_chunks=False)
-        batch_only = _run(x, y, operand_cache="off", batch_chunks=True)
-        assert hoist_only["hoisted"] == (True, True)
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
+                   tf32=False)
+        hoist_only = _run(x, y, batch_chunks=False, tf32=False)
+        batch_only = _run(x, y, batch_chunks=True, chunk_bytes=SMALL_CHUNK,
+                          tf32=False)
+        assert hoist_only["hoisted"] and not batch_only["hoisted"]
         assert hoist_only["stats"].batched_chunks == 0
-        # TF32 without a hoisted rounded operand cannot batch (the
-        # stacked dispatch would need a chunk-sized rounding scratch)
-        assert batch_only["stats"].batched_chunks == 0
+        assert batch_only["stats"].batched_chunks > 0
         for got in (hoist_only, batch_only):
             assert np.array_equal(ref["labels"], got["labels"])
             assert np.array_equal(ref["best_bits"], got["best_bits"])
@@ -89,13 +95,13 @@ class TestFastLaneBitIdentity:
 
     def test_float64_batches_without_hoist(self, data):
         """No rounding on the float64 path: stacked dispatch fires even
-        with the operand caches off, and the bits still match."""
+        without the hoisted operand, and the bits still match."""
         x, y = data
         x64, y64 = x.astype(np.float64), y.astype(np.float64)
 
         def run64(batch):
             eng = FastPathEngine(None, np.float64, tile=TILE, tf32=False,
-                                 operand_cache="off", batch_chunks=batch,
+                                 batch_chunks=batch,
                                  chunk_bytes=256 * 10 * 8)
             try:
                 eng.begin_fit(x64, y64.shape[0])
@@ -115,9 +121,8 @@ class TestFastLaneBitIdentity:
         """Bound-source weighted accumulation equals the seed scatter."""
         x, y = data
         w = np.random.default_rng(3).random(x.shape[0])
-        fast = _run(x, y, operand_cache=1 << 30, batch_chunks=True,
-                    weights=w)
-        assert fast["hoisted"][1]
+        fast = _run(x, y, batch_chunks=True, weights=w)
+        assert fast["hoisted"]
         one = accumulate_oneshot(x, fast["labels"], y.shape[0],
                                  sample_weight=w)
         assert np.array_equal(one.view(np.uint64), fast["sums_bits"])
@@ -125,10 +130,10 @@ class TestFastLaneBitIdentity:
     def test_threaded_dispatch_bit_identical(self, data):
         """The fast lane composes with worker threads (in-order commit)."""
         x, y = data
-        ref = _run(x, y, operand_cache="off", batch_chunks=False,
-                   chunk_bytes=256 * 10 * 4)
-        fast = _run(x, y, operand_cache=1 << 30, batch_chunks=True,
-                    chunk_bytes=256 * 10 * 4, workers=3)
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK)
+        fast = _run(x, y, batch_chunks=True, chunk_bytes=x.nbytes,
+                    workers=3)
+        assert fast["hoisted"] and fast["stats"].chunks_run > 1
         assert np.array_equal(ref["labels"], fast["labels"])
         assert np.array_equal(ref["best_bits"], fast["best_bits"])
         assert np.array_equal(ref["sums_bits"], fast["sums_bits"])
@@ -145,10 +150,12 @@ class TestFastLaneBitIdentity:
         x = rng.standard_normal((m, k)).astype(np.float32)
         y = rng.standard_normal((n, k)).astype(np.float32)
         inj_seed = seed if inject else None
-        ref = _run(x, y, operand_cache="off", batch_chunks=False,
+        ref = _run(x, y, batch_chunks=False,
                    chunk_bytes=chunk_kb << 10, injector_seed=inj_seed)
-        fast = _run(x, y, operand_cache=1 << 30, batch_chunks=True,
-                    chunk_bytes=chunk_kb << 10, injector_seed=inj_seed)
+        # a budget that admits x: the fast run always hoists
+        fast = _run(x, y, batch_chunks=True,
+                    chunk_bytes=max(chunk_kb << 10, x.nbytes),
+                    injector_seed=inj_seed)
         assert np.array_equal(ref["labels"], fast["labels"])
         assert np.array_equal(ref["best_bits"], fast["best_bits"])
         assert np.array_equal(ref["sums_bits"], fast["sums_bits"])
@@ -161,12 +168,13 @@ class TestFaultLaneStillWalks:
     def test_planned_chunks_walk_the_unit_grid(self, data):
         """With injection on, every chunk a plan targets must take the
         per-unit walk; with p=1 every block draws a plan, so no chunk
-        may batch — and the bits still match the legacy path."""
+        may batch — and the bits still match the walk.  Unrounded, so
+        the stacked lane is live for clean chunks."""
         x, y = data
-        ref = _run(x, y, operand_cache="off", batch_chunks=False,
-                   chunk_bytes=256 * 10 * 4, injector_seed=5, p=1.0)
-        fast = _run(x, y, operand_cache=1 << 30, batch_chunks=True,
-                    chunk_bytes=256 * 10 * 4, injector_seed=5, p=1.0)
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
+                   injector_seed=5, p=1.0, tf32=False)
+        fast = _run(x, y, batch_chunks=True, chunk_bytes=SMALL_CHUNK,
+                    injector_seed=5, p=1.0, tf32=False)
         assert fast["counters"].errors_injected > 0
         assert fast["stats"].batched_chunks == 0  # every chunk walked
         assert np.array_equal(ref["labels"], fast["labels"])
@@ -176,11 +184,12 @@ class TestFaultLaneStillWalks:
         """With sparse injection, chunks without a plan batch and
         chunks with one walk — mixed dispatch, identical bits."""
         x, y = data
-        fast = _run(x, y, operand_cache=1 << 30, batch_chunks=True,
-                    chunk_bytes=256 * 10 * 4, injector_seed=123, p=0.02)
-        ref = _run(x, y, operand_cache="off", batch_chunks=False,
-                   chunk_bytes=256 * 10 * 4, injector_seed=123, p=0.02)
+        fast = _run(x, y, batch_chunks=True, chunk_bytes=SMALL_CHUNK,
+                    injector_seed=123, p=0.02, tf32=False)
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
+                   injector_seed=123, p=0.02, tf32=False)
         stats = fast["stats"]
+        assert stats.batched_chunks > 0
         if fast["counters"].errors_injected:
             assert stats.batched_chunks < stats.chunks_run
         assert np.array_equal(ref["labels"], fast["labels"])
@@ -189,27 +198,45 @@ class TestFaultLaneStillWalks:
 
 class TestOperandBudget:
     def test_over_budget_falls_back(self, data):
-        """Operands that do not fit are simply not hoisted — the run
-        stays on the legacy path and the budget is respected."""
+        """An x larger than the chunk budget is not hoisted — the run
+        keeps the per-feed staging path, with the same bits."""
         x, y = data
-        got = _run(x, y, operand_cache=x.nbytes // 2, batch_chunks=True)
-        assert got["hoisted"] == (False, False)
-        ref = _run(x, y, operand_cache="off", batch_chunks=False)
+        got = _run(x, y, batch_chunks=True, chunk_bytes=x.nbytes // 2)
+        assert not got["hoisted"]
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK)
         assert np.array_equal(ref["labels"], got["labels"])
         assert np.array_equal(ref["best_bits"], got["best_bits"])
+        assert np.array_equal(ref["sums_bits"], got["sums_bits"])
 
-    def test_budget_admits_one_operand(self, data):
-        """A budget for exactly one x-sized operand hoists the rounded
-        matrix (built at begin_fit) and skips the transpose."""
-        x, y = data
-        got = _run(x, y, operand_cache=x.nbytes, batch_chunks=True)
-        assert got["hoisted"] == (True, False)
+    def test_tf32_fit_hoists_transpose_not_rounded(self, monkeypatch):
+        """A TF32 fit whose x fits the chunk budget holds the transposed
+        update operand and no rounded copy of x, and is bit-equal to
+        the same fit with a budget too small to hoist."""
+        held = []
+        end_fit = FastPathEngine.end_fit
+
+        def spy(engine):
+            held.append(set(engine.export_operands()))
+            end_fit(engine)
+
+        monkeypatch.setattr(FastPathEngine, "end_fit", spy)
+        x = np.random.default_rng(4).standard_normal(
+            (2048, 16)).astype(np.float32)
+        kw = dict(n_clusters=8, variant="ft", seed=2, max_iter=4, tol=0.0)
+        hoisted = FTKMeans(chunk_bytes=int(1.5 * x.nbytes), **kw).fit(x)
+        assert {"x_norms", "x_t"} in held
+        assert not any("x_rounded" in ops for ops in held)
+        held.clear()
+        walked = FTKMeans(chunk_bytes=x.nbytes // 4, **kw).fit(x)
+        assert held and not any("x_t" in ops for ops in held)
+        assert np.array_equal(hoisted.labels_, walked.labels_)
+        assert np.array_equal(hoisted.cluster_centers_.view(np.uint32),
+                              walked.cluster_centers_.view(np.uint32))
 
     def test_charged_to_alloc_tracker(self, data):
         x, y = data
         allocs = []
         eng = FastPathEngine(None, np.float32, tile=TILE, tf32=True,
-                             operand_cache=1 << 30,
                              alloc_hook=lambda n, b: allocs.append((n, b)))
         acc = StreamedAccumulator(y.shape[0], x.shape[1])
         try:
@@ -217,33 +244,27 @@ class TestOperandBudget:
             eng.assign(x, y, PerfCounters(), accumulator=acc)
         finally:
             eng.end_fit()
-        names = {n for n, _ in allocs}
-        assert "operand_cache_rounded" in names
-        assert "operand_cache_transpose" in names
-        charged = sum(b for n, b in allocs if n.startswith("operand_cache"))
-        assert charged == 2 * x.nbytes
+        charged = [(n, b) for n, b in allocs if n.startswith("operand_cache")]
+        assert charged == [("operand_cache_transpose", x.nbytes)]
 
-    def test_auto_budget_is_chunk_bytes(self):
-        assert resolve_operand_budget("auto", 123) == 123
-        assert resolve_operand_budget("off", 123) == 0
-        assert resolve_operand_budget(77, 123) == 77
-        with pytest.raises(ValueError):
-            resolve_operand_budget(-1, 123)
+    def test_operand_budget_is_chunk_bytes(self):
+        assert FastPathEngine(None, np.float32,
+                              chunk_bytes=123).operand_budget == 123
 
-    def test_config_validates_operand_cache(self):
-        assert KMeansConfig(operand_cache="auto").operand_cache == "auto"
-        assert KMeansConfig(operand_cache=4096).operand_cache == 4096
-        with pytest.raises(ValueError):
-            KMeansConfig(operand_cache="sometimes")
-        with pytest.raises(ValueError):
-            KMeansConfig(operand_cache=-5)
+    def test_removed_knobs_rejected(self):
+        with pytest.raises(TypeError):
+            KMeansConfig(operand_cache="auto")
+        with pytest.raises(TypeError):
+            KMeansConfig(reduce_topology="stream")
+        for knob in ("operand_cache", "reduce_topology", "event_hook"):
+            with pytest.raises(TypeError):
+                FTKMeans(**{knob: None})
 
     def test_transient_pass_never_hoists(self, data):
-        """predict/score-style passes on foreign data stay legacy: the
-        operand caches describe only the fitted array."""
+        """predict/score-style passes on foreign data keep the staging
+        path: the hoisted operand describes only the fitted array."""
         x, y = data
-        eng = FastPathEngine(None, np.float32, tile=TILE, tf32=True,
-                             operand_cache=1 << 30)
+        eng = FastPathEngine(None, np.float32, tile=TILE, tf32=True)
         try:
             eng.begin_fit(x, y.shape[0])
             other = x[:300].copy()

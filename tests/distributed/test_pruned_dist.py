@@ -24,6 +24,7 @@ from repro.dist import (
 from repro.dist.plan import ShardPlan
 from repro.dist.worker import build_worker
 from repro.gpusim.counters import PerfCounters
+from repro.obs.events import EventBus
 
 K, D = 6, 12
 
@@ -135,53 +136,60 @@ class TestShardedPrunedBitIdentity:
         assert km.dist_promotions_ == 1
 
 
+def _fleet_log():
+    """An event bus plus the list its fleet-sourced events land in."""
+    bus, events = EventBus(), []
+    bus.subscribe(lambda e: events.append(e) if e.source == "fleet"
+                  else None)
+    return bus, events
+
+
 class TestFleetEventLog:
-    """Satellite: the structured fleet event hook fires synchronously
-    and in order for every membership action."""
+    """Satellite: the structured fleet events fire synchronously and in
+    order for every membership action."""
 
     def test_kill_promote_event_ordering(self, data, ref):
-        events = []
+        bus, events = _fleet_log()
         km = fit(data, n_workers=3, executor="serial", checkpoint_every=2,
-                 hot_spares=1, event_hook=events.append,
+                 hot_spares=1, event_bus=bus,
                  worker_faults=WorkerFaultInjector.crash_at(1, 4))
         assert_same_fit(km, ref)
-        kinds = [e["event"] for e in events]
+        kinds = [e.kind for e in events]
         assert kinds == ["promote"]
-        assert events[0]["lost"] == [1]
-        assert events[0]["survivors"] == [0, 2]
+        assert events[0].fields["lost"] == [1]
+        assert events[0].fields["survivors"] == [0, 2]
 
     def test_kill_shrink_expand_event_ordering(self, data, ref):
-        events = []
+        bus, events = _fleet_log()
         km = fit(data, n_workers=3, executor="serial", checkpoint_every=2,
-                 target_workers=3, event_hook=events.append,
+                 target_workers=3, event_bus=bus,
                  worker_faults=WorkerFaultInjector.crash_at(1, 4))
         assert_same_fit(km, ref)
-        kinds = [e["event"] for e in events]
+        kinds = [e.kind for e in events]
         assert kinds == ["shrink", "expand"]
-        assert events[0]["lost"] == [1]
-        assert events[1]["grown"] == [1]
-        assert events[1]["members"] == [0, 1, 2]
+        assert events[0].fields["lost"] == [1]
+        assert events[1].fields["grown"] == [1]
+        assert events[1].fields["members"] == [0, 1, 2]
 
     def test_heartbeat_events_are_emitted_and_ordered(self):
-        events = []
+        bus, events = _fleet_log()
 
         class _Ex:
             def heartbeat(self, iteration, timeout):
                 pass
 
-        mgr = FleetManager(heartbeat_interval=0.0001,
-                           event_hook=events.append)
+        mgr = FleetManager(heartbeat_interval=0.0001, event_bus=bus)
         mgr.executor = _Ex()
         for it in (1, 2, 3):
             mgr._last_beat = 0.0            # force the interval elapsed
             mgr.maybe_heartbeat(it)
-        assert [e["event"] for e in events] == ["heartbeat"] * 3
-        assert [e["iteration"] for e in events] == [1, 2, 3]
+        assert [e.kind for e in events] == ["heartbeat"] * 3
+        assert [e.fields["iteration"] for e in events] == [1, 2, 3]
 
     def test_heartbeat_failure_logged_before_recovery(self):
         # the kill -> promote unit ordering: the failed sweep logs
         # first (before its exception propagates), the promote follows
-        events = []
+        bus, events = _fleet_log()
 
         class _Crash(Exception):
             failed_ids = [1]
@@ -200,19 +208,17 @@ class TestFleetEventLog:
                 pass
 
         mgr = FleetManager(target_workers=2, hot_spares=1,
-                           heartbeat_interval=0.0001,
-                           event_hook=events.append)
+                           heartbeat_interval=0.0001, event_bus=bus)
         mgr.executor = _Ex()
         mgr._last_beat = 0.0
         with pytest.raises(_Crash):
             mgr.maybe_heartbeat(5)
         plan = ShardPlan.build(512, 2, 256)
         mgr.recover(plan, lambda p: (lambda wid: None), _Crash())
-        assert [e["event"] for e in events] == ["heartbeat_failed",
-                                               "promote"]
-        assert events[0]["iteration"] == 5
-        assert events[0]["failed_ids"] == [1]
-        assert events[1]["lost"] == [1]
+        assert [e.kind for e in events] == ["heartbeat_failed", "promote"]
+        assert events[0].fields["iteration"] == 5
+        assert events[0].fields["failed_ids"] == [1]
+        assert events[1].fields["lost"] == [1]
 
     def test_no_hook_no_events_no_crash(self, data, ref):
         km = fit(data, n_workers=2, executor="serial", checkpoint_every=2,

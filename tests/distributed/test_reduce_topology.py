@@ -1,18 +1,16 @@
-"""Reduce topologies: star / stream / tree stay bit-identical.
+"""The coordinator's stream merge stays bit-identical.
 
-The merge is a strict sequential left fold, so every topology must
+The merge is a strict sequential left fold, so every sharded fit must
 produce the single-worker fit bit for bit — streaming commits only
 reorder *when* each shard folds relative to arrivals, never the fold
-order itself, and the pairwise combine tree is a doubling-prefix
-rewrite of the same left spine.  The contract tests here booby-trap
-exactly the ways a topology could silently go wrong: out-of-shard-order
-arrivals must not change commit order, an out-of-order combine must be
-rejected on the worker, and a crash mid-combine must replay through
-recovery onto the exact clean bits.
+order itself.  The contract tests here booby-trap exactly the ways the
+merge could silently go wrong: out-of-shard-order arrivals must not
+change commit order, and a crash or a corrupted partial must replay
+through recovery (or be contained by the checksum) onto the exact
+clean bits.
 """
 
 import json
-from functools import partial
 
 import numpy as np
 import pytest
@@ -20,20 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import FTKMeans
-from repro.core.accumulate import StreamedAccumulator
-from repro.core.config import KMeansConfig, REDUCE_TOPOLOGIES
-from repro.dist import (
-    Coordinator,
-    ReduceOccupancy,
-    WorkerFaultInjector,
-    combine_schedule,
-    make_executor,
-)
+from repro.core.config import KMeansConfig
+from repro.dist import Coordinator, ReduceOccupancy, WorkerFaultInjector
 from repro.dist.executors import SerialExecutor
-from repro.dist.plan import ShardPlan
-from repro.dist.worker import build_worker
 from repro.obs.trace import TraceRecorder
-
 M, N_FEATURES, K = 1537, 12, 7
 
 
@@ -62,65 +50,52 @@ def assert_same_fit(a, b):
     assert a.inertia_history_ == b.inertia_history_
 
 
-class TestTopologyBitIdentity:
-    """Hypothesis: ANY topology x worker count matches single-worker."""
+class TestStreamBitIdentity:
+    """Hypothesis: ANY worker count x executor matches single-worker."""
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(topology=st.sampled_from(REDUCE_TOPOLOGIES),
-           n_workers=st.sampled_from([1, 2, 3, 4, 8]))
+    @given(n_workers=st.sampled_from([1, 2, 3, 4, 8]))
     @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_in_process_topologies_bit_identical(self, x, ref, executor,
-                                                 topology, n_workers):
-        km = fit(x, n_workers=n_workers, executor=executor,
-                 reduce_topology=topology)
+    def test_in_process_bit_identical(self, x, ref, executor, n_workers):
+        km = fit(x, n_workers=n_workers, executor=executor)
         assert_same_fit(km, ref)
         if n_workers > 1:       # n_workers=1 takes the single-path fit
-            assert km.dist_reduce_topology_ in REDUCE_TOPOLOGIES[1:]
             assert km.dist_reduce_busy_s_ >= 0.0
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(topology=st.sampled_from(["stream", "tree"]),
-           n_workers=st.sampled_from([3, 8]))
-    def test_process_topologies_bit_identical(self, x, ref, topology,
-                                              n_workers):
-        km = fit(x, n_workers=n_workers, executor="process",
-                 reduce_topology=topology)
+    @given(n_workers=st.sampled_from([2, 3, 8]))
+    def test_process_bit_identical(self, x, ref, n_workers):
+        km = fit(x, n_workers=n_workers, executor="process")
         assert_same_fit(km, ref)
 
-    # owners of the 7-shard tree's combine steps — only an owner ever
-    # executes a combine, so only an owner can crash inside one
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(wid=st.sampled_from([1, 2, 4]),
+    @given(wid=st.sampled_from([0, 1, 4, 6]),
            crash_it=st.integers(min_value=2, max_value=8))
     @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_crash_mid_combine_recovery_bit_identical(self, x, ref,
-                                                      executor, wid,
-                                                      crash_it):
-        """A worker that dies inside a tree combine — after its round
-        answer was already gathered — replays through checkpoint
-        recovery onto the clean fit's exact bits."""
+    def test_crash_recovery_bit_identical(self, x, ref, executor, wid,
+                                          crash_it):
+        """A worker that dies mid-round — while earlier shards may
+        already have been committed to the merge — replays through
+        checkpoint recovery onto the clean fit's exact bits."""
         km = fit(x, n_workers=8, executor=executor, checkpoint_every=2,
-                 reduce_topology="tree",
-                 worker_faults=WorkerFaultInjector.crash_combine_at(
-                     wid, crash_it))
+                 worker_faults=WorkerFaultInjector.crash_at(wid, crash_it))
         assert_same_fit(km, ref)
         assert km.dist_recoveries_ == 1
 
-    def test_process_crash_mid_combine_recovery(self, x, ref):
+    def test_process_crash_recovery(self, x, ref):
         km = fit(x, n_workers=8, executor="process", checkpoint_every=2,
-                 reduce_topology="tree",
-                 worker_faults=WorkerFaultInjector.crash_combine_at(1, 3))
+                 worker_faults=WorkerFaultInjector.crash_at(1, 3))
         assert_same_fit(km, ref)
         assert km.dist_recoveries_ == 1
 
-    def test_tree_contains_corrupt_partial(self, x, ref):
-        """ABFT under tree reduce: the inline pre-update checksum
-        catches a corrupted partial, the authoritative star re-feed
-        replaces the merged state, and the fit's bits never move."""
-        km = fit(x, n_workers=8, executor="serial", reduce_topology="tree",
+    def test_stream_contains_corrupt_partial(self, x, ref):
+        """ABFT under the stream merge: the checksum over the returned
+        partials catches a corrupted one, the coordinator-side merge is
+        authoritative, and the fit's bits never move."""
+        km = fit(x, n_workers=8, executor="serial",
                  worker_faults=WorkerFaultInjector.corrupt_at(3, 2))
         assert_same_fit(km, ref)
         assert km.counters_.errors_detected == 1
@@ -158,19 +133,18 @@ def _cfg(**kw):
 class TestMergeOrderContract:
     def test_reversed_arrivals_commit_in_shard_order(self, x):
         """Commit order (merge spans) is shard order even when every
-        arrival lands out of order — and the bits match the star fit."""
+        arrival lands out of order — and the bits match the in-order
+        fit."""
         y0 = x[:K].copy()
-        star = Coordinator(_cfg(reduce_topology="star",
-                                executor="serial")).fit(x, y0)
+        in_order = Coordinator(_cfg(executor="serial")).fit(x, y0)
         tracer = TraceRecorder()
         ex = _ReversedArrivalExecutor()
-        res = Coordinator(_cfg(reduce_topology="stream"), executor=ex,
-                          tracer=tracer).fit(x, y0)
-        assert np.array_equal(star.centroids, res.centroids)
-        assert np.array_equal(star.labels, res.labels)
-        assert star.inertia_history == res.inertia_history
+        res = Coordinator(_cfg(), executor=ex, tracer=tracer).fit(x, y0)
+        assert np.array_equal(in_order.centroids, res.centroids)
+        assert np.array_equal(in_order.labels, res.labels)
+        assert in_order.inertia_history == res.inertia_history
         merge_spans = [s for s in tracer.spans if s.name == "merge"]
-        assert merge_spans, "stream rounds must emit per-commit spans"
+        assert merge_spans, "rounds must emit per-commit spans"
         n_workers = res.plan.n_workers
         assert n_workers >= 2
         # arrivals were reversed...
@@ -182,120 +156,6 @@ class TestMergeOrderContract:
         for spans in per_round:
             los = [s.meta["lo"] for s in spans]
             assert los == sorted(los)
-
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_out_of_order_combine_rejected(self, x, executor):
-        """The worker enforces the continuation contract: a seed state
-        that does not stop exactly at the combine range's lo is a
-        ValueError — marshalled back intact on the process backend."""
-        cfg = _cfg(executor=executor)
-        plan = ShardPlan.build(M, 2, 256)
-        ex = make_executor(executor)
-        ex.start(partial(build_worker, x=x, plan=plan, cfg=cfg,
-                         n_clusters=K, export_state=True),
-                 plan.worker_ids)
-        try:
-            ex.send_round(x[:K].copy(), 1, {})
-            results = {wid: r for wid, r in ex.collect_round_stream()}
-            good = results[plan.shards[0].worker_id].state
-            bad = dict(good)
-            bad["hi"] = int(good["hi"]) + 3          # not a continuation
-            step = combine_schedule(plan)[0]
-            with pytest.raises(ValueError, match="out-of-order combine"):
-                ex.combine(step.owner_id, bad, step.lo, step.hi, 1)
-            # the good seed is accepted on the very same worker
-            out = ex.combine(step.owner_id, good, step.lo, step.hi, 1)
-            assert int(out["hi"]) == step.hi
-        finally:
-            ex.shutdown()
-
-
-class TestCombineSchedule:
-    def _plan(self, n_workers, m=M):
-        return ShardPlan.build(m, n_workers, 256)
-
-    def test_single_shard_needs_no_combine(self):
-        assert combine_schedule(self._plan(1)) == ()
-
-    @pytest.mark.parametrize("n_workers", [2, 3, 5, 8])
-    def test_left_spine_invariants(self, n_workers):
-        plan = self._plan(n_workers)
-        steps = combine_schedule(plan)
-        w = plan.n_workers
-        assert len(steps) == max(0, (w - 1).bit_length())
-        prefix_hi = plan.shards[0].hi
-        prefix_shards = 1
-        for step in steps:
-            # each level extends the prefix exactly where it stopped
-            assert step.lo == prefix_hi
-            assert step.prefix_shards == prefix_shards
-            right = [s for s in plan.shards if step.lo <= s.lo < step.hi]
-            assert right, "combine range must cover whole shards"
-            assert step.owner_id == min(s.worker_id for s in right)
-            prefix_hi = step.hi
-            prefix_shards += len(right)
-        assert prefix_hi == plan.shards[-1].hi
-
-    def test_level_one_owner_folds_own_shard_only(self):
-        plan = self._plan(4)
-        first = combine_schedule(plan)[0]
-        owner = plan.shards[1]
-        assert first.level == 1
-        assert (first.lo, first.hi) == (owner.lo, owner.hi)
-
-
-class TestStateTransfer:
-    """export_state / load_state / merge_from: the continuation fold is
-    bit-equal to the straight fold, and non-continuations are typed
-    rejections."""
-
-    def _fold(self, x, labels):
-        acc = StreamedAccumulator(K, x.shape[1])
-        acc.feed(x, labels)
-        return acc.packed()
-
-    def test_continuation_hops_bit_equal_to_straight_fold(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(301, 6)).astype(np.float32)
-        labels = rng.integers(0, K, size=301).astype(np.int32)
-        straight = self._fold(x, labels)
-        a = StreamedAccumulator(K, 6)
-        a.feed(x[:100], labels[:100])
-        b = StreamedAccumulator(K, 6)
-        b.load_state(a.export_state())
-        b.feed(x[100:240], labels[100:240])
-        c = StreamedAccumulator(K, 6)
-        c.load_state(b.export_state())
-        c.feed(x[240:], labels[240:])
-        adopter = StreamedAccumulator(K, 6)
-        adopter.merge_from(c.export_state())
-        assert np.array_equal(straight.view(np.uint64),
-                              adopter.packed().view(np.uint64))
-
-    def test_merge_from_rejects_wrong_origin(self):
-        a = StreamedAccumulator(K, 6)
-        state = a.export_state()
-        state["lo"] = 7
-        b = StreamedAccumulator(K, 6)
-        with pytest.raises(ValueError, match="chain origin"):
-            b.merge_from(state)
-
-    def test_merge_from_rejects_backwards_window(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(64, 6)).astype(np.float32)
-        labels = np.zeros(64, dtype=np.int32)
-        a = StreamedAccumulator(K, 6)
-        a.feed(x, labels)
-        short = StreamedAccumulator(K, 6)
-        short.feed(x[:32], labels[:32])
-        with pytest.raises(ValueError, match="out of order"):
-            a.merge_from(short.export_state())
-
-    def test_load_state_rejects_shape_mismatch(self):
-        a = StreamedAccumulator(K, 6)
-        b = StreamedAccumulator(K, 9)
-        with pytest.raises(ValueError, match="shape"):
-            b.load_state(a.export_state())
 
 
 class TestReduceOccupancy:
@@ -356,34 +216,18 @@ class TestChromeTrace:
         assert json.loads(out.read_text())["traceEvents"]
 
 
-class TestConfigResolution:
-    def test_unknown_topology_rejected(self):
-        with pytest.raises(ValueError, match="reduce_topology"):
-            KMeansConfig(n_clusters=4, reduce_topology="ring")
-
-    def test_auto_thresholds(self):
-        cfg = KMeansConfig(n_clusters=4, reduce_topology="auto")
-        assert cfg.resolved_reduce_topology(1) == "star"
-        assert cfg.resolved_reduce_topology(2) == "star"
-        assert cfg.resolved_reduce_topology(3) == "stream"
-        assert cfg.resolved_reduce_topology(7) == "stream"
-        assert cfg.resolved_reduce_topology(8) == "tree"
-
-    def test_explicit_topology_verbatim(self):
-        cfg = KMeansConfig(n_clusters=4, reduce_topology="star")
-        assert cfg.resolved_reduce_topology(64) == "star"
-
-    def test_defaults_to_configured_worker_count(self):
-        cfg = KMeansConfig(n_clusters=4, n_workers=8,
-                           reduce_topology="auto")
-        assert cfg.resolved_reduce_topology() == "tree"
-
-
 class TestEstimatorSurface:
-    def test_fitted_attrs_and_metrics_delta(self, x, ref):
-        km = fit(x, n_workers=8, executor="serial", reduce_topology="tree")
+    @pytest.mark.parametrize("n_workers,executor",
+                             [(8, "serial"), (2, "thread")])
+    def test_fitted_attrs_and_metrics_delta(self, x, ref, n_workers,
+                                            executor):
+        tracer = TraceRecorder()
+        km = fit(x, n_workers=n_workers, executor=executor, tracer=tracer)
         assert_same_fit(km, ref)
-        assert km.dist_reduce_topology_ == "tree"
+        # every shard's merge commits under the compute span it overlaps
+        merges = [s for s in tracer.spans if s.name == "merge"]
+        assert len(merges) == km.n_workers_ * km.n_iter_
+        assert {s.parent for s in merges} == {"compute"}
         assert km.dist_reduce_busy_s_ >= 0.0
         assert isinstance(km.dist_metrics_, dict)
         assert km.dist_metrics_["dist.reduce_busy_s"] == pytest.approx(
@@ -391,9 +235,3 @@ class TestEstimatorSurface:
         assert km.dist_metrics_["dist.n_iter"] == km.n_iter_
         # the per-fit delta carries the simulator counters too
         assert any(name.startswith("sim.") for name in km.dist_metrics_)
-
-    def test_auto_resolves_per_effective_fleet(self, x):
-        # the GEMM-unit clamp can shrink the effective fleet below the
-        # request; 'auto' must resolve against what actually ran
-        km = fit(x, n_workers=3, executor="serial")
-        assert km.dist_reduce_topology_ == "stream"

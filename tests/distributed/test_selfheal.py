@@ -400,7 +400,7 @@ class TestWorkerCacheStore:
     def _operands(self, rng, m=64, n=8):
         x = rng.random((m, n), dtype=np.float64).astype(np.float32)
         return {"x_norms": np.sum(x * x, axis=1, dtype=np.float32),
-                "x_rounded": x.copy(), "x_t": transpose_blocked(x)}
+                "x_t": transpose_blocked(x)}
 
     @pytest.mark.parametrize("backed", ["memory", "disk"])
     def test_roundtrip_light_and_heavy(self, tmp_path, backed):
@@ -408,7 +408,7 @@ class TestWorkerCacheStore:
         ops = self._operands(np.random.default_rng(1))
         assert store.save("shard_0_64", ops) is True
         out = store.load("shard_0_64")
-        assert set(out) == {"x_norms", "x_rounded", "x_t"}
+        assert set(out) == {"x_norms", "x_t"}
         for k in out:
             assert np.array_equal(out[k], ops[k])
         assert store.hits == 1 and store.misses == 0
@@ -435,7 +435,7 @@ class TestWorkerCacheStore:
 
         rng = np.random.default_rng(1)
         a, b = self._operands(rng), self._operands(rng)
-        heavy = sum(a[k].nbytes for k in ("x_rounded", "x_t"))
+        heavy = a["x_t"].nbytes
         store = WorkerCacheStore(
             tmp_path if backed == "disk" else None,
             budget_bytes=heavy + heavy // 2)   # fits one heavy, not two
@@ -445,8 +445,7 @@ class TestWorkerCacheStore:
         store.save("shard_64_128", b)
         assert store.evictions >= 1
         assert set(store.load("shard_0_64")) == {"x_norms"}   # evicted
-        assert set(store.load("shard_64_128")) == {
-            "x_norms", "x_rounded", "x_t"}
+        assert set(store.load("shard_64_128")) == {"x_norms", "x_t"}
 
     def test_empty_or_lightless_saves_are_skipped(self, tmp_path):
         store = WorkerCacheStore(tmp_path)

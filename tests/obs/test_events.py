@@ -1,10 +1,10 @@
-"""Unit tests for the ordered event bus and the legacy hook shim."""
+"""Unit tests for the ordered event bus."""
 
 import json
 
 import pytest
 
-from repro.obs.events import Event, EventBus, legacy_hook_adapter
+from repro.obs.events import Event, EventBus
 
 
 class TestOrdering:
@@ -34,8 +34,8 @@ class TestOrdering:
         assert [e.kind for e in seen] == ["one"]
 
     def test_subscriber_exception_propagates(self):
-        """The legacy hook contract: a failing hook fails the fit
-        loudly, never drops events silently."""
+        """A failing subscriber fails the fit loudly, never drops
+        events silently."""
         bus = EventBus()
 
         def bad(event):
@@ -53,32 +53,6 @@ class TestOrdering:
         assert [e.fields["i"] for e in bus.history] == [2, 3, 4]
         # seq keeps counting even after history wraps
         assert bus.history[-1].seq == 5
-
-
-class TestLegacyShim:
-    def test_adapter_reshapes_to_pr7_payload(self):
-        seen = []
-        sub = legacy_hook_adapter(seen.append)
-        sub(Event(kind="promote", source="fleet", seq=7,
-                  fields={"lost": [1], "n_workers": 2}))
-        assert seen == [{"event": "promote", "lost": [1], "n_workers": 2}]
-
-    def test_adapter_exposes_wrapped_hook(self):
-        def hook(d):
-            pass
-
-        assert legacy_hook_adapter(hook).__wrapped_hook__ is hook
-
-    def test_old_and_new_subscribers_see_identical_sequences(self):
-        bus = EventBus()
-        legacy_seen, new_seen = [], []
-        bus.subscribe_legacy(legacy_seen.append)
-        bus.subscribe(new_seen.append)
-        bus.publish("heartbeat", source="fleet", iteration=1)
-        bus.publish("shrink", source="fleet", lost=[0], n_workers=1)
-        bus.publish("expand", source="fleet", grown=[2], n_workers=2)
-        assert legacy_seen == [e.to_legacy_dict() for e in new_seen]
-        assert [e.seq for e in new_seen] == [1, 2, 3]
 
 
 class TestExport:

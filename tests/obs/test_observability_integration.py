@@ -8,8 +8,9 @@ Three guarantees the ISSUE pins down:
 * **Zero cost when off** — a fit with a *disabled* recorder never
   calls into it (booby-trapped recorder), and the disabled path stays
   within a generous wall budget of the no-recorder path.
-* **Shim fidelity** — a legacy ``event_hook`` and a bus subscriber
-  observe identical ordered event sequences on a real recovering fit.
+* **Event ordering** — a bus subscriber observes the fleet,
+  coordinator and checkpoint events of a real recovering fit in one
+  total order.
 """
 
 import time
@@ -27,7 +28,7 @@ def _data(m=512, n=16, seed=0):
     return rng.random((m, n), dtype=np.float64).astype(np.float32)
 
 
-def _fit(x, *, tracer=None, event_bus=None, event_hook=None, workers=1,
+def _fit(x, *, tracer=None, event_bus=None, workers=1,
          p_inject=0.0, worker_faults=None, checkpoint_every=0):
     km = FTKMeans(n_clusters=8, variant="ft" if p_inject else "tensorop",
                   mode="fast", max_iter=5, tol=0.0, seed=0,
@@ -35,8 +36,7 @@ def _fit(x, *, tracer=None, event_bus=None, event_hook=None, workers=1,
                   executor="serial" if workers == 1 else "thread",
                   checkpoint_every=checkpoint_every,
                   worker_faults=worker_faults,
-                  tracer=tracer, event_bus=event_bus,
-                  event_hook=event_hook)
+                  tracer=tracer, event_bus=event_bus)
     km.fit(x)
     return km
 
@@ -81,7 +81,7 @@ class TestNeutrality:
                               traced.cluster_centers_.view(np.uint32))
         names = {s.name for s in rec.spans}
         # the coordinator taxonomy landed
-        assert {"fit", "round", "gather", "merge", "update"} <= names
+        assert {"fit", "round", "compute", "merge", "update"} <= names
 
     def test_engine_taxonomy_lands_single_worker(self):
         rec = TraceRecorder()
@@ -126,29 +126,22 @@ class TestZeroCostWhenOff:
         assert disabled <= 2.0 * baseline + 0.05
 
 
-class TestEventShimOnRealFits:
-    def test_legacy_hook_and_bus_subscriber_identical_ordered(self):
-        """The PR 7 ``event_hook`` must see exactly the fleet event
-        stream it always saw — the fleet-sourced subsequence of the
-        bus, in bus order — while a new subscriber also gets the
-        coordinator/checkpoint kinds the old hook never carried."""
-        from repro.core.api import FTKMeans as KM
-
+class TestEventBusOnRealFits:
+    def test_bus_carries_fleet_and_coordinator_events_ordered(self):
+        """A subscriber sees the fleet's membership events interleaved
+        with the coordinator/checkpoint kinds, in one total order."""
         x = _data()
-        legacy_seen, new_seen = [], []
+        new_seen = []
         bus = EventBus()
         bus.subscribe(new_seen.append)
-        km = KM(n_clusters=8, variant="tensorop", mode="fast",
-                max_iter=5, tol=0.0, seed=0, n_workers=3,
-                executor="serial", checkpoint_every=2, hot_spares=1,
-                worker_faults=WorkerFaultInjector.crash_at(1, 4),
-                event_bus=bus, event_hook=legacy_seen.append)
+        km = FTKMeans(n_clusters=8, variant="tensorop", mode="fast",
+                      max_iter=5, tol=0.0, seed=0, n_workers=3,
+                      executor="serial", checkpoint_every=2, hot_spares=1,
+                      worker_faults=WorkerFaultInjector.crash_at(1, 4),
+                      event_bus=bus)
         km.fit(x)
-        assert legacy_seen, "no fleet events reached the legacy hook"
         fleet_events = [e for e in new_seen if e.source == "fleet"]
-        assert legacy_seen == [e.to_legacy_dict() for e in fleet_events]
-        assert [e["event"] for e in legacy_seen] == ["promote"]
-        # the full bus carries strictly more than the legacy surface
+        assert [e.kind for e in fleet_events] == ["promote"]
         kinds = [e.kind for e in new_seen]
         assert "checkpoint_save" in kinds
         assert len(new_seen) > len(fleet_events)
@@ -187,7 +180,9 @@ class TestEventShimOnRealFits:
         from repro.dist.fleet import FleetManager
 
         seen = []
-        fm = FleetManager(event_hook=seen.append)
+        fm = FleetManager()
         assert isinstance(fm.event_bus, EventBus)
+        fm.event_bus.subscribe(seen.append)
         fm.event_bus.publish("heartbeat", source="fleet", iteration=0)
-        assert seen == [{"event": "heartbeat", "iteration": 0}]
+        assert [(e.kind, e.fields) for e in seen] == [
+            ("heartbeat", {"iteration": 0})]
