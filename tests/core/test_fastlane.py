@@ -18,6 +18,7 @@ from repro.core.accumulate import StreamedAccumulator, accumulate_oneshot
 from repro.core.config import KMeansConfig
 from repro.core.engine import FastPathEngine
 from repro.core.tensorop import default_tensorop_tile
+from repro.core.variants import VARIANTS
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.faults import FaultInjector
 
@@ -259,6 +260,26 @@ class TestOperandBudget:
         for knob in ("operand_cache", "reduce_topology", "event_hook"):
             with pytest.raises(TypeError):
                 FTKMeans(**{knob: None})
+
+    @pytest.mark.parametrize("slack,hoisted", [(-1, False), (0, True),
+                                               (1, True)])
+    def test_hoist_boundary_is_x_nbytes(self, data, slack, hoisted):
+        """The transposed operand is admitted exactly when
+        ``x.nbytes <= chunk_bytes``, and admitting it never moves the
+        bits of the pass."""
+        x, y = data
+        got = _run(x, y, batch_chunks=True, chunk_bytes=x.nbytes + slack)
+        assert got["hoisted"] is hoisted
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK)
+        assert np.array_equal(ref["labels"], got["labels"])
+        assert np.array_equal(ref["best_bits"], got["best_bits"])
+        assert np.array_equal(ref["sums_bits"], got["sums_bits"])
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_variant_constructors_reject_operand_cache(self, variant):
+        VARIANTS[variant](None, np.float32)
+        with pytest.raises(TypeError):
+            VARIANTS[variant](None, np.float32, operand_cache="auto")
 
     def test_transient_pass_never_hoists(self, data):
         """predict/score-style passes on foreign data keep the staging

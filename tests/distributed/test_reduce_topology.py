@@ -19,9 +19,12 @@ from hypothesis import strategies as st
 
 from repro import FTKMeans
 from repro.core.config import KMeansConfig
+from repro.core.update import UpdateStage
 from repro.dist import Coordinator, ReduceOccupancy, WorkerFaultInjector
 from repro.dist.executors import SerialExecutor
+from repro.dist.fleet import FleetManager
 from repro.obs.trace import TraceRecorder
+
 M, N_FEATURES, K = 1537, 12, 7
 
 
@@ -84,6 +87,15 @@ class TestStreamBitIdentity:
                  worker_faults=WorkerFaultInjector.crash_at(wid, crash_it))
         assert_same_fit(km, ref)
         assert km.dist_recoveries_ == 1
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_stream_contains_corrupt_partial_off_serial(self, x, ref,
+                                                        executor):
+        km = fit(x, n_workers=4, executor=executor,
+                 worker_faults=WorkerFaultInjector.corrupt_at(2, 3))
+        assert_same_fit(km, ref)
+        assert km.counters_.errors_detected == 1
+        assert km.counters_.errors_corrected == 1
 
     def test_process_crash_recovery(self, x, ref):
         km = fit(x, n_workers=8, executor="process", checkpoint_every=2,
@@ -156,6 +168,68 @@ class TestMergeOrderContract:
         for spans in per_round:
             los = [s.meta["lo"] for s in spans]
             assert los == sorted(los)
+
+    @pytest.mark.parametrize("n_workers", [2, 3, 8])
+    def test_reversed_arrivals_any_width(self, x, n_workers):
+        """Every fleet width commits reversed arrivals in shard order,
+        onto the in-order fit's bits."""
+        y0 = x[:K].copy()
+        in_order = Coordinator(_cfg(n_workers=n_workers,
+                                    executor="serial")).fit(x, y0)
+        tracer = TraceRecorder()
+        ex = _ReversedArrivalExecutor()
+        res = Coordinator(_cfg(n_workers=n_workers), executor=ex,
+                          tracer=tracer).fit(x, y0)
+        assert np.array_equal(in_order.centroids, res.centroids)
+        assert np.array_equal(in_order.labels, res.labels)
+        w = res.plan.n_workers
+        assert ex.arrival_log[:w] == list(range(w - 1, -1, -1))
+        los = [s.meta["lo"] for s in tracer.spans if s.name == "merge"]
+        assert len(los) == w * len(res.inertia_history)
+        for i in range(0, len(los), w):
+            assert los[i:i + w] == sorted(los[i:i + w])
+
+
+class TestMergeOperandHoist:
+    """The coordinator hoists its transposed merge operand under the
+    engine's rule — ``x.nbytes <= chunk_bytes`` — without moving bits."""
+
+    @pytest.mark.parametrize("slack,hoisted", [(-1, False), (0, True)])
+    def test_hoist_boundary_is_x_nbytes(self, x, monkeypatch, slack,
+                                        hoisted):
+        bound = []
+        bind = UpdateStage.bind_source_t
+
+        def spy(stage, src, src_t):
+            bound.append(src is x and src_t is not None)
+            bind(stage, src, src_t)
+
+        monkeypatch.setattr(UpdateStage, "bind_source_t", spy)
+        y0 = x[:K].copy()
+        res = Coordinator(_cfg(executor="serial",
+                               chunk_bytes=x.nbytes + slack)).fit(x, y0)
+        # the same transposed copy backs the merge accumulator and the
+        # update stage's DMR re-accumulation
+        assert bound == ([True] if hoisted else [])
+        monkeypatch.undo()
+        ref = Coordinator(_cfg(executor="serial",
+                               chunk_bytes=x.nbytes // 8)).fit(x, y0)
+        assert np.array_equal(ref.centroids, res.centroids)
+        assert np.array_equal(ref.labels, res.labels)
+        assert ref.inertia_history == res.inertia_history
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize("knob", ["reduce_topology", "event_hook"])
+    def test_coordinator_rejects(self, knob):
+        Coordinator(_cfg())
+        with pytest.raises(TypeError):
+            Coordinator(_cfg(), **{knob: None})
+
+    def test_fleet_manager_rejects_event_hook(self):
+        FleetManager(target_workers=2)
+        with pytest.raises(TypeError):
+            FleetManager(target_workers=2, event_hook=lambda e: None)
 
 
 class TestReduceOccupancy:
