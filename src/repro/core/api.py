@@ -187,6 +187,14 @@ class FTKMeans:
         if engine is not None:
             engine.tracer = self._tracer
 
+    def _run_init(self, x: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+        """The configured ``init`` on ``x``, under an ``init`` span."""
+        cfg = self.config
+        with active_tracer(self._tracer).span("init", method=cfg.init,
+                                              m=int(x.shape[0])):
+            return initialize(x, cfg.n_clusters, cfg.init, rng)
+
     # ------------------------------------------------------------------
     def fit(self, x, sample_weight=None) -> "FTKMeans":
         """Cluster ``x``, full-batch Lloyd or mini-batch.
@@ -226,13 +234,28 @@ class FTKMeans:
             return self._fit_minibatch(x, w)
         if cfg.n_workers > 1:
             return self._fit_dist(x, w)
+        # the fit -> {init, iteration} spans of the single-worker
+        # taxonomy; the engine's assign_chunk/gemm/update_feed/
+        # bounds_refresh spans nest under each iteration via the tracer
+        # attached to the assigner
+        tr = active_tracer(self._tracer)
+        with tr.span("fit", m=int(m), n_features=int(k),
+                     n_clusters=int(cfg.n_clusters)):
+            return self._fit_lloyd(x, w, tr)
+
+    def _fit_lloyd(self, x: np.ndarray, w: np.ndarray | None,
+                   tr) -> "FTKMeans":
+        """Full-batch single-worker Lloyd fit: the body of :meth:`fit`'s
+        ``fit`` span, whose active tracer ``tr`` it records into."""
+        cfg = self.config
+        m, k = x.shape
         rng = np.random.default_rng(cfg.seed)
 
         if self._init_centroids is not None:
             y = validate_centroids(self._init_centroids, cfg.n_clusters, k,
                                    cfg.dtype)
         else:
-            y = initialize(x, cfg.n_clusters, cfg.init, rng)
+            y = self._run_init(x, rng)
 
         update_mode = cfg.resolved_update_mode()
         assigner = build_assignment(cfg, m, k, rng)
@@ -251,13 +274,6 @@ class FTKMeans:
         labels = np.zeros(m, dtype=np.int64)
 
         n_iter = 0
-        # the fit -> iteration spans of the single-worker taxonomy; the
-        # engine's assign_chunk/gemm/update_feed/bounds_refresh spans
-        # nest under each iteration via the tracer attached above
-        tr = active_tracer(self._tracer)
-        fit_span = tr.span("fit", m=int(m), n_features=int(k),
-                           n_clusters=int(cfg.n_clusters))
-        fit_span.__enter__()
         try:
             # hoist fit-invariants (sample norms, output buffers, chunk
             # and injector block plans) once; every iteration reuses them
@@ -307,7 +323,6 @@ class FTKMeans:
             # not pin the training array, scratch or worker threads,
             # and predict/score must recompute norms fresh
             assigner.end_fit()
-            fit_span.__exit__(None, None, None)
         self.cluster_centers_ = y
         self.cluster_counts_ = upd.counts.copy()
         # the fast path hands out the engine's reusable buffer; detach it
@@ -342,7 +357,7 @@ class FTKMeans:
             y0 = validate_centroids(self._init_centroids, cfg.n_clusters, k,
                                     cfg.dtype)
         else:
-            y0 = initialize(x, cfg.n_clusters, cfg.init, rng)
+            y0 = self._run_init(x, rng)
 
         coord = Coordinator(
             cfg, executor=cfg.executor,
@@ -481,7 +496,7 @@ class FTKMeans:
                     f"first batch has {m} samples < n_clusters="
                     f"{cfg.n_clusters}; supply init_centroids or a "
                     f"larger first batch")
-            y = initialize(x, cfg.n_clusters, cfg.init, rng)
+            y = self._run_init(x, rng)
             counts = np.zeros(cfg.n_clusters, dtype=np.float64)
         self._build_online_state(y, counts, m, k, rng)
 
@@ -674,7 +689,7 @@ class FTKMeans:
             y = validate_centroids(self._init_centroids, cfg.n_clusters, k,
                                    cfg.dtype)
         else:
-            y = initialize(x, cfg.n_clusters, cfg.init, rng)
+            y = self._run_init(x, rng)
         self._build_online_state(
             y, np.zeros(cfg.n_clusters, dtype=np.float64), bs, k, rng)
 

@@ -1,5 +1,7 @@
 """Tests for config, initializers, validation, convergence and update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,14 @@ class TestInitializers:
         y = init_kmeans_plusplus(x, 3, rng)
         assert y.shape == (3, 3)
 
+    def test_kmeanspp_spreads_centroids_under_offset(self):
+        # a large common offset makes the expanded form's xx and 2x·c
+        # nearly cancel: the spread must survive the cancellation
+        x = np.vstack([np.zeros((50, 2)), np.full((50, 2), 100.0)]) + 1e4
+        for seed in range(10):
+            y = init_kmeans_plusplus(x, 2, np.random.default_rng(seed))
+            assert {y[0, 0] < 1e4 + 50, y[1, 0] < 1e4 + 50} == {True, False}
+
     def test_too_many_clusters(self, rng):
         with pytest.raises(ValueError):
             init_random(np.ones((3, 2)), 4, rng)
@@ -70,6 +80,112 @@ class TestInitializers:
         assert initialize(x, 3, "k-means++", rng).shape == (3, 4)
         with pytest.raises(ValueError):
             initialize(x, 3, "magic", rng)
+
+
+def _kmeanspp_direct(x, n_clusters, rng):
+    """Test oracle: k-means++ in direct form, one (M, N) float64
+    temporary per centre, sampling through ``Generator.choice``."""
+    m = x.shape[0]
+    x64 = x.astype(np.float64)
+    centers = np.empty((n_clusters, x.shape[1]), dtype=np.float64)
+    centers[0] = x64[int(rng.integers(m))]
+    d2 = np.sum((x64 - centers[0]) ** 2, axis=1)
+    for i in range(1, n_clusters):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(m))
+        else:
+            idx = int(rng.choice(m, p=d2 / total))
+        centers[i] = x64[idx]
+        np.minimum(d2, np.sum((x64 - centers[i]) ** 2, axis=1), out=d2)
+    return centers.astype(x.dtype)
+
+
+def _assert_matches_direct(x, n_clusters, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    y = init_kmeans_plusplus(x, n_clusters, rng)
+    ref = _kmeanspp_direct(x, n_clusters, ref_rng)
+    assert y.dtype == ref.dtype == x.dtype
+    assert np.array_equal(y, ref)
+    # same draws consumed: the generator handed on is in the same state
+    assert rng.random() == ref_rng.random()
+    return y
+
+
+class TestKmeansPlusPlusGemmForm:
+    """The mat-vec k-means++ against the direct-form oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m,n,k", [(20_000, 16, 32), (5_000, 64, 64)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_selection_matches_direct_form(self, dtype, m, n, k, seed):
+        x = np.random.default_rng(100 + seed).standard_normal((m, n))
+        _assert_matches_direct(x.astype(dtype), k, seed)
+
+    def test_selection_matches_direct_form_on_blobs(self):
+        rng = np.random.default_rng(7)
+        centres = 20.0 * rng.standard_normal((12, 8))
+        x = (centres[rng.integers(12, size=3000)]
+             + rng.standard_normal((3000, 8))).astype(np.float32)
+        for seed in range(3):
+            _assert_matches_direct(x, 24, seed)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e7])
+    def test_every_row_once_when_k_equals_m(self, offset):
+        # the chosen row must carry exactly zero mass: any residue from
+        # the expanded form (large under an offset) would let a row be
+        # drawn twice
+        x = np.random.default_rng(3).standard_normal((64, 5)) + offset
+        for seed in range(5):
+            y = init_kmeans_plusplus(x, 64, np.random.default_rng(seed))
+            assert sorted(map(tuple, y)) == sorted(map(tuple, x))
+
+    @pytest.mark.parametrize("n", [3, 5, 16, 64])
+    def test_all_duplicates_take_uniform_fallback(self, n):
+        # a non-representable row repeated: the expanded form's rounding
+        # leaves residues here, which must not count as mass
+        gen = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 1e3):
+            x = np.tile(scale * gen.standard_normal(n), (97, 1))
+            rng = np.random.default_rng(0)
+            y = init_kmeans_plusplus(x, 6, rng)
+            assert np.array_equal(y, x[:6])
+            # the first draw and every fallback draw use rng.integers(m)
+            ref = np.random.default_rng(0)
+            for _ in range(6):
+                ref.integers(97)
+            assert rng.random() == ref.random()
+
+    def test_duplicates_exhaust_into_fallback(self):
+        # 5 distinct points, 40 copies each; K > 5 drains the mass
+        pts = np.random.default_rng(4).standard_normal((5, 7)) * 30.0
+        x = np.repeat(pts, 40, axis=0).astype(np.float32)
+        for seed in range(4):
+            y = _assert_matches_direct(x, 9, seed)
+            assert len({tuple(r) for r in y[:5]}) == 5
+
+    def test_matches_direct_form_under_offset(self):
+        x = np.random.default_rng(5).standard_normal((4000, 16)) + 1e4
+        for seed in range(3):
+            _assert_matches_direct(x, 16, seed)
+
+    def test_peak_memory_is_one_float64_copy(self):
+        # no per-draw (M, N) temporary: beyond the float64 copy only a
+        # few M-length vectors are live (the direct form peaks near 2x)
+        x = np.random.default_rng(6).standard_normal((50_000, 32))
+        x32 = x.astype(np.float32)
+        tracemalloc.start()
+        try:
+            init_kmeans_plusplus(x32, 16, np.random.default_rng(0))
+            _, peak32 = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            init_kmeans_plusplus(x, 16, np.random.default_rng(0))
+            _, peak64 = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak32 <= 1.5 * x.nbytes
+        # float64 input is used in place, not copied
+        assert peak64 <= 0.5 * x.nbytes
 
 
 class TestValidation:

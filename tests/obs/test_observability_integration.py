@@ -93,6 +93,44 @@ class TestNeutrality:
         assert len(fits) == 1 and fits[0].depth == 0
 
 
+class TestInitSpan:
+    def test_single_worker_init_is_one_child_of_fit(self):
+        x = _data()
+        base = _fit(x)
+        rec = TraceRecorder()
+        traced = _fit(x, tracer=rec)
+        assert np.array_equal(base.labels_, traced.labels_)
+        assert np.array_equal(base.cluster_centers_.view(np.uint32),
+                              traced.cluster_centers_.view(np.uint32))
+        assert base.inertia_ == traced.inertia_
+        inits = [s for s in rec.spans if s.name == "init"]
+        assert len(inits) == 1
+        init = inits[0]
+        assert init.parent == "fit" and init.depth == 1
+        assert init.meta == {"method": "k-means++", "m": x.shape[0]}
+        (fit,) = [s for s in rec.spans if s.name == "fit"]
+        first_iter = min(s.t0 for s in rec.spans if s.name == "iteration")
+        assert fit.t0 <= init.t0 <= init.t1 <= first_iter
+
+    def test_no_init_span_with_init_centroids(self):
+        x = _data()
+        rec = TraceRecorder()
+        FTKMeans(n_clusters=8, max_iter=2, seed=0, tracer=rec,
+                 init_centroids=x[:8]).fit(x)
+        assert "init" not in {s.name for s in rec.spans}
+
+    @pytest.mark.parametrize("kw", [dict(n_workers=2, executor="thread"),
+                                    dict(batch_size=128)])
+    def test_dist_and_minibatch_init_is_a_root_span(self, kw):
+        x = _data()
+        rec = TraceRecorder()
+        FTKMeans(n_clusters=8, max_iter=2, seed=0, init="random",
+                 tracer=rec, **kw).fit(x)
+        inits = [s for s in rec.spans if s.name == "init"]
+        assert len(inits) == 1 and inits[0].depth == 0
+        assert inits[0].meta == {"method": "random", "m": x.shape[0]}
+
+
 class TestZeroCostWhenOff:
     def test_disabled_recorder_is_never_invoked(self):
         """The gate resolves a disabled recorder to the shared null
