@@ -58,7 +58,7 @@ __all__ = [
 
 #: newest schema generation per trajectory family (the versions the
 #: benches write today; the loader accepts every generation up to it)
-SCHEMA_FAMILIES = {"fastpath_walltime": 4, "dist_scaling": 7}
+SCHEMA_FAMILIES = {"fastpath_walltime": 4, "dist_scaling": 8}
 
 #: config keys that must match for two fast-path records to share a
 #: trend series (problem shape + perf-relevant engine config; the
@@ -581,10 +581,7 @@ def render_perf_report(fastpath_path: Path | str = "BENCH_fastpath.json",
         "",
         "See [observability.md](observability.md) for the span taxonomy",
         "behind the stage tables and how the traced re-runs are kept",
-        "bit-identical to the measured ones, and",
-        "[distributed.md](distributed.md#transport-pipes-vs-shared-memory)",
-        "for the pipe-vs-shm transport comparison gated alongside these",
-        "trajectories.",
+        "bit-identical to the measured ones.",
         "",
     ]
     lines += _trajectory_section(

@@ -41,14 +41,6 @@ scheduling — recording the coordinator's reduce-busy seconds
 bit-identity flag.  ``runner --smoke`` gates every cell's bit-identity
 and the widest fleet's occupancy against the best prior entry.
 
-A **transport run** (schema v7) measures the zero-copy shared-memory
-data plane against the pickle-over-pipe baseline on the process
-executor: two otherwise identical fits at the recovery shape, one per
-transport, recording the per-fit broadcast/gather pipe bytes, their
-reduction ratios, the shm fit's pipe bytes per round per worker
-(control-token-sized — gated by ``runner --smoke``), per-kind boot
-walls and the bit-identity flags (shm vs pipe and vs single-worker).
-
 A **checkpoint run** measures the per-round checkpoint overhead of the
 synchronous write path against the asynchronous background writer
 (``checkpoint_sync``): three otherwise identical disk-backed fits —
@@ -85,6 +77,8 @@ __all__ = ["run_dist_bench", "run_smoke", "DEFAULT_RESULT_PATH", "main"]
 #: BENCH_fastpath.json, resolved against the working directory)
 DEFAULT_RESULT_PATH = Path("BENCH_dist.json")
 
+#: v8 dropped the ``transport`` record: the process executor has one
+#: round path (pipes), so there is no second data plane to compare.
 #: v7 added the ``transport`` record (shared-memory vs pipe data plane
 #: on the process executor: walls, per-fit broadcast/gather pipe bytes,
 #: bytes-reduction ratios and boot/attach walls) plus ``boot_stats`` on
@@ -100,7 +94,7 @@ DEFAULT_RESULT_PATH = Path("BENCH_dist.json")
 #: v2 added the ``elastic`` stall-then-shrink record; v3 the
 #: ``checkpoint`` sync-vs-async overhead record; v4 the ``selfheal``
 #: kill → spawn → re-expand record
-SCHEMA = "dist_scaling/v7"
+SCHEMA = "dist_scaling/v8"
 
 #: full grid (CI-feasible, a few minutes)
 FULL_SHAPE = dict(m_grid=(60_000, 120_000), n_features=64, n_clusters=64,
@@ -116,11 +110,10 @@ def _fit_once(x, y0, *, n_clusters, iters, workers, executor, seed,
               checkpoint_every=0, worker_faults=None, elastic=False,
               round_timeout=None, checkpoint_sync=False,
               checkpoint_dir=None, target_workers=None, hot_spares=0,
-              heartbeat_interval=None, tracer=None, transport="auto"):
+              heartbeat_interval=None, tracer=None):
     """One timed sharded (or single-worker) fit; returns (model, wall)."""
     km = FTKMeans(n_clusters=n_clusters, variant="tensorop", mode="fast",
                   n_workers=workers, tracer=tracer,
-                  transport=transport if workers > 1 else "auto",
                   executor=executor if workers > 1 else "serial",
                   checkpoint_every=checkpoint_every if workers > 1 else 0,
                   max_iter=iters, tol=0.0, seed=seed, init_centroids=y0,
@@ -413,63 +406,10 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
             np.array_equal(healed.cluster_centers_,
                            base[0].cluster_centers_)),
         # per-kind boot/attach walls (cold_spawn vs spare_promote vs
-        # reconfigure) — under the shm transport the re-expand spawn
-        # attaches to the existing segments instead of re-pickling the
-        # shard, so this is where the boot-time win shows up
+        # reconfigure) — the re-expand spawn attaches to the dataset
+        # segment instead of re-pickling the shard, so this is where
+        # the boot-time win shows up
         "boot_stats": healed.dist_boot_stats_,
-    }
-
-    # -- transport: shared-memory vs pipe data plane ------------------
-    # two otherwise identical process-executor fits at the recovery
-    # shape.  The pipe fit ships the shard at boot and the full
-    # centroid set + partials every round over the worker pipes; the
-    # shm fit publishes once into /dev/shm and moves only control
-    # tokens, so its pipe traffic should be control-token-sized per
-    # round per worker (gated by ``runner --smoke``) while the result
-    # stays bit-identical — the zero-copy plane must not move a bit.
-    pipe_fit, pipe_wall = _fit_once(
-        x, y0, n_clusters=n_clusters, iters=iters, workers=rec_workers,
-        executor="process", seed=seed, transport="pipe")
-    shm_fit, shm_wall = _fit_once(
-        x, y0, n_clusters=n_clusters, iters=iters, workers=rec_workers,
-        executor="process", seed=seed, transport="shm")
-    # one broadcast per iteration plus the init round
-    tr_rounds = max(1, shm_fit.n_iter_ + 1)
-    transport = {
-        "workers": rec_workers,
-        "m": x.shape[0],
-        "executor": "process",
-        "rounds": tr_rounds,
-        "pipe": {
-            "transport": pipe_fit.dist_transport_,
-            "wall_s": pipe_wall,
-            "broadcast_bytes": pipe_fit.dist_broadcast_bytes_,
-            "gather_bytes": pipe_fit.dist_gather_bytes_,
-            "boot_stats": pipe_fit.dist_boot_stats_,
-        },
-        "shm": {
-            "transport": shm_fit.dist_transport_,
-            "wall_s": shm_wall,
-            "broadcast_bytes": shm_fit.dist_broadcast_bytes_,
-            "gather_bytes": shm_fit.dist_gather_bytes_,
-            "boot_stats": shm_fit.dist_boot_stats_,
-        },
-        "shm_broadcast_bytes_per_round_worker": (
-            shm_fit.dist_broadcast_bytes_ / (tr_rounds * rec_workers)),
-        "broadcast_bytes_reduction": (
-            pipe_fit.dist_broadcast_bytes_
-            / max(1, shm_fit.dist_broadcast_bytes_)),
-        "gather_bytes_reduction": (
-            pipe_fit.dist_gather_bytes_
-            / max(1, shm_fit.dist_gather_bytes_)),
-        "bit_identical_shm_vs_pipe": bool(
-            np.array_equal(shm_fit.labels_, pipe_fit.labels_)
-            and np.array_equal(shm_fit.cluster_centers_,
-                               pipe_fit.cluster_centers_)),
-        "bit_identical_vs_single": bool(
-            np.array_equal(shm_fit.labels_, base[0].labels_)
-            and np.array_equal(shm_fit.cluster_centers_,
-                               base[0].cluster_centers_)),
     }
 
     # -- reduce: coordinator occupancy over a widening fleet.  Serial
@@ -529,7 +469,6 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
         "selfheal": selfheal,
         "trace": trace_summary,
         "reduce": reduce,
-        "transport": transport,
     }
 
 
@@ -598,18 +537,6 @@ def _summarise(record: dict) -> str:
             lines.append(
                 f"  span stream    -> {trc['jsonl_trace_path']} "
                 f"({trc['sink_spans']} spans streamed)")
-    tp = record.get("transport")
-    if tp:
-        lines.append(
-            f"  transport (W={tp['workers']}): pipe "
-            f"{tp['pipe']['broadcast_bytes'] / 1e6:.2f} MB bcast / "
-            f"{tp['pipe']['gather_bytes'] / 1e6:.2f} MB gather vs shm "
-            f"{tp['shm']['broadcast_bytes'] / 1e3:.1f} kB / "
-            f"{tp['shm']['gather_bytes'] / 1e3:.1f} kB "
-            f"({tp['broadcast_bytes_reduction']:.0f}x / "
-            f"{tp['gather_bytes_reduction']:.0f}x less on the pipes), "
-            f"{tp['shm_broadcast_bytes_per_round_worker']:.0f} B/round/worker"
-            f", bit-identical {tp['bit_identical_shm_vs_pipe']}")
     red = record.get("reduce")
     if red:
         for row in red["curve"]:

@@ -14,13 +14,10 @@ its final ``active_frac``) are gated against the best prior same-host,
 same-shape entry just like the fast-path wall.  The reduce curve
 (schema v6) is gated too: every cell must stay bit-identical to the
 single-worker fit, and the stream merge's occupancy at the widest
-fleet must not regress against the best prior entry.  The transport
-record (schema v7) is gated as well: the shared-memory fit must stay
-bit-identical to the pipe fit and the single-worker baseline, its pipe
-traffic must stay control-token-sized, and its wall must not regress
-against the best prior entry.  ``--trace-out`` forwards a trace output
-path to the dist smoke (a ``.jsonl`` suffix streams spans live as each
-closes; any other suffix writes a post-hoc Chrome trace JSON).
+fleet must not regress against the best prior entry.  ``--trace-out``
+forwards a trace output path to the dist smoke (a ``.jsonl`` suffix
+streams spans live as each closes; any other suffix writes a post-hoc
+Chrome trace JSON).
 Unrecognised arguments after ``--smoke`` are forwarded to
 :mod:`repro.bench.fastpath` (e.g. ``--m 2000 --iters 1`` for an even
 quicker shape); the sharded smoke keeps its fixed tiny shape and is
@@ -58,13 +55,7 @@ from repro.bench.tables import print_figure
 
 __all__ = ["all_figures", "check_fastpath_regression",
            "check_pruning_regression", "check_reduce_scaling",
-           "check_selfheal_regression", "check_stale_report",
-           "check_transport", "main"]
-
-#: pipe bytes per round per worker the shm transport may spend on its
-#: control tokens (the shmround tuple + the array-stripped ack) before
-#: the gate decides payload data leaked back onto the pipes
-TRANSPORT_TOKEN_BYTES = 4096
+           "check_selfheal_regression", "check_stale_report", "main"]
 
 #: fresh engine wall may exceed the best prior same-shape entry by at
 #: most this factor before the smoke gate fails (hosts differ; real
@@ -261,68 +252,6 @@ def check_reduce_scaling(record: dict, path, *,
             f"{fresh * 1e3:.2f} ms (best prior {best * 1e3:.2f} ms)")
 
 
-def check_transport(record: dict, path, *,
-                    slack: float = REGRESSION_SLACK) -> str:
-    """Gate the shared-memory transport record (schema v7).
-
-    Three gates on the fresh record alone: the shm fit must be
-    bit-identical to the pipe fit *and* to the single-worker baseline
-    (the zero-copy plane must not move a bit), and the shm fit's pipe
-    traffic must stay control-token-sized — at most
-    :data:`TRANSPORT_TOKEN_BYTES` broadcast bytes per round per worker,
-    i.e. the shmround tuple, never the centroid payload.  Then the shm
-    wall is compared against the best prior same-host, same-shape
-    ``transport`` entry with the usual slack and 0.1 s noise floor.
-    Raises :class:`SystemExit` on a violation, returns a verdict line.
-    """
-    tp = record.get("transport")
-    if not tp:
-        return "transport check skipped: record has no transport entry"
-    if not tp["bit_identical_shm_vs_pipe"]:
-        raise SystemExit(
-            "TRANSPORT REGRESSION: the shm fit is no longer "
-            "bit-identical to the pipe fit — the zero-copy data plane "
-            "moved a bit")
-    if not tp["bit_identical_vs_single"]:
-        raise SystemExit(
-            "TRANSPORT REGRESSION: the shm fit is no longer "
-            "bit-identical to the single-worker baseline")
-    per_rw = tp["shm_broadcast_bytes_per_round_worker"]
-    if per_rw > TRANSPORT_TOKEN_BYTES:
-        raise SystemExit(
-            f"TRANSPORT REGRESSION: shm broadcast traffic is "
-            f"{per_rw:.0f} B per round per worker — above the "
-            f"{TRANSPORT_TOKEN_BYTES} B control-token budget, so "
-            f"payload data is leaking back onto the pipes")
-    path = Path(path)
-    try:
-        entries = json.loads(path.read_text()).get("entries", [])
-    except (OSError, json.JSONDecodeError):
-        return ("transport check ok (fresh record only): no readable "
-                "trajectory")
-    shape = {k: record["config"][k] for k in _DIST_SHAPE_KEYS}
-    prior = [e["transport"] for e in entries[:-1]
-             if e.get("host") == record.get("host")
-             and e.get("transport")
-             and all(e.get("config", {}).get(k) == v
-                     for k, v in shape.items())
-             and e["transport"].get("workers") == tp["workers"]]
-    if not prior:
-        return (f"transport check ok (fresh record only): bit-identical, "
-                f"{per_rw:.0f} B/round/worker on the pipes; no prior "
-                f"same-host entry at this shape")
-    best = min(p["shm"]["wall_s"] for p in prior)
-    fresh = tp["shm"]["wall_s"]
-    if fresh > slack * max(best, 0.1):
-        raise SystemExit(
-            f"TRANSPORT REGRESSION: shm fit wall {fresh:.3f} s exceeds "
-            f"{slack:.2f}x the best prior same-shape entry "
-            f"({best:.3f} s) in {path.name}")
-    return (f"transport check ok: bit-identical, {per_rw:.0f} "
-            f"B/round/worker on the pipes, shm wall {fresh:.3f} s vs "
-            f"best prior {best:.3f} s")
-
-
 def check_stale_report(report_path, fastpath_path, dist_path) -> str:
     """Fail when ``docs/perf.md`` lags the committed trajectory files.
 
@@ -427,8 +356,6 @@ def main(argv=None) -> None:
                 print("  " + check_selfheal_regression(
                     dist_record, dist_out, slack=args.regression_slack))
                 print("  " + check_reduce_scaling(
-                    dist_record, dist_out, slack=args.regression_slack))
-                print("  " + check_transport(
                     dist_record, dist_out, slack=args.regression_slack))
                 print("  " + analysis.check_dist_trend(
                     dist_record, dist_out))

@@ -101,14 +101,11 @@ class FTKMeans:
     snapshot+enqueue when async) and ``dist_checkpoint_flush_s_`` (the
     end-of-fit flush barrier of the async writer), ``dist_reduce_busy_s_``
     (coordinator occupancy of the reduce: wall seconds of merge work
-    not hidden under still-computing workers), the transport quartet
-    ``dist_transport_`` (the resolved round-loop transport, 'pipe' or
-    'shm' — see ``transport`` in
-    :class:`~repro.core.config.KMeansConfig`),
+    not hidden under still-computing workers), the transport trio
     ``dist_broadcast_bytes_`` / ``dist_gather_bytes_`` (per-fit bytes
-    moved over the executor's worker pipes in each direction — full
-    pickled payloads under 'pipe', control/ack tokens only under
-    'shm') and ``dist_boot_stats_`` (worker boot/attach walls
+    of round payloads moved over the process executor's worker pipes
+    in each direction; 0 on the in-process backends) and
+    ``dist_boot_stats_`` (worker boot/attach walls
     aggregated by kind: cold spawn vs spare promote vs warm
     reconfigure), and ``dist_metrics_``
     (the fit's :class:`~repro.obs.metrics.MetricsRegistry` delta —
@@ -142,7 +139,6 @@ class FTKMeans:
                  round_timeout=None, elastic: bool = False,
                  target_workers: int | None = None, hot_spares: int = 0,
                  heartbeat_interval: float | None = None,
-                 transport: str = "auto",
                  reassignment_mode: str = "deterministic",
                  reassignment_ratio: float = 0.01,
                  init: str = "k-means++", max_iter: int = 50,
@@ -163,7 +159,6 @@ class FTKMeans:
             round_timeout=round_timeout, elastic=elastic,
             target_workers=target_workers, hot_spares=hot_spares,
             heartbeat_interval=heartbeat_interval,
-            transport=transport,
             reassignment_mode=reassignment_mode,
             reassignment_ratio=reassignment_ratio,
             init=init, max_iter=max_iter, tol=tol, seed=seed)
@@ -391,7 +386,6 @@ class FTKMeans:
         self.dist_checkpoint_save_s_ = res.checkpoint_save_s
         self.dist_checkpoint_flush_s_ = res.checkpoint_flush_s
         self.dist_reduce_busy_s_ = res.reduce_busy_s
-        self.dist_transport_ = res.transport
         self.dist_broadcast_bytes_ = res.broadcast_bytes
         self.dist_gather_bytes_ = res.gather_bytes
         self.dist_boot_stats_ = res.boot_stats

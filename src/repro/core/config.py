@@ -12,7 +12,7 @@ from repro.gemm.tiling import TileConfig
 from repro.gpusim.device import DeviceSpec, get_device
 
 __all__ = ["KMeansConfig", "VARIANT_NAMES", "MODES", "UPDATE_MODES",
-           "EXECUTORS", "REASSIGNMENT_MODES", "PRUNE_MODES", "TRANSPORTS"]
+           "EXECUTORS", "REASSIGNMENT_MODES", "PRUNE_MODES"]
 
 #: assignment-stage implementations, in the paper's optimisation order
 VARIANT_NAMES = ("naive", "v1", "v2", "v3", "tensorop", "ft")
@@ -26,11 +26,6 @@ UPDATE_MODES = ("auto", "oneshot", "streamed")
 
 #: executor backends of the sharded multi-worker layer (repro.dist)
 EXECUTORS = ("serial", "thread", "process")
-
-#: bulk-payload transports of the sharded round loop ('auto' resolves
-#: per executor: the zero-copy shared-memory plane on the process
-#: backend, plain pipes everywhere else)
-TRANSPORTS = ("auto", "pipe", "shm")
 
 #: empty-cluster handling policies of the online/mini-batch update
 REASSIGNMENT_MODES = ("deterministic", "count_threshold", "random")
@@ -169,25 +164,6 @@ class KMeansConfig:
         dead worker's shard skips the child cold-start; in-process
         backends treat a spare as a promotion token.  The pool is
         re-provisioned after every promotion/expansion.
-    transport:
-        With ``n_workers > 1``: how the round loop's bulk payloads
-        move between the coordinator and the workers.  'pipe' pickles
-        everything over the executor's pipes (the legacy behaviour;
-        the only option on the in-process backends, which have no
-        serialization to eliminate).  'shm' (process backend) is the
-        zero-copy shared-memory plane (:mod:`repro.dist.shm`): the
-        dataset lives once in ``multiprocessing.shared_memory`` and
-        workers map their shard as a view (spares and re-expands
-        attach in O(1) instead of re-pickling rows), the per-round
-        centroid broadcast is one write into a generation-stamped
-        buffer instead of W pipe sends, and labels/distances/partials
-        come back through per-worker shared slots — the pipes carry
-        only control/ack tokens.  Both transports are bit-identical to
-        each other and to ``n_workers=1`` for every membership
-        history.  'auto' (default) picks 'shm' on the
-        process executor (falling back to 'pipe' with a warning if
-        segment creation fails) and 'pipe' elsewhere; an explicit
-        'shm' raises instead of falling back.
     heartbeat_interval:
         With ``n_workers > 1``: minimum seconds between the fleet
         manager's between-round liveness sweeps (None disables).  A
@@ -235,7 +211,6 @@ class KMeansConfig:
     target_workers: int | None = None
     hot_spares: int = 0
     heartbeat_interval: float | None = None
-    transport: str = "auto"
     reassignment_mode: str = "deterministic"
     reassignment_ratio: float = 0.01
     init: str = "k-means++"
@@ -326,15 +301,6 @@ class KMeansConfig:
                 raise ValueError(
                     f"heartbeat_interval must be > 0, "
                     f"got {self.heartbeat_interval}")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; "
-                f"choose from {TRANSPORTS}")
-        if self.transport == "shm" and self.executor != "process":
-            raise ValueError(
-                "transport='shm' requires executor='process' (the "
-                "in-process backends have no serialization to "
-                "eliminate); use 'auto' or 'pipe'")
         if self.reassignment_mode not in REASSIGNMENT_MODES:
             raise ValueError(
                 f"unknown reassignment_mode {self.reassignment_mode!r}; "
@@ -362,24 +328,3 @@ class KMeansConfig:
         if self.update_mode != "auto":
             return self.update_mode
         return "streamed" if self.mode == "fast" else "oneshot"
-
-    def resolved_transport(self, executor: str | None = None) -> str:
-        """The effective round-loop transport ('auto' resolved).
-
-        Parameters
-        ----------
-        executor : str, optional
-            Executor backend to resolve against; defaults to the
-            configured ``executor``.
-
-        Returns
-        -------
-        str
-            'shm' on the process executor (unless ``transport='pipe'``
-            was forced); 'pipe' on the in-process backends, which move
-            no bytes at all.
-        """
-        ex = self.executor if executor is None else executor
-        if ex != "process":
-            return "pipe"
-        return "shm" if self.transport in ("auto", "shm") else "pipe"

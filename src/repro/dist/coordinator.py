@@ -2,10 +2,11 @@
 
 :class:`Coordinator` owns the distributed fit.  Per iteration it
 
-1. broadcasts the centroids to every worker (one ``run_round`` through
-   the configured executor, with any fault directives for the round);
+1. broadcasts the centroids to every worker (one ``send_round``
+   through the configured executor, with any fault directives for the
+   round);
 2. gathers per-shard labels / min distances / fused partial sums as
-   they arrive;
+   they arrive (``collect_round_stream``);
 3. **merges with sequential-continuation semantics**: the shard feeds
    replay through one :class:`StreamedAccumulator` in shard order, so
    the merged sums carry exactly the bits a single-worker fused pass
@@ -33,6 +34,15 @@ factory) and replays.  The Lloyd step is deterministic given ``(x, y)``
 and worker SEU streams are keyed by ``(seed, worker, iteration)``, so
 the replayed trajectory — and the final centroids — are bit-identical
 to an uninterrupted run.
+
+**Dataset segment.**  On the process executor the coordinator places
+``x`` (and ``sample_weight``) once in a shared-memory segment
+(:class:`~repro.dist.shm.ShmSession`), and every worker factory
+carries a reference instead of the rows — a cold spawn, a spare
+promotion and a re-expand attach in O(1).  If the segment cannot be
+created (``OSError``: ``/dev/shm`` full or absent) the fit warns and
+the factories carry the rows.  Per-round payloads always travel over
+the executor's pipes.
 
 **Double-buffered rounds.**  On backends whose workers genuinely
 compute between a send and a collect (thread, process), the coordinator
@@ -115,13 +125,14 @@ from functools import partial
 import numpy as np
 
 from repro.core.accumulate import StreamedAccumulator
-from repro.core.config import TRANSPORTS, KMeansConfig
+from repro.core.config import KMeansConfig
 from repro.core.convergence import ConvergenceMonitor
 from repro.core.engine import transpose_blocked
 from repro.core.update import UpdateStage
 from repro.core.variants import _resolve_tile, build_assignment
 from repro.dist.checkpoint import CheckpointStore, WorkerCacheStore
-from repro.dist.executors import BaseExecutor, make_executor
+from repro.dist.executors import (BaseExecutor, ProcessExecutor,
+                                  make_executor)
 from repro.dist.faults import WorkerCrash, WorkerFaultInjector
 from repro.dist.fleet import FleetManager
 from repro.dist.plan import ShardPlan
@@ -171,7 +182,6 @@ class DistFitResult:
     expands: int = 0                     # workers regrown toward target
     heartbeat_failures: int = 0          # losses caught by heartbeat
     reduce_busy_s: float = 0.0           # coordinator reduce occupancy
-    transport: str = "pipe"              # resolved round-loop transport
     broadcast_bytes: int = 0             # pipe bytes coordinator->workers
     gather_bytes: int = 0                # pipe bytes workers->coordinator
     boot_stats: dict = field(default_factory=dict)  # boot walls by kind
@@ -219,7 +229,8 @@ def _boot_stats(events: list[dict]) -> dict:
     ``events`` are the executor's per-handshake records ({"kind",
     "worker_id", "wall_s"}); the aggregate is what rides on
     :attr:`DistFitResult.boot_stats` and into the bench records, where
-    the spare-promote / shm-attach win over a cold spawn is visible.
+    the spare-promote / dataset-segment attach win over a cold spawn is
+    visible.
     """
     stats: dict[str, dict] = {}
     for ev in events:
@@ -307,14 +318,6 @@ class Coordinator:
         Shard-keyed store for the workers' engine operand caches; by
         default derived from a directory-backed checkpoint store (a
         ``worker_cache/`` subdirectory), absent otherwise.
-    transport : str, optional
-        Round-loop bulk-payload transport ('auto' / 'pipe' / 'shm');
-        defaults to ``cfg.transport``.  Resolved per fit against the
-        executor backend: 'shm' (the zero-copy shared-memory plane,
-        :mod:`repro.dist.shm`) only ever engages on the process
-        executor; in-process backends always run 'pipe'.  Under 'auto'
-        a failed segment creation falls back to 'pipe' with a warning;
-        an explicit 'shm' lets the failure raise.
     """
 
     #: adaptive deadline = ADAPTIVE_MULT x trailing-median round time
@@ -325,12 +328,6 @@ class Coordinator:
     ADAPTIVE_WINDOW = 8
     #: observed rounds required before any adaptive deadline is armed
     ADAPTIVE_MIN_SAMPLES = 2
-
-    #: recv bound (seconds) for draining a speculative round whose
-    #: results are being discarded (convergence landed first) when no
-    #: round deadline is configured — a worker that wedges during that
-    #: round must not hang a fit whose result already exists
-    DISCARD_TIMEOUT = 5.0
 
     def __init__(self, cfg: KMeansConfig, *,
                  executor: str | BaseExecutor | None = None,
@@ -348,8 +345,7 @@ class Coordinator:
                  heartbeat_interval: float | None = None,
                  spawn_hook=None,
                  event_bus: EventBus | None = None, tracer=None,
-                 worker_cache: WorkerCacheStore | None = None,
-                 transport: str | None = None):
+                 worker_cache: WorkerCacheStore | None = None):
         if cfg.mode != "fast":
             raise ValueError("sharded execution requires mode='fast'")
         self.cfg = cfg
@@ -377,11 +373,6 @@ class Coordinator:
         self.round_timeout = (None if round_timeout is None
                               else float(round_timeout))
         self.executor.round_timeout = self.round_timeout
-        self.transport = cfg.transport if transport is None else transport
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; "
-                f"choose from {TRANSPORTS}")
         self.event_bus = event_bus if event_bus is not None else EventBus()
         self.tracer = tracer
         self.fleet = FleetManager(
@@ -456,38 +447,29 @@ class Coordinator:
         cache_refresh_every = (self.checkpoint_every
                                if self.worker_cache is not None else 0)
 
-        # transport resolution: the shared-memory plane only ever
-        # engages on the process executor (the in-process backends have
-        # no serialization to eliminate); 'auto' degrades to 'pipe'
-        # with a warning if segment creation fails, explicit 'shm' lets
-        # the failure surface
-        transport = ("shm" if (getattr(self.executor, "name", "custom")
-                               == "process"
-                               and self.transport in ("auto", "shm"))
-                     else "pipe")
+        # the dataset segment: only the process executor pickles its
+        # factories, so only it shares x; the in-process backends read
+        # the caller's arrays directly
         shm_session = None
-        if transport == "shm":
+        if isinstance(self.executor, ProcessExecutor):
             try:
                 shm_session = ShmSession(x, sample_weight)
             except OSError as exc:
-                if self.transport == "shm":
-                    raise
                 warnings.warn(
-                    f"shared-memory transport unavailable "
-                    f"({exc}); falling back to the pipe transport",
+                    f"shared-memory dataset segment unavailable ({exc}); "
+                    f"worker factories will carry the rows",
                     RuntimeWarning, stacklevel=2)
-                transport = "pipe"
 
         # functools.partial of a module-level function: picklable, so
         # the process executor can ship it under any start method.  The
         # plan is baked in, so every membership change builds a fresh
-        # factory for the executor restart.  Under shm the factory
-        # carries segment *refs* instead of the arrays — booting a
-        # replacement (cold, spare promote, or re-expand) pickles a few
-        # hundred bytes and attaches the shard as a view in O(1).
+        # factory for the executor restart.  With the dataset segment
+        # the factory carries segment *refs* instead of the arrays —
+        # booting a replacement (cold, spare promote, or re-expand)
+        # pickles a few hundred bytes and attaches the shard as a view
+        # in O(1).
         def make_factory(p: ShardPlan):
             if shm_session is not None:
-                shm_session.make_slots(p, n_clusters, k, cfg.dtype)
                 return partial(build_worker, plan=p, cfg=worker_cfg,
                                n_clusters=n_clusters,
                                data_ref=shm_session.data_ref,
@@ -566,7 +548,7 @@ class Coordinator:
         # the sequential loop's rounds (a converged fit never draws the
         # next round's directives)
         overlap = (self.overlap_rounds and self.faults is None
-                   and getattr(self.executor, "supports_overlap", False))
+                   and self.executor.supports_overlap)
         round_times: deque[float] = deque(maxlen=self.ADAPTIVE_WINDOW)
         occ = ReduceOccupancy()
         # the fit span brackets the whole round loop including the
@@ -577,9 +559,7 @@ class Coordinator:
                            n_workers=int(plan.n_workers))
         fit_span.__enter__()
         self.fleet.attach(self.executor, plan)
-        if hasattr(self.executor, "reset_transport_stats"):
-            self.executor.reset_transport_stats()
-        self.executor.shm_session = shm_session
+        self.executor.reset_transport_stats()
         self.executor.start(factory, plan.worker_ids)
         n_iter = 0
         # the round in flight: (iteration, directives, send time, plan
@@ -590,19 +570,11 @@ class Coordinator:
             it = 1
             while it <= cfg.max_iter:
                 if pending is None:
-                    self._arm_deadline(round_times)
                     directives = (self.faults.directives_for_round(
                         it, plan.worker_ids)
                         if self.faults is not None else {})
-                    t_send = time.monotonic()
-                    with tr.span("broadcast", iteration=int(it)) as sp:
-                        b0 = getattr(self.executor, "broadcast_bytes", 0)
-                        self.executor.send_round(y, it, directives)
-                        if sp is not None:
-                            sp.meta["payload_bytes"] = (
-                                getattr(self.executor,
-                                        "broadcast_bytes", 0) - b0)
-                    pending = (it, directives, t_send, plan)
+                    pending = self._send(tr, round_times, y, it,
+                                         directives, plan)
                 cur, directives, t_send, cur_plan = pending
                 occ.begin_round()
                 try:
@@ -610,14 +582,13 @@ class Coordinator:
                     # per-shard merge spans nest under the compute span
                     # they genuinely overlap
                     with tr.span("compute", iteration=int(cur)) as sp:
-                        g0 = getattr(self.executor, "gather_bytes", 0)
+                        g0 = self.executor.gather_bytes
                         results = self._stream_reduce(
                             cur_plan, x, labels, best, counters, clock,
                             merge_acc, occ, tr)
                         if sp is not None:
                             sp.meta["payload_bytes"] = (
-                                getattr(self.executor,
-                                        "gather_bytes", 0) - g0)
+                                self.executor.gather_bytes - g0)
                     merged = merge_acc.packed()
                     # between-round liveness sweep (rate-limited): a
                     # worker that answered its round but wedged after
@@ -767,16 +738,8 @@ class Coordinator:
                 # speculative against convergence — at most one round is
                 # computed and discarded, at the very end of the fit.
                 if overlap and cur < cfg.max_iter:
-                    self._arm_deadline(round_times)
-                    t_send = time.monotonic()
-                    with tr.span("broadcast", iteration=int(cur + 1)) as sp:
-                        b0 = getattr(self.executor, "broadcast_bytes", 0)
-                        self.executor.send_round(y, cur + 1, {})
-                        if sp is not None:
-                            sp.meta["payload_bytes"] = (
-                                getattr(self.executor,
-                                        "broadcast_bytes", 0) - b0)
-                    pending = (cur + 1, {}, t_send, plan)
+                    pending = self._send(tr, round_times, y, cur + 1, {},
+                                         plan)
 
                 # -- off-critical tail ---------------------------------
                 self._count_directives(faults_seen, trace, directives, cur)
@@ -807,27 +770,13 @@ class Coordinator:
                 # a speculative round was in flight when the fit ended
                 # (convergence, or an error): nobody wants its results,
                 # so cancel it outright — shutdown follows immediately,
-                # which is the contract cancel_round requires.  Custom
-                # executors without a cancel fall back to a bounded
-                # collect-and-discard drain: with no configured deadline
-                # a worker that wedges during this already-discarded
-                # round would otherwise hang a finished fit forever
-                cancel = getattr(self.executor, "cancel_round", None)
-                if cancel is not None:
-                    cancel()
-                else:
-                    if self.executor.round_timeout is None:
-                        self.executor.round_timeout = self.DISCARD_TIMEOUT
-                    try:
-                        self.executor.collect_round()
-                    except Exception:
-                        pass
+                # which is the contract cancel_round requires
+                self.executor.cancel_round()
             self.executor.shutdown()
-            # unlink the fit's shared segments on the way out (error
-            # paths included); a coordinator killed before reaching
-            # here is covered by the resource tracker — either way
-            # /dev/shm holds no strays once the fit is gone
-            self.executor.shm_session = None
+            # unlink the dataset segment on the way out (error paths
+            # included); a coordinator killed before reaching here is
+            # covered by the resource tracker — either way /dev/shm
+            # holds no strays once the fit is gone
             if shm_session is not None:
                 shm_session.close()
             # flush barrier: every snapshot of this fit is durable
@@ -867,12 +816,10 @@ class Coordinator:
             checkpoint_save_s=ckpt_save_s, checkpoint_flush_s=ckpt_flush_s,
             promotions=self.fleet.promotions, expands=self.fleet.expands,
             heartbeat_failures=heartbeat_failures,
-            reduce_busy_s=occ.busy_s, transport=transport,
-            broadcast_bytes=int(getattr(self.executor,
-                                        "broadcast_bytes", 0)),
-            gather_bytes=int(getattr(self.executor, "gather_bytes", 0)),
-            boot_stats=_boot_stats(getattr(self.executor,
-                                           "boot_events", [])))
+            reduce_busy_s=occ.busy_s,
+            broadcast_bytes=int(self.executor.broadcast_bytes),
+            gather_bytes=int(self.executor.gather_bytes),
+            boot_stats=_boot_stats(self.executor.boot_events))
         # per-fit metrics delta: a fresh registry ingests the fit's two
         # counter surfaces, and the delta against the empty snapshot —
         # i.e. exactly what *this* fit contributed — rides on the result
@@ -885,6 +832,20 @@ class Coordinator:
         return result
 
     # ------------------------------------------------------------------
+    def _send(self, tr, round_times: deque, y: np.ndarray, it: int,
+              directives: dict, plan: ShardPlan) -> tuple:
+        """Broadcast round ``it`` under a ``broadcast`` span; returns
+        the in-flight round record ``(iteration, directives, send
+        time, plan)``."""
+        self._arm_deadline(round_times)
+        t_send = time.monotonic()
+        with tr.span("broadcast", iteration=int(it)) as sp:
+            b0 = self.executor.broadcast_bytes
+            self.executor.send_round(y, it, directives)
+            if sp is not None:
+                sp.meta["payload_bytes"] = self.executor.broadcast_bytes - b0
+        return (it, directives, t_send, plan)
+
     def _arm_deadline(self, round_times: deque) -> None:
         """Re-arm the executor deadline under ``round_timeout='auto'``.
 

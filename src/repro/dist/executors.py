@@ -16,10 +16,12 @@ round protocol:
   and runs checkpoint recovery exactly as it would for a real worker
   loss.
 
-All three return round results **in worker order**, so the coordinator's
-merge order — and therefore every accumulated bit — is
-executor-independent.  A crashed worker surfaces as
-:class:`~repro.dist.faults.WorkerCrash` from :meth:`run_round`;
+Every backend streams a round's results through one collect loop,
+``collect_round_stream``; the worker-order helpers are built on it, and
+the coordinator's merge commits in shard order whatever the arrival
+order — so every accumulated bit is executor-independent.  A crashed
+worker surfaces as :class:`~repro.dist.faults.WorkerCrash` from the
+collect;
 ``restart()`` rebuilds the worker set from the factory the coordinator
 registered with :meth:`start` — or from a *new* (factory, worker set)
 when the coordinator re-shards elastically after a loss.
@@ -48,30 +50,28 @@ dead pipe the remaining connections are drained under per-connection
 deadlines, so a second crashed or stalled worker in the same round can
 never turn recovery into a hang.
 
-**Split-phase rounds.**  ``run_round`` is also available as an explicit
-``send_round`` / ``collect_round`` pair: the coordinator broadcasts the
-next round as soon as the new centroids exist, runs the previous
-round's off-critical bookkeeping (ABFT partial check, convergence,
-checkpoint snapshot) while the workers compute, and only then collects
-— the double-buffered round pipeline.  Backends whose workers genuinely
-compute between send and collect advertise ``supports_overlap``; the
-serial backend computes inside the round itself, so its split-phase
-form simply stashes the arguments and runs at collect time.  For the
-deadline-armed backends the answer deadline starts at ``collect_round``
-(exactly where the legacy combined round started its recv phase), so
-overlapped coordinator work can never eat a worker's round budget.
+**Split-phase rounds.**  A round is a ``send_round`` followed by a
+collect: the coordinator broadcasts the next round as soon as the new
+centroids exist, runs the previous round's off-critical bookkeeping
+(ABFT partial check, convergence, checkpoint snapshot) while the
+workers compute, and only then collects — the double-buffered round
+pipeline.  Backends whose workers genuinely compute between send and
+collect advertise ``supports_overlap``; the serial backend computes
+inside the collect itself, so its send simply stashes the arguments.
+For the deadline-armed backends the answer deadline starts at the
+collect, so overlapped coordinator work can never eat a worker's round
+budget.
 
-**Streaming collect.**  ``collect_round_stream()`` yields ``(worker_id,
-result)`` pairs in *arrival* order instead of blocking for the full
-worker-order list — the coordinator's stream merge commits each
-shard's merge work as soon as (in-shard-order) results allow, hiding
-merge time under the slowest worker.  Failure semantics
-are identical to ``collect_round``: every failure of the round is
-collected and one typed exception raised *after* the stream ends, so a
-consumer that buffered early arrivals discards them through the same
-recovery path.  The base implementation degrades to worker order (one
-blocking collect, then yield); backends whose workers genuinely race
-override it with true arrival order.
+**Streaming collect.**  ``collect_round_stream()`` — each backend's
+one collect loop, owner of the deadline, drain and escalation logic —
+yields ``(worker_id, result)`` pairs in *arrival* order: the
+coordinator's stream merge commits each shard's merge work as soon as
+(in-shard-order) results allow, hiding merge time under the slowest
+worker.  Every failure of the round is collected and one typed
+exception raised *after* the stream ends, so a consumer that buffered
+early arrivals discards them through the same recovery path.
+``collect_round()`` drains the stream and returns the results in
+worker order; ``run_round()`` is ``send_round`` plus ``collect_round``.
 
 **Membership management.**  The fleet manager
 (:mod:`repro.dist.fleet`) drives four further verbs on top of the round
@@ -102,7 +102,6 @@ waiting for its answers — the speculative round after convergence.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing as mp
 import os
 import pickle
@@ -113,8 +112,6 @@ from multiprocessing.connection import wait as conn_wait
 
 from repro.dist.faults import WorkerCrash, WorkerStall
 from repro.dist.shm import detach_all as _shm_detach_all
-from repro.dist.shm import read_broadcast as _shm_read_broadcast
-from repro.dist.shm import write_slot as _shm_write_slot
 from repro.dist.worker import RoundResult, ShardWorker
 
 __all__ = ["BaseExecutor", "SerialExecutor", "ThreadExecutor",
@@ -127,7 +124,7 @@ def _pickled_nbytes(obj) -> int:
 
 
 def _result_nbytes(res: RoundResult) -> int:
-    """Pipe-payload size estimate of a full round result.
+    """Pipe-payload size estimate of a round result.
 
     Analytic (array nbytes + a small framing constant) rather than a
     second ``pickle.dumps`` of arrays the pipe already serialised once
@@ -182,15 +179,9 @@ class BaseExecutor(ABC):
         #: ``"executor"``) appear in the same ordered event stream as
         #: the fleet and checkpoint events
         self.event_bus = None
-        #: coordinator-owned :class:`repro.dist.shm.ShmSession` when the
-        #: fit's resolved transport is 'shm' (process backend only);
-        #: None keeps the legacy everything-over-the-pipe transport
-        self.shm_session = None
-        #: per-fit transport counters: bytes moved over the executor's
-        #: worker channel — under 'pipe' that is the full pickled round
-        #: traffic, under 'shm' only the control/ack tokens (the bulk
-        #: payloads move through shared memory and cost the pipes
-        #: nothing).  In-process backends move no bytes and stay 0.
+        #: per-fit transport counters: round-payload bytes moved over
+        #: the executor's worker pipes.  In-process backends move no
+        #: bytes and stay 0.
         self.broadcast_bytes = 0
         self.gather_bytes = 0
         #: worker boot/attach walls of the current fit (process
@@ -246,43 +237,36 @@ class BaseExecutor(ABC):
     @abstractmethod
     def _teardown(self) -> None: ...
 
-    @abstractmethod
-    def run_round(self, y, iteration: int,
-                  directives: dict[int, dict]) -> list[RoundResult]:
-        """One Lloyd round on every worker; results in worker order.
-
-        Raises :class:`WorkerCrash` when any worker dies (injected or
-        real); the surviving results of that round are discarded by the
-        coordinator's recovery path.
-        """
-
     def send_round(self, y, iteration: int,
                    directives: dict[int, dict]) -> None:
-        """Broadcast one round; its results come from the next
-        :meth:`collect_round`.  The base implementation stashes the
-        arguments and runs the whole round synchronously at collect
-        time (no overlap — see ``supports_overlap``)."""
+        """Broadcast one round; its results come from the next collect.
+        The base implementation stashes the arguments and runs the
+        whole round synchronously at collect time (no overlap — see
+        ``supports_overlap``)."""
         self._stashed_round = (y, iteration, directives)
 
-    def collect_round(self) -> list[RoundResult]:
-        """Results of the round last sent with :meth:`send_round`, in
-        worker order; raises exactly like :meth:`run_round`."""
-        if self._stashed_round is None:
-            raise RuntimeError("collect_round without a sent round")
-        y, iteration, directives = self._stashed_round
-        self._stashed_round = None
-        return self.run_round(y, iteration, directives)
-
+    @abstractmethod
     def collect_round_stream(self):
-        """Yield ``(worker_id, result)`` in arrival order.
+        """Yield ``(worker_id, result)`` of the round last sent with
+        :meth:`send_round`, in arrival order.
 
-        Base implementation: one blocking :meth:`collect_round`, then
-        worker order (arrival order is unobservable without real
-        concurrency).  Raises exactly like ``collect_round``, after
-        every healthy result has been yielded.
+        Raises :class:`WorkerCrash` (or its :class:`WorkerStall`
+        subtype) *after* every healthy result has been yielded when any
+        worker died or missed the deadline; the surviving results of
+        that round are discarded by the coordinator's recovery path.
         """
-        for res in self.collect_round():
-            yield res.worker_id, res
+
+    def collect_round(self) -> list[RoundResult]:
+        """Drain :meth:`collect_round_stream`; results in worker order.
+        Raises whatever the stream raises."""
+        results = dict(self.collect_round_stream())
+        return [results[wid] for wid in self._worker_ids]
+
+    def run_round(self, y, iteration: int,
+                  directives: dict[int, dict]) -> list[RoundResult]:
+        """One Lloyd round on every worker; results in worker order."""
+        self.send_round(y, iteration, directives)
+        return self.collect_round()
 
     def cancel_round(self) -> None:
         """Abandon a sent-but-uncollected round (no results wanted).
@@ -360,31 +344,6 @@ class SerialExecutor(BaseExecutor):
             w.close()
         self._workers = {}
 
-    def run_round(self, y, iteration, directives) -> list[RoundResult]:
-        results, crashed, stalled = [], [], []
-        for wid in self._worker_ids:
-            t0 = time.monotonic()
-            try:
-                res = self._workers[wid].run_round(y, iteration,
-                                                   directives.get(wid))
-            except WorkerCrash:
-                # keep going: the round collects every failure (a crash
-                # must not drop stalls already detected, or still to
-                # come, from the classification)
-                crashed.append(wid)
-                continue
-            results.append(res)
-            # in-process, sequential: preemption is impossible, so the
-            # deadline is enforced retroactively on the worker's wall
-            # time (the round's results are discarded by recovery)
-            if (self.round_timeout is not None
-                    and time.monotonic() - t0 > self.round_timeout):
-                stalled.append(wid)
-        if crashed or stalled:
-            raise _round_failure(iteration, crashed, stalled,
-                                 crash_reason="injected")
-        return results
-
     def collect_round_stream(self):
         """Yield each worker's result as soon as it is computed.
 
@@ -394,7 +353,7 @@ class SerialExecutor(BaseExecutor):
         what the stream-merge tests exercise on this backend.  A worker
         classified retroactively stalled is not yielded (its result is
         doomed to the recovery discard anyway); failures raise after
-        the loop, exactly like :meth:`run_round`.
+        the loop.
         """
         if self._stashed_round is None:
             raise RuntimeError("collect_round without a sent round")
@@ -407,8 +366,14 @@ class SerialExecutor(BaseExecutor):
                 res = self._workers[wid].run_round(y, iteration,
                                                    directives.get(wid))
             except WorkerCrash:
+                # keep going: the round collects every failure (a crash
+                # must not drop stalls already detected, or still to
+                # come, from the classification)
                 crashed.append(wid)
                 continue
+            # in-process, sequential: preemption is impossible, so the
+            # deadline is enforced retroactively on the worker's wall
+            # time (the round's results are discarded by recovery)
             if (self.round_timeout is not None
                     and time.monotonic() - t0 > self.round_timeout):
                 stalled.append(wid)
@@ -508,59 +473,20 @@ class ThreadExecutor(BaseExecutor):
                                            directives.get(wid)))
                           for wid in self._worker_ids}
 
-    def collect_round(self) -> list[RoundResult]:
+    def collect_round_stream(self):
+        """Yield results in true arrival order (done-event polling).
+
+        All workers run concurrently, so one absolute deadline doubles
+        as the per-task deadline: a task still pending at it is marked
+        stalled, cancelled and abandoned; every failure raises in one
+        typed exception after the stream ends.
+        """
         if self._round_it is None:
             raise RuntimeError("collect_round without a sent round")
         iteration, self._round_it = self._round_it, None
         # the answer deadline starts at collect: workers have been
         # computing since send, so overlapped coordinator work only ever
         # extends their budget, never shrinks it
-        deadline = (None if self.round_timeout is None
-                    else time.monotonic() + self.round_timeout)
-        tasks = self._inflight
-        results: dict[int, RoundResult] = {}
-        crashed, stalled = [], []
-        # drain every task before raising: no worker may still be
-        # writing when the coordinator starts recovery.  All workers run
-        # concurrently, so one absolute deadline doubles as the
-        # per-task deadline.
-        for wid, task in tasks.items():
-            if deadline is None:
-                task.done.wait()
-            elif not task.done.wait(max(0.0,
-                                        deadline - time.monotonic())):
-                # a thread cannot be killed: mark it stalled; teardown
-                # abandons it (thread + worker reclaimed when the stall
-                # runs dry) so recovery never waits the stall out.  The
-                # cancel token bounds how long "dry" takes: a pass still
-                # chunking stops at its next chunk boundary.
-                stalled.append(wid)
-                w = self._workers.get(wid)
-                if w is not None and hasattr(w, "cancel"):
-                    w.cancel()
-                continue
-            if isinstance(task.exc, WorkerCrash):
-                crashed.append(wid)
-            elif task.exc is not None:
-                raise task.exc
-            else:
-                results[wid] = task.result
-        if crashed or stalled:
-            raise _round_failure(iteration, crashed, stalled,
-                                 crash_reason="injected")
-        return [results[wid] for wid in self._worker_ids]
-
-    def collect_round_stream(self):
-        """Yield results in true arrival order (done-event polling).
-
-        The same absolute deadline and stall semantics as
-        :meth:`collect_round`: a task still pending at the deadline is
-        marked stalled, cancelled and abandoned; every failure raises
-        in one typed exception after the stream ends.
-        """
-        if self._round_it is None:
-            raise RuntimeError("collect_round without a sent round")
-        iteration, self._round_it = self._round_it, None
         deadline = (None if self.round_timeout is None
                     else time.monotonic() + self.round_timeout)
         pending = dict(self._inflight)
@@ -571,6 +497,12 @@ class ThreadExecutor(BaseExecutor):
             if not fired:
                 if (deadline is not None
                         and time.monotonic() >= deadline):
+                    # a thread cannot be killed: mark it stalled;
+                    # teardown abandons it (thread + worker reclaimed
+                    # when the stall runs dry) so recovery never waits
+                    # the stall out.  The cancel token bounds how long
+                    # "dry" takes: a pass still chunking stops at its
+                    # next chunk boundary.
                     for wid in list(pending):
                         stalled.append(wid)
                         w = self._workers.get(wid)
@@ -598,10 +530,6 @@ class ThreadExecutor(BaseExecutor):
         if crashed or stalled:
             raise _round_failure(iteration, crashed, stalled,
                                  crash_reason="injected")
-
-    def run_round(self, y, iteration, directives) -> list[RoundResult]:
-        self.send_round(y, iteration, directives)
-        return self.collect_round()
 
     def cancel_round(self) -> None:
         """Abandon the in-flight round: forget it was sent.  The tasks
@@ -659,20 +587,12 @@ def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
     worker as pipe EOF instead of deadlocking the fleet on fd copies.
 
     Messages are tagged tuples — ``("round", y, iteration, directive)``,
-    ``("shmround", bcast_ref, slot_ref, generation, iteration,
-    directive)``, ``("ping",)``, ``("configure", factory, worker_id)``
-    — or ``None`` (shut down).  With ``factory=None`` the child boots
-    as an *unconfigured hot spare*: interpreter and imports are paid
-    for up front, the worker itself is built by a later configure
-    message.
-
-    A ``shmround`` is the shared-memory transport's round: the token
-    names the generation-stamped broadcast buffer and this worker's
-    result slot; the child reads the centroids out of the buffer
-    (validating the seqlock stamps against the token's generation),
-    runs the identical round, writes its arrays into the slot, and
-    acks with the *stripped* round result — counters/timings only, no
-    arrays — so the pipe carries tokens either way.
+    ``("ping",)``, ``("configure", factory, worker_id)`` — or ``None``
+    (shut down).  A round is answered with the full
+    :class:`RoundResult` over the pipe.  With ``factory=None`` the
+    child boots as an *unconfigured hot spare*: interpreter and
+    imports are paid for up front, the worker itself is built by a
+    later configure message.
 
     An injected crash hard-exits the process (no exception channel, no
     cleanup) so the parent sees exactly what a real worker death looks
@@ -705,19 +625,6 @@ def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
                 if worker is not None:
                     worker.ping()
                 conn.send(_PONG)
-            elif tag == "shmround":
-                _, bcast_ref, slot_ref, generation, iteration, directive = msg
-                y = _shm_read_broadcast(bcast_ref, generation)
-                try:
-                    result = worker.run_round(y, iteration, directive)
-                except WorkerCrash:
-                    os._exit(17)
-                # arrays go through the slot (including an injected
-                # corrupt-partial flip — ABFT checks the shared plane,
-                # not a pipe copy); the ack is token-sized
-                _shm_write_slot(slot_ref, result, generation)
-                conn.send(dataclasses.replace(
-                    result, labels=None, best=None, partial=None))
             else:                              # "round"
                 _, y, iteration, directive = msg
                 try:
@@ -778,9 +685,6 @@ class ProcessExecutor(BaseExecutor):
         #: pre-booted unconfigured children: [proc, conn, ready] — ready
         #: flips True once the _SPARE_READY handshake has been consumed
         self._spares: list[list] = []
-        #: broadcast ref + generation of the round in flight (shm)
-        self._shm_bcast_ref = None
-        self._shm_generation = 0
         #: boots awaiting their ready handshake: wid -> (kind, t0)
         self._boot_pending: dict[int, tuple[str, float]] = {}
 
@@ -795,40 +699,6 @@ class ProcessExecutor(BaseExecutor):
             self.boot_events.append(
                 {"kind": kind, "worker_id": int(wid),
                  "wall_s": time.monotonic() - t0})
-
-    # -- shm round plumbing --------------------------------------------
-    def _round_payload(self, wid: int, y, iteration: int, directives):
-        """This worker's round message (and its pipe byte cost)."""
-        if self.shm_session is not None:
-            payload = ("shmround", self._shm_bcast_ref,
-                       self.shm_session.slot_ref(wid),
-                       self._shm_generation, iteration,
-                       directives.get(wid))
-        else:
-            payload = ("round", y, iteration, directives.get(wid))
-        self.broadcast_bytes += _pickled_nbytes(payload)
-        return payload
-
-    def _hydrate(self, wid: int, res):
-        """Rebuild a shm-stripped round result from the worker's slot.
-
-        Arrays come back as **copies** of the slot (the coordinator may
-        overlap the next round before the ABFT check reads these
-        partials, so a fast worker must never scribble over them);
-        the slot stamps are validated against the in-flight generation.
-        Pipe-transport results pass through, only counted.
-        """
-        if not isinstance(res, RoundResult):
-            return res
-        if res.labels is None and self.shm_session is not None:
-            self.gather_bytes += _pickled_nbytes(res)
-            data = self.shm_session.read_slot(wid, self._shm_generation)
-            res.labels = data["labels"]
-            res.best = data["best"]
-            res.partial = data["partial"]
-        else:
-            self.gather_bytes += _result_nbytes(res)
-        return res
 
     def _boot_child(self, factory, wid: int):
         """Fork/spawn one child process; returns (proc, parent_conn)."""
@@ -962,13 +832,9 @@ class ProcessExecutor(BaseExecutor):
         crashed, stalled = [], []
         deadline = (None if self.round_timeout is None
                     else time.monotonic() + self.round_timeout)
-        if self.shm_session is not None:
-            # one buffer write for the whole fleet; each pipe then
-            # carries only a generation-stamped token
-            self._shm_bcast_ref, self._shm_generation = (
-                self.shm_session.publish(y, iteration))
         for wid in self._worker_ids:
-            payload = self._round_payload(wid, y, iteration, directives)
+            payload = ("round", y, iteration, directives.get(wid))
+            self.broadcast_bytes += _pickled_nbytes(payload)
             if deadline is None:
                 try:
                     self._conns[wid].send(payload)
@@ -984,7 +850,13 @@ class ProcessExecutor(BaseExecutor):
                     stalled.append(wid)
         self._round_state = (iteration, crashed, stalled)
 
-    def collect_round(self) -> list[RoundResult]:
+    def collect_round_stream(self):
+        """Yield results as their pipes become readable (arrival order).
+
+        Failures raise in one typed exception after the stream ends, so
+        a consumer that already committed early arrivals discards them
+        through the normal recovery path.
+        """
         if self._round_state is None:
             raise RuntimeError("collect_round without a sent round")
         iteration, crashed, stalled = self._round_state
@@ -998,7 +870,6 @@ class ProcessExecutor(BaseExecutor):
         # ~2x round_timeout, never unbounded.
         deadline = (None if self.round_timeout is None
                     else time.monotonic() + self.round_timeout)
-        results: dict[int, RoundResult] = {}
         # workers killed at send time are already out of _conns
         pending = {self._conns[wid]: wid for wid in self._worker_ids
                    if wid not in crashed and wid in self._conns}
@@ -1010,7 +881,7 @@ class ProcessExecutor(BaseExecutor):
                 # recv()s so a second stalled worker cannot hang recovery
                 timeout = self.DRAIN_TIMEOUT
             else:
-                timeout = None       # wait forever (legacy behaviour)
+                timeout = None       # wait forever (no deadline set)
             ready = conn_wait(list(pending), timeout)
             if not ready:
                 if deadline is not None:
@@ -1020,21 +891,18 @@ class ProcessExecutor(BaseExecutor):
                     for conn, wid in list(pending.items()):
                         self._kill_worker(wid)
                         stalled.append(wid)
-                else:
-                    # drain bound hit with *no* deadline configured: the
-                    # user never opted into stall detection, so pending
-                    # children may just be slow — abandon their answers
-                    # (the round is discarded by recovery anyway) without
-                    # killing or evicting them; the recovery restart's
-                    # teardown reaps them, escalating only if they
-                    # ignore it
-                    pass
+                # else: drain bound hit with *no* deadline configured —
+                # the user never opted into stall detection, so pending
+                # children may just be slow: abandon their answers (the
+                # round is discarded by recovery anyway) without killing
+                # them; the recovery restart's teardown reaps them,
+                # escalating only if they ignore it
                 pending.clear()
                 break
             for conn in ready:
                 wid = pending.pop(conn)
                 try:
-                    results[wid] = self._hydrate(wid, conn.recv())
+                    result = conn.recv()
                 except (EOFError, OSError):
                     # the child is gone: real (or injected-hard-exit)
                     # death.  Reap the corpse immediately — an in-place
@@ -1042,58 +910,13 @@ class ProcessExecutor(BaseExecutor):
                     # live children in the maps
                     self._kill_worker(wid)
                     crashed.append(wid)
-        if crashed or stalled:
-            raise _round_failure(iteration, crashed, stalled,
-                                 crash_reason="worker process died")
-        return [results[wid] for wid in self._worker_ids]
-
-    def collect_round_stream(self):
-        """Yield results as their pipes become readable (arrival order).
-
-        The same deadline / drain-bound / escalation ladder as
-        :meth:`collect_round`; failures raise in one typed exception
-        after the stream ends, so a consumer that already committed
-        early arrivals discards them through the normal recovery path.
-        """
-        if self._round_state is None:
-            raise RuntimeError("collect_round without a sent round")
-        iteration, crashed, stalled = self._round_state
-        self._round_state = None
-        deadline = (None if self.round_timeout is None
-                    else time.monotonic() + self.round_timeout)
-        pending = {self._conns[wid]: wid for wid in self._worker_ids
-                   if wid not in crashed and wid in self._conns}
-        while pending:
-            if deadline is not None:
-                timeout = max(0.0, deadline - time.monotonic())
-            elif crashed or stalled:
-                timeout = self.DRAIN_TIMEOUT
-            else:
-                timeout = None
-            ready = conn_wait(list(pending), timeout)
-            if not ready:
-                if deadline is not None:
-                    for conn, wid in list(pending.items()):
-                        self._kill_worker(wid)
-                        stalled.append(wid)
-                pending.clear()
-                break
-            for conn in ready:
-                wid = pending.pop(conn)
-                try:
-                    result = self._hydrate(wid, conn.recv())
-                except (EOFError, OSError):
-                    self._kill_worker(wid)
-                    crashed.append(wid)
                     continue
+                if isinstance(result, RoundResult):
+                    self.gather_bytes += _result_nbytes(result)
                 yield wid, result
         if crashed or stalled:
             raise _round_failure(iteration, crashed, stalled,
                                  crash_reason="worker process died")
-
-    def run_round(self, y, iteration, directives) -> list[RoundResult]:
-        self.send_round(y, iteration, directives)
-        return self.collect_round()
 
     def cancel_round(self) -> None:
         """Abandon the in-flight round.  Children may be mid-compute

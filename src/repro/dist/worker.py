@@ -232,8 +232,8 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
     shard's row range, so any worker booting onto the same rows — the
     original, a respawn, or a promoted spare — shares one entry.
 
-    Under the shared-memory transport the factory carries ``data_ref``
-    / ``weight_ref`` (:class:`repro.dist.shm.ArrayRef`) instead of the
+    On the process executor the factory carries ``data_ref`` /
+    ``weight_ref`` (:class:`repro.dist.shm.ArrayRef`) instead of the
     arrays themselves: the worker maps the shared dataset segment and
     takes its shard as a zero-copy **view**, so pickling the factory —
     at boot, spare promotion, or elastic re-expand — ships only the

@@ -257,7 +257,10 @@ class TestOperandBudget:
             KMeansConfig(operand_cache="auto")
         with pytest.raises(TypeError):
             KMeansConfig(reduce_topology="stream")
-        for knob in ("operand_cache", "reduce_topology", "event_hook"):
+        with pytest.raises(TypeError):
+            KMeansConfig(transport="shm")
+        for knob in ("operand_cache", "reduce_topology", "event_hook",
+                     "transport"):
             with pytest.raises(TypeError):
                 FTKMeans(**{knob: None})
 

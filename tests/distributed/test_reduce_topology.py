@@ -220,7 +220,8 @@ class TestMergeOperandHoist:
 
 
 class TestRemovedKnobs:
-    @pytest.mark.parametrize("knob", ["reduce_topology", "event_hook"])
+    @pytest.mark.parametrize("knob", ["reduce_topology", "event_hook",
+                                      "transport"])
     def test_coordinator_rejects(self, knob):
         Coordinator(_cfg())
         with pytest.raises(TypeError):
