@@ -1,0 +1,220 @@
+"""One round path per executor, and the dataset segment's scope.
+
+Every backend implements one collect loop, ``collect_round_stream``;
+``BaseExecutor.collect_round`` drains it into worker order and
+``run_round`` is ``send_round`` plus ``collect_round``.  These tests
+drive each backend directly through those helpers, check the coordinator
+creates the dataset segment only for the process executor, that the
+segment holds the exact bytes of ``x`` and ``sample_weight``, and that a
+fit ending in an error cancels its in-flight round and unlinks the
+segment.
+"""
+
+import os
+from functools import partial
+
+import numpy as np
+import pytest
+
+from repro import FTKMeans
+from repro.core.config import KMeansConfig
+from repro.dist import coordinator as coordinator_mod
+from repro.dist.coordinator import Coordinator
+from repro.dist.executors import (ProcessExecutor, SerialExecutor,
+                                  ThreadExecutor, make_executor)
+from repro.dist.faults import CRASH, WorkerCrash, WorkerFaultPlan
+from repro.dist.plan import ShardPlan
+from repro.dist.shm import SEGMENT_PREFIX, ShmSession, attach_array
+from repro.dist.worker import build_worker
+
+EXECUTORS = ["serial", "thread", "process"]
+K = 6
+
+
+@pytest.fixture(scope="module")
+def data():
+    rng = np.random.default_rng(5)
+    return rng.standard_normal((900, 16)).astype(np.float32)
+
+
+def _cfg(**kw):
+    base = dict(n_clusters=K, mode="fast", n_workers=3, max_iter=6,
+                tol=0.0, seed=0)
+    base.update(kw)
+    return KMeansConfig(**base)
+
+
+def _started(executor, x, n_workers=3):
+    cfg = _cfg(executor=executor)
+    plan = ShardPlan.build(x.shape[0], n_workers, 64)
+    ex = make_executor(executor)
+    ex.start(partial(build_worker, x=x, plan=plan, cfg=cfg, n_clusters=K),
+             plan.worker_ids)
+    return ex, plan
+
+
+def own_segments():
+    try:
+        return [e for e in os.listdir("/dev/shm")
+                if e.startswith(f"{SEGMENT_PREFIX}-{os.getpid()}-")]
+    except OSError:  # pragma: no cover - non-Linux fallback
+        return []
+
+
+class TestOneCollectLoop:
+    """``collect_round`` and ``run_round`` live on the base class only;
+    each backend contributes its stream."""
+
+    @pytest.mark.parametrize(
+        "cls", [SerialExecutor, ThreadExecutor, ProcessExecutor],
+        ids=EXECUTORS)
+    def test_backend_defines_only_the_stream(self, cls):
+        assert "collect_round_stream" in vars(cls)
+        assert "collect_round" not in vars(cls)
+        assert "run_round" not in vars(cls)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_run_round_returns_worker_order(self, data, executor):
+        y = data[:K].copy()
+        ref, _ = _started("serial", data)
+        try:
+            expected = ref.run_round(y, 1, {})
+        finally:
+            ref.shutdown()
+        ex, plan = _started(executor, data)
+        try:
+            results = ex.run_round(y, 1, {})
+        finally:
+            ex.shutdown()
+        assert [r.worker_id for r in results] == list(plan.worker_ids)
+        for got, want in zip(results, expected):
+            assert got.iteration == 1
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.best, want.best)
+            assert np.array_equal(got.partial, want.partial)
+
+    def test_collect_round_puts_arrivals_in_worker_order(self, data):
+        y = data[:K].copy()
+        ex, plan = _started("thread", data)
+        stream = type(ex).collect_round_stream
+        # deliver the round's results last worker first
+        ex.collect_round_stream = lambda: reversed(list(stream(ex)))
+        try:
+            ex.send_round(y, 1, {})
+            results = ex.collect_round()
+        finally:
+            ex.shutdown()
+        assert [r.worker_id for r in results] == list(plan.worker_ids)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_collect_round_raises_what_the_stream_raises(self, data,
+                                                         executor):
+        y = data[:K].copy()
+        ex, _ = _started(executor, data)
+        try:
+            ex.send_round(y, 2, {1: {"crash": WorkerFaultPlan(CRASH, 1, 2)}})
+            with pytest.raises(WorkerCrash) as info:
+                ex.collect_round()
+        finally:
+            ex.shutdown()
+        assert info.value.crashed_ids == (1,)
+        assert info.value.stalled_ids == ()
+
+
+class TestSessionScope:
+    """The coordinator creates the dataset segment for process fits
+    only, and the segment holds the caller's exact bytes."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_in_process_backends_create_no_session(self, data, executor,
+                                                   monkeypatch):
+        created = []
+
+        def spy(*args, **kwargs):
+            created.append(args)
+            return ShmSession(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator_mod, "ShmSession", spy)
+        Coordinator(_cfg(executor=executor)).fit(data, data[:K].copy())
+        assert created == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_session_holds_exact_bytes(self, dtype):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((40, 5)).astype(dtype)
+        w = rng.random(40)
+        sess = ShmSession(x, w)
+        try:
+            xs = attach_array(sess.data_ref)
+            ws = attach_array(sess.weight_ref)
+            assert xs.dtype == x.dtype and ws.dtype == w.dtype
+            assert xs.tobytes() == x.tobytes()
+            assert ws.tobytes() == w.tobytes()
+            assert sess.data_ref.name.startswith(
+                f"{SEGMENT_PREFIX}-{os.getpid()}-")
+            assert sess.weight_ref.name != sess.data_ref.name
+        finally:
+            sess.close()
+
+    def test_session_copies_strided_input_in_c_order(self):
+        rng = np.random.default_rng(2)
+        base = np.asfortranarray(rng.standard_normal((30, 8)))
+        x = base[::2, 1::2]
+        sess = ShmSession(x)
+        try:
+            assert sess.weight_ref is None
+            view = attach_array(sess.data_ref)
+            assert view.shape == x.shape
+            assert view.flags.c_contiguous
+            assert np.array_equal(view, x)
+        finally:
+            sess.close()
+
+    def test_fallback_weighted_fit_bit_identical(self, data, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(coordinator_mod, "ShmSession", unavailable)
+        w = np.random.default_rng(3).integers(
+            1, 4, size=data.shape[0]).astype(np.float64)
+        base = dict(n_clusters=K, variant="tensorop", seed=3, max_iter=8)
+        single = FTKMeans(**base).fit(data, sample_weight=w)
+        with pytest.warns(RuntimeWarning, match="dataset segment"):
+            km = FTKMeans(**base, n_workers=2,
+                          executor="process").fit(data, sample_weight=w)
+        assert np.array_equal(km.labels_, single.labels_)
+        assert np.array_equal(km.cluster_centers_, single.cluster_centers_)
+        assert km.inertia_ == single.inertia_
+        assert own_segments() == []
+
+
+class TestErrorTeardown:
+    """A fit that raises with a speculative round in flight cancels it,
+    shuts the workers down and unlinks the dataset segment."""
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_error_cancels_inflight_round(self, data, executor,
+                                          monkeypatch):
+        cancels = []
+        cls = type(make_executor(executor))
+        original = cls.cancel_round
+
+        def cancel_round(self):
+            cancels.append(list(getattr(self, "_procs", {}).values()))
+            return original(self)
+
+        def check_partials(self, merged, results, plan, x, *args):
+            if results[0].iteration == 3:
+                raise RuntimeError("boom in the off-critical tail")
+
+        monkeypatch.setattr(cls, "cancel_round", cancel_round)
+        monkeypatch.setattr(Coordinator, "_check_partials", check_partials)
+        coord = Coordinator(_cfg(executor=executor))
+        with pytest.raises(RuntimeError, match="boom"):
+            coord.fit(data, data[:K].copy())
+        # round 3 failed its check while round 4 was in flight
+        assert len(cancels) == 1
+        assert own_segments() == []
+        (children,) = cancels
+        assert len(children) == (3 if executor == "process" else 0)
+        assert not any(p.is_alive() for p in children)
