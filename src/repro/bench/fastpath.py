@@ -47,8 +47,8 @@ from repro.gpusim.counters import PerfCounters
 from repro.gpusim.device import get_device
 from repro.obs.trace import TraceRecorder, active_tracer
 
-__all__ = ["run_fastpath_bench", "run_smoke", "write_record",
-           "DEFAULT_RESULT_PATH", "SCHEMA", "main"]
+__all__ = ["run_fastpath_bench", "run_hoist_twin", "run_smoke",
+           "write_record", "DEFAULT_RESULT_PATH", "SCHEMA", "main"]
 
 #: perf-trajectory file, resolved against the working directory (the
 #: repository root when run from a checkout; installs pass --out)
@@ -69,6 +69,10 @@ FULL_SHAPE = dict(m=200_000, n_features=64, n_clusters=64, iters=8)
 
 #: shape of the smoke/gating run (< 60 s wall clock including baseline)
 SMOKE_SHAPE = dict(m=60_000, n_features=64, n_clusters=64, iters=3)
+
+#: shape of the operand-hoist twin: small, run with a chunk budget
+#: below ``x.nbytes`` (the budget that once declined the hoist)
+HOIST_TWIN_SHAPE = dict(m=8192, n_features=32, n_clusters=16, iters=2)
 
 #: iterations of the pruning comparison: the workload converges (and
 #: the centroids bit-freeze) after ~3, so most of the loop runs in the
@@ -158,6 +162,7 @@ def _lloyd_fused(x, y0, n_clusters, iters, engine, tracer=None):
         "first_labels": first_labels,
         "first_best": first_best,
         "labels": labels.copy(),
+        "centroids": y,
     }
 
 
@@ -261,6 +266,59 @@ def _pruning_bench(dev, dt, tile, tf32, *, m, n_features, n_clusters,
     }
 
 
+def run_hoist_twin(m: int = HOIST_TWIN_SHAPE["m"],
+                   n_features: int = HOIST_TWIN_SHAPE["n_features"],
+                   n_clusters: int = HOIST_TWIN_SHAPE["n_clusters"],
+                   iters: int = HOIST_TWIN_SHAPE["iters"], *,
+                   dtype="float32", device="a100", seed: int = 0) -> dict:
+    """The fused fit at default knobs but a chunk budget below
+    ``x.nbytes``, twice: as built, and with the engine's memory budget
+    closed (the per-feed staging reference).  The first must hoist one
+    x-sized transposed operand; both must produce the same bits."""
+    dev = get_device(device)
+    dt = np.dtype(dtype)
+    rng = np.random.default_rng(seed)
+    x = rng.random((m, n_features), dtype=np.float64).astype(dt)
+    y0 = x[rng.choice(m, size=n_clusters, replace=False)].copy()
+    chunk_bytes = x.nbytes // 4
+    u = np.uint32 if dt.itemsize == 4 else np.uint64
+
+    def fit(operand_budget=None):
+        charged = []
+        engine = FastPathEngine(dev, dt, tile=default_tensorop_tile(dt),
+                                tf32=dt == np.dtype(np.float32),
+                                chunk_bytes=chunk_bytes,
+                                alloc_hook=lambda n, b: charged.append((n, b)))
+        if operand_budget is not None:
+            engine.operand_budget = operand_budget
+        try:
+            engine.begin_fit(x, n_clusters)
+            out = _lloyd_fused(x, y0, n_clusters, iters, engine)
+            hoisted = engine._cache.x_t is not None
+        finally:
+            engine.end_fit()
+        operand = sum(b for n, b in charged if n.startswith("operand_cache"))
+        return out, hoisted, operand
+
+    hoist, hoisted, operand_bytes = fit()
+    staged, staged_hoisted, _ = fit(operand_budget=0)
+    return {
+        "config": {"m": m, "n_features": n_features,
+                   "n_clusters": n_clusters, "iters": iters,
+                   "dtype": str(dt), "chunk_bytes": chunk_bytes},
+        "x_nbytes": int(x.nbytes),
+        "hoisted_transposed_operand": hoisted,
+        "operand_bytes": int(operand_bytes),
+        "reference_hoisted": staged_hoisted,
+        "bit_identical": bool(
+            np.array_equal(hoist["labels"], staged["labels"])
+            and np.array_equal(hoist["first_best"].view(u),
+                               staged["first_best"].view(u))
+            and np.array_equal(hoist["centroids"].view(u),
+                               staged["centroids"].view(u))),
+    }
+
+
 def run_fastpath_bench(m: int = FULL_SHAPE["m"],
                        n_features: int = FULL_SHAPE["n_features"],
                        n_clusters: int = FULL_SHAPE["n_clusters"],
@@ -315,6 +373,8 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
                                          else np.uint64)))
     finally:
         ref_engine.end_fit()
+
+    hoist_twin = run_hoist_twin(dtype=dtype, device=device, seed=seed)
 
     pruning = _pruning_bench(dev, dt, tile, tf32, m=m,
                              n_features=n_features, n_clusters=n_clusters,
@@ -375,6 +435,9 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
         # bound-pruned vs unpruned assignment on the converging blob
         # workload (bit-equality asserted inside the loop)
         "pruning": pruning,
+        # small default-knob fit past the chunk budget: hoists anyway,
+        # with the staging path's bits (gated by ``runner --smoke``)
+        "hoist_twin": hoist_twin,
         # per-stage wall breakdown of the traced re-run (span recorder)
         "trace": trace_summary,
         "stages": {
@@ -496,6 +559,12 @@ def _summarise(record: dict) -> str:
         f"active_frac {pr['active_frac_per_iter'][0]:.2f} -> "
         f"{pr['final_active_frac']:.2f}, "
         f"{pr['rows_pruned']} rows pruned")
+    tw = record["hoist_twin"]
+    lines.append(
+        f"  hoist twin     : x {tw['x_nbytes']} B > chunk_bytes "
+        f"{tw['config']['chunk_bytes']} B, hoisted "
+        f"{tw['hoisted_transposed_operand']} ({tw['operand_bytes']} B), "
+        f"bit-identical to staging {tw['bit_identical']}")
     trc = record.get("trace")
     if trc:
         top = sorted(trc["stage_totals"].items(),

@@ -14,7 +14,10 @@ its final ``active_frac``) are gated against the best prior same-host,
 same-shape entry just like the fast-path wall.  The reduce curve
 (schema v6) is gated too: every cell must stay bit-identical to the
 single-worker fit, and the stream merge's occupancy at the widest
-fleet must not regress against the best prior entry.  ``--trace-out``
+fleet must not regress against the best prior entry.  The fast-path
+record's operand-hoist twin — a small fit whose chunk budget is below
+``x.nbytes`` — must hoist one x-sized transposed operand with the
+staging path's bits (:func:`check_hoist_twin`).  ``--trace-out``
 forwards a trace output path to the dist smoke (a ``.jsonl`` suffix
 streams spans live as each closes; any other suffix writes a post-hoc
 Chrome trace JSON).
@@ -53,7 +56,7 @@ import numpy as np
 from repro.bench import analysis, figures
 from repro.bench.tables import print_figure
 
-__all__ = ["all_figures", "check_fastpath_regression",
+__all__ = ["all_figures", "check_fastpath_regression", "check_hoist_twin",
            "check_pruning_regression", "check_reduce_scaling",
            "check_selfheal_regression", "check_stale_report", "main"]
 
@@ -110,6 +113,26 @@ def check_fastpath_regression(record: dict, path, *,
             f"in {path.name}")
     return (f"regression check ok: engine wall {fresh:.3f} s vs best "
             f"prior {best:.3f} s ({best / max(1e-12, fresh):.2f}x)")
+
+
+def check_hoist_twin(record: dict) -> str:
+    """Gate the operand-hoist twin of a fast-path record.
+
+    Its fit ran with a chunk budget below ``x.nbytes``: it must still
+    hoist exactly one x-sized transposed operand, the staging reference
+    must not, and the two must agree bit for bit.  Raises
+    :class:`SystemExit` otherwise; returns a verdict line.
+    """
+    tw = record["hoist_twin"]
+    ok = (tw["config"]["chunk_bytes"] < tw["x_nbytes"]
+          and tw["hoisted_transposed_operand"]
+          and tw["operand_bytes"] == tw["x_nbytes"]
+          and not tw["reference_hoisted"]
+          and tw["bit_identical"])
+    if not ok:
+        raise SystemExit(f"HOIST REGRESSION: default-knob twin {tw}")
+    return (f"hoist twin ok: {tw['operand_bytes']} B operand past a "
+            f"{tw['config']['chunk_bytes']} B chunk budget, bit-identical")
 
 
 def check_pruning_regression(record: dict, path, *,
@@ -340,6 +363,7 @@ def main(argv=None) -> None:
         record = fastpath.main(["--smoke"]
                                + (["--out", args.out] if args.out else [])
                                + extra)
+        print("  " + check_hoist_twin(record))
         if out != "-" and not args.no_regression_check:
             print("  " + check_fastpath_regression(
                 record, out, slack=args.regression_slack))

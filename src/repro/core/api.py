@@ -277,8 +277,8 @@ class FTKMeans:
                 # share the engine's hoisted transposed operand with the
                 # update stage: under DMR the duplicate re-accumulation
                 # streams all of x each iteration and otherwise pays a
-                # fresh per-chunk transpose (bits unchanged; None when
-                # the operand budget declined the hoist)
+                # fresh per-chunk transpose (bits unchanged; None only
+                # when x exceeds the host operand budget)
                 xt = assigner.engine.prepare_update_operand()
                 if xt is not None:
                     updater.bind_source_t(x, xt)

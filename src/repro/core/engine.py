@@ -60,9 +60,12 @@ samples for the fused update accumulator.  The per-feed ``x_chunk.T``
 staging copy dominates the accumulation wall (strided gather); the
 accumulator reads contiguous feature rows from the bound transpose
 instead (:meth:`StreamedAccumulator.bind_source_t`), feeding bincount
-the identical float64 values.  The copy is made only when the sample
-matrix fits ``chunk_bytes``; larger fits keep the per-feed staging
-path, with the same bits.
+the identical float64 values.  Holding the copy is a memory decision,
+not a scratch one: every ``begin_fit`` cache hoists it unless ``x`` is
+larger than :func:`host_operand_budget` (half the host's physical
+memory), and ``chunk_bytes`` bounds assignment scratch only.  Passes
+over foreign data (predict/score) and declined fits keep the per-feed
+staging path, with the same bits.
 
 Fused centroid-update accumulation: ``assign`` optionally takes a
 :class:`repro.core.accumulate.StreamedAccumulator` and feeds it each
@@ -78,6 +81,8 @@ either.  They equal the seed one-shot ``np.add.at`` pass exactly.
 
 from __future__ import annotations
 
+import functools
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -100,6 +105,7 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "unit_rows_for_tile",
     "transpose_blocked",
+    "host_operand_budget",
     "BlockMap",
     "FitCache",
     "EngineStats",
@@ -121,6 +127,21 @@ GEMM_UNIT_ROWS = 256
 
 #: memory budget when neither ``chunk_bytes`` nor a device is given
 DEFAULT_CHUNK_BYTES = 8 << 20
+
+
+@functools.cache
+def host_operand_budget() -> int:
+    """Bytes a fit-lifetime transposed operand may occupy on this host.
+
+    Half the host's physical memory, read once per process: the copy
+    is as large as ``x``, so ``x.nbytes <=`` this leaves room for both.
+    0 (never hoist) when the platform does not report its memory.
+    """
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+    except (AttributeError, ValueError, OSError):
+        return 0
+
 
 def transpose_blocked(x: np.ndarray) -> np.ndarray:
     """Contiguous transposed copy of ``x``, built row band by row band.
@@ -313,7 +334,7 @@ class FastPathEngine:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
         # the hoisted update operand is admitted while x fits this
-        self.operand_budget = self.chunk_bytes
+        self.operand_budget = host_operand_budget()
         self.batch_chunks = bool(batch_chunks)
         self.prune = prune
         self._prune_mode = resolve_prune_mode(prune)
@@ -447,7 +468,12 @@ class FastPathEngine:
 
         Validation mirrors what the builder would produce (shape and
         dtype at this fit's geometry, within the operand budget), so an
-        adopted cache behaves byte-for-byte like a rebuilt one.
+        adopted cache behaves byte-for-byte like a rebuilt one.  An
+        ``x_t`` whose feature rows are contiguous — a column view of a
+        whole-data transpose the caller already holds — is borrowed
+        as-is: the accumulator reads ``x_t[:, off:off+rows]`` either
+        way, so the bits cannot move, and nothing is allocated or
+        charged.  Any other layout is copied (and charged).
         """
         if not preload:
             return
@@ -456,8 +482,11 @@ class FastPathEngine:
         if (cand is not None and cand.shape == (k, m)
                 and cand.dtype == self.dtype
                 and cand.nbytes <= self.operand_budget):
-            cache.x_t = np.ascontiguousarray(cand)
-            self._record_alloc("operand_cache_transpose", cand.nbytes)
+            if cand.strides[1] == cand.itemsize:
+                cache.x_t = cand
+            else:
+                cache.x_t = np.ascontiguousarray(cand)
+                self._record_alloc("operand_cache_transpose", cand.nbytes)
 
     def export_operands(self) -> dict:
         """The active fit cache's x-derived invariants, for checkpointing.
@@ -477,8 +506,9 @@ class FastPathEngine:
         return out
 
     def prepare_update_operand(self) -> np.ndarray | None:
-        """Materialise (budget permitting) the hoisted transposed update
-        operand for the active fit cache, and return it.
+        """Materialise the hoisted transposed update operand for the
+        active fit cache (None when x exceeds the operand budget), and
+        return it.
 
         The operand is normally built lazily at the first fused assign;
         forcing it here lets a shard worker checkpoint a *complete*
@@ -499,7 +529,9 @@ class FastPathEngine:
         so the accumulated bits never move.
         """
         if cache.x_t is None and cache.x.nbytes <= self.operand_budget:
-            cache.x_t = transpose_blocked(cache.x)
+            with active_tracer(self.tracer).span(
+                    "operand_hoist", nbytes=int(cache.x.nbytes)):
+                cache.x_t = transpose_blocked(cache.x)
             self._record_alloc("operand_cache_transpose", cache.x.nbytes)
         return cache.x_t
 

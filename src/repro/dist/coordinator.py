@@ -447,11 +447,25 @@ class Coordinator:
         cache_refresh_every = (self.checkpoint_every
                                if self.worker_cache is not None else 0)
 
+        # the whole-data transposed operand, hoisted once under the
+        # engine's memory rule.  It backs the merge accumulator's
+        # per-round re-feed and the update stage's DMR duplicate
+        # re-accumulation, and its column views are every in-process
+        # worker's shard operand — a serial/thread fleet holds one
+        # transpose, not one per worker.  Process children hoist their
+        # own shard.
+        xt = None
+        if x.nbytes <= probe.engine.operand_budget:
+            with tr.span("operand_hoist", nbytes=int(x.nbytes)):
+                xt = transpose_blocked(x)
+
         # the dataset segment: only the process executor pickles its
         # factories, so only it shares x; the in-process backends read
         # the caller's arrays directly
         shm_session = None
+        shared_xt = xt
         if isinstance(self.executor, ProcessExecutor):
+            shared_xt = None          # never pickled into the children
             try:
                 shm_session = ShmSession(x, sample_weight)
             except OSError as exc:
@@ -477,8 +491,8 @@ class Coordinator:
                                base_seed=base_seed,
                                cache_store=self.worker_cache,
                                cache_refresh_every=cache_refresh_every)
-            return partial(build_worker, x=x, plan=p, cfg=worker_cfg,
-                           n_clusters=n_clusters,
+            return partial(build_worker, x=x, x_t=shared_xt, plan=p,
+                           cfg=worker_cfg, n_clusters=n_clusters,
                            sample_weight=sample_weight,
                            base_seed=base_seed,
                            cache_store=self.worker_cache,
@@ -490,16 +504,8 @@ class Coordinator:
                               update_mode=cfg.resolved_update_mode())
         merge_acc = StreamedAccumulator(n_clusters, k)
         merge_acc.bind_weights(sample_weight)
-        # merge-operand hoist: one transposed copy of x lets every
-        # round's sequential-continuation re-feed read contiguous
-        # feature rows instead of re-transposing all of x (identical
-        # bits; same budget as the engine's transposed operand).
-        # The same copy serves the update stage's DMR duplicate
-        # re-accumulation, which streams the full x once per iteration.
-        chunk_budget = (cfg.chunk_bytes if cfg.chunk_bytes is not None
-                        else cfg.device.fastpath_chunk_bytes())
-        if x.nbytes <= chunk_budget:
-            xt = transpose_blocked(x)
+        if xt is not None:
+            # contiguous feature rows for every re-feed (identical bits)
             merge_acc.bind_source_t(xt)
             updater.bind_source_t(x, xt)
         labels = np.empty(m, dtype=np.int64)

@@ -94,12 +94,18 @@ class ShardWorker:
         re-saves it, so replacement preloads stay warm past the first
         recovery window.  Refreshes are first-writer-wins re-saves of
         the same per-fit-static operands — they never change bits.
+    x_t : ndarray of shape (N, shard_rows), optional
+        The shard's columns of a transposed operand the caller already
+        holds (in-process fleets pass a view of the coordinator's).
+        The engine borrows it instead of hoisting its own copy, and
+        cache entries keep only the light operands — a replacement
+        re-slices the view for free.
     """
 
     def __init__(self, worker_id: int, x_shard: np.ndarray, cfg,
                  n_clusters: int, *, sample_weight=None, base_seed: int = 0,
                  cache_store=None, cache_key: str | None = None,
-                 cache_refresh_every: int = 0):
+                 cache_refresh_every: int = 0, x_t=None):
         if cfg.mode != "fast":
             raise ValueError("ShardWorker requires mode='fast'")
         if cfg.tile == "auto":
@@ -116,13 +122,16 @@ class ShardWorker:
             cfg, m, k, np.random.default_rng(self.base_seed))
         preload = (cache_store.load(cache_key)
                    if cache_store is not None and cache_key else None)
+        self._borrowed_t = x_t
+        if x_t is not None:
+            preload = {**(preload or {}), "x_t": x_t}
         self.kernel.begin_fit(x_shard, n_clusters, preload=preload)
         if cache_store is not None and cache_key:
             # force the transposed update operand now (normally lazy) so
             # the export — and any replacement worker that preloads it —
             # covers the full operand cache, then persist the shard entry
             self.kernel.engine.prepare_update_operand()
-            cache_store.save(cache_key, self.kernel.engine.export_operands())
+            cache_store.save(cache_key, self._cache_entry())
         self.acc = StreamedAccumulator(n_clusters, k)
         self.acc.bind_weights(sample_weight)
         self.cache_refresh_every = int(cache_refresh_every)
@@ -136,6 +145,16 @@ class ShardWorker:
         self.kernel.engine.cancel_token = self._cancel
 
     # ------------------------------------------------------------------
+    def _cache_entry(self) -> dict:
+        """The engine's operands to checkpoint, minus a borrowed
+        transpose: it is a view of memory the caller owns, so storing
+        it would only copy (or write out) the shard again."""
+        ops = self.kernel.engine.export_operands()
+        x_t = ops.get("x_t")
+        if x_t is not None and x_t is self._borrowed_t:
+            del ops["x_t"]
+        return ops
+
     def _round_injector(self, iteration: int) -> None:
         """Per-round SEU injector, seeded by (base, worker, iteration)."""
         if self.cfg.p_inject <= 0:
@@ -179,8 +198,7 @@ class ShardWorker:
             # keep the shard's preload entry warm on long fits: a no-op
             # while the entry exists, a re-save once compaction evicted
             # it (operands are per-fit-static, so bits never change)
-            self.cache_store.refresh(
-                self.cache_key, self.kernel.engine.export_operands)
+            self.cache_store.refresh(self.cache_key, self._cache_entry)
         return RoundResult(
             worker_id=self.worker_id, iteration=iteration,
             labels=res.labels.copy(), best=res.min_sqdist.copy(),
@@ -219,7 +237,8 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
                  n_clusters: int, sample_weight=None,
                  base_seed: int = 0, cache_store=None,
                  cache_refresh_every: int = 0,
-                 data_ref=None, weight_ref=None) -> ShardWorker:
+                 data_ref=None, weight_ref=None,
+                 x_t: np.ndarray | None = None) -> ShardWorker:
     """Module-level worker factory (picklable for the process executor).
 
     Slices the worker's shard out of the full arrays via the
@@ -238,6 +257,10 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
     takes its shard as a zero-copy **view**, so pickling the factory —
     at boot, spare promotion, or elastic re-expand — ships only the
     tiny refs, never the rows.
+
+    In-process fleets also pass ``x_t``, the coordinator's transposed
+    operand of the full ``x``: every worker borrows its column view
+    ``x_t[:, lo:hi]``, so the fleet holds one transpose in total.
     """
     if data_ref is not None:
         from repro.dist.shm import attach_array
@@ -251,4 +274,6 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
     return ShardWorker(worker_id, x[shard.lo:shard.hi], cfg, n_clusters,
                        sample_weight=w, base_seed=base_seed,
                        cache_store=cache_store, cache_key=key,
-                       cache_refresh_every=cache_refresh_every)
+                       cache_refresh_every=cache_refresh_every,
+                       x_t=(None if x_t is None
+                            else x_t[:, shard.lo:shard.hi]))

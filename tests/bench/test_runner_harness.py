@@ -95,10 +95,30 @@ class TestSmokeGate:
         assert tr["bit_identical_vs_untraced"] is True
         assert tr["spans"] >= 1 and tr["dropped"] == 0
         for stage in ("fit", "iteration", "assign_chunk", "gemm",
-                      "update_feed"):
+                      "update_feed", "operand_hoist"):
             assert stage in tr["stage_totals"], stage
+        # the operand-hoist twin: past its chunk budget, still hoisted,
+        # with the staging path's bits (the runner gated it already)
+        tw = record["hoist_twin"]
+        assert tw["config"]["chunk_bytes"] < tw["x_nbytes"]
+        assert tw["hoisted_transposed_operand"] is True
+        assert tw["operand_bytes"] == tw["x_nbytes"]
+        assert tw["reference_hoisted"] is False
+        assert tw["bit_identical"] is True
         # the runner also regenerated the perf report
         assert (tmp_path / "perf.md").exists()
+
+    @pytest.mark.parametrize("key,bad", [
+        ("hoisted_transposed_operand", False), ("operand_bytes", 0),
+        ("reference_hoisted", True), ("bit_identical", False)])
+    def test_hoist_twin_gate_fails_loudly(self, key, bad):
+        good = {"config": {"chunk_bytes": 10}, "x_nbytes": 40,
+                "hoisted_transposed_operand": True, "operand_bytes": 40,
+                "reference_hoisted": False, "bit_identical": True}
+        assert "hoist twin ok" in runner.check_hoist_twin(
+            {"hoist_twin": good})
+        with pytest.raises(SystemExit, match="HOIST REGRESSION"):
+            runner.check_hoist_twin({"hoist_twin": {**good, key: bad}})
 
     def test_runner_smoke_appends_to_trajectory(self, tmp_path):
         out = tmp_path / "bench.json"

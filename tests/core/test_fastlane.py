@@ -5,8 +5,12 @@ stacked per-chunk GEMM dispatch are pure implementation shortcuts —
 labels, best-distance **bit patterns** and fused update sums are
 identical to the per-unit walk for any configuration, and under SEU
 injection the unit walk still fires for every chunk a fault plan
-targets.
+targets.  The unhoisted reference closes the engine's memory budget
+(``operand_budget``), never the chunk budget: ``chunk_bytes`` bounds
+assignment scratch only.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +20,8 @@ from hypothesis import strategies as st
 from repro import FTKMeans
 from repro.core.accumulate import StreamedAccumulator, accumulate_oneshot
 from repro.core.config import KMeansConfig
-from repro.core.engine import FastPathEngine
+import repro.core.engine as engine_mod
+from repro.core.engine import FastPathEngine, host_operand_budget
 from repro.core.tensorop import default_tensorop_tile
 from repro.core.variants import VARIANTS
 from repro.gpusim.counters import PerfCounters
@@ -24,18 +29,25 @@ from repro.gpusim.faults import FaultInjector
 
 TILE = default_tensorop_tile(np.float32)
 
-#: a chunk budget below the fixture's x.nbytes: nothing is hoisted
+#: a chunk budget far below the fixture's x.nbytes (many chunks)
 SMALL_CHUNK = 256 * 10 * 4
 
 
-def _run(x, y, *, batch_chunks, chunk_bytes=None,
-         tf32=True, injector_seed=None, p=0.7, weights=None, workers=1):
-    """One fused assignment pass; returns everything comparable."""
+def _run(x, y, *, batch_chunks, chunk_bytes=None, operand_budget=None,
+         tf32=True, injector_seed=None, p=0.7, weights=None, workers=1,
+         alloc_hook=None):
+    """One fused assignment pass; returns everything comparable.
+
+    ``operand_budget=0`` declines the hoist: the staging-path reference.
+    """
     inj = (FaultInjector(injector_seed, p, np.float32)
            if injector_seed is not None else None)
     eng = FastPathEngine(None, np.float32, tile=TILE, tf32=tf32,
                          injector=inj, chunk_bytes=chunk_bytes,
-                         batch_chunks=batch_chunks, workers=workers)
+                         batch_chunks=batch_chunks, workers=workers,
+                         alloc_hook=alloc_hook)
+    if operand_budget is not None:
+        eng.operand_budget = operand_budget
     acc = StreamedAccumulator(y.shape[0], x.shape[1])
     acc.bind_weights(weights)
     counters = PerfCounters()
@@ -68,7 +80,7 @@ class TestFastLaneBitIdentity:
         """The acceptance property: fast lane == per-unit path, bitwise."""
         x, y = data
         ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
-                   tf32=tf32)
+                   operand_budget=0, tf32=tf32)
         fast = _run(x, y, batch_chunks=True, tf32=tf32)
         assert not ref["hoisted"] and fast["hoisted"]
         # TF32 rounds per unit, so its chunks always walk
@@ -82,10 +94,11 @@ class TestFastLaneBitIdentity:
         """Each shortcut is independently bit-identical."""
         x, y = data
         ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
-                   tf32=False)
-        hoist_only = _run(x, y, batch_chunks=False, tf32=False)
-        batch_only = _run(x, y, batch_chunks=True, chunk_bytes=SMALL_CHUNK,
+                   operand_budget=0, tf32=False)
+        hoist_only = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
                           tf32=False)
+        batch_only = _run(x, y, batch_chunks=True, chunk_bytes=SMALL_CHUNK,
+                          operand_budget=0, tf32=False)
         assert hoist_only["hoisted"] and not batch_only["hoisted"]
         assert hoist_only["stats"].batched_chunks == 0
         assert batch_only["stats"].batched_chunks > 0
@@ -131,7 +144,8 @@ class TestFastLaneBitIdentity:
     def test_threaded_dispatch_bit_identical(self, data):
         """The fast lane composes with worker threads (in-order commit)."""
         x, y = data
-        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK)
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
+                   operand_budget=0)
         fast = _run(x, y, batch_chunks=True, chunk_bytes=x.nbytes,
                     workers=3)
         assert fast["hoisted"] and fast["stats"].chunks_run > 1
@@ -151,12 +165,12 @@ class TestFastLaneBitIdentity:
         x = rng.standard_normal((m, k)).astype(np.float32)
         y = rng.standard_normal((n, k)).astype(np.float32)
         inj_seed = seed if inject else None
-        ref = _run(x, y, batch_chunks=False,
-                   chunk_bytes=chunk_kb << 10, injector_seed=inj_seed)
-        # a budget that admits x: the fast run always hoists
-        fast = _run(x, y, batch_chunks=True,
-                    chunk_bytes=max(chunk_kb << 10, x.nbytes),
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=chunk_kb << 10,
+                   operand_budget=0, injector_seed=inj_seed)
+        # any chunk budget: the fast run always hoists
+        fast = _run(x, y, batch_chunks=True, chunk_bytes=chunk_kb << 10,
                     injector_seed=inj_seed)
+        assert fast["hoisted"] and not ref["hoisted"]
         assert np.array_equal(ref["labels"], fast["labels"])
         assert np.array_equal(ref["best_bits"], fast["best_bits"])
         assert np.array_equal(ref["sums_bits"], fast["sums_bits"])
@@ -199,20 +213,24 @@ class TestFaultLaneStillWalks:
 
 class TestOperandBudget:
     def test_over_budget_falls_back(self, data):
-        """An x larger than the chunk budget is not hoisted — the run
-        keeps the per-feed staging path, with the same bits."""
+        """An x larger than the memory budget is not hoisted — the run
+        keeps the per-feed staging path, with the same bits (checked
+        against the one-shot scatter oracle too)."""
         x, y = data
-        got = _run(x, y, batch_chunks=True, chunk_bytes=x.nbytes // 2)
+        got = _run(x, y, batch_chunks=True, operand_budget=x.nbytes // 2)
         assert not got["hoisted"]
-        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK)
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
+                   operand_budget=0)
         assert np.array_equal(ref["labels"], got["labels"])
         assert np.array_equal(ref["best_bits"], got["best_bits"])
         assert np.array_equal(ref["sums_bits"], got["sums_bits"])
+        one = accumulate_oneshot(x, got["labels"], y.shape[0])
+        assert np.array_equal(one.view(np.uint64), got["sums_bits"])
 
     def test_tf32_fit_hoists_transpose_not_rounded(self, monkeypatch):
-        """A TF32 fit whose x fits the chunk budget holds the transposed
-        update operand and no rounded copy of x, and is bit-equal to
-        the same fit with a budget too small to hoist."""
+        """A TF32 fit with a chunk budget below x.nbytes holds the
+        transposed update operand and no rounded copy of x, and is
+        bit-equal to the same fit with the memory budget closed."""
         held = []
         end_fit = FastPathEngine.end_fit
 
@@ -223,12 +241,14 @@ class TestOperandBudget:
         monkeypatch.setattr(FastPathEngine, "end_fit", spy)
         x = np.random.default_rng(4).standard_normal(
             (2048, 16)).astype(np.float32)
-        kw = dict(n_clusters=8, variant="ft", seed=2, max_iter=4, tol=0.0)
-        hoisted = FTKMeans(chunk_bytes=int(1.5 * x.nbytes), **kw).fit(x)
+        kw = dict(n_clusters=8, variant="ft", seed=2, max_iter=4, tol=0.0,
+                  chunk_bytes=x.nbytes // 4)
+        hoisted = FTKMeans(**kw).fit(x)
         assert {"x_norms", "x_t"} in held
         assert not any("x_rounded" in ops for ops in held)
         held.clear()
-        walked = FTKMeans(chunk_bytes=x.nbytes // 4, **kw).fit(x)
+        monkeypatch.setattr(engine_mod, "host_operand_budget", lambda: 0)
+        walked = FTKMeans(**kw).fit(x)
         assert held and not any("x_t" in ops for ops in held)
         assert np.array_equal(hoisted.labels_, walked.labels_)
         assert np.array_equal(hoisted.cluster_centers_.view(np.uint32),
@@ -248,9 +268,16 @@ class TestOperandBudget:
         charged = [(n, b) for n, b in allocs if n.startswith("operand_cache")]
         assert charged == [("operand_cache_transpose", x.nbytes)]
 
-    def test_operand_budget_is_chunk_bytes(self):
-        assert FastPathEngine(None, np.float32,
-                              chunk_bytes=123).operand_budget == 123
+    def test_operand_budget_is_host_memory(self):
+        """The budget is half the host's physical memory, read once,
+        and no chunk budget moves it."""
+        budget = host_operand_budget()
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert budget == phys // 2 > 0
+        for chunk_bytes in (123, None, 1 << 30):
+            assert FastPathEngine(None, np.float32,
+                                  chunk_bytes=chunk_bytes
+                                  ).operand_budget == budget
 
     def test_removed_knobs_rejected(self):
         with pytest.raises(TypeError):
@@ -268,12 +295,14 @@ class TestOperandBudget:
                                                (1, True)])
     def test_hoist_boundary_is_x_nbytes(self, data, slack, hoisted):
         """The transposed operand is admitted exactly when
-        ``x.nbytes <= chunk_bytes``, and admitting it never moves the
-        bits of the pass."""
+        ``x.nbytes <= operand_budget`` — whatever ``chunk_bytes`` is —
+        and admitting it never moves the bits of the pass."""
         x, y = data
-        got = _run(x, y, batch_chunks=True, chunk_bytes=x.nbytes + slack)
+        got = _run(x, y, batch_chunks=True, chunk_bytes=SMALL_CHUNK,
+                   operand_budget=x.nbytes + slack)
         assert got["hoisted"] is hoisted
-        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK)
+        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
+                   operand_budget=0)
         assert np.array_equal(ref["labels"], got["labels"])
         assert np.array_equal(ref["best_bits"], got["best_bits"])
         assert np.array_equal(ref["sums_bits"], got["sums_bits"])
@@ -299,6 +328,60 @@ class TestOperandBudget:
             assert np.array_equal(one, acc.packed())
         finally:
             eng.end_fit()
+
+
+def _spy_charges(monkeypatch) -> list:
+    """Every (name, nbytes) any engine charges from here on."""
+    charged = []
+    record = FastPathEngine._record_alloc
+
+    def spy(engine, name, nbytes):
+        charged.append((name, nbytes))
+        record(engine, name, nbytes)
+
+    monkeypatch.setattr(FastPathEngine, "_record_alloc", spy)
+    return charged
+
+
+class TestDefaultKnobHoist:
+    """Regression: a fit whose x outgrows ``chunk_bytes`` still hoists
+    exactly one x-sized transpose, with the staging path's bits."""
+
+    def test_engine(self, data):
+        x, y = data
+        allocs = []
+        got = _run(x, y, batch_chunks=True, chunk_bytes=SMALL_CHUNK,
+                   alloc_hook=lambda n, b: allocs.append((n, b)))
+        assert SMALL_CHUNK < x.nbytes and got["hoisted"]
+        assert [(n, b) for n, b in allocs if n.startswith("operand")] == [
+            ("operand_cache_transpose", x.nbytes)]
+        ref = _run(x, y, batch_chunks=True, chunk_bytes=SMALL_CHUNK,
+                   operand_budget=0)
+        assert not ref["hoisted"]
+        for key in ("labels", "best_bits", "sums_bits"):
+            assert np.array_equal(ref[key], got[key])
+        one = accumulate_oneshot(x, got["labels"], y.shape[0])
+        assert np.array_equal(one.view(np.uint64), got["sums_bits"])
+
+    def test_estimator_at_default_knobs(self, monkeypatch):
+        """No knob but the shape: x outgrows the device-derived chunk
+        budget, the update stage's DMR duplicate included."""
+        x = np.random.default_rng(9).standard_normal(
+            (90_000, 64)).astype(np.float32)
+        assert x.nbytes > KMeansConfig().device.fastpath_chunk_bytes()
+        kw = dict(n_clusters=4, seed=0, max_iter=2, tol=0.0)
+        charged = _spy_charges(monkeypatch)
+        hoisted = FTKMeans(**kw).fit(x)
+        assert [(n, b) for n, b in charged if n.startswith("operand")] == [
+            ("operand_cache_transpose", x.nbytes)]
+        charged.clear()
+        monkeypatch.setattr(engine_mod, "host_operand_budget", lambda: 0)
+        staged = FTKMeans(**kw).fit(x)
+        assert not any(n.startswith("operand") for n, _ in charged)
+        assert np.array_equal(hoisted.labels_, staged.labels_)
+        assert np.array_equal(hoisted.cluster_centers_.view(np.uint32),
+                              staged.cluster_centers_.view(np.uint32))
+        assert hoisted.inertia_history_ == staged.inertia_history_
 
 
 class TestBoundSourceAccumulator:

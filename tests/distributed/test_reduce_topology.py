@@ -17,8 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_mod
+import repro.dist.coordinator as coordinator_mod
 from repro import FTKMeans
 from repro.core.config import KMeansConfig
+from repro.core.engine import FastPathEngine
 from repro.core.update import UpdateStage
 from repro.dist import Coordinator, ReduceOccupancy, WorkerFaultInjector
 from repro.dist.executors import SerialExecutor
@@ -192,7 +195,8 @@ class TestMergeOrderContract:
 
 class TestMergeOperandHoist:
     """The coordinator hoists its transposed merge operand under the
-    engine's rule — ``x.nbytes <= chunk_bytes`` — without moving bits."""
+    engine's memory rule — ``x.nbytes <= operand_budget``, whatever
+    ``chunk_bytes`` is — without moving bits."""
 
     @pytest.mark.parametrize("slack,hoisted", [(-1, False), (0, True)])
     def test_hoist_boundary_is_x_nbytes(self, x, monkeypatch, slack,
@@ -205,16 +209,52 @@ class TestMergeOperandHoist:
             bind(stage, src, src_t)
 
         monkeypatch.setattr(UpdateStage, "bind_source_t", spy)
+        monkeypatch.setattr(engine_mod, "host_operand_budget",
+                            lambda: x.nbytes + slack)
         y0 = x[:K].copy()
-        res = Coordinator(_cfg(executor="serial",
-                               chunk_bytes=x.nbytes + slack)).fit(x, y0)
+        cfg = _cfg(executor="serial", chunk_bytes=x.nbytes // 8)
+        res = Coordinator(cfg).fit(x, y0)
         # the same transposed copy backs the merge accumulator and the
         # update stage's DMR re-accumulation
         assert bound == ([True] if hoisted else [])
-        monkeypatch.undo()
-        ref = Coordinator(_cfg(executor="serial",
-                               chunk_bytes=x.nbytes // 8)).fit(x, y0)
+        monkeypatch.setattr(engine_mod, "host_operand_budget", lambda: 0)
+        ref = Coordinator(cfg).fit(x, y0)
+        assert bound == ([True] if hoisted else [])
         assert np.array_equal(ref.centroids, res.centroids)
+        assert np.array_equal(ref.labels, res.labels)
+        assert ref.inertia_history == res.inertia_history
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_default_knob_fit_past_chunk_bytes_hoists_once(
+            self, x, monkeypatch, executor):
+        """Regression: x outgrows ``chunk_bytes`` and the fleet still
+        holds exactly one x-sized transpose — the coordinator's — with
+        the staging path's bits."""
+        made, charged = [], []
+        transpose = coordinator_mod.transpose_blocked
+        record = FastPathEngine._record_alloc
+
+        def t_spy(a):
+            made.append(transpose(a))
+            return made[-1]
+
+        def charge_spy(engine, name, nbytes):
+            charged.append(name)
+            record(engine, name, nbytes)
+
+        monkeypatch.setattr(coordinator_mod, "transpose_blocked", t_spy)
+        monkeypatch.setattr(FastPathEngine, "_record_alloc", charge_spy)
+        y0 = x[:K].copy()
+        cfg = _cfg(executor=executor, chunk_bytes=x.nbytes // 8)
+        res = Coordinator(cfg).fit(x, y0)
+        assert [t.nbytes for t in made] == [x.nbytes]
+        assert "operand_cache_transpose" not in charged
+        monkeypatch.setattr(engine_mod, "host_operand_budget", lambda: 0)
+        made.clear()
+        ref = Coordinator(cfg).fit(x, y0)
+        assert made == []
+        assert np.array_equal(ref.centroids.view(np.uint32),
+                              res.centroids.view(np.uint32))
         assert np.array_equal(ref.labels, res.labels)
         assert ref.inertia_history == res.inertia_history
 

@@ -39,5 +39,33 @@ class TestTracingNeutrality:
         assert np.array_equal(base.cluster_centers_.view(np.uint32),
                               traced.cluster_centers_.view(np.uint32))
         assert base.inertia_ == traced.inertia_
-        # spans really recorded (the traced run wasn't a silent no-op)
-        assert {"fit", "iteration"} <= {s.name for s in rec.spans}
+        # spans really recorded (the traced run wasn't a silent no-op),
+        # the update operand's hoist among them
+        assert {"fit", "iteration", "operand_hoist"} <= {
+            s.name for s in rec.spans}
+
+    @given(m=st.integers(64, 400), n_workers=st.integers(2, 3),
+           executor=st.sampled_from(["serial", "thread"]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=6, deadline=None)
+    def test_traced_sharded_fit_bit_identical(self, m, n_workers, executor,
+                                              seed):
+        """The coordinator's hoist span (and the workers' borrowed
+        views under it) leaves a sharded fit's bits alone."""
+        rng = np.random.default_rng(seed)
+        x = rng.random((m, 8), dtype=np.float64).astype(np.float32)
+
+        def fit(tracer):
+            return FTKMeans(n_clusters=4, max_iter=4, tol=0.0, seed=seed,
+                            n_workers=n_workers, executor=executor,
+                            tracer=tracer).fit(x)
+
+        base = fit(None)
+        rec = TraceRecorder()
+        traced = fit(rec)
+        assert np.array_equal(base.labels_, traced.labels_)
+        assert np.array_equal(base.cluster_centers_.view(np.uint32),
+                              traced.cluster_centers_.view(np.uint32))
+        assert base.inertia_history_ == traced.inertia_history_
+        hoists = [s for s in rec.spans if s.name == "operand_hoist"]
+        assert len(hoists) == 1 and hoists[0].meta["nbytes"] == x.nbytes
