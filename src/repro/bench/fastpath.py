@@ -374,8 +374,6 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
     finally:
         ref_engine.end_fit()
 
-    hoist_twin = run_hoist_twin(dtype=dtype, device=device, seed=seed)
-
     pruning = _pruning_bench(dev, dt, tile, tf32, m=m,
                              n_features=n_features, n_clusters=n_clusters,
                              chunk_bytes=chunk_bytes, workers=workers,
@@ -435,9 +433,6 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
         # bound-pruned vs unpruned assignment on the converging blob
         # workload (bit-equality asserted inside the loop)
         "pruning": pruning,
-        # small default-knob fit past the chunk budget: hoists anyway,
-        # with the staging path's bits (gated by ``runner --smoke``)
-        "hoist_twin": hoist_twin,
         # per-stage wall breakdown of the traced re-run (span recorder)
         "trace": trace_summary,
         "stages": {
@@ -487,10 +482,15 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
 
 
 def run_smoke(**overrides) -> dict:
-    """The < 60 s gating configuration (tier-1 friendly)."""
+    """The < 60 s gating configuration (tier-1 friendly), plus the
+    operand-hoist twin that ``runner --smoke`` gates."""
     kwargs = dict(SMOKE_SHAPE)
     kwargs.update(overrides)
-    return run_fastpath_bench(**kwargs)
+    record = run_fastpath_bench(**kwargs)
+    record["hoist_twin"] = run_hoist_twin(
+        dtype=kwargs.get("dtype", "float32"),
+        device=kwargs.get("device", "a100"), seed=kwargs.get("seed", 0))
+    return record
 
 
 def write_record(record: dict, path: Path | str = DEFAULT_RESULT_PATH, *,
@@ -559,12 +559,13 @@ def _summarise(record: dict) -> str:
         f"active_frac {pr['active_frac_per_iter'][0]:.2f} -> "
         f"{pr['final_active_frac']:.2f}, "
         f"{pr['rows_pruned']} rows pruned")
-    tw = record["hoist_twin"]
-    lines.append(
-        f"  hoist twin     : x {tw['x_nbytes']} B > chunk_bytes "
-        f"{tw['config']['chunk_bytes']} B, hoisted "
-        f"{tw['hoisted_transposed_operand']} ({tw['operand_bytes']} B), "
-        f"bit-identical to staging {tw['bit_identical']}")
+    tw = record.get("hoist_twin")
+    if tw:
+        lines.append(
+            f"  hoist twin     : x {tw['x_nbytes']} B > chunk_bytes "
+            f"{tw['config']['chunk_bytes']} B, hoisted "
+            f"{tw['hoisted_transposed_operand']} ({tw['operand_bytes']} B), "
+            f"bit-identical to staging {tw['bit_identical']}")
     trc = record.get("trace")
     if trc:
         top = sorted(trc["stage_totals"].items(),
@@ -605,9 +606,9 @@ def main(argv=None) -> dict:
                      ("n_clusters", args.clusters), ("iters", args.iters)):
         if val is not None:
             kwargs[key] = val
-    record = run_fastpath_bench(chunk_bytes=args.chunk_bytes,
-                                workers=args.workers, dtype=args.dtype,
-                                **kwargs)
+    run = run_smoke if args.smoke else run_fastpath_bench
+    record = run(chunk_bytes=args.chunk_bytes, workers=args.workers,
+                 dtype=args.dtype, **kwargs)
     print(_summarise(record))
     if args.out != "-":
         path = write_record(record, args.out)

@@ -62,8 +62,9 @@ accumulator reads contiguous feature rows from the bound transpose
 instead (:meth:`StreamedAccumulator.bind_source_t`), feeding bincount
 the identical float64 values.  Holding the copy is a memory decision,
 not a scratch one: every ``begin_fit`` cache hoists it unless ``x`` is
-larger than :func:`host_operand_budget` (half the host's physical
-memory), and ``chunk_bytes`` bounds assignment scratch only.  Passes
+larger than :func:`host_operand_budget` (a quarter of the memory the
+process may use, so ``x`` and its copy fit in half of it), and
+``chunk_bytes`` bounds assignment scratch only.  Passes
 over foreign data (predict/score) and declined fits keep the per-feed
 staging path, with the same bits.
 
@@ -129,21 +130,44 @@ GEMM_UNIT_ROWS = 256
 DEFAULT_CHUNK_BYTES = 8 << 20
 
 
+#: cgroup (v2, then v1) files holding this process's memory limit
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max",
+                  "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def _usable_memory() -> int:
+    """Bytes of memory this process may use: the host's physical
+    memory, capped by a cgroup limit when one is set.  0 when the
+    platform reports neither."""
+    try:
+        usable = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        usable = 0
+    for path in _CGROUP_LIMITS:
+        try:
+            with open(path) as f:
+                limit = int(f.read().strip())
+        except (OSError, ValueError):       # absent, or "max" (no limit)
+            continue
+        usable = min(usable, limit) if usable else limit
+    return usable
+
+
 @functools.cache
 def host_operand_budget() -> int:
-    """Bytes a fit-lifetime transposed operand may occupy on this host.
+    """Largest ``x.nbytes`` whose fit may hoist a transposed copy.
 
-    Half the host's physical memory, read once per process: the copy
-    is as large as ``x``, so ``x.nbytes <=`` this leaves room for both.
-    0 (never hoist) when the platform does not report its memory.
+    A quarter of :func:`_usable_memory`, read once per process: ``x``
+    and its equally large copy together then take at most half of what
+    this process may use, leaving the other half as headroom for
+    scratch and everything else.  0 (never hoist) when the platform
+    does not report its memory.
     """
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
-    except (AttributeError, ValueError, OSError):
-        return 0
+    return _usable_memory() // 4
 
 
-def transpose_blocked(x: np.ndarray) -> np.ndarray:
+def transpose_blocked(x: np.ndarray, out: np.ndarray | None = None
+                      ) -> np.ndarray:
     """Contiguous transposed copy of ``x``, built row band by row band.
 
     A transpose is a pure copy, so blocking cannot move a bit — it only
@@ -151,10 +175,13 @@ def transpose_blocked(x: np.ndarray) -> np.ndarray:
     ~4 MB slab of ``x`` and scatters it into the output's columns,
     instead of one full-matrix strided gather whose reads miss on every
     row once ``x`` outgrows the last-level cache.  Drop-in equal to
-    ``np.ascontiguousarray(x.T)``.
+    ``np.ascontiguousarray(x.T)``; ``out`` (a ``(n, m)`` array of
+    ``x``'s dtype, e.g. a shared-memory buffer) receives the copy
+    instead of a fresh allocation.
     """
     m, n = x.shape
-    out = np.empty((n, m), dtype=x.dtype)
+    if out is None:
+        out = np.empty((n, m), dtype=x.dtype)
     step = max(1, (4 << 20) // max(1, n * x.itemsize))
     for lo in range(0, m, step):
         out[:, lo:lo + step] = x[lo:lo + step].T
@@ -383,7 +410,8 @@ class FastPathEngine:
 
     # -- per-fit cache --------------------------------------------------
     def begin_fit(self, x: np.ndarray, n_clusters: int | None = None, *,
-                  preload: dict | None = None) -> FitCache:
+                  preload: dict | None = None,
+                  x_t: np.ndarray | None = None) -> FitCache:
         """Hoist fit-invariants for ``x``; reused by every assign() on it.
 
         ``preload`` optionally supplies previously exported operands
@@ -393,9 +421,21 @@ class FastPathEngine:
         operand budget; anything that does not match (or fit) is
         silently ignored and rebuilt on the usual path, so a stale or
         partial preload can degrade only boot time, never bits.
+
+        ``x_t`` lends the fit a transposed update operand the caller
+        already holds — in :mod:`repro.dist`, a worker's column view of
+        the coordinator's whole-data transpose.  It is borrowed as-is:
+        nothing is copied or charged, and the accumulator reads
+        ``x_t[:, off:off+rows]`` exactly as from a hoisted copy, so the
+        bits cannot move.  A shape/dtype mismatch is ignored.
         """
         self._cache = self._build_cache(x, n_clusters, preload=preload)
-        self._adopt_operands(self._cache, preload)
+        m, k = self._cache.x.shape
+        if (x_t is not None and x_t.shape == (k, m)
+                and x_t.dtype == self.dtype):
+            self._cache.x_t = x_t
+        else:
+            self._adopt_operands(self._cache, preload)
         return self._cache
 
     def end_fit(self) -> None:
@@ -469,11 +509,8 @@ class FastPathEngine:
         Validation mirrors what the builder would produce (shape and
         dtype at this fit's geometry, within the operand budget), so an
         adopted cache behaves byte-for-byte like a rebuilt one.  An
-        ``x_t`` whose feature rows are contiguous — a column view of a
-        whole-data transpose the caller already holds — is borrowed
-        as-is: the accumulator reads ``x_t[:, off:off+rows]`` either
-        way, so the bits cannot move, and nothing is allocated or
-        charged.  Any other layout is copied (and charged).
+        adopted transpose is owned by this fit, so it is charged like a
+        hoisted one.
         """
         if not preload:
             return
@@ -482,11 +519,8 @@ class FastPathEngine:
         if (cand is not None and cand.shape == (k, m)
                 and cand.dtype == self.dtype
                 and cand.nbytes <= self.operand_budget):
-            if cand.strides[1] == cand.itemsize:
-                cache.x_t = cand
-            else:
-                cache.x_t = np.ascontiguousarray(cand)
-                self._record_alloc("operand_cache_transpose", cand.nbytes)
+            cache.x_t = np.ascontiguousarray(cand)
+            self._record_alloc("operand_cache_transpose", cand.nbytes)
 
     def export_operands(self) -> dict:
         """The active fit cache's x-derived invariants, for checkpointing.
@@ -511,9 +545,8 @@ class FastPathEngine:
         return it.
 
         The operand is normally built lazily at the first fused assign;
-        forcing it here lets a shard worker checkpoint a *complete*
-        operand cache at boot, and lets the estimator bind it through
-        the update stage's DMR duplicate before the first iteration.
+        forcing it here lets the estimator bind it through the update
+        stage's DMR duplicate before the first iteration.
         """
         if self._cache is None:
             return None

@@ -334,16 +334,18 @@ class WorkerCacheStore:
     """Shard-keyed checkpoints of worker engine operand caches.
 
     A worker booting onto a shard spends its start-up on per-fit
-    invariants: the x-norm pass and the hoisted transposed operand
-    copy.  Those are pure functions of the shard rows — identical for
-    the original worker, a respawn, and a promoted spare — so the first
-    worker to build them checkpoints the result here and every later
-    boot onto the same rows preloads it (the engine re-validates
-    shape/dtype on adoption; a stale or partial entry costs boot time,
-    never bits).  A worker that *borrows* its transpose as a view of the
-    coordinator's (serial/thread fleets) saves only the light part:
-    storing the view would copy — or write out — the shard again, while
-    a replacement re-slices the view for free.
+    invariants such as the x-norm pass.  Those are pure functions of
+    the shard rows — identical for the original worker, a respawn, and
+    a promoted spare — so the first worker to build them checkpoints
+    the result here and every later boot onto the same rows preloads
+    it (the engine re-validates shape/dtype on adoption; a stale or
+    partial entry costs boot time, never bits).  A
+    :class:`~repro.dist.worker.ShardWorker` saves only the light part:
+    its transpose is always a borrowed view of the coordinator's, which
+    storing would copy — or write out — again, while a replacement
+    re-slices the view for free.  The heavy part serves any other
+    caller of
+    :meth:`~repro.core.engine.FastPathEngine.export_operands`.
 
     Keys are shard row ranges (``"shard_{lo}_{hi}"``), not worker ids:
     after an elastic replan the same rows may belong to a different id.

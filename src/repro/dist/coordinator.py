@@ -447,25 +447,11 @@ class Coordinator:
         cache_refresh_every = (self.checkpoint_every
                                if self.worker_cache is not None else 0)
 
-        # the whole-data transposed operand, hoisted once under the
-        # engine's memory rule.  It backs the merge accumulator's
-        # per-round re-feed and the update stage's DMR duplicate
-        # re-accumulation, and its column views are every in-process
-        # worker's shard operand — a serial/thread fleet holds one
-        # transpose, not one per worker.  Process children hoist their
-        # own shard.
-        xt = None
-        if x.nbytes <= probe.engine.operand_budget:
-            with tr.span("operand_hoist", nbytes=int(x.nbytes)):
-                xt = transpose_blocked(x)
-
         # the dataset segment: only the process executor pickles its
         # factories, so only it shares x; the in-process backends read
         # the caller's arrays directly
         shm_session = None
-        shared_xt = xt
         if isinstance(self.executor, ProcessExecutor):
-            shared_xt = None          # never pickled into the children
             try:
                 shm_session = ShmSession(x, sample_weight)
             except OSError as exc:
@@ -473,6 +459,22 @@ class Coordinator:
                     f"shared-memory dataset segment unavailable ({exc}); "
                     f"worker factories will carry the rows",
                     RuntimeWarning, stacklevel=2)
+
+        # the fleet's one transposed update operand, hoisted under the
+        # engine's memory rule.  It backs the merge accumulator's
+        # per-round re-feed and the update stage's DMR duplicate, and
+        # every worker borrows its column view — in-process workers of
+        # the array, process children of its segment.  Workers never
+        # hoist their own, so this decision covers the whole fleet.
+        # Without the dataset segment, process children carry no view
+        # (pickling it would copy it per child) and run the staging path.
+        xt = None
+        if x.nbytes <= probe.engine.operand_budget:
+            with tr.span("operand_hoist", nbytes=int(x.nbytes)):
+                xt = (shm_session.share_transpose(x)
+                      if shm_session is not None else transpose_blocked(x))
+        lent_xt = (None if isinstance(self.executor, ProcessExecutor)
+                   else xt)
 
         # functools.partial of a module-level function: picklable, so
         # the process executor can ship it under any start method.  The
@@ -488,10 +490,11 @@ class Coordinator:
                                n_clusters=n_clusters,
                                data_ref=shm_session.data_ref,
                                weight_ref=shm_session.weight_ref,
+                               xt_ref=shm_session.xt_ref,
                                base_seed=base_seed,
                                cache_store=self.worker_cache,
                                cache_refresh_every=cache_refresh_every)
-            return partial(build_worker, x=x, x_t=shared_xt, plan=p,
+            return partial(build_worker, x=x, x_t=lent_xt, plan=p,
                            cfg=worker_cfg, n_clusters=n_clusters,
                            sample_weight=sample_weight,
                            base_seed=base_seed,
@@ -784,6 +787,10 @@ class Coordinator:
             # covered by the resource tracker — either way /dev/shm
             # holds no strays once the fit is gone
             if shm_session is not None:
+                # a transpose in the segment is unmapped by the close:
+                # drop the coordinator's bindings of it first
+                merge_acc.bind_source_t(None)
+                updater.bind_source_t(None, None)
                 shm_session.close()
             # flush barrier: every snapshot of this fit is durable
             # before fit() returns (or propagates its error)

@@ -79,10 +79,9 @@ class ShardWorker:
     cache_store : WorkerCacheStore, optional
         Shard-local operand-cache checkpoints (see
         :class:`repro.dist.checkpoint.WorkerCacheStore`).  On boot the
-        worker preloads its shard's entry (skipping the x-norm pass and,
-        when cached, the transposed operand build) and saves a
-        fresh export after ``begin_fit`` so a replacement worker booting
-        onto the same shard skips them too.  Purely a boot-time
+        worker preloads its shard's entry (skipping the x-norm pass)
+        and saves a fresh export after ``begin_fit`` so a replacement
+        worker booting onto the same shard skips it too.  Purely a boot-time
         optimisation: preloaded operands are validated (shape/dtype)
         and never change a single bit of the fit.
     cache_key : str, optional
@@ -95,11 +94,12 @@ class ShardWorker:
         recovery window.  Refreshes are first-writer-wins re-saves of
         the same per-fit-static operands — they never change bits.
     x_t : ndarray of shape (N, shard_rows), optional
-        The shard's columns of a transposed operand the caller already
-        holds (in-process fleets pass a view of the coordinator's).
-        The engine borrows it instead of hoisting its own copy, and
-        cache entries keep only the light operands — a replacement
-        re-slices the view for free.
+        The shard's columns of a transposed update operand the caller
+        already holds (a coordinator passes a view of its own).  The
+        engine borrows it; without it the worker runs the per-feed
+        staging path.  A worker never hoists (or preloads) a transpose
+        of its own, so one hoist decision — the coordinator's — covers
+        the whole fleet and a declined fit holds no transpose anywhere.
     """
 
     def __init__(self, worker_id: int, x_shard: np.ndarray, cfg,
@@ -120,17 +120,14 @@ class ShardWorker:
         m, k = x_shard.shape
         self.kernel = build_assignment(
             cfg, m, k, np.random.default_rng(self.base_seed))
+        # a shard worker never owns a transpose: it borrows the fleet's
+        # (``x_t``) or runs the staging path, so the coordinator's hoist
+        # decision holds for the whole fleet
+        self.kernel.engine.operand_budget = 0
         preload = (cache_store.load(cache_key)
                    if cache_store is not None and cache_key else None)
-        self._borrowed_t = x_t
-        if x_t is not None:
-            preload = {**(preload or {}), "x_t": x_t}
-        self.kernel.begin_fit(x_shard, n_clusters, preload=preload)
+        self.kernel.begin_fit(x_shard, n_clusters, preload=preload, x_t=x_t)
         if cache_store is not None and cache_key:
-            # force the transposed update operand now (normally lazy) so
-            # the export — and any replacement worker that preloads it —
-            # covers the full operand cache, then persist the shard entry
-            self.kernel.engine.prepare_update_operand()
             cache_store.save(cache_key, self._cache_entry())
         self.acc = StreamedAccumulator(n_clusters, k)
         self.acc.bind_weights(sample_weight)
@@ -146,13 +143,12 @@ class ShardWorker:
 
     # ------------------------------------------------------------------
     def _cache_entry(self) -> dict:
-        """The engine's operands to checkpoint, minus a borrowed
-        transpose: it is a view of memory the caller owns, so storing
-        it would only copy (or write out) the shard again."""
+        """The engine's operands to checkpoint, minus the transpose: a
+        worker's is always a borrowed view of memory the caller owns,
+        so storing it would only copy (or write out) the shard again,
+        while a replacement re-slices the view for free."""
         ops = self.kernel.engine.export_operands()
-        x_t = ops.get("x_t")
-        if x_t is not None and x_t is self._borrowed_t:
-            del ops["x_t"]
+        ops.pop("x_t", None)
         return ops
 
     def _round_injector(self, iteration: int) -> None:
@@ -238,7 +234,8 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
                  base_seed: int = 0, cache_store=None,
                  cache_refresh_every: int = 0,
                  data_ref=None, weight_ref=None,
-                 x_t: np.ndarray | None = None) -> ShardWorker:
+                 x_t: np.ndarray | None = None,
+                 xt_ref=None) -> ShardWorker:
     """Module-level worker factory (picklable for the process executor).
 
     Slices the worker's shard out of the full arrays via the
@@ -258,15 +255,20 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
     at boot, spare promotion, or elastic re-expand — ships only the
     tiny refs, never the rows.
 
-    In-process fleets also pass ``x_t``, the coordinator's transposed
-    operand of the full ``x``: every worker borrows its column view
-    ``x_t[:, lo:hi]``, so the fleet holds one transpose in total.
+    A coordinator that hoisted the transposed operand of the full ``x``
+    also passes it — the array itself (``x_t``) to in-process fleets,
+    its segment ref (``xt_ref``) to process children — and every worker
+    borrows its column view ``x_t[:, lo:hi]``, so the fleet holds one
+    transpose in total.
     """
-    if data_ref is not None:
+    if data_ref is not None or xt_ref is not None:
         from repro.dist.shm import attach_array
+    if data_ref is not None:
         x = attach_array(data_ref)
         if weight_ref is not None:
             sample_weight = attach_array(weight_ref)
+    if xt_ref is not None:
+        x_t = attach_array(xt_ref)
     shard = plan.shard_of(worker_id)
     w = (None if sample_weight is None
          else sample_weight[shard.lo:shard.hi])

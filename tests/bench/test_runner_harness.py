@@ -97,14 +97,9 @@ class TestSmokeGate:
         for stage in ("fit", "iteration", "assign_chunk", "gemm",
                       "update_feed", "operand_hoist"):
             assert stage in tr["stage_totals"], stage
-        # the operand-hoist twin: past its chunk budget, still hoisted,
-        # with the staging path's bits (the runner gated it already)
-        tw = record["hoist_twin"]
-        assert tw["config"]["chunk_bytes"] < tw["x_nbytes"]
-        assert tw["hoisted_transposed_operand"] is True
-        assert tw["operand_bytes"] == tw["x_nbytes"]
-        assert tw["reference_hoisted"] is False
-        assert tw["bit_identical"] is True
+        # the operand-hoist twin rode the smoke run (and passed the
+        # runner's gate, which raises otherwise)
+        assert "hoist_twin" in record
         # the runner also regenerated the perf report
         assert (tmp_path / "perf.md").exists()
 

@@ -269,15 +269,29 @@ class TestOperandBudget:
         assert charged == [("operand_cache_transpose", x.nbytes)]
 
     def test_operand_budget_is_host_memory(self):
-        """The budget is half the host's physical memory, read once,
-        and no chunk budget moves it."""
+        """The budget is a quarter of the usable memory (x and its copy
+        within half of it), read once, and no chunk budget moves it."""
         budget = host_operand_budget()
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        assert budget == phys // 2 > 0
+        assert budget == engine_mod._usable_memory() // 4 > 0
+        assert 2 * budget <= phys // 2
         for chunk_bytes in (123, None, 1 << 30):
             assert FastPathEngine(None, np.float32,
                                   chunk_bytes=chunk_bytes
                                   ).operand_budget == budget
+
+    @pytest.mark.parametrize("limit,capped", [("max", False),
+                                              (str(1 << 30), True)])
+    def test_usable_memory_honours_a_cgroup_limit(self, tmp_path,
+                                                  monkeypatch, limit,
+                                                  capped):
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        path = tmp_path / "memory.max"
+        path.write_text(limit + "\n")
+        monkeypatch.setattr(engine_mod, "_CGROUP_LIMITS",
+                            (str(path), str(tmp_path / "absent")))
+        assert engine_mod._usable_memory() == (min(phys, 1 << 30) if capped
+                                               else phys)
 
     def test_removed_knobs_rejected(self):
         with pytest.raises(TypeError):

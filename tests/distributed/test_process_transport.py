@@ -116,7 +116,9 @@ class TestBitIdentity:
         (start,) = spy_start
         assert start["data_ref"] is not None
         assert not start["has_rows"]
-        assert len(start["segments"]) == 1
+        # the dataset and the fleet's transposed update operand
+        assert sorted(name.rsplit("-", 1)[1]
+                      for name in start["segments"]) == ["x", "xt"]
 
     def test_weighted_fit_bit_identical(self, x):
         rng = np.random.default_rng(7)

@@ -26,6 +26,7 @@ from repro.core.update import UpdateStage
 from repro.dist import Coordinator, ReduceOccupancy, WorkerFaultInjector
 from repro.dist.executors import SerialExecutor
 from repro.dist.fleet import FleetManager
+from repro.dist.worker import ShardWorker
 from repro.obs.trace import TraceRecorder
 
 M, N_FEATURES, K = 1537, 12, 7
@@ -201,22 +202,30 @@ class TestMergeOperandHoist:
     @pytest.mark.parametrize("slack,hoisted", [(-1, False), (0, True)])
     def test_hoist_boundary_is_x_nbytes(self, x, monkeypatch, slack,
                                         hoisted):
-        bound = []
+        bound, charged = [], []
         bind = UpdateStage.bind_source_t
+        record = FastPathEngine._record_alloc
 
         def spy(stage, src, src_t):
             bound.append(src is x and src_t is not None)
             bind(stage, src, src_t)
 
+        def charge_spy(engine, name, nbytes):
+            charged.append(name)
+            record(engine, name, nbytes)
+
         monkeypatch.setattr(UpdateStage, "bind_source_t", spy)
+        monkeypatch.setattr(FastPathEngine, "_record_alloc", charge_spy)
         monkeypatch.setattr(engine_mod, "host_operand_budget",
                             lambda: x.nbytes + slack)
         y0 = x[:K].copy()
         cfg = _cfg(executor="serial", chunk_bytes=x.nbytes // 8)
         res = Coordinator(cfg).fit(x, y0)
         # the same transposed copy backs the merge accumulator and the
-        # update stage's DMR re-accumulation
+        # update stage's DMR re-accumulation; no worker hoists its own,
+        # whichever way the coordinator decided
         assert bound == ([True] if hoisted else [])
+        assert "operand_cache_transpose" not in charged
         monkeypatch.setattr(engine_mod, "host_operand_budget", lambda: 0)
         ref = Coordinator(cfg).fit(x, y0)
         assert bound == ([True] if hoisted else [])
@@ -253,6 +262,45 @@ class TestMergeOperandHoist:
         made.clear()
         ref = Coordinator(cfg).fit(x, y0)
         assert made == []
+        assert np.array_equal(ref.centroids.view(np.uint32),
+                              res.centroids.view(np.uint32))
+        assert np.array_equal(ref.labels, res.labels)
+        assert ref.inertia_history == res.inertia_history
+
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_declined_fleet_hoists_nowhere(self, x, monkeypatch, executor):
+        """A budget that admits a shard but not x: the coordinator
+        declines, and its decision holds for every worker — none hoists
+        its own shard, so the fleet never holds more than x."""
+        boots, charged = [], []
+        init = ShardWorker.__init__
+        record = FastPathEngine._record_alloc
+
+        def boot_spy(worker, *args, **kw):
+            init(worker, *args, **kw)
+            worker.kernel.engine.prepare_update_operand()
+            boots.append((worker.x.nbytes, worker.kernel.engine._cache.x_t))
+
+        def charge_spy(engine, name, nbytes):
+            charged.append(name)
+            record(engine, name, nbytes)
+
+        monkeypatch.setattr(ShardWorker, "__init__", boot_spy)
+        monkeypatch.setattr(FastPathEngine, "_record_alloc", charge_spy)
+        monkeypatch.setattr(engine_mod, "host_operand_budget",
+                            lambda: x.nbytes - 1)
+        y0 = x[:K].copy()
+        cfg = _cfg(executor=executor, chunk_bytes=x.nbytes // 8)
+        res = Coordinator(cfg).fit(x, y0)
+        assert len(boots) == cfg.n_workers
+        for shard_nbytes, x_t in boots:
+            assert shard_nbytes < x.nbytes - 1      # would have hoisted
+            assert x_t is None
+        assert "operand_cache_transpose" not in charged
+        monkeypatch.setattr(engine_mod, "host_operand_budget",
+                            lambda: x.nbytes)
+        ref = Coordinator(cfg).fit(x, y0)
         assert np.array_equal(ref.centroids.view(np.uint32),
                               res.centroids.view(np.uint32))
         assert np.array_equal(ref.labels, res.labels)

@@ -1,11 +1,12 @@
-"""In-process fleets hold one transposed update operand.
+"""A fleet holds one transposed update operand.
 
-The coordinator hoists the whole-data transpose once; every serial or
-thread worker borrows its shard's column view instead of hoisting a
-copy of its own — at first boot and at every later one (respawn, hot
-spare promotion, elastic re-plan) — and a worker cache keeps only the
-light operands of such a worker.  The fit stays the single-worker fit
-bit for bit.
+The coordinator hoists the whole-data transpose once; every worker
+borrows its shard's column view instead of hoisting a copy of its own —
+serial and thread workers of the array, process children of its
+shared-memory segment — at first boot and at every later one (respawn,
+hot spare promotion, elastic re-plan), and a worker cache keeps only
+the light operands of such a worker.  The fit stays the single-worker
+fit bit for bit.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.core.config import KMeansConfig
 from repro.core.engine import FastPathEngine, transpose_blocked
 from repro.dist import Coordinator, WorkerCacheStore, WorkerFaultInjector
 from repro.dist.plan import ShardPlan
+from repro.dist.shm import ShmSession, attach_array, detach_all
 from repro.dist.worker import ShardWorker, build_worker
 
 M, N_FEATURES, K = 1537, 12, 7
@@ -114,9 +116,13 @@ class TestSharedFleetOperand:
         _assert_one_shared_operand(
             seen, min_boots=3 if scenario == "steady" else 4)
 
-    def test_process_children_are_not_handed_the_view(self, x, monkeypatch):
-        # the view would pickle the coordinator's transpose into every
-        # child; the factories carry none and children hoist their own
+
+class TestProcessFleetOperand:
+    def test_factories_carry_the_segment_not_the_array(self, x, ref,
+                                                       monkeypatch):
+        """Every process factory — first boot, respawn, promoted spare
+        — hands its child the transpose segment's ref (never the array,
+        which would pickle a copy into each child)."""
         made = []
         real = coordinator_mod.partial
 
@@ -125,10 +131,41 @@ class TestSharedFleetOperand:
             return real(fn, **kw)
 
         monkeypatch.setattr(coordinator_mod, "partial", partial_spy)
-        cfg = KMeansConfig(n_clusters=K, n_workers=2, seed=3, max_iter=2,
-                           executor="process")
-        Coordinator(cfg).fit(x, x[:K].copy())
-        assert made and all(kw.get("x_t") is None for kw in made)
+        km = fit(x, n_workers=2, executor="process",
+                 **_crash(hot_spares=1)())
+        assert ([e["kind"] for e in km.dist_trace_]
+                == ["crash", "restore", "promote"])
+        assert_same_fit(km, ref)
+        assert made
+        for kw in made:
+            assert kw.get("x_t") is None
+            assert kw["xt_ref"].shape == (N_FEATURES, M)
+
+    def test_child_borrows_its_column_view(self, x):
+        """What a child does with the ref: map the segment and borrow
+        its shard's columns, checkpointing only the light operands."""
+        session = ShmSession(x)
+        plan = ShardPlan.build(M, 2, 256)
+        cfg = KMeansConfig(n_clusters=K, variant="tensorop", seed=3,
+                           tile=None)
+        store = WorkerCacheStore()
+        shard = plan.shard_of(1)
+        try:
+            xt = session.share_transpose(x)
+            assert np.array_equal(xt, x.T)
+            worker = build_worker(1, plan=plan, cfg=cfg, n_clusters=K,
+                                  data_ref=session.data_ref,
+                                  xt_ref=session.xt_ref,
+                                  cache_store=store)
+            x_t = worker.kernel.engine._cache.x_t
+            assert np.shares_memory(x_t, attach_array(session.xt_ref))
+            assert np.array_equal(x_t, x[shard.lo:shard.hi].T)
+            assert set(store.load(f"shard_{shard.lo}_{shard.hi}")) == {
+                "x_norms"}
+            worker.close()
+        finally:
+            detach_all()
+            session.close()
 
 
 class TestBorrowedViewCache:
@@ -158,24 +195,46 @@ class TestBorrowedViewCache:
             assert list(tmp_path.glob("shard_*.npz"))
             assert not list(tmp_path.glob("*.heavy.npz"))
 
-    def test_only_a_borrowed_view_is_left_out(self, x):
-        """The light-only entry is specific to borrowed views: a worker
-        that hoisted its own shard still checkpoints the transpose."""
+    def test_preload_is_charged_a_borrowed_view_is_not(self, x):
+        """A cache store's transpose is the fit's own memory and is
+        charged; only an explicitly lent view goes uncharged."""
+        xt = transpose_blocked(x)
+        charged = []
+        engine = FastPathEngine(None, np.float32,
+                                alloc_hook=lambda n, b: charged.append(n))
+        try:
+            engine.begin_fit(x, K, preload={"x_t": xt.copy()})
+            assert np.array_equal(engine._cache.x_t, xt)
+            assert charged.count("operand_cache_transpose") == 1
+            charged.clear()
+            engine.begin_fit(x, K, x_t=xt)
+            assert engine._cache.x_t is xt
+            assert "operand_cache_transpose" not in charged
+        finally:
+            engine.end_fit()
+
+    def test_a_worker_never_owns_a_transpose(self, x):
+        """Without a lent view a worker runs the staging path: it
+        neither hoists its shard nor adopts a cached transpose, and it
+        checkpoints only its norms."""
         cfg = KMeansConfig(n_clusters=K, variant="tensorop", seed=3,
                            tile=None)
         plan = ShardPlan.build(M, 2, 256)
-        xt = transpose_blocked(x)
-        store = WorkerCacheStore()
-        kw = dict(plan=plan, cfg=cfg, n_clusters=K, cache_store=store)
-        borrowed = build_worker(0, x=x, x_t=xt, **kw)
-        owned = build_worker(1, x=x, **kw)
         s0, s1 = plan.shard_of(0), plan.shard_of(1)
+        rows = x[s1.lo:s1.hi]
+        store = WorkerCacheStore()
+        store.save(f"shard_{s1.lo}_{s1.hi}",
+                   {"x_norms": np.sum(rows * rows, axis=1,
+                                      dtype=np.float32),
+                    "x_t": np.ascontiguousarray(rows.T)})
+        kw = dict(x=x, plan=plan, cfg=cfg, n_clusters=K, cache_store=store)
+        workers = [build_worker(0, **kw), build_worker(1, **kw)]
         try:
-            assert np.shares_memory(borrowed.kernel.engine._cache.x_t, xt)
+            assert store.hits == 1                  # worker 1 preloaded
+            for worker in workers:
+                worker.run_round(x[:K].copy(), 1)
+                assert worker.kernel.engine._cache.x_t is None
             assert set(store.load(f"shard_{s0.lo}_{s0.hi}")) == {"x_norms"}
-            entry = store.load(f"shard_{s1.lo}_{s1.hi}")
-            assert set(entry) == {"x_norms", "x_t"}
-            assert np.array_equal(entry["x_t"], x[s1.lo:s1.hi].T)
         finally:
-            borrowed.close()
-            owned.close()
+            for worker in workers:
+                worker.close()
