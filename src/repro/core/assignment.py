@@ -119,17 +119,15 @@ class AssignmentKernelBase(ABC):
             self._engine.feed_centroid_shifts(shifts, y)
 
     def begin_fit(self, x: np.ndarray, n_clusters: int | None = None, *,
-                  preload: dict | None = None,
                   x_t: np.ndarray | None = None) -> None:
         """Hoist per-fit invariants (norms, buffers, chunk/block plans).
 
-        ``preload`` forwards previously exported operand caches and
-        ``x_t`` a borrowed transposed operand to the engine (see
-        :meth:`FastPathEngine.begin_fit`); invalid entries are ignored
-        there, never trusted.
+        ``x_t`` forwards a borrowed transposed operand to the engine
+        (see :meth:`FastPathEngine.begin_fit`); a mismatched one is
+        ignored there, never trusted.
         """
         if self.mode == "fast":
-            self.engine.begin_fit(x, n_clusters, preload=preload, x_t=x_t)
+            self.engine.begin_fit(x, n_clusters, x_t=x_t)
 
     def end_fit(self) -> None:
         """Release the per-fit cache (see FastPathEngine.end_fit)."""

@@ -410,17 +410,8 @@ class FastPathEngine:
 
     # -- per-fit cache --------------------------------------------------
     def begin_fit(self, x: np.ndarray, n_clusters: int | None = None, *,
-                  preload: dict | None = None,
                   x_t: np.ndarray | None = None) -> FitCache:
         """Hoist fit-invariants for ``x``; reused by every assign() on it.
-
-        ``preload`` optionally supplies previously exported operands
-        (:meth:`export_operands`) — the shard-local worker-cache
-        checkpoints of :mod:`repro.dist`.  Every candidate is validated
-        against this fit's shape/dtype and charged to the ordinary
-        operand budget; anything that does not match (or fit) is
-        silently ignored and rebuilt on the usual path, so a stale or
-        partial preload can degrade only boot time, never bits.
 
         ``x_t`` lends the fit a transposed update operand the caller
         already holds — in :mod:`repro.dist`, a worker's column view of
@@ -429,13 +420,11 @@ class FastPathEngine:
         ``x_t[:, off:off+rows]`` exactly as from a hoisted copy, so the
         bits cannot move.  A shape/dtype mismatch is ignored.
         """
-        self._cache = self._build_cache(x, n_clusters, preload=preload)
+        self._cache = self._build_cache(x, n_clusters)
         m, k = self._cache.x.shape
         if (x_t is not None and x_t.shape == (k, m)
                 and x_t.dtype == self.dtype):
             self._cache.x_t = x_t
-        else:
-            self._adopt_operands(self._cache, preload)
         return self._cache
 
     def end_fit(self) -> None:
@@ -471,20 +460,13 @@ class FastPathEngine:
             self._executor_workers = workers
         return self._executor
 
-    def _build_cache(self, x: np.ndarray, n_clusters: int | None = None,
-                     preload: dict | None = None) -> FitCache:
+    def _build_cache(self, x: np.ndarray,
+                     n_clusters: int | None = None) -> FitCache:
         source = x
         if x.dtype != self.dtype:
             x = x.astype(self.dtype)
         m, k = x.shape
-        x_norms = None
-        if preload is not None:
-            cand = preload.get("x_norms")
-            if (cand is not None and cand.shape == (m,)
-                    and cand.dtype == self.dtype):
-                x_norms = np.ascontiguousarray(cand)
-        if x_norms is None:
-            x_norms = np.sum(x * x, axis=1, dtype=self.dtype)
+        x_norms = np.sum(x * x, axis=1, dtype=self.dtype)
         labels = np.empty(m, dtype=np.int64)
         best = np.empty(m, dtype=self.dtype)
         self._record_alloc("x_norms", x_norms.nbytes)
@@ -503,33 +485,13 @@ class FastPathEngine:
                            if self.tile is not None else None)
 
     # -- fit-lifetime operand cache -------------------------------------
-    def _adopt_operands(self, cache: FitCache, preload: dict | None) -> None:
-        """Adopt previously exported operand caches into a fresh fit.
-
-        Validation mirrors what the builder would produce (shape and
-        dtype at this fit's geometry, within the operand budget), so an
-        adopted cache behaves byte-for-byte like a rebuilt one.  An
-        adopted transpose is owned by this fit, so it is charged like a
-        hoisted one.
-        """
-        if not preload:
-            return
-        m, k = cache.x.shape
-        cand = preload.get("x_t")
-        if (cand is not None and cand.shape == (k, m)
-                and cand.dtype == self.dtype
-                and cand.nbytes <= self.operand_budget):
-            cache.x_t = np.ascontiguousarray(cand)
-            self._record_alloc("operand_cache_transpose", cand.nbytes)
-
     def export_operands(self) -> dict:
-        """The active fit cache's x-derived invariants, for checkpointing.
+        """The x-derived operands the active fit cache holds, by name.
 
-        Returns whatever is currently materialised — the per-sample
-        norms always, the transposed update operand when hoisted — keyed
-        for :meth:`begin_fit`'s ``preload``.  The arrays are the live
-        cache objects (cheap); callers that persist them must serialise
-        or copy.
+        The probe surface for held operand memory: the per-sample norms
+        always, the transposed update operand when hoisted or borrowed.
+        The arrays are the live cache objects, not copies; callers must
+        not mutate them.
         """
         cache = self._cache
         if cache is None:

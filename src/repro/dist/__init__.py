@@ -17,10 +17,8 @@ the failure class orthogonal to the paper's in-device SEUs.
 * :class:`FleetManager` — self-healing membership: between-round
   heartbeats, hot-spare promotion, and shrink → re-expand back to the
   target fleet size (bit-identical across any membership history);
-* :class:`CheckpointStore` — atomic in-memory or on-disk snapshots;
-* :class:`WorkerCacheStore` — shard-keyed worker operand-cache
-  checkpoints, so replacement workers skip recomputing per-fit
-  invariants;
+* :class:`CheckpointStore` — atomic in-memory or on-disk snapshots,
+  the only state a fit persists;
 * :class:`WorkerFaultInjector` — crash / stall / corrupt-partial /
   wedge injection for the recovery tests and benchmarks.
 
@@ -34,7 +32,7 @@ but every piece is public for direct composition.  The contract lives
 in ``docs/distributed.md``.
 """
 
-from repro.dist.checkpoint import CheckpointStore, WorkerCacheStore
+from repro.dist.checkpoint import CheckpointStore
 from repro.dist.coordinator import Coordinator, DistFitResult, ReduceOccupancy
 from repro.dist.fleet import FleetManager
 from repro.dist.executors import (
@@ -68,7 +66,6 @@ __all__ = [
     "DistFitResult",
     "FleetManager",
     "CheckpointStore",
-    "WorkerCacheStore",
     "WorkerCrash",
     "WorkerStall",
     "WorkerFaultPlan",

@@ -43,16 +43,9 @@ at the next ``save``/``flush``.  ``sync=True`` keeps every write on the
 calling thread (the legacy behaviour, and the default for in-memory
 stores, where there is no I/O to hide).
 
-:class:`WorkerCacheStore` is the second, orthogonal store in this
-module: shard-keyed checkpoints of the *workers'* engine operand caches
-(norms + the hoisted transposed operand), so a replacement worker booting onto
-a shard skips recomputing per-fit invariants the dead worker already
-paid for.  Unlike coordinator snapshots these never affect the fit's
-bits — a missing or compacted entry only costs boot time.  Both stores
-share one :class:`_DaemonWriter` implementation for their asynchronous
-write paths; the cache store additionally exposes :meth:`refresh` so
-long fits can periodically re-assert entries that compaction evicted,
-paying only an existence check while the entry is still warm.
+Snapshots are the only state a fit persists.  Workers keep nothing on
+disk: a replacement rebuilds its shard's per-fit invariants (the norm
+vector, one O(shard) pass) at boot, exactly as a first boot does.
 """
 
 from __future__ import annotations
@@ -65,18 +58,16 @@ import time
 from collections import deque
 from pathlib import Path
 
-import numpy as np
-
-__all__ = ["CheckpointStore", "WorkerCacheStore"]
+__all__ = ["CheckpointStore"]
 
 
 class _DaemonWriter:
     """Bounded queue of write thunks drained by one self-respawning daemon.
 
-    The shared engine behind both stores' asynchronous write paths:
-    :meth:`submit` enqueues a zero-argument callable (blocking once
-    ``queue_max`` thunks are outstanding, so a producer that outruns
-    the disk throttles instead of buffering unbounded blobs) and
+    :class:`CheckpointStore`'s asynchronous write path: :meth:`submit`
+    enqueues a zero-argument callable (blocking once ``QUEUE_MAX``
+    thunks are outstanding, so a producer that outruns the disk
+    throttles instead of buffering unbounded blobs) and
     :meth:`flush` is the barrier — it returns only when every accepted
     thunk has run.  A thunk that raises poisons the writer: the queue
     is dropped and the exception re-raises at the next submit/flush.
@@ -88,9 +79,13 @@ class _DaemonWriter:
     orphaning its freshly queued thunk.
     """
 
-    def __init__(self, name: str = "daemon-writer", *, queue_max: int = 4):
-        self.name = name
-        self.queue_max = int(queue_max)
+    #: thread name of the drain daemon
+    NAME = "checkpoint-writer"
+    #: bounded write queue: a saver that outruns the disk blocks here
+    #: instead of buffering unbounded snapshot blobs
+    QUEUE_MAX = 4
+
+    def __init__(self):
         self._cond = threading.Condition()
         self._pending: deque = deque()
         self._thread: threading.Thread | None = None
@@ -103,13 +98,13 @@ class _DaemonWriter:
             if self._error is not None:
                 err, self._error = self._error, None
                 raise err
-            while len(self._pending) >= self.queue_max:
+            while len(self._pending) >= self.QUEUE_MAX:
                 self._cond.wait()
             self._pending.append(fn)
             if not self._live:
                 self._live = True
                 self._thread = threading.Thread(
-                    target=self._drain, name=self.name, daemon=True)
+                    target=self._drain, name=self.NAME, daemon=True)
                 self._thread.start()
             self._cond.notify_all()
 
@@ -177,10 +172,6 @@ class CheckpointStore:
     #: past it and get collected by the next construction / clear()
     TMP_SWEEP_AGE_S = 60.0
 
-    #: bounded write queue: a saver that outruns the disk blocks here
-    #: instead of buffering unbounded snapshot blobs
-    QUEUE_MAX = 4
-
     def __init__(self, directory: str | os.PathLike | None = None, *,
                  keep: int = 2, sync: bool | None = None, event_bus=None):
         if keep < 1:
@@ -194,8 +185,7 @@ class CheckpointStore:
         self.sync = (self.directory is None) if sync is None else bool(sync)
         self._mem: dict[int, bytes] = {}
         # background writer (directory-backed async stores only)
-        self._writer = _DaemonWriter("checkpoint-writer",
-                                     queue_max=self.QUEUE_MAX)
+        self._writer = _DaemonWriter()
 
     # ------------------------------------------------------------------
     def _publish(self, kind: str, **fields) -> None:
@@ -328,267 +318,3 @@ class CheckpointStore:
             for it in self._list_iterations():
                 self._path(it).unlink(missing_ok=True)
             self._sweep_tmp()
-
-
-class WorkerCacheStore:
-    """Shard-keyed checkpoints of worker engine operand caches.
-
-    A worker booting onto a shard spends its start-up on per-fit
-    invariants such as the x-norm pass.  Those are pure functions of
-    the shard rows — identical for the original worker, a respawn, and
-    a promoted spare — so the first worker to build them checkpoints
-    the result here and every later boot onto the same rows preloads
-    it (the engine re-validates shape/dtype on adoption; a stale or
-    partial entry costs boot time, never bits).  A
-    :class:`~repro.dist.worker.ShardWorker` saves only the light part:
-    its transpose is always a borrowed view of the coordinator's, which
-    storing would copy — or write out — again, while a replacement
-    re-slices the view for free.  The heavy part serves any other
-    caller of
-    :meth:`~repro.core.engine.FastPathEngine.export_operands`.
-
-    Keys are shard row ranges (``"shard_{lo}_{hi}"``), not worker ids:
-    after an elastic replan the same rows may belong to a different id.
-
-    **Compaction.**  Entries are split into a *light* part (the norm
-    vector — one float per row) that is always kept, and a *heavy* part
-    (the transposed sample copy — as large as the shard itself) kept
-    only while the pool fits ``budget_bytes``; when a save would
-    overflow, the oldest heavy payloads are evicted first and the
-    new one is skipped if it alone cannot fit.  Large ``K·N`` fits thus
-    degrade to norm-only preloads instead of mirroring the dataset.
-
-    Two modes: **directory-backed** (one ``.npz`` pair per key, written
-    tmp-then-:func:`os.replace` so readers never see a torn entry;
-    shareable across processes — the writer state is dropped on pickle,
-    so the store still pickles freely into process-executor children,
-    each of which lazily spawns its own writer) or **in-memory**
-    (``directory=None``; effective on the serial/thread backends only,
-    since a forked child's copy dies with it).
-
-    ``save`` skips keys that already have a light entry — first writer
-    wins, and replayed boots stay write-free.  :meth:`refresh` is the
-    long-fit companion: a first-writer-wins re-save that builds its
-    payload lazily, so keeping an entry warm past compaction costs
-    nothing while the entry still exists.
-
-    **Asynchronous writes.**  Directory-backed stores default to the
-    same :class:`_DaemonWriter` the coordinator's snapshot store uses
-    (``sync=None`` resolves exactly like :class:`CheckpointStore`):
-    ``save`` runs the existence check and heavy-budget eviction inline,
-    then hands the npz writes to the background writer, keeping worker
-    boot and refresh cadence off the write+fsync cost.  Reads and
-    :meth:`clear` flush first, so a same-process load never races a
-    write.  Unlike coordinator snapshots a failed cache write is
-    *swallowed* — counted in ``write_errors``, never raised — because a
-    missing entry only costs a later boot time, and failing a healthy
-    fit over a best-effort cache would invert the store's purpose.
-    Operand payloads are per-fit-static, so deferring the write never
-    snapshots a torn value.
-    """
-
-    #: always-kept operand names (small: O(rows) scalars)
-    LIGHT_KEYS = ("x_norms",)
-    #: budget-gated operand names (each O(shard) bytes)
-    HEAVY_KEYS = ("x_t",)
-
-    def __init__(self, directory: str | os.PathLike | None = None, *,
-                 budget_bytes: int = 256 << 20, sync: bool | None = None):
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        self.budget_bytes = int(budget_bytes)
-        self.sync = (self.directory is None) if sync is None else bool(sync)
-        self._light: dict[str, dict] = {}
-        self._heavy: dict[str, dict] = {}
-        #: keys whose write is queued but possibly not yet on disk —
-        #: keeps save/refresh first-writer-wins within this process
-        #: during the async in-flight window
-        self._queued: set[str] = set()
-        self._writer: _DaemonWriter | None = None
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.write_errors = 0
-
-    def __getstate__(self):
-        # threads and locks never cross a process boundary: a pickled
-        # copy (process-executor child) starts with a fresh lazy writer
-        # and an empty in-flight set — at worst it re-queues a write the
-        # parent already has in flight, and tmp+replace makes that safe
-        state = self.__dict__.copy()
-        state["_writer"] = None
-        state["_queued"] = set()
-        return state
-
-    def _writer_handle(self) -> _DaemonWriter:
-        if self._writer is None:
-            self._writer = _DaemonWriter("workercache-writer")
-        return self._writer
-
-    def flush(self) -> None:
-        """Barrier: wait out queued cache writes (failures are counted
-        in ``write_errors``, not raised — entries are best-effort)."""
-        if self._writer is None:
-            return
-        try:
-            self._writer.flush()
-        except Exception:
-            self.write_errors += 1
-
-    # ------------------------------------------------------------------
-    def _light_path(self, key: str) -> Path:
-        return self.directory / f"{key}.npz"
-
-    def _heavy_path(self, key: str) -> Path:
-        return self.directory / f"{key}.heavy.npz"
-
-    def _write_npz(self, path: Path, arrays: dict) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.directory,
-                                   prefix=path.stem + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                np.savez(f, **arrays)
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-
-    def _heavy_usage(self) -> list[tuple[float, Path | str, int]]:
-        """Heavy entries as (age_rank, handle, nbytes), oldest first."""
-        if self.directory is None:
-            return [(i, key, sum(a.nbytes for a in arrs.values()))
-                    for i, (key, arrs) in enumerate(self._heavy.items())]
-        out = []
-        for p in self.directory.glob("*.heavy.npz"):
-            try:
-                st = p.stat()
-            except OSError:
-                continue
-            out.append((st.st_mtime, p, st.st_size))
-        out.sort(key=lambda t: t[0])
-        return out
-
-    def _evict_for(self, nbytes: int) -> bool:
-        """Evict oldest heavy payloads until ``nbytes`` more fit;
-        False when the new payload alone exceeds the budget."""
-        if nbytes > self.budget_bytes:
-            return False
-        # the budget decision reads on-disk usage, so queued writes
-        # must land first — heavy admission is the one save path that
-        # synchronizes; light-only saves and refresh no-ops never wait
-        self.flush()
-        usage = self._heavy_usage()
-        used = sum(n for _, _, n in usage)
-        for _, handle, n in usage:
-            if used + nbytes <= self.budget_bytes:
-                break
-            if self.directory is None:
-                self._heavy.pop(handle, None)
-            else:
-                Path(handle).unlink(missing_ok=True)
-            self.evictions += 1
-            used -= n
-        return used + nbytes <= self.budget_bytes
-
-    # ------------------------------------------------------------------
-    def save(self, key: str, operands: dict) -> bool:
-        """Checkpoint one shard's exported operands (first writer wins).
-
-        Returns True when a new entry was written, False when the key
-        already existed or ``operands`` had nothing to keep.
-        """
-        if not operands:
-            return False
-        light = {k: operands[k] for k in self.LIGHT_KEYS if k in operands}
-        heavy = {k: operands[k] for k in self.HEAVY_KEYS if k in operands}
-        if not light:
-            return False
-        if self._has_entry(key):
-            return False
-        heavy_bytes = sum(a.nbytes for a in heavy.values())
-        keep_heavy = heavy and self._evict_for(heavy_bytes)
-        if self.directory is None:
-            self._light[key] = {k: np.array(v) for k, v in light.items()}
-            if keep_heavy:
-                self._heavy[key] = {k: np.array(v)
-                                    for k, v in heavy.items()}
-            return True
-
-        def write():
-            # light last: its presence is the entry-exists marker, so a
-            # reader that sees it knows the heavy write already landed
-            # (or was compacted) — same order the sync path always used
-            if keep_heavy:
-                self._write_npz(self._heavy_path(key), heavy)
-            self._write_npz(self._light_path(key), light)
-
-        if self.sync:
-            write()
-            return True
-        self._queued.add(key)
-        try:
-            self._writer_handle().submit(write)
-        except Exception:
-            self.write_errors += 1
-        return True
-
-    def _has_entry(self, key: str) -> bool:
-        if self.directory is None:
-            return key in self._light
-        return key in self._queued or self._light_path(key).exists()
-
-    def refresh(self, key: str, payload_fn) -> bool:
-        """First-writer-wins re-save with a lazily built payload.
-
-        While the key's light entry exists (or its write is still in
-        flight) this is a pure existence check — ``payload_fn`` is
-        never called.  Once compaction (or an operator wiping the
-        directory) dropped the entry, ``payload_fn()`` supplies fresh
-        operands and the entry is re-saved through :meth:`save`.
-        Returns True when a re-save was written/queued.
-        """
-        if self._has_entry(key):
-            return False
-        return self.save(key, payload_fn())
-
-    def load(self, key: str) -> dict | None:
-        """The shard's preload dict, or None (counted as hit/miss).
-
-        Heavy payloads ride along when still resident; a compacted
-        entry degrades to its light part.
-        """
-        if self.directory is None:
-            light = self._light.get(key)
-            if light is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            out = dict(light)
-            out.update(self._heavy.get(key, {}))
-            return out
-        self.flush()          # a same-process load never races a write
-        try:
-            with np.load(self._light_path(key)) as z:
-                out = {k: z[k] for k in z.files}
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        try:
-            with np.load(self._heavy_path(key)) as z:
-                out.update({k: z[k] for k in z.files})
-        except (OSError, ValueError):
-            pass                      # compacted (or torn) — light only
-        self.hits += 1
-        return out
-
-    def clear(self) -> None:
-        """Drop every entry (call between fits — operands are per-x)."""
-        self._light.clear()
-        self._heavy.clear()
-        self._queued.clear()
-        if self.directory is not None:
-            self.flush()      # no in-flight write survives to recreate
-            for pattern in ("*.npz", "*.tmp"):
-                for p in self.directory.glob(pattern):
-                    p.unlink(missing_ok=True)

@@ -105,11 +105,9 @@ later round boundary, replacements reusing the missing worker ids so a
 full regrow restores the original shard plan.  Every transition
 recovers through the same checkpoint-restore machinery, so the final
 centroids stay bit-identical to ``n_workers=1`` regardless of the
-membership history.  When the checkpoint store is directory-backed,
-workers additionally checkpoint their engine operand caches into a
-shard-keyed :class:`~repro.dist.checkpoint.WorkerCacheStore`, letting
-replacements skip the per-fit invariant rebuild at boot (a pure
-boot-time optimisation — never a bit change).
+membership history.  The snapshots are the only persisted state: a
+replacement worker rebuilds its shard's per-fit invariants at boot, as
+every first boot does.
 """
 
 from __future__ import annotations
@@ -130,7 +128,7 @@ from repro.core.convergence import ConvergenceMonitor
 from repro.core.engine import transpose_blocked
 from repro.core.update import UpdateStage
 from repro.core.variants import _resolve_tile, build_assignment
-from repro.dist.checkpoint import CheckpointStore, WorkerCacheStore
+from repro.dist.checkpoint import CheckpointStore
 from repro.dist.executors import (BaseExecutor, ProcessExecutor,
                                   make_executor)
 from repro.dist.faults import WorkerCrash, WorkerFaultInjector
@@ -314,10 +312,6 @@ class Coordinator:
         abft_check, checkpoint}`` (see ``docs/observability.md``).  Off
         by default; when enabled it records names and clocks only —
         numerics are untouched, so traced fits stay bit-identical.
-    worker_cache : WorkerCacheStore, optional
-        Shard-keyed store for the workers' engine operand caches; by
-        default derived from a directory-backed checkpoint store (a
-        ``worker_cache/`` subdirectory), absent otherwise.
     """
 
     #: adaptive deadline = ADAPTIVE_MULT x trailing-median round time
@@ -344,8 +338,7 @@ class Coordinator:
                  hot_spares: int | None = None,
                  heartbeat_interval: float | None = None,
                  spawn_hook=None,
-                 event_bus: EventBus | None = None, tracer=None,
-                 worker_cache: WorkerCacheStore | None = None):
+                 event_bus: EventBus | None = None, tracer=None):
         if cfg.mode != "fast":
             raise ValueError("sharded execution requires mode='fast'")
         self.cfg = cfg
@@ -390,13 +383,6 @@ class Coordinator:
             self.store.event_bus = self.event_bus
         if getattr(self.executor, "event_bus", None) is None:
             self.executor.event_bus = self.event_bus
-        if worker_cache is None and self.store.directory is not None:
-            # inherit the snapshot store's sync mode: one knob governs
-            # whether any fit-path write may ride the daemon writer
-            worker_cache = WorkerCacheStore(
-                self.store.directory / "worker_cache",
-                sync=self.store.sync)
-        self.worker_cache = worker_cache
 
     # ------------------------------------------------------------------
     def _worker_cfg(self, m: int, k: int) -> KMeansConfig:
@@ -440,12 +426,6 @@ class Coordinator:
         plan = self.plan or ShardPlan.build(m, cfg.n_workers,
                                             probe.engine.unit_rows)
         base_seed = cfg.seed if cfg.seed is not None else 0
-
-        # refresh the shard operand-cache entry once per recovery
-        # window, so a replacement booting after a *late* crash still
-        # preloads even if compaction evicted the boot-time entry
-        cache_refresh_every = (self.checkpoint_every
-                               if self.worker_cache is not None else 0)
 
         # the dataset segment: only the process executor pickles its
         # factories, so only it shares x; the in-process backends read
@@ -491,15 +471,11 @@ class Coordinator:
                                data_ref=shm_session.data_ref,
                                weight_ref=shm_session.weight_ref,
                                xt_ref=shm_session.xt_ref,
-                               base_seed=base_seed,
-                               cache_store=self.worker_cache,
-                               cache_refresh_every=cache_refresh_every)
+                               base_seed=base_seed)
             return partial(build_worker, x=x, x_t=lent_xt, plan=p,
                            cfg=worker_cfg, n_clusters=n_clusters,
                            sample_weight=sample_weight,
-                           base_seed=base_seed,
-                           cache_store=self.worker_cache,
-                           cache_refresh_every=cache_refresh_every)
+                           base_seed=base_seed)
 
         factory = make_factory(plan)
 
@@ -540,10 +516,6 @@ class Coordinator:
         # a reused store (e.g. a checkpoint_dir shared across fits) must
         # not leak a previous fit's snapshots into this one's recovery
         self.store.clear()
-        if self.worker_cache is not None:
-            # operand caches are pure functions of this fit's x — a
-            # previous fit's entries must never be adopted
-            self.worker_cache.clear()
         ckpt_save_s = 0.0
         ckpt_flush_s = 0.0
         if self.checkpoint_every:
@@ -613,97 +585,94 @@ class Coordinator:
                     detector = getattr(crash, "detector", "deadline")
                     if detector == "heartbeat":
                         heartbeat_failures += 1
-                    # explicit handle (not ``with``): the handler exits
-                    # through both ``raise`` and ``continue``, so the
-                    # span is closed on each path by hand
-                    rec_span = tr.span("recovery",
-                                       iteration=int(crash.iteration),
-                                       detector=detector)
-                    rec_span.__enter__()
-                    bus.publish("recovery", source="coordinator",
-                                iteration=int(crash.iteration),
-                                detector=detector,
-                                crashed=sorted(crash.crashed_ids),
-                                stalled=sorted(crash.stalled_ids))
-                    for wid in crash.crashed_ids:
-                        trace.append({"kind": "crash", "worker": wid,
-                                      "iteration": crash.iteration,
-                                      "reason": crash.reason,
-                                      "detector": detector})
-                    for wid in crash.stalled_ids:
-                        trace.append({"kind": "stall_timeout", "worker": wid,
-                                      "iteration": crash.iteration,
-                                      "detector": detector,
-                                      "round_timeout":
-                                          self.executor.round_timeout})
-                    if recoveries > self.max_recoveries:
-                        rec_span.__exit__(None, None, None)
-                        raise
-                    loaded = self.store.load_latest()
-                    if loaded is None:
-                        loaded = (0, pickle.loads(initial_blob))
-                    restored_it, state = loaded
-                    y = state["y"]
-                    monitor = state["monitor"]
-                    clock = state["clock"]
-                    counters = state["counters"]
-                    trace.append({"kind": "restore",
-                                  "iteration": restored_it})
-                    bus.publish("restore", source="coordinator",
-                                iteration=int(restored_it))
-                    # the adaptive deadline's history describes the
-                    # pre-recovery membership: after an elastic shrink
-                    # the surviving shards are larger and an honest
-                    # round is legitimately slower, so the median must
-                    # re-warm (deadline disarmed for the warm-up
-                    # rounds) instead of condemning healthy survivors
-                    # as phantom stalls round after round
-                    if self.adaptive_timeout:
-                        round_times.clear()
-                        self.executor.round_timeout = None
-                    survivors = tuple(w for w in plan.worker_ids
-                                      if w not in crash.failed_ids)
-                    if self.fleet.manages_membership and survivors:
-                        # fleet recovery: promote ready spares onto the
-                        # dead ids in place (plan unchanged, survivors
-                        # keep running) or shrink onto the survivors
-                        # now and re-expand at a later round boundary
-                        plan, factory, action = self.fleet.recover(
-                            plan, make_factory, crash)
-                        if action == "promote":
-                            trace.append({"kind": "promote",
+                    # the handler leaves through ``raise``, ``continue``
+                    # or an error of its own: ``with`` records the span
+                    # on every path
+                    with tr.span("recovery", iteration=int(crash.iteration),
+                                 detector=detector):
+                        bus.publish("recovery", source="coordinator",
+                                    iteration=int(crash.iteration),
+                                    detector=detector,
+                                    crashed=sorted(crash.crashed_ids),
+                                    stalled=sorted(crash.stalled_ids))
+                        for wid in crash.crashed_ids:
+                            trace.append({"kind": "crash", "worker": wid,
                                           "iteration": crash.iteration,
-                                          "promoted":
-                                              sorted(crash.failed_ids),
-                                          "n_workers": plan.n_workers})
-                        else:
+                                          "reason": crash.reason,
+                                          "detector": detector})
+                        for wid in crash.stalled_ids:
+                            trace.append({"kind": "stall_timeout",
+                                          "worker": wid,
+                                          "iteration": crash.iteration,
+                                          "detector": detector,
+                                          "round_timeout":
+                                              self.executor.round_timeout})
+                        if recoveries > self.max_recoveries:
+                            raise
+                        loaded = self.store.load_latest()
+                        if loaded is None:
+                            loaded = (0, pickle.loads(initial_blob))
+                        restored_it, state = loaded
+                        y = state["y"]
+                        monitor = state["monitor"]
+                        clock = state["clock"]
+                        counters = state["counters"]
+                        trace.append({"kind": "restore",
+                                      "iteration": restored_it})
+                        bus.publish("restore", source="coordinator",
+                                    iteration=int(restored_it))
+                        # the adaptive deadline's history describes the
+                        # pre-recovery membership: after an elastic shrink
+                        # the surviving shards are larger and an honest
+                        # round is legitimately slower, so the median must
+                        # re-warm (deadline disarmed for the warm-up
+                        # rounds) instead of condemning healthy survivors
+                        # as phantom stalls round after round
+                        if self.adaptive_timeout:
+                            round_times.clear()
+                            self.executor.round_timeout = None
+                        survivors = tuple(w for w in plan.worker_ids
+                                          if w not in crash.failed_ids)
+                        if self.fleet.manages_membership and survivors:
+                            # fleet recovery: promote ready spares onto the
+                            # dead ids in place (plan unchanged, survivors
+                            # keep running) or shrink onto the survivors
+                            # now and re-expand at a later round boundary
+                            plan, factory, action = self.fleet.recover(
+                                plan, make_factory, crash)
+                            if action == "promote":
+                                trace.append({"kind": "promote",
+                                              "iteration": crash.iteration,
+                                              "promoted":
+                                                  sorted(crash.failed_ids),
+                                              "n_workers": plan.n_workers})
+                            else:
+                                shrinks += 1
+                                trace.append({"kind": "shrink",
+                                              "iteration": crash.iteration,
+                                              "lost": sorted(crash.failed_ids),
+                                              "survivors":
+                                                  list(plan.worker_ids),
+                                              "n_workers": plan.n_workers})
+                        elif self.elastic and survivors:
+                            # shrink: the lost rows re-shard onto the
+                            # survivors (same unit grid, same row order, so
+                            # the merge bits never move); only survivors
+                            # respawn
+                            plan = plan.replan(survivors)
+                            factory = make_factory(plan)
                             shrinks += 1
                             trace.append({"kind": "shrink",
                                           "iteration": crash.iteration,
                                           "lost": sorted(crash.failed_ids),
-                                          "survivors":
-                                              list(plan.worker_ids),
+                                          "survivors": list(plan.worker_ids),
                                           "n_workers": plan.n_workers})
-                    elif self.elastic and survivors:
-                        # shrink: the lost rows re-shard onto the
-                        # survivors (same unit grid, same row order, so
-                        # the merge bits never move); only survivors
-                        # respawn
-                        plan = plan.replan(survivors)
-                        factory = make_factory(plan)
-                        shrinks += 1
-                        trace.append({"kind": "shrink",
-                                      "iteration": crash.iteration,
-                                      "lost": sorted(crash.failed_ids),
-                                      "survivors": list(plan.worker_ids),
-                                      "n_workers": plan.n_workers})
-                        self.executor.restart(factory, plan.worker_ids)
-                    else:
-                        # non-elastic (or every member lost at once):
-                        # respawn the current membership in full
-                        self.executor.restart()
-                    it = restored_it + 1
-                    rec_span.__exit__(None, None, None)
+                            self.executor.restart(factory, plan.worker_ids)
+                        else:
+                            # non-elastic (or every member lost at once):
+                            # respawn the current membership in full
+                            self.executor.restart()
+                        it = restored_it + 1
                     continue
                 pending = None
                 round_times.append(time.monotonic() - t_send)
@@ -712,65 +681,62 @@ class Coordinator:
                 # brackets update + tail only.  Under double buffering
                 # the *next* round's broadcast nests here, where it
                 # genuinely happens.
-                round_span = tr.span("round", iteration=int(cur))
-                round_span.__enter__()
+                with tr.span("round", iteration=int(cur)):
+                    # -- the exact single-device update + convergence --
+                    with tr.span("update"):
+                        upd = updater.update(x, labels, best, y, counters,
+                                             fused_sums=merged,
+                                             sample_weight=sample_weight)
+                    for label, t in upd.timings:
+                        clock.charge(label, t)
+                    y = upd.centroids
 
-                # -- the exact single-device update + convergence ------
-                with tr.span("update"):
-                    upd = updater.update(x, labels, best, y, counters,
-                                         fused_sums=merged,
-                                         sample_weight=sample_weight)
-                for label, t in upd.timings:
-                    clock.charge(label, t)
-                y = upd.centroids
+                    # -- re-expansion: a shrunken fleet regrows toward the
+                    # target at this round boundary (no round in flight;
+                    # replacements reuse the missing ids, so a full regrow
+                    # restores the original plan).  Overlaps nothing —
+                    # membership changes are rare and must precede the next
+                    # broadcast.
+                    if self.fleet.manages_membership:
+                        grown = self.fleet.maybe_expand(plan, make_factory)
+                        if grown is not None:
+                            plan, factory = grown
+                            trace.append({"kind": "expand", "iteration": cur,
+                                          "members": list(plan.worker_ids),
+                                          "n_workers": plan.n_workers})
+                            bus.publish("re_expand", source="coordinator",
+                                        iteration=int(cur),
+                                        members=list(plan.worker_ids))
 
-                # -- re-expansion: a shrunken fleet regrows toward the
-                # target at this round boundary (no round in flight;
-                # replacements reuse the missing ids, so a full regrow
-                # restores the original plan).  Overlaps nothing —
-                # membership changes are rare and must precede the next
-                # broadcast.
-                if self.fleet.manages_membership:
-                    grown = self.fleet.maybe_expand(plan, make_factory)
-                    if grown is not None:
-                        plan, factory = grown
-                        trace.append({"kind": "expand", "iteration": cur,
-                                      "members": list(plan.worker_ids),
-                                      "n_workers": plan.n_workers})
-                        bus.publish("re_expand", source="coordinator",
-                                    iteration=int(cur),
-                                    members=list(plan.worker_ids))
+                    # -- double buffering: the next round's broadcast leaves
+                    # as soon as the centroids exist; everything below
+                    # overlaps the workers' compute.  The send is
+                    # speculative against convergence — at most one round is
+                    # computed and discarded, at the very end of the fit.
+                    if overlap and cur < cfg.max_iter:
+                        pending = self._send(tr, round_times, y, cur + 1, {},
+                                             plan)
 
-                # -- double buffering: the next round's broadcast leaves
-                # as soon as the centroids exist; everything below
-                # overlaps the workers' compute.  The send is
-                # speculative against convergence — at most one round is
-                # computed and discarded, at the very end of the fit.
-                if overlap and cur < cfg.max_iter:
-                    pending = self._send(tr, round_times, y, cur + 1, {},
-                                         plan)
-
-                # -- off-critical tail ---------------------------------
-                self._count_directives(faults_seen, trace, directives, cur)
-                counters.checksum_tests += 1
-                with tr.span("abft_check"):
-                    self._check_partials(merged, results, cur_plan, x,
-                                         labels, sample_weight,
-                                         faults_seen, trace, cur)
-                best64 = best.astype(np.float64)
-                inertia = float(np.sum(best64 * sample_weight)
-                                if sample_weight is not None
-                                else np.sum(best64))
-                n_iter = cur
-                converged = monitor.update(inertia, upd.shift)
-                if (self.checkpoint_every
-                        and cur % self.checkpoint_every == 0):
-                    with tr.span("checkpoint", iteration=int(cur)):
-                        t0 = time.perf_counter()
-                        self.store.save(cur, self._snapshot(
-                            cur, y, monitor, clock, counters))
-                        ckpt_save_s += time.perf_counter() - t0
-                round_span.__exit__(None, None, None)
+                    # -- off-critical tail ---------------------------------
+                    self._count_directives(faults_seen, trace, directives, cur)
+                    counters.checksum_tests += 1
+                    with tr.span("abft_check"):
+                        self._check_partials(merged, results, cur_plan, x,
+                                             labels, sample_weight,
+                                             faults_seen, trace, cur)
+                    best64 = best.astype(np.float64)
+                    inertia = float(np.sum(best64 * sample_weight)
+                                    if sample_weight is not None
+                                    else np.sum(best64))
+                    n_iter = cur
+                    converged = monitor.update(inertia, upd.shift)
+                    if (self.checkpoint_every
+                            and cur % self.checkpoint_every == 0):
+                        with tr.span("checkpoint", iteration=int(cur)):
+                            t0 = time.perf_counter()
+                            self.store.save(cur, self._snapshot(
+                                cur, y, monitor, clock, counters))
+                            ckpt_save_s += time.perf_counter() - t0
                 if converged:
                     break
                 it = cur + 1

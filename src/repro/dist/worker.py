@@ -76,36 +76,20 @@ class ShardWorker:
         This shard's slice of the fit's sample weights.
     base_seed : int
         Entropy root of the per-round SEU injector streams.
-    cache_store : WorkerCacheStore, optional
-        Shard-local operand-cache checkpoints (see
-        :class:`repro.dist.checkpoint.WorkerCacheStore`).  On boot the
-        worker preloads its shard's entry (skipping the x-norm pass)
-        and saves a fresh export after ``begin_fit`` so a replacement
-        worker booting onto the same shard skips it too.  Purely a boot-time
-        optimisation: preloaded operands are validated (shape/dtype)
-        and never change a single bit of the fit.
-    cache_key : str, optional
-        The shard's key in ``cache_store`` (normally
-        ``"shard_{lo}_{hi}"``, derived by :func:`build_worker`).
-    cache_refresh_every : int
-        Re-assert the shard's cache entry every this many rounds (0 =
-        boot-time save only): a long fit whose entry was compacted away
-        re-saves it, so replacement preloads stay warm past the first
-        recovery window.  Refreshes are first-writer-wins re-saves of
-        the same per-fit-static operands — they never change bits.
     x_t : ndarray of shape (N, shard_rows), optional
         The shard's columns of a transposed update operand the caller
         already holds (a coordinator passes a view of its own).  The
         engine borrows it; without it the worker runs the per-feed
-        staging path.  A worker never hoists (or preloads) a transpose
-        of its own, so one hoist decision — the coordinator's — covers
-        the whole fleet and a declined fit holds no transpose anywhere.
+        staging path.  A worker never hoists a transpose of its own, so
+        one hoist decision — the coordinator's — covers the whole fleet
+        and a declined fit holds no transpose anywhere.  Its per-sample
+        norms are recomputed at every boot (one O(shard) pass), a
+        replacement's included.
     """
 
     def __init__(self, worker_id: int, x_shard: np.ndarray, cfg,
                  n_clusters: int, *, sample_weight=None, base_seed: int = 0,
-                 cache_store=None, cache_key: str | None = None,
-                 cache_refresh_every: int = 0, x_t=None):
+                 x_t=None):
         if cfg.mode != "fast":
             raise ValueError("ShardWorker requires mode='fast'")
         if cfg.tile == "auto":
@@ -115,8 +99,6 @@ class ShardWorker:
         self.cfg = cfg
         self.n_clusters = int(n_clusters)
         self.base_seed = int(base_seed)
-        self.cache_store = cache_store
-        self.cache_key = cache_key
         m, k = x_shard.shape
         self.kernel = build_assignment(
             cfg, m, k, np.random.default_rng(self.base_seed))
@@ -124,15 +106,9 @@ class ShardWorker:
         # (``x_t``) or runs the staging path, so the coordinator's hoist
         # decision holds for the whole fleet
         self.kernel.engine.operand_budget = 0
-        preload = (cache_store.load(cache_key)
-                   if cache_store is not None and cache_key else None)
-        self.kernel.begin_fit(x_shard, n_clusters, preload=preload, x_t=x_t)
-        if cache_store is not None and cache_key:
-            cache_store.save(cache_key, self._cache_entry())
+        self.kernel.begin_fit(x_shard, n_clusters, x_t=x_t)
         self.acc = StreamedAccumulator(n_clusters, k)
         self.acc.bind_weights(sample_weight)
-        self.cache_refresh_every = int(cache_refresh_every)
-        self.rounds_run = 0
         self._wedge_s = 0.0
         # cooperative cancellation: the engine checks this token at
         # every chunk boundary, so an abandoned in-process worker stops
@@ -142,15 +118,6 @@ class ShardWorker:
         self.kernel.engine.cancel_token = self._cancel
 
     # ------------------------------------------------------------------
-    def _cache_entry(self) -> dict:
-        """The engine's operands to checkpoint, minus the transpose: a
-        worker's is always a borrowed view of memory the caller owns,
-        so storing it would only copy (or write out) the shard again,
-        while a replacement re-slices the view for free."""
-        ops = self.kernel.engine.export_operands()
-        ops.pop("x_t", None)
-        return ops
-
     def _round_injector(self, iteration: int) -> None:
         """Per-round SEU injector, seeded by (base, worker, iteration)."""
         if self.cfg.p_inject <= 0:
@@ -187,14 +154,6 @@ class ShardWorker:
             # wedge AFTER answering: the round succeeds, the next ping
             # hangs — visible only to the between-round heartbeat
             self._wedge_s = float(directive["wedge_s"])
-        self.rounds_run += 1
-        if (self.cache_refresh_every and self.cache_store is not None
-                and self.cache_key
-                and self.rounds_run % self.cache_refresh_every == 0):
-            # keep the shard's preload entry warm on long fits: a no-op
-            # while the entry exists, a re-save once compaction evicted
-            # it (operands are per-fit-static, so bits never change)
-            self.cache_store.refresh(self.cache_key, self._cache_entry)
         return RoundResult(
             worker_id=self.worker_id, iteration=iteration,
             labels=res.labels.copy(), best=res.min_sqdist.copy(),
@@ -231,9 +190,7 @@ class ShardWorker:
 
 def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
                  n_clusters: int, sample_weight=None,
-                 base_seed: int = 0, cache_store=None,
-                 cache_refresh_every: int = 0,
-                 data_ref=None, weight_ref=None,
+                 base_seed: int = 0, data_ref=None, weight_ref=None,
                  x_t: np.ndarray | None = None,
                  xt_ref=None) -> ShardWorker:
     """Module-level worker factory (picklable for the process executor).
@@ -243,10 +200,6 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
     initial spawn and every post-crash respawn alike.  Lookup is by
     worker id, not position: after an elastic re-plan the surviving ids
     are sparse.
-
-    ``cache_store`` keys the worker's operand-cache checkpoint by its
-    shard's row range, so any worker booting onto the same rows — the
-    original, a respawn, or a promoted spare — shares one entry.
 
     On the process executor the factory carries ``data_ref`` /
     ``weight_ref`` (:class:`repro.dist.shm.ArrayRef`) instead of the
@@ -272,10 +225,7 @@ def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
     shard = plan.shard_of(worker_id)
     w = (None if sample_weight is None
          else sample_weight[shard.lo:shard.hi])
-    key = f"shard_{shard.lo}_{shard.hi}"
     return ShardWorker(worker_id, x[shard.lo:shard.hi], cfg, n_clusters,
                        sample_weight=w, base_seed=base_seed,
-                       cache_store=cache_store, cache_key=key,
-                       cache_refresh_every=cache_refresh_every,
                        x_t=(None if x_t is None
                             else x_t[:, shard.lo:shard.hi]))

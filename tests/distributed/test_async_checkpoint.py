@@ -12,13 +12,14 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.api import FTKMeans
-from repro.dist.checkpoint import CheckpointStore
+from repro.dist.checkpoint import CheckpointStore, _DaemonWriter
 from repro.dist.faults import WorkerFaultInjector
 
 
@@ -96,6 +97,53 @@ class TestAsyncStore:
             assert pool.submit(hammer).result(timeout=60) == 299
 
 
+class TestDaemonWriter:
+    def test_queue_bound_throttles_the_producer(self):
+        """With ``QUEUE_MAX`` thunks queued behind a busy drain, the
+        next submit blocks until the drain frees a slot; every thunk
+        still runs, in order, on the named writer thread."""
+        writer = _DaemonWriter()
+        started, gate = threading.Event(), threading.Event()
+        ran = []
+
+        def thunk(i):
+            def run():
+                started.set()
+                gate.wait(10)
+                ran.append((i, threading.current_thread().name))
+            return run
+
+        writer.submit(thunk(0))
+        assert started.wait(10)        # the drain holds thunk 0, busy
+        for i in range(1, _DaemonWriter.QUEUE_MAX + 1):
+            writer.submit(thunk(i))
+        late = threading.Thread(
+            target=writer.submit, args=(thunk(_DaemonWriter.QUEUE_MAX + 1),))
+        late.start()
+        late.join(0.2)
+        assert late.is_alive()         # throttled on the full queue
+        gate.set()
+        late.join(10)
+        writer.flush()
+        assert [i for i, _ in ran] == list(range(_DaemonWriter.QUEUE_MAX + 2))
+        assert {name for _, name in ran} == {_DaemonWriter.NAME}
+
+    def test_failed_thunk_reraises_once_then_recovers(self):
+        writer = _DaemonWriter()
+        ran = []
+
+        def fail():
+            raise OSError("disk gone")
+
+        writer.submit(fail)
+        with pytest.raises(OSError, match="disk gone"):
+            writer.flush()
+        writer.flush()                 # the error is reported once
+        writer.submit(lambda: ran.append(1))
+        writer.flush()
+        assert ran == [1]
+
+
 class TestCrashConsistency:
     def test_killed_writer_leaves_only_complete_checkpoints(self, tmp_path):
         """A process that async-saves and hard-exits mid-stream strands
@@ -103,7 +151,7 @@ class TestCrashConsistency:
         complete snapshot."""
         script = textwrap.dedent(f"""
             import os, numpy as np
-            from repro.dist.checkpoint import CheckpointStore
+            from repro.dist.checkpoint import CheckpointStore, _DaemonWriter
             store = CheckpointStore({str(tmp_path)!r}, keep=10)
             # large states so the kill lands mid-write with high odds
             big = np.arange(2_000_000, dtype=np.float64)

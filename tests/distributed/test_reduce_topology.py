@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.engine as engine_mod
+import repro.dist
 import repro.dist.coordinator as coordinator_mod
 from repro import FTKMeans
 from repro.core.config import KMeansConfig
@@ -26,7 +27,8 @@ from repro.core.update import UpdateStage
 from repro.dist import Coordinator, ReduceOccupancy, WorkerFaultInjector
 from repro.dist.executors import SerialExecutor
 from repro.dist.fleet import FleetManager
-from repro.dist.worker import ShardWorker
+from repro.dist.plan import ShardPlan
+from repro.dist.worker import ShardWorker, build_worker
 from repro.obs.trace import TraceRecorder
 
 M, N_FEATURES, K = 1537, 12, 7
@@ -309,7 +311,7 @@ class TestMergeOperandHoist:
 
 class TestRemovedKnobs:
     @pytest.mark.parametrize("knob", ["reduce_topology", "event_hook",
-                                      "transport"])
+                                      "transport", "worker_cache"])
     def test_coordinator_rejects(self, knob):
         Coordinator(_cfg())
         with pytest.raises(TypeError):
@@ -319,6 +321,20 @@ class TestRemovedKnobs:
         FleetManager(target_workers=2)
         with pytest.raises(TypeError):
             FleetManager(target_workers=2, event_hook=lambda e: None)
+
+    def test_worker_operand_cache_is_gone(self):
+        x = np.random.default_rng(0).random((64, 4)).astype(np.float32)
+        kw = dict(x=x, plan=ShardPlan.build(64, 1, 16), n_clusters=3,
+                  cfg=KMeansConfig(n_clusters=3, tile=None))
+        build_worker(0, **kw).close()
+        with pytest.raises(TypeError):
+            build_worker(0, cache_store={}, **kw)
+        engine = FastPathEngine(None, np.float32)
+        engine.begin_fit(x, 3)
+        with pytest.raises(TypeError):
+            engine.begin_fit(x, 3, preload={"x_norms": engine._cache.x_norms})
+        engine.end_fit()
+        assert not hasattr(repro.dist, "WorkerCacheStore")
 
 
 class TestReduceOccupancy:

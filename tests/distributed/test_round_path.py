@@ -6,8 +6,8 @@ Every backend implements one collect loop, ``collect_round_stream``;
 drive each backend directly through those helpers, check the coordinator
 creates the dataset segment only for the process executor, that the
 segment holds the exact bytes of ``x`` and ``sample_weight``, and that a
-fit ending in an error cancels its in-flight round and unlinks the
-segment.
+fit ending in an error cancels its in-flight round, unlinks the segment
+and still records the span of the round or recovery that failed.
 """
 
 import os
@@ -22,10 +22,13 @@ from repro.dist import coordinator as coordinator_mod
 from repro.dist.coordinator import Coordinator
 from repro.dist.executors import (ProcessExecutor, SerialExecutor,
                                   ThreadExecutor, make_executor)
-from repro.dist.faults import CRASH, WorkerCrash, WorkerFaultPlan
+from repro.dist.faults import (CRASH, WorkerCrash, WorkerFaultInjector,
+                               WorkerFaultPlan)
+from repro.dist.fleet import FleetManager
 from repro.dist.plan import ShardPlan
 from repro.dist.shm import SEGMENT_PREFIX, ShmSession, attach_array
 from repro.dist.worker import build_worker
+from repro.obs.trace import TraceRecorder
 
 EXECUTORS = ["serial", "thread", "process"]
 K = 6
@@ -218,3 +221,62 @@ class TestErrorTeardown:
         (children,) = cancels
         assert len(children) == (3 if executor == "process" else 0)
         assert not any(p.is_alive() for p in children)
+
+
+def _fail_at_3(self, merged, results, *args):
+    if results[0].iteration == 3:
+        raise RuntimeError("boom in the off-critical tail")
+
+
+class TestErrorSpans:
+    """A traced fit that raises mid-round or mid-recovery still records
+    the span it raised in, so no child span is left without its
+    parent."""
+
+    @staticmethod
+    def _spans(tracer, name):
+        return [s for s in tracer.spans if s.name == name]
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_tail_error_records_its_round(self, data, executor,
+                                          monkeypatch):
+        monkeypatch.setattr(Coordinator, "_check_partials", _fail_at_3)
+        tracer = TraceRecorder()
+        coord = Coordinator(_cfg(executor=executor), tracer=tracer)
+        with pytest.raises(RuntimeError, match="boom"):
+            coord.fit(data, data[:K].copy())
+        rounds = self._spans(tracer, "round")
+        assert [s.meta["iteration"] for s in rounds] == [1, 2, 3]
+        checks = self._spans(tracer, "abft_check")
+        assert len(checks) == 3
+        for check, rnd in zip(checks, rounds):
+            assert check.parent == "round"
+            assert rnd.t0 <= check.t0 <= check.t1 <= rnd.t1
+        (fit,) = self._spans(tracer, "fit")
+        assert fit.t0 <= rounds[-1].t0 <= rounds[-1].t1 <= fit.t1
+
+    @pytest.mark.parametrize("step", ["fleet_recover", "executor_restart",
+                                      "max_recoveries"])
+    def test_recovery_error_records_its_recovery(self, data, step,
+                                                 monkeypatch):
+        def boom(*args, **kw):
+            raise RuntimeError("boom in recovery")
+
+        kw = {}
+        if step == "fleet_recover":
+            kw = dict(hot_spares=1)
+            monkeypatch.setattr(FleetManager, "recover", boom)
+        elif step == "executor_restart":
+            monkeypatch.setattr(SerialExecutor, "restart", boom)
+        tracer = TraceRecorder()
+        coord = Coordinator(
+            _cfg(executor="serial", checkpoint_every=2, **kw),
+            tracer=tracer, max_recoveries=0 if step == "max_recoveries" else 8,
+            worker_faults=WorkerFaultInjector.crash_at(0, 3))
+        with pytest.raises((RuntimeError, WorkerCrash)):
+            coord.fit(data, data[:K].copy())
+        (rec,) = self._spans(tracer, "recovery")
+        assert rec.meta["iteration"] == 3
+        assert rec.t1 is not None and rec.t1 >= rec.t0
+        assert [s.meta["iteration"] for s in self._spans(tracer, "round")
+                ] == [1, 2]

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import FTKMeans
-from repro.core.variants import build_assignment
 from repro.core.config import KMeansConfig
 from repro.core.engine import transpose_blocked
 from repro.core.update import UpdateStage
@@ -17,7 +16,6 @@ from repro.dist import (
     CheckpointStore,
     Coordinator,
     FleetManager,
-    WorkerCacheStore,
     WorkerFaultInjector,
     WorkerFaultPlan,
     make_executor,
@@ -301,43 +299,29 @@ class TestSpawnReExpand:
         res = coord.fit(x, y0)
         assert res.promotions == 1
 
-    def test_kill_spawn_recovery_reuses_worker_cache(self, x, tmp_path):
-        # the subprocess acceptance test: a killed worker's replacement
-        # boots onto the same shard rows and preloads the operand-cache
-        # checkpoint the dead worker wrote at its own boot
+    @pytest.mark.parametrize("executor", ["process", "serial", "thread"])
+    def test_kill_spawn_recovery_persists_only_snapshots(self, x, tmp_path,
+                                                         executor):
+        # the subprocess acceptance test (and its in-process twins): a
+        # killed worker's replacement boots onto the same shard rows and
+        # rebuilds its norms itself; the coordinator's snapshots are the
+        # only files the fit writes
         y0 = x[:K].copy()
         ref0 = FTKMeans(n_clusters=K, variant="tensorop", seed=3,
                         max_iter=10, init_centroids=y0).fit(x)
         cfg = KMeansConfig(n_clusters=K, n_workers=2, seed=3, max_iter=10,
                            checkpoint_every=2, target_workers=2,
-                           executor="process")
+                           executor=executor)
         coord = Coordinator(
             cfg, checkpoint=CheckpointStore(tmp_path),
             worker_faults=WorkerFaultInjector.crash_at(0, 3))
-        assert coord.worker_cache is not None     # derived from the dir
         res = coord.fit(x, y0)
         assert np.array_equal(res.centroids, ref0.cluster_centers_)
         assert res.plan.n_workers == 2
         assert res.expands + res.promotions >= 1
-        # each shard checkpointed its light operands at first boot
-        light = sorted(p.name for p in
-                       (tmp_path / "worker_cache").glob("shard_*.npz"))
-        assert len(light) >= 2
-
-    def test_worker_cache_hits_on_shared_store(self, x):
-        # serial backend shares the store object, so the hit counters
-        # are observable: the respawned worker's boot must be a hit
-        y0 = x[:K].copy()
-        store = WorkerCacheStore()
-        cfg = KMeansConfig(n_clusters=K, n_workers=2, seed=3, max_iter=10,
-                           checkpoint_every=2, target_workers=2,
-                           executor="serial")
-        coord = Coordinator(
-            cfg, worker_cache=store,
-            worker_faults=WorkerFaultInjector.crash_at(0, 3))
-        coord.fit(x, y0)
-        assert store.hits >= 1             # replacement preloaded
-        assert store.misses >= 2           # first boots missed
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names and all(n.startswith("ckpt_") and n.endswith(".pkl")
+                             for n in names), names
 
 
 # -- random membership histories --------------------------------------
@@ -396,126 +380,6 @@ class TestMembershipHistoryProperty:
         assert km.n_workers_ == 3
 
 
-class TestWorkerCacheStore:
-    def _operands(self, rng, m=64, n=8):
-        x = rng.random((m, n), dtype=np.float64).astype(np.float32)
-        return {"x_norms": np.sum(x * x, axis=1, dtype=np.float32),
-                "x_t": transpose_blocked(x)}
-
-    @pytest.mark.parametrize("backed", ["memory", "disk"])
-    def test_roundtrip_light_and_heavy(self, tmp_path, backed):
-        store = WorkerCacheStore(tmp_path if backed == "disk" else None)
-        ops = self._operands(np.random.default_rng(1))
-        assert store.save("shard_0_64", ops) is True
-        out = store.load("shard_0_64")
-        assert set(out) == {"x_norms", "x_t"}
-        for k in out:
-            assert np.array_equal(out[k], ops[k])
-        assert store.hits == 1 and store.misses == 0
-
-    def test_first_writer_wins(self, tmp_path):
-        store = WorkerCacheStore(tmp_path)
-        ops = self._operands(np.random.default_rng(1))
-        assert store.save("shard_0_64", ops) is True
-        other = self._operands(np.random.default_rng(2))
-        assert store.save("shard_0_64", other) is False
-        assert np.array_equal(store.load("shard_0_64")["x_norms"],
-                              ops["x_norms"])
-
-    def test_compaction_degrades_to_light(self, tmp_path):
-        ops = self._operands(np.random.default_rng(1))
-        store = WorkerCacheStore(tmp_path, budget_bytes=16)   # < one heavy
-        assert store.save("shard_0_64", ops) is True
-        out = store.load("shard_0_64")
-        assert set(out) == {"x_norms"}     # heavy skipped, light kept
-
-    @pytest.mark.parametrize("backed", ["memory", "disk"])
-    def test_eviction_is_oldest_first(self, tmp_path, backed):
-        import time
-
-        rng = np.random.default_rng(1)
-        a, b = self._operands(rng), self._operands(rng)
-        heavy = a["x_t"].nbytes
-        store = WorkerCacheStore(
-            tmp_path if backed == "disk" else None,
-            budget_bytes=heavy + heavy // 2)   # fits one heavy, not two
-        store.save("shard_0_64", a)
-        if backed == "disk":
-            time.sleep(0.02)               # mtime resolution
-        store.save("shard_64_128", b)
-        assert store.evictions >= 1
-        assert set(store.load("shard_0_64")) == {"x_norms"}   # evicted
-        assert set(store.load("shard_64_128")) == {"x_norms", "x_t"}
-
-    def test_empty_or_lightless_saves_are_skipped(self, tmp_path):
-        store = WorkerCacheStore(tmp_path)
-        assert store.save("k", {}) is False
-        assert store.save("k", {"x_t": np.zeros((2, 2))}) is False
-        assert store.load("k") is None
-        assert store.misses == 1
-
-    def test_clear_empties_both_tiers(self, tmp_path):
-        store = WorkerCacheStore(tmp_path)
-        store.save("shard_0_64", self._operands(np.random.default_rng(1)))
-        store.clear()
-        assert store.load("shard_0_64") is None
-        assert list(tmp_path.glob("*.npz")) == []
-
-    @pytest.mark.parametrize("backed", ["memory", "disk"])
-    def test_refresh_is_lazy_while_entry_is_warm(self, tmp_path, backed):
-        store = WorkerCacheStore(tmp_path if backed == "disk" else None)
-        ops = self._operands(np.random.default_rng(1))
-        store.save("shard_0_64", ops)
-        calls = []
-        assert store.refresh(
-            "shard_0_64", lambda: calls.append(1) or ops) is False
-        assert calls == []                 # payload never built
-
-    def test_refresh_resaves_an_evicted_entry(self, tmp_path):
-        store = WorkerCacheStore(tmp_path)
-        ops = self._operands(np.random.default_rng(1))
-        store.save("shard_0_64", ops)
-        store.flush()
-        for p in tmp_path.glob("*.npz"):   # compaction / operator wipe
-            p.unlink()
-        fresh = WorkerCacheStore(tmp_path)
-        assert fresh.refresh("shard_0_64", lambda: dict(ops)) is True
-        out = fresh.load("shard_0_64")
-        assert out is not None
-        assert np.array_equal(out["x_norms"], ops["x_norms"])
-
-    def test_async_default_and_pickled_copy_sheds_writer(self, tmp_path):
-        import pickle
-
-        assert WorkerCacheStore(tmp_path).sync is False
-        assert WorkerCacheStore().sync is True       # in-memory: no I/O
-        store = WorkerCacheStore(tmp_path)
-        store.save("shard_0_64", self._operands(np.random.default_rng(1)))
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone._writer is None and clone._queued == set()
-        store.flush()
-        assert clone.load("shard_0_64") is not None
-
-    def test_queued_save_keeps_first_writer_wins(self, tmp_path):
-        store = WorkerCacheStore(tmp_path)
-        a = self._operands(np.random.default_rng(1))
-        b = self._operands(np.random.default_rng(2))
-        assert store.save("shard_0_64", a) is True
-        # second save lands inside the async in-flight window
-        assert store.save("shard_0_64", b) is False
-        assert np.array_equal(store.load("shard_0_64")["x_norms"],
-                              a["x_norms"])
-
-    def test_failed_write_is_counted_not_raised(self, tmp_path):
-        import pathlib
-
-        store = WorkerCacheStore(tmp_path)
-        store.directory = pathlib.Path(tmp_path) / "vanished"
-        store.save("shard_0_64", self._operands(np.random.default_rng(1)))
-        store.flush()                      # must not raise
-        assert store.write_errors >= 1
-
-
 class TestOperandHoist:
     """Satellites: the blocked transpose and the update stage's bound
     operand are pure layout changes — bits never move."""
@@ -567,34 +431,6 @@ class TestOperandHoist:
             other, labels, bind_to=x,
             x_t=np.zeros_like(transpose_blocked(x)))
         assert np.array_equal(plain, guarded)
-
-    def test_engine_preload_roundtrip_and_rejection(self, x):
-        cfg = KMeansConfig(n_clusters=K, variant="tensorop", seed=3)
-        stage = build_assignment(cfg, M, N_FEATURES,
-                                 np.random.default_rng(0))
-        stage.begin_fit(x, K)
-        stage.engine.prepare_update_operand()
-        exported = {k: v.copy()
-                    for k, v in stage.engine.export_operands().items()}
-        assert "x_norms" in exported and "x_t" in exported
-
-        fresh = build_assignment(cfg, M, N_FEATURES,
-                                 np.random.default_rng(0))
-        fresh.begin_fit(x, K, preload=exported)
-        cache = fresh.engine._cache
-        assert np.array_equal(cache.x_norms, exported["x_norms"])
-        assert np.array_equal(cache.x_t, exported["x_t"])
-
-        # wrong-shape / wrong-dtype candidates are silently rebuilt
-        bad = {"x_norms": np.zeros(3, np.float32),
-               "x_t": np.zeros((2, 2), np.float32)}
-        rebuilt = build_assignment(cfg, M, N_FEATURES,
-                                   np.random.default_rng(0))
-        rebuilt.begin_fit(x, K, preload=bad)
-        assert rebuilt.engine._cache.x_norms.shape == (M,)
-        assert not np.array_equal(rebuilt.engine._cache.x_norms,
-                                  np.zeros(M, np.float32))
-        assert rebuilt.engine._cache.x_t is None   # rebuilt lazily
 
 
 class TestCancelRound:

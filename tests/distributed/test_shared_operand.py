@@ -4,8 +4,7 @@ The coordinator hoists the whole-data transpose once; every worker
 borrows its shard's column view instead of hoisting a copy of its own —
 serial and thread workers of the array, process children of its
 shared-memory segment — at first boot and at every later one (respawn,
-hot spare promotion, elastic re-plan), and a worker cache keeps only
-the light operands of such a worker.  The fit stays the single-worker
+hot spare promotion, elastic re-plan).  The fit stays the single-worker
 fit bit for bit.
 """
 
@@ -15,8 +14,8 @@ import pytest
 import repro.dist.coordinator as coordinator_mod
 from repro import FTKMeans
 from repro.core.config import KMeansConfig
-from repro.core.engine import FastPathEngine, transpose_blocked
-from repro.dist import Coordinator, WorkerCacheStore, WorkerFaultInjector
+from repro.core.engine import FastPathEngine
+from repro.dist import Coordinator, WorkerFaultInjector
 from repro.dist.plan import ShardPlan
 from repro.dist.shm import ShmSession, attach_array, detach_all
 from repro.dist.worker import ShardWorker, build_worker
@@ -143,70 +142,89 @@ class TestProcessFleetOperand:
 
     def test_child_borrows_its_column_view(self, x):
         """What a child does with the ref: map the segment and borrow
-        its shard's columns, checkpointing only the light operands."""
+        its shard's columns."""
         session = ShmSession(x)
         plan = ShardPlan.build(M, 2, 256)
         cfg = KMeansConfig(n_clusters=K, variant="tensorop", seed=3,
                            tile=None)
-        store = WorkerCacheStore()
         shard = plan.shard_of(1)
         try:
             xt = session.share_transpose(x)
             assert np.array_equal(xt, x.T)
             worker = build_worker(1, plan=plan, cfg=cfg, n_clusters=K,
                                   data_ref=session.data_ref,
-                                  xt_ref=session.xt_ref,
-                                  cache_store=store)
+                                  xt_ref=session.xt_ref)
             x_t = worker.kernel.engine._cache.x_t
             assert np.shares_memory(x_t, attach_array(session.xt_ref))
             assert np.array_equal(x_t, x[shard.lo:shard.hi].T)
-            assert set(store.load(f"shard_{shard.lo}_{shard.hi}")) == {
-                "x_norms"}
             worker.close()
         finally:
             detach_all()
             session.close()
 
 
-class TestBorrowedViewCache:
-    @pytest.mark.parametrize("backed", ["memory", "disk"])
-    def test_borrowed_view_saves_light_only(self, x, tmp_path, monkeypatch,
-                                            backed):
-        """A worker borrowing the coordinator's view checkpoints only
-        its norms; the respawn preloads them and re-slices the view."""
-        store = WorkerCacheStore(tmp_path if backed == "disk" else None)
+class TestBorrowedView:
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_respawn_reslices_the_borrowed_view(self, x, monkeypatch,
+                                                executor):
+        """A respawned worker rebuilds its norms and re-slices the
+        coordinator's view; the fit stays the single-worker fit."""
         y0 = x[:K].copy()
         ref0 = FTKMeans(n_clusters=K, variant="tensorop", seed=3,
                         max_iter=10, init_centroids=y0).fit(x)
         seen = _watch(monkeypatch)
         cfg = KMeansConfig(n_clusters=K, n_workers=2, seed=3, max_iter=10,
                            checkpoint_every=2, target_workers=2,
-                           executor="serial")
+                           executor=executor)
         res = Coordinator(
-            cfg, worker_cache=store,
-            worker_faults=WorkerFaultInjector.crash_at(0, 3)).fit(x, y0)
+            cfg, worker_faults=WorkerFaultInjector.crash_at(0, 3)).fit(x, y0)
         assert np.array_equal(res.centroids, ref0.cluster_centers_)
-        assert store.hits >= 1                  # the replacement preloaded
         _assert_one_shared_operand(seen, min_boots=3)
-        store.flush()
-        if backed == "memory":
-            assert store._light and not store._heavy
-        else:
-            assert list(tmp_path.glob("shard_*.npz"))
-            assert not list(tmp_path.glob("*.heavy.npz"))
 
-    def test_preload_is_charged_a_borrowed_view_is_not(self, x):
-        """A cache store's transpose is the fit's own memory and is
-        charged; only an explicitly lent view goes uncharged."""
-        xt = transpose_blocked(x)
+    @pytest.mark.parametrize("scenario", sorted(set(SCENARIOS) - {"steady"}))
+    def test_every_boot_computes_its_own_norms(self, x, monkeypatch,
+                                               scenario):
+        """Replacements rebuild their shard's norms exactly as a first
+        boot does: fresh arrays, equal to the direct row sums."""
+        norms = []
+        init = ShardWorker.__init__
+
+        def boot_spy(worker, *args, **kw):
+            init(worker, *args, **kw)
+            norms.append((worker.x, worker.kernel.engine._cache.x_norms))
+
+        monkeypatch.setattr(ShardWorker, "__init__", boot_spy)
+        fit(x, n_workers=3, executor="serial", **SCENARIOS[scenario][0]())
+        assert len(norms) >= 4                  # a replacement booted
+        for i, (shard, got) in enumerate(norms):
+            assert np.array_equal(
+                got, np.sum(shard * shard, axis=1, dtype=np.float32))
+            assert not any(np.shares_memory(got, other)
+                           for _, other in norms[:i])
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype"])
+    def test_a_mismatched_view_is_ignored(self, x, bad):
+        """A lent transpose of the wrong shape or dtype is never
+        trusted: the engine falls back to its own hoist decision."""
+        xt = (np.ascontiguousarray(x[1:].T) if bad == "shape"
+              else np.ascontiguousarray(x.T, dtype=np.float64))
+        engine = FastPathEngine(None, np.float32)
+        engine.operand_budget = 0
+        try:
+            engine.begin_fit(x, K, x_t=xt)
+            assert engine._cache.x_t is None
+            assert engine.prepare_update_operand() is None
+        finally:
+            engine.end_fit()
+
+    def test_a_borrowed_view_is_not_charged(self, x):
+        """The engine borrows a lent transpose as-is: no copy and no
+        ``operand_cache_transpose`` charge."""
+        xt = np.ascontiguousarray(x.T)
         charged = []
         engine = FastPathEngine(None, np.float32,
                                 alloc_hook=lambda n, b: charged.append(n))
         try:
-            engine.begin_fit(x, K, preload={"x_t": xt.copy()})
-            assert np.array_equal(engine._cache.x_t, xt)
-            assert charged.count("operand_cache_transpose") == 1
-            charged.clear()
             engine.begin_fit(x, K, x_t=xt)
             assert engine._cache.x_t is xt
             assert "operand_cache_transpose" not in charged
@@ -215,26 +233,20 @@ class TestBorrowedViewCache:
 
     def test_a_worker_never_owns_a_transpose(self, x):
         """Without a lent view a worker runs the staging path: it
-        neither hoists its shard nor adopts a cached transpose, and it
-        checkpoints only its norms."""
+        never hoists its shard, and it computes its own norms."""
         cfg = KMeansConfig(n_clusters=K, variant="tensorop", seed=3,
                            tile=None)
         plan = ShardPlan.build(M, 2, 256)
-        s0, s1 = plan.shard_of(0), plan.shard_of(1)
-        rows = x[s1.lo:s1.hi]
-        store = WorkerCacheStore()
-        store.save(f"shard_{s1.lo}_{s1.hi}",
-                   {"x_norms": np.sum(rows * rows, axis=1,
-                                      dtype=np.float32),
-                    "x_t": np.ascontiguousarray(rows.T)})
-        kw = dict(x=x, plan=plan, cfg=cfg, n_clusters=K, cache_store=store)
+        kw = dict(x=x, plan=plan, cfg=cfg, n_clusters=K)
         workers = [build_worker(0, **kw), build_worker(1, **kw)]
         try:
-            assert store.hits == 1                  # worker 1 preloaded
             for worker in workers:
                 worker.run_round(x[:K].copy(), 1)
-                assert worker.kernel.engine._cache.x_t is None
-            assert set(store.load(f"shard_{s0.lo}_{s0.hi}")) == {"x_norms"}
+                cache = worker.kernel.engine._cache
+                assert cache.x_t is None
+                assert np.array_equal(
+                    cache.x_norms,
+                    np.sum(worker.x * worker.x, axis=1, dtype=np.float32))
         finally:
             for worker in workers:
                 worker.close()
