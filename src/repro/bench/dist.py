@@ -353,16 +353,13 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
     # fleet onto the survivors to keep making progress, then a cold
     # spawn re-expands back to the target at the next round boundary —
     # the most expensive self-healing path (the promote-from-spare
-    # path skips both the replan and the spawn).  Both runs carry a
-    # fault injector (the kill run's is armed) so overlap is off in
-    # both and the walls are comparable.
+    # path skips both the replan and the spawn).
     kill_it = crash_it
     heal_clean, heal_clean_wall = _fit_once(
         x, y0, n_clusters=n_clusters, iters=iters, workers=rec_workers,
         executor="process", seed=seed, checkpoint_every=checkpoint_every,
         round_timeout=round_timeout, target_workers=rec_workers,
-        heartbeat_interval=1.0,
-        worker_faults=WorkerFaultInjector())
+        heartbeat_interval=1.0)
     healed, heal_wall = _fit_once(
         x, y0, n_clusters=n_clusters, iters=iters, workers=rec_workers,
         executor="process", seed=seed, checkpoint_every=checkpoint_every,

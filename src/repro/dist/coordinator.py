@@ -44,21 +44,6 @@ created (``OSError``: ``/dev/shm`` full or absent) the fit warns and
 the factories carry the rows.  Per-round payloads always travel over
 the executor's pipes.
 
-**Double-buffered rounds.**  On backends whose workers genuinely
-compute between a send and a collect (thread, process), the coordinator
-pipelines: as soon as round *t*'s merge produces the new centroids it
-broadcasts round *t+1*, then performs round *t*'s off-critical tail —
-the ABFT partial check, inertia/convergence bookkeeping and the
-checkpoint snapshot — while the workers are already computing.  Only
-the gather → sequential-continuation merge → update divide stays on the
-critical path.  The pipeline computes exactly the rounds the sequential
-loop would (the one speculative round in flight when convergence lands
-is collected and discarded), so results stay bit-identical; it arms
-only on fault-free fits (no ``worker_faults``), keeping every
-fault-injection schedule's semantics byte-for-byte unchanged, and any
-*real* worker loss in an overlapped round surfaces at collect time and
-runs the ordinary recovery path.
-
 **Stream merge.**  Step 2 consumes results in **arrival** order
 (``collect_round_stream``) but step 3 commits them strictly in
 **shard** order: as soon as the next uncommitted shard's result is in,
@@ -221,6 +206,41 @@ class ReduceOccupancy:
                            for t0, t1 in self._segments)
 
 
+@dataclass
+class _FitState:
+    """What a fit's rounds read and its recovery rewrites.
+
+    ``y`` / ``monitor`` / ``clock`` / ``counters`` are the snapshotted
+    Lloyd state (a restore replaces them); ``plan`` is the current
+    membership; the trace and loss tallies are restore-proof.
+    """
+
+    y: np.ndarray
+    monitor: ConvergenceMonitor
+    clock: SimClock
+    counters: PerfCounters
+    plan: ShardPlan
+    round_times: deque
+    initial_blob: bytes = b""    # the pickled iteration-0 snapshot
+    trace: list[dict] = field(default_factory=list)
+    recoveries: int = 0
+    crash_workers_lost: int = 0
+    stall_workers_lost: int = 0
+    shrinks: int = 0
+    heartbeat_failures: int = 0
+
+    def snapshot(self, iteration: int) -> dict:
+        return {"iteration": iteration, "y": self.y.copy(),
+                "monitor": self.monitor, "clock": self.clock,
+                "counters": self.counters}
+
+    def restore(self, snap: dict) -> None:
+        self.y = snap["y"]
+        self.monitor = snap["monitor"]
+        self.clock = snap["clock"]
+        self.counters = snap["counters"]
+
+
 def _boot_stats(events: list[dict]) -> dict:
     """Aggregate a fit's boot events by kind (count / total / mean / max).
 
@@ -279,10 +299,6 @@ class Coordinator:
         behaviour).  ``"auto"`` re-arms the deadline each round from a
         trailing median of observed round times (see the class
         ``ADAPTIVE_*`` attributes).
-    overlap_rounds : bool
-        Allow the double-buffered round pipeline on executors that
-        support it (default True; fault-injecting fits always run the
-        sequential loop).
     target_workers : int, optional
         Fleet size the :class:`FleetManager` steers back toward after
         losses (promotion / re-expansion); defaults to
@@ -308,8 +324,8 @@ class Coordinator:
         either way it is exposed as :attr:`event_bus`.
     tracer : :class:`repro.obs.trace.TraceRecorder`, optional
         Span recorder for the coordinator-side stage taxonomy ``fit ->
-        round -> {broadcast, compute, gather, merge, update,
-        abft_check, checkpoint}`` (see ``docs/observability.md``).  Off
+        {broadcast, compute -> merge, recovery, round -> {update,
+        abft_check, checkpoint}}`` (see ``docs/observability.md``).  Off
         by default; when enabled it records names and clocks only —
         numerics are untouched, so traced fits stay bit-identical.
     """
@@ -333,7 +349,6 @@ class Coordinator:
                  partial_tol: float = PARTIAL_CHECK_RTOL,
                  elastic: bool | None = None,
                  round_timeout: float | str | None = None,
-                 overlap_rounds: bool = True,
                  target_workers: int | None = None,
                  hot_spares: int | None = None,
                  heartbeat_interval: float | None = None,
@@ -354,7 +369,6 @@ class Coordinator:
         self.max_recoveries = int(max_recoveries)
         self.partial_tol = float(partial_tol)
         self.elastic = bool(cfg.elastic if elastic is None else elastic)
-        self.overlap_rounds = bool(overlap_rounds)
         round_timeout = (cfg.round_timeout if round_timeout is None
                          else round_timeout)
         self.adaptive_timeout = round_timeout == "auto"
@@ -393,11 +407,6 @@ class Coordinator:
             return replace(cfg, tile=_resolve_tile(cfg, m, k))
         return cfg
 
-    @staticmethod
-    def _snapshot(iteration: int, y, monitor, clock, counters) -> dict:
-        return {"iteration": iteration, "y": y.copy(), "monitor": monitor,
-                "clock": clock, "counters": counters}
-
     # ------------------------------------------------------------------
     def fit(self, x: np.ndarray, y0: np.ndarray, *,
             sample_weight: np.ndarray | None = None) -> DistFitResult:
@@ -412,7 +421,6 @@ class Coordinator:
         # a shared no-op otherwise — span sites below cost nothing when
         # tracing is off (and never touch a disabled recorder at all)
         tr = active_tracer(self.tracer)
-        bus = self.event_bus
         m, k = x.shape
         n_clusters = cfg.n_clusters
         worker_cfg = self._worker_cfg(m, k)
@@ -477,8 +485,6 @@ class Coordinator:
                            sample_weight=sample_weight,
                            base_seed=base_seed)
 
-        factory = make_factory(plan)
-
         updater = UpdateStage(cfg.device, cfg.dtype, dmr=cfg.dmr_update,
                               update_mode=cfg.resolved_update_mode())
         merge_acc = StreamedAccumulator(n_clusters, k)
@@ -490,16 +496,12 @@ class Coordinator:
         labels = np.empty(m, dtype=np.int64)
         best = np.empty(m, dtype=cfg.dtype)
 
-        y = y0.astype(cfg.dtype) if y0.dtype != cfg.dtype else y0.copy()
-        monitor = ConvergenceMonitor(cfg.tol)
-        clock = SimClock()
-        counters = PerfCounters()
-        trace: list[dict] = []
-        recoveries = 0
-        crash_workers_lost = 0
-        stall_workers_lost = 0
-        shrinks = 0
-        heartbeat_failures = 0
+        st = _FitState(
+            y=y0.astype(cfg.dtype) if y0.dtype != cfg.dtype else y0.copy(),
+            monitor=ConvergenceMonitor(cfg.tol), clock=SimClock(),
+            counters=PerfCounters(), plan=plan,
+            round_times=deque(maxlen=self.ADAPTIVE_WINDOW))
+        n_iter = 0
         converged = False
         upd = None
         # coordinator-level fault events are one-shot: a checkpoint
@@ -510,9 +512,8 @@ class Coordinator:
                        "corrected": 0}
         # the implicit iteration-0 snapshot: recovery's floor when no
         # periodic checkpoint exists yet
-        initial_blob = pickle.dumps(
-            self._snapshot(0, y, monitor, clock, counters),
-            protocol=pickle.HIGHEST_PROTOCOL)
+        st.initial_blob = pickle.dumps(st.snapshot(0),
+                                       protocol=pickle.HIGHEST_PROTOCOL)
         # a reused store (e.g. a checkpoint_dir shared across fits) must
         # not leak a previous fit's snapshots into this one's recovery
         self.store.clear()
@@ -520,281 +521,155 @@ class Coordinator:
         ckpt_flush_s = 0.0
         if self.checkpoint_every:
             t0 = time.perf_counter()
-            self.store.save(0, self._snapshot(0, y, monitor, clock, counters))
+            self.store.save(0, st.snapshot(0))
             ckpt_save_s += time.perf_counter() - t0
 
-        # the double-buffered round pipeline: only on backends whose
-        # workers compute between send and collect, and only on
-        # fault-free fits — an injected fault schedule must see exactly
-        # the sequential loop's rounds (a converged fit never draws the
-        # next round's directives)
-        overlap = (self.overlap_rounds and self.faults is None
-                   and self.executor.supports_overlap)
-        round_times: deque[float] = deque(maxlen=self.ADAPTIVE_WINDOW)
         occ = ReduceOccupancy()
         # the fit span brackets the whole round loop including the
-        # shutdown/flush tail; opened by hand (not ``with``) so the
-        # 200-line loop below keeps its indentation — closed in the
-        # ``finally`` underneath the flush barrier
-        fit_span = tr.span("fit", m=int(m), n_features=int(k),
-                           n_workers=int(plan.n_workers))
-        fit_span.__enter__()
-        self.fleet.attach(self.executor, plan)
-        self.executor.reset_transport_stats()
-        self.executor.start(factory, plan.worker_ids)
-        n_iter = 0
-        # the round in flight: (iteration, directives, send time, plan
-        # it was sent under) — membership may change at a later round
-        # boundary, and the gather must use the plan the round ran on
-        pending: tuple[int, dict, float, ShardPlan] | None = None
-        try:
-            it = 1
-            while it <= cfg.max_iter:
-                if pending is None:
+        # shutdown/flush tail
+        with tr.span("fit", m=int(m), n_features=int(k),
+                     n_workers=int(plan.n_workers)):
+            try:
+                self.fleet.attach(self.executor, plan)
+                self.executor.reset_transport_stats()
+                self.executor.start(make_factory(plan), plan.worker_ids)
+                it = 1
+                while it <= cfg.max_iter:
                     directives = (self.faults.directives_for_round(
-                        it, plan.worker_ids)
+                        it, st.plan.worker_ids)
                         if self.faults is not None else {})
-                    pending = self._send(tr, round_times, y, it,
-                                         directives, plan)
-                cur, directives, t_send, cur_plan = pending
-                occ.begin_round()
-                try:
-                    # arrival-ordered consume, shard-ordered commit: the
-                    # per-shard merge spans nest under the compute span
-                    # they genuinely overlap
-                    with tr.span("compute", iteration=int(cur)) as sp:
-                        g0 = self.executor.gather_bytes
-                        results = self._stream_reduce(
-                            cur_plan, x, labels, best, counters, clock,
-                            merge_acc, occ, tr)
-                        if sp is not None:
-                            sp.meta["payload_bytes"] = (
-                                self.executor.gather_bytes - g0)
-                    merged = merge_acc.packed()
-                    # between-round liveness sweep (rate-limited): a
-                    # worker that answered its round but wedged after
-                    # is caught here, not one full round budget later.
-                    # No round is in flight at this point — the next
-                    # speculative send happens after the update.
-                    self.fleet.maybe_heartbeat(cur)
-                except WorkerCrash as crash:
-                    pending = None
-                    recoveries += 1
-                    crash_workers_lost += len(crash.crashed_ids)
-                    stall_workers_lost += len(crash.stalled_ids)
-                    detector = getattr(crash, "detector", "deadline")
-                    if detector == "heartbeat":
-                        heartbeat_failures += 1
-                    # the handler leaves through ``raise``, ``continue``
-                    # or an error of its own: ``with`` records the span
-                    # on every path
-                    with tr.span("recovery", iteration=int(crash.iteration),
-                                 detector=detector):
-                        bus.publish("recovery", source="coordinator",
-                                    iteration=int(crash.iteration),
-                                    detector=detector,
-                                    crashed=sorted(crash.crashed_ids),
-                                    stalled=sorted(crash.stalled_ids))
-                        for wid in crash.crashed_ids:
-                            trace.append({"kind": "crash", "worker": wid,
-                                          "iteration": crash.iteration,
-                                          "reason": crash.reason,
-                                          "detector": detector})
-                        for wid in crash.stalled_ids:
-                            trace.append({"kind": "stall_timeout",
-                                          "worker": wid,
-                                          "iteration": crash.iteration,
-                                          "detector": detector,
-                                          "round_timeout":
-                                              self.executor.round_timeout})
-                        if recoveries > self.max_recoveries:
-                            raise
-                        loaded = self.store.load_latest()
-                        if loaded is None:
-                            loaded = (0, pickle.loads(initial_blob))
-                        restored_it, state = loaded
-                        y = state["y"]
-                        monitor = state["monitor"]
-                        clock = state["clock"]
-                        counters = state["counters"]
-                        trace.append({"kind": "restore",
-                                      "iteration": restored_it})
-                        bus.publish("restore", source="coordinator",
-                                    iteration=int(restored_it))
-                        # the adaptive deadline's history describes the
-                        # pre-recovery membership: after an elastic shrink
-                        # the surviving shards are larger and an honest
-                        # round is legitimately slower, so the median must
-                        # re-warm (deadline disarmed for the warm-up
-                        # rounds) instead of condemning healthy survivors
-                        # as phantom stalls round after round
-                        if self.adaptive_timeout:
-                            round_times.clear()
-                            self.executor.round_timeout = None
-                        survivors = tuple(w for w in plan.worker_ids
-                                          if w not in crash.failed_ids)
-                        if self.fleet.manages_membership and survivors:
-                            # fleet recovery: promote ready spares onto the
-                            # dead ids in place (plan unchanged, survivors
-                            # keep running) or shrink onto the survivors
-                            # now and re-expand at a later round boundary
-                            plan, factory, action = self.fleet.recover(
-                                plan, make_factory, crash)
-                            if action == "promote":
-                                trace.append({"kind": "promote",
-                                              "iteration": crash.iteration,
-                                              "promoted":
-                                                  sorted(crash.failed_ids),
-                                              "n_workers": plan.n_workers})
-                            else:
-                                shrinks += 1
-                                trace.append({"kind": "shrink",
-                                              "iteration": crash.iteration,
-                                              "lost": sorted(crash.failed_ids),
-                                              "survivors":
-                                                  list(plan.worker_ids),
-                                              "n_workers": plan.n_workers})
-                        elif self.elastic and survivors:
-                            # shrink: the lost rows re-shard onto the
-                            # survivors (same unit grid, same row order, so
-                            # the merge bits never move); only survivors
-                            # respawn
-                            plan = plan.replan(survivors)
-                            factory = make_factory(plan)
-                            shrinks += 1
-                            trace.append({"kind": "shrink",
-                                          "iteration": crash.iteration,
-                                          "lost": sorted(crash.failed_ids),
-                                          "survivors": list(plan.worker_ids),
-                                          "n_workers": plan.n_workers})
-                            self.executor.restart(factory, plan.worker_ids)
-                        else:
-                            # non-elastic (or every member lost at once):
-                            # respawn the current membership in full
-                            self.executor.restart()
-                        it = restored_it + 1
-                    continue
-                pending = None
-                round_times.append(time.monotonic() - t_send)
-                occ.end_round()
-                # the reduce streamed under compute, so the round span
-                # brackets update + tail only.  Under double buffering
-                # the *next* round's broadcast nests here, where it
-                # genuinely happens.
-                with tr.span("round", iteration=int(cur)):
-                    # -- the exact single-device update + convergence --
-                    with tr.span("update"):
-                        upd = updater.update(x, labels, best, y, counters,
-                                             fused_sums=merged,
-                                             sample_weight=sample_weight)
-                    for label, t in upd.timings:
-                        clock.charge(label, t)
-                    y = upd.centroids
-
-                    # -- re-expansion: a shrunken fleet regrows toward the
-                    # target at this round boundary (no round in flight;
-                    # replacements reuse the missing ids, so a full regrow
-                    # restores the original plan).  Overlaps nothing —
-                    # membership changes are rare and must precede the next
-                    # broadcast.
-                    if self.fleet.manages_membership:
-                        grown = self.fleet.maybe_expand(plan, make_factory)
-                        if grown is not None:
-                            plan, factory = grown
-                            trace.append({"kind": "expand", "iteration": cur,
-                                          "members": list(plan.worker_ids),
-                                          "n_workers": plan.n_workers})
-                            bus.publish("re_expand", source="coordinator",
-                                        iteration=int(cur),
-                                        members=list(plan.worker_ids))
-
-                    # -- double buffering: the next round's broadcast leaves
-                    # as soon as the centroids exist; everything below
-                    # overlaps the workers' compute.  The send is
-                    # speculative against convergence — at most one round is
-                    # computed and discarded, at the very end of the fit.
-                    if overlap and cur < cfg.max_iter:
-                        pending = self._send(tr, round_times, y, cur + 1, {},
-                                             plan)
-
-                    # -- off-critical tail ---------------------------------
-                    self._count_directives(faults_seen, trace, directives, cur)
-                    counters.checksum_tests += 1
-                    with tr.span("abft_check"):
-                        self._check_partials(merged, results, cur_plan, x,
-                                             labels, sample_weight,
-                                             faults_seen, trace, cur)
-                    best64 = best.astype(np.float64)
-                    inertia = float(np.sum(best64 * sample_weight)
-                                    if sample_weight is not None
-                                    else np.sum(best64))
-                    n_iter = cur
-                    converged = monitor.update(inertia, upd.shift)
-                    if (self.checkpoint_every
-                            and cur % self.checkpoint_every == 0):
-                        with tr.span("checkpoint", iteration=int(cur)):
-                            t0 = time.perf_counter()
-                            self.store.save(cur, self._snapshot(
-                                cur, y, monitor, clock, counters))
-                            ckpt_save_s += time.perf_counter() - t0
-                if converged:
-                    break
-                it = cur + 1
-        finally:
-            if pending is not None:
-                # a speculative round was in flight when the fit ended
-                # (convergence, or an error): nobody wants its results,
-                # so cancel it outright — shutdown follows immediately,
-                # which is the contract cancel_round requires
-                self.executor.cancel_round()
-            self.executor.shutdown()
-            # unlink the dataset segment on the way out (error paths
-            # included); a coordinator killed before reaching here is
-            # covered by the resource tracker — either way /dev/shm
-            # holds no strays once the fit is gone
-            if shm_session is not None:
-                # a transpose in the segment is unmapped by the close:
-                # drop the coordinator's bindings of it first
-                merge_acc.bind_source_t(None)
-                updater.bind_source_t(None, None)
-                shm_session.close()
-            # flush barrier: every snapshot of this fit is durable
-            # before fit() returns (or propagates its error)
-            t0 = time.perf_counter()
-            with tr.span("checkpoint_flush"):
-                if sys.exc_info()[0] is None:
-                    self.store.flush()
-                else:
+                    t_send = self._send(tr, st, it, directives)
+                    occ.begin_round()
                     try:
+                        # arrival-ordered consume, shard-ordered commit:
+                        # the per-shard merge spans nest under the
+                        # compute span they genuinely overlap
+                        with tr.span("compute", iteration=int(it)) as sp:
+                            g0 = self.executor.gather_bytes
+                            results = self._stream_reduce(
+                                st.plan, x, labels, best, st.counters,
+                                st.clock, merge_acc, occ, tr)
+                            if sp is not None:
+                                sp.meta["payload_bytes"] = (
+                                    self.executor.gather_bytes - g0)
+                        merged = merge_acc.packed()
+                        # between-round liveness sweep (rate-limited): a
+                        # worker that answered its round but wedged
+                        # after is caught here, not one full round
+                        # budget later
+                        self.fleet.maybe_heartbeat(it)
+                    except WorkerCrash as crash:
+                        it = self._recover(crash, st, make_factory, tr)
+                        continue
+                    st.round_times.append(time.monotonic() - t_send)
+                    occ.end_round()
+                    # the reduce streamed under compute, so the round
+                    # span brackets update + tail only
+                    with tr.span("round", iteration=int(it)):
+                        # -- the exact single-device update + convergence
+                        with tr.span("update"):
+                            upd = updater.update(
+                                x, labels, best, st.y, st.counters,
+                                fused_sums=merged,
+                                sample_weight=sample_weight)
+                        for label, t in upd.timings:
+                            st.clock.charge(label, t)
+                        st.y = upd.centroids
+
+                        # -- re-expansion: a shrunken fleet regrows toward
+                        # the target at this round boundary (no round in
+                        # flight; replacements reuse the missing ids, so
+                        # a full regrow restores the original plan).  The
+                        # tail below still reads this round's plan.
+                        round_plan = st.plan
+                        grown = self.fleet.maybe_expand(st.plan,
+                                                        make_factory)
+                        if grown is not None:
+                            st.plan = grown
+                            members = list(grown.worker_ids)
+                            st.trace.append({"kind": "expand",
+                                             "iteration": it,
+                                             "members": members,
+                                             "n_workers": grown.n_workers})
+                            self.event_bus.publish(
+                                "re_expand", source="coordinator",
+                                iteration=int(it), members=members)
+
+                        # -- tail ----------------------------------------
+                        self._count_directives(faults_seen, st.trace,
+                                               directives, it)
+                        st.counters.checksum_tests += 1
+                        with tr.span("abft_check"):
+                            self._check_partials(merged, results,
+                                                 round_plan, x, labels,
+                                                 sample_weight,
+                                                 faults_seen, st.trace, it)
+                        best64 = best.astype(np.float64)
+                        inertia = float(np.sum(best64 * sample_weight)
+                                        if sample_weight is not None
+                                        else np.sum(best64))
+                        n_iter = it
+                        converged = st.monitor.update(inertia, upd.shift)
+                        if (self.checkpoint_every
+                                and it % self.checkpoint_every == 0):
+                            with tr.span("checkpoint", iteration=int(it)):
+                                t0 = time.perf_counter()
+                                self.store.save(it, st.snapshot(it))
+                                ckpt_save_s += time.perf_counter() - t0
+                    if converged:
+                        break
+                    it += 1
+            finally:
+                self.executor.shutdown()
+                # unlink the dataset segment on the way out (error paths
+                # included); a coordinator killed before reaching here
+                # is covered by the resource tracker — either way
+                # /dev/shm holds no strays once the fit is gone
+                if shm_session is not None:
+                    # a transpose in the segment is unmapped by the
+                    # close: drop the coordinator's bindings of it first
+                    merge_acc.bind_source_t(None)
+                    updater.bind_source_t(None, None)
+                    shm_session.close()
+                # flush barrier: every snapshot of this fit is durable
+                # before fit() returns (or propagates its error)
+                t0 = time.perf_counter()
+                with tr.span("checkpoint_flush"):
+                    if sys.exc_info()[0] is None:
                         self.store.flush()
-                    except Exception:
-                        pass
-            ckpt_flush_s = time.perf_counter() - t0
-            fit_span.__exit__(None, None, None)
+                    else:
+                        try:
+                            self.store.flush()
+                        except Exception:
+                            pass
+                ckpt_flush_s = time.perf_counter() - t0
 
         # fold the restore-proof tallies into the final counter totals:
         # crashes and deadline-tripped stalls count the workers lost,
         # tolerated (sub-deadline) stall directives count as stragglers
-        counters.worker_crashes = crash_workers_lost
-        counters.worker_stalls += stall_workers_lost + faults_seen["stalls"]
-        counters.checkpoint_restores = recoveries
+        counters = st.counters
+        counters.worker_crashes = st.crash_workers_lost
+        counters.worker_stalls += (st.stall_workers_lost
+                                   + faults_seen["stalls"])
+        counters.checkpoint_restores = st.recoveries
         counters.errors_injected += faults_seen["injected"]
         counters.errors_detected += faults_seen["detected"]
         counters.errors_corrected += faults_seen["corrected"]
+        monitor = st.monitor
         result = DistFitResult(
-            centroids=y, labels=labels, best=best,
+            centroids=st.y, labels=labels, best=best,
             counts=(upd.counts.copy() if upd is not None
                     else np.zeros(n_clusters, dtype=np.int64)),
             inertia=monitor.history[-1] if monitor.history else float("nan"),
             inertia_history=list(monitor.history), n_iter=n_iter,
-            converged=converged, counters=counters, clock=clock,
-            recoveries=recoveries, trace=trace, plan=plan,
+            converged=converged, counters=counters, clock=st.clock,
+            recoveries=st.recoveries, trace=st.trace, plan=st.plan,
             executor=getattr(self.executor, "name", "custom"),
-            crash_recoveries=crash_workers_lost,
-            stall_recoveries=stall_workers_lost, shrinks=shrinks,
+            crash_recoveries=st.crash_workers_lost,
+            stall_recoveries=st.stall_workers_lost, shrinks=st.shrinks,
             checkpoint_save_s=ckpt_save_s, checkpoint_flush_s=ckpt_flush_s,
             promotions=self.fleet.promotions, expands=self.fleet.expands,
-            heartbeat_failures=heartbeat_failures,
+            heartbeat_failures=st.heartbeat_failures,
             reduce_busy_s=occ.busy_s,
             broadcast_bytes=int(self.executor.broadcast_bytes),
             gather_bytes=int(self.executor.gather_bytes),
@@ -811,19 +686,110 @@ class Coordinator:
         return result
 
     # ------------------------------------------------------------------
-    def _send(self, tr, round_times: deque, y: np.ndarray, it: int,
-              directives: dict, plan: ShardPlan) -> tuple:
-        """Broadcast round ``it`` under a ``broadcast`` span; returns
-        the in-flight round record ``(iteration, directives, send
-        time, plan)``."""
-        self._arm_deadline(round_times)
+    def _recover(self, crash: WorkerCrash, st: _FitState, make_factory,
+                 tr) -> int:
+        """Recover the fit from the workers ``crash`` lost; returns the
+        iteration to resume from.
+
+        Restores the newest snapshot (the implicit iteration-0 one when
+        none exists yet) into ``st``, then re-establishes a working
+        fleet under one of three policies: the fleet manager promotes
+        ready spares in place or shrinks onto the survivors; ``elastic``
+        shrinks onto the survivors; otherwise the full membership
+        respawns.  Re-raises ``crash`` once the recovery budget is
+        spent.  The ``recovery`` span is a ``with`` block, so it is
+        recorded on every exit, error paths included.
+        """
+        st.recoveries += 1
+        st.crash_workers_lost += len(crash.crashed_ids)
+        st.stall_workers_lost += len(crash.stalled_ids)
+        detector = getattr(crash, "detector", "deadline")
+        if detector == "heartbeat":
+            st.heartbeat_failures += 1
+        with tr.span("recovery", iteration=int(crash.iteration),
+                     detector=detector):
+            self.event_bus.publish("recovery", source="coordinator",
+                                   iteration=int(crash.iteration),
+                                   detector=detector,
+                                   crashed=sorted(crash.crashed_ids),
+                                   stalled=sorted(crash.stalled_ids))
+            for wid in crash.crashed_ids:
+                st.trace.append({"kind": "crash", "worker": wid,
+                                 "iteration": crash.iteration,
+                                 "reason": crash.reason,
+                                 "detector": detector})
+            for wid in crash.stalled_ids:
+                st.trace.append({"kind": "stall_timeout", "worker": wid,
+                                 "iteration": crash.iteration,
+                                 "detector": detector,
+                                 "round_timeout":
+                                     self.executor.round_timeout})
+            if st.recoveries > self.max_recoveries:
+                raise crash
+            loaded = self.store.load_latest()
+            if loaded is None:
+                loaded = (0, pickle.loads(st.initial_blob))
+            restored_it, state = loaded
+            st.restore(state)
+            st.trace.append({"kind": "restore", "iteration": restored_it})
+            self.event_bus.publish("restore", source="coordinator",
+                                   iteration=int(restored_it))
+            # the adaptive deadline's history describes the pre-recovery
+            # membership: after an elastic shrink the surviving shards
+            # are larger and an honest round is legitimately slower, so
+            # the median must re-warm (deadline disarmed for the warm-up
+            # rounds) instead of condemning healthy survivors as phantom
+            # stalls round after round
+            if self.adaptive_timeout:
+                st.round_times.clear()
+                self.executor.round_timeout = None
+            survivors = tuple(w for w in st.plan.worker_ids
+                              if w not in crash.failed_ids)
+            if self.fleet.manages_membership and survivors:
+                # fleet recovery: promote ready spares onto the dead ids
+                # in place (plan unchanged, survivors keep running) or
+                # shrink onto the survivors now and re-expand at a later
+                # round boundary
+                st.plan, action = self.fleet.recover(
+                    st.plan, make_factory, crash)
+            elif self.elastic and survivors:
+                # shrink: the lost rows re-shard onto the survivors
+                # (same unit grid, same row order, so the merge bits
+                # never move); only survivors respawn
+                st.plan = st.plan.replan(survivors)
+                self.executor.restart(make_factory(st.plan),
+                                      st.plan.worker_ids)
+                action = "shrink"
+            else:
+                # non-elastic (or every member lost at once): respawn
+                # the current membership in full
+                self.executor.restart()
+                action = "restart"
+            if action == "promote":
+                st.trace.append({"kind": "promote",
+                                 "iteration": crash.iteration,
+                                 "promoted": sorted(crash.failed_ids),
+                                 "n_workers": st.plan.n_workers})
+            elif action == "shrink":
+                st.shrinks += 1
+                st.trace.append({"kind": "shrink",
+                                 "iteration": crash.iteration,
+                                 "lost": sorted(crash.failed_ids),
+                                 "survivors": list(st.plan.worker_ids),
+                                 "n_workers": st.plan.n_workers})
+        return restored_it + 1
+
+    def _send(self, tr, st: _FitState, it: int, directives: dict) -> float:
+        """Broadcast round ``it`` of ``st.y`` under a ``broadcast``
+        span; returns the send time."""
+        self._arm_deadline(st.round_times)
         t_send = time.monotonic()
         with tr.span("broadcast", iteration=int(it)) as sp:
             b0 = self.executor.broadcast_bytes
-            self.executor.send_round(y, it, directives)
+            self.executor.send_round(st.y, it, directives)
             if sp is not None:
                 sp.meta["payload_bytes"] = self.executor.broadcast_bytes - b0
-        return (it, directives, t_send, plan)
+        return t_send
 
     def _arm_deadline(self, round_times: deque) -> None:
         """Re-arm the executor deadline under ``round_timeout='auto'``.

@@ -51,16 +51,11 @@ deadlines, so a second crashed or stalled worker in the same round can
 never turn recovery into a hang.
 
 **Split-phase rounds.**  A round is a ``send_round`` followed by a
-collect: the coordinator broadcasts the next round as soon as the new
-centroids exist, runs the previous round's off-critical bookkeeping
-(ABFT partial check, convergence, checkpoint snapshot) while the
-workers compute, and only then collects — the double-buffered round
-pipeline.  Backends whose workers genuinely compute between send and
-collect advertise ``supports_overlap``; the serial backend computes
-inside the collect itself, so its send simply stashes the arguments.
-For the deadline-armed backends the answer deadline starts at the
-collect, so overlapped coordinator work can never eat a worker's round
-budget.
+collect.  The thread and process backends start the workers at the
+send; the serial backend computes inside the collect itself, so its
+send simply stashes the arguments.  The process backend bounds the
+send and the answers on separate deadlines, so a wedged send can never
+eat the other workers' compute budget.
 
 **Streaming collect.**  ``collect_round_stream()`` — each backend's
 one collect loop, owner of the deadline, drain and escalation logic —
@@ -95,9 +90,6 @@ protocol:
 * ``reconfigure(factory, worker_ids)`` — adopt a new (factory, worker
   set) like ``restart`` but reusing warm children where possible; the
   base implementation simply delegates to ``restart``.
-
-``cancel_round()`` abandons a sent-but-uncollected round without
-waiting for its answers — the speculative round after convergence.
 """
 
 from __future__ import annotations
@@ -161,11 +153,6 @@ class BaseExecutor(ABC):
     sets it from the fit configuration (and re-arms it per round under
     the adaptive deadline).
     """
-
-    #: True when workers genuinely compute between ``send_round`` and
-    #: ``collect_round`` — the coordinator only overlaps bookkeeping
-    #: with an in-flight round on such backends
-    supports_overlap = False
 
     def __init__(self) -> None:
         self._factory = None
@@ -241,8 +228,7 @@ class BaseExecutor(ABC):
                    directives: dict[int, dict]) -> None:
         """Broadcast one round; its results come from the next collect.
         The base implementation stashes the arguments and runs the
-        whole round synchronously at collect time (no overlap — see
-        ``supports_overlap``)."""
+        whole round synchronously at collect time."""
         self._stashed_round = (y, iteration, directives)
 
     @abstractmethod
@@ -267,17 +253,6 @@ class BaseExecutor(ABC):
         """One Lloyd round on every worker; results in worker order."""
         self.send_round(y, iteration, directives)
         return self.collect_round()
-
-    def cancel_round(self) -> None:
-        """Abandon a sent-but-uncollected round (no results wanted).
-
-        Used for the speculative round still in flight when the fit
-        converges: the coordinator will never collect it, so the backend
-        may drop it as cheaply as it can.  Only ``shutdown`` or
-        ``restart`` may follow a cancel — the round protocol is not
-        resumable past one.
-        """
-        self._stashed_round = None
 
     # -- membership management (driven by repro.dist.fleet) ------------
     def heartbeat(self, iteration: int, timeout: float) -> None:
@@ -432,7 +407,6 @@ class ThreadExecutor(BaseExecutor):
     returning."""
 
     name = "thread"
-    supports_overlap = True
 
     def _spawn(self) -> None:
         self._workers = {wid: self._factory(wid) for wid in self._worker_ids}
@@ -484,9 +458,6 @@ class ThreadExecutor(BaseExecutor):
         if self._round_it is None:
             raise RuntimeError("collect_round without a sent round")
         iteration, self._round_it = self._round_it, None
-        # the answer deadline starts at collect: workers have been
-        # computing since send, so overlapped coordinator work only ever
-        # extends their budget, never shrinks it
         deadline = (None if self.round_timeout is None
                     else time.monotonic() + self.round_timeout)
         pending = dict(self._inflight)
@@ -530,13 +501,6 @@ class ThreadExecutor(BaseExecutor):
         if crashed or stalled:
             raise _round_failure(iteration, crashed, stalled,
                                  crash_reason="injected")
-
-    def cancel_round(self) -> None:
-        """Abandon the in-flight round: forget it was sent.  The tasks
-        keep running on their daemon threads; teardown (which must
-        follow) already skips closing workers still owned by a running
-        task."""
-        self._round_it = None
 
     def heartbeat(self, iteration: int, timeout: float) -> None:
         """Concurrent ping of every worker under one shared deadline.
@@ -648,7 +612,6 @@ class ProcessExecutor(BaseExecutor):
     """
 
     name = "process"
-    supports_overlap = True
 
     #: recv bound (seconds) for the *remaining* connections once a round
     #: has already lost a worker and no round deadline is configured: a
@@ -864,10 +827,8 @@ class ProcessExecutor(BaseExecutor):
         # per-phase budget: the broadcast was bounded on its own
         # deadline, so the answer deadline starts only now — a wedged
         # send (killed at send time) can never condemn the other
-        # workers' compute time, and overlapped coordinator work between
-        # send and collect never shrinks a worker's budget.  A
-        # worst-case faulty round is therefore bounded by
-        # ~2x round_timeout, never unbounded.
+        # workers' compute time.  A worst-case faulty round is
+        # therefore bounded by ~2x round_timeout, never unbounded.
         deadline = (None if self.round_timeout is None
                     else time.monotonic() + self.round_timeout)
         # workers killed at send time are already out of _conns
@@ -917,17 +878,6 @@ class ProcessExecutor(BaseExecutor):
         if crashed or stalled:
             raise _round_failure(iteration, crashed, stalled,
                                  crash_reason="worker process died")
-
-    def cancel_round(self) -> None:
-        """Abandon the in-flight round.  Children may be mid-compute
-        with a result about to hit a pipe nobody will drain, so the
-        whole brood is killed; ``shutdown`` or ``restart`` must follow
-        (the coordinator's teardown path does exactly that)."""
-        if self._round_state is None:
-            return
-        self._round_state = None
-        for wid in list(self._conns):
-            self._kill_worker(wid)
 
     def heartbeat(self, iteration: int, timeout: float) -> None:
         """Ping every child and poll the replies against one deadline.

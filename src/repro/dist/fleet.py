@@ -170,10 +170,10 @@ class FleetManager:
 
     # -- recovery ------------------------------------------------------
     def recover(self, plan: ShardPlan, make_factory, crash
-                ) -> tuple[ShardPlan, object, str]:
+                ) -> tuple[ShardPlan, str]:
         """Re-establish a working fleet after losing ``crash.failed_ids``.
 
-        Returns ``(plan, factory, action)`` where action is:
+        Returns ``(plan, action)`` where action is:
 
         * ``"promote"`` — enough spares were ready: the dead ids were
           rebuilt in place, the plan is unchanged, survivors kept
@@ -192,28 +192,27 @@ class FleetManager:
         if not survivors:
             raise ValueError("recover() needs at least one survivor")
         if lost and self.executor.spares_ready() >= len(lost):
-            factory = make_factory(plan)
-            self.executor.replace_workers(factory, lost)
+            self.executor.replace_workers(make_factory(plan), lost)
             self.promotions += len(lost)
             action = "promote"
             self._emit("promote", lost=sorted(lost),
                        survivors=sorted(survivors))
         else:
             plan = plan.replan(survivors)
-            factory = make_factory(plan)
-            self.executor.reconfigure(factory, plan.worker_ids)
+            self.executor.reconfigure(make_factory(plan), plan.worker_ids)
             action = "shrink"
             self._emit("shrink", lost=sorted(lost),
                        survivors=sorted(survivors))
         if self.hot_spares:
             self.executor.prewarm_spares(self.hot_spares)
-        return plan, factory, action
+        return plan, action
 
     # -- re-expansion --------------------------------------------------
     def maybe_expand(self, plan: ShardPlan, make_factory
-                     ) -> tuple[ShardPlan, object] | None:
+                     ) -> ShardPlan | None:
         """Regrow a shrunken fleet toward ``target_workers`` at a round
-        boundary, or None when already at target (or not managing).
+        boundary; returns the grown plan, or None when already at
+        target (or not managing).
 
         Replacements reuse the *missing* worker ids, lowest first, so
         regrowing to the full target restores the original plan (and
@@ -241,11 +240,11 @@ class FleetManager:
             return None
         member_ids = sorted(list(plan.worker_ids) + missing[:grow])
         new_plan = plan.replan(member_ids)
-        factory = make_factory(new_plan)
-        self.executor.reconfigure(factory, new_plan.worker_ids)
+        self.executor.reconfigure(make_factory(new_plan),
+                                  new_plan.worker_ids)
         self.expands += grow
         self._emit("expand", grown=missing[:grow],
                    members=list(new_plan.worker_ids))
         if self.hot_spares:
             self.executor.prewarm_spares(self.hot_spares)
-        return new_plan, factory
+        return new_plan

@@ -34,7 +34,7 @@ class SimtGemm:
     """Tile-accurate SIMT GEMM with register-staged loads.
 
     Same grid/tile structure as the tensor-core kernel but: no async
-    pipeline (double-buffered synchronous staging), CUDA-core FMAs instead
+    pipeline (ping-pong synchronous staging), CUDA-core FMAs instead
     of MMA instructions, and a register-reuse hook during staging.
     """
 

@@ -95,7 +95,7 @@ class Calibration:
     # L2 reuse: repeated B-tile (centroid) traffic is served at an
     # effective rate l2_speedup x DRAM.
     l2_speedup: float = 6.0
-    # Fraction of memory time NOT hidden by register double-buffering on
+    # Fraction of memory time NOT hidden by register ping-pong buffers on
     # the synchronous (pre-Ampere) data path.
     sync_mem_exposed: float = 0.45
     # Wu's threadblock-level scheme: extra time for smem checksum
@@ -475,7 +475,7 @@ class TimingModel:
         t_mem = bytes_eff / (dev.mem_bw() * max(self._mem_eff(occ.warps_per_sm, dt), 1e-9))
         t_mem /= max(wave_util, 1e-9)
 
-        # synchronous staging path: register double-buffering hides part
+        # synchronous staging path: register ping-pong buffers hide part
         t_main = t_comp + cal.sync_mem_exposed * t_mem
         t_epi = self._epilogue_time(m, grid_n, dt, atomic=variant == "v3")
         t_launch = n_launch * dev.kernel_launch_us * 1e-6

@@ -276,7 +276,7 @@ class TestWorkerCancellation:
             ex.shutdown()
 
     def test_teardown_cancels_running_workers(self, data):
-        # cancel_round + restart abandons the in-flight tasks; teardown
+        # a restart with a round in flight abandons its tasks; teardown
         # must cancel them so the daemon threads die at the next chunk
         x, y0 = data
         cfg = KMeansConfig(n_clusters=K, chunk_bytes=8 << 10, seed=0)
@@ -287,7 +287,6 @@ class TestWorkerCancellation:
             ex.send_round(y0, 1, {0: {"stall_s": 1.0}})
             time.sleep(0.05)                # let the round start
             tasks = dict(ex._inflight)
-            ex.cancel_round()
             ex.restart(self._factory(x, plan, cfg), plan.worker_ids)
             assert tasks[0].done.wait(5.0)
             assert isinstance(tasks[0].exc, EngineCancelled)

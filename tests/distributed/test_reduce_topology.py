@@ -25,7 +25,8 @@ from repro.core.config import KMeansConfig
 from repro.core.engine import FastPathEngine
 from repro.core.update import UpdateStage
 from repro.dist import Coordinator, ReduceOccupancy, WorkerFaultInjector
-from repro.dist.executors import SerialExecutor
+from repro.dist.executors import (BaseExecutor, ProcessExecutor,
+                                  SerialExecutor, ThreadExecutor)
 from repro.dist.fleet import FleetManager
 from repro.dist.plan import ShardPlan
 from repro.dist.worker import ShardWorker, build_worker
@@ -311,11 +312,18 @@ class TestMergeOperandHoist:
 
 class TestRemovedKnobs:
     @pytest.mark.parametrize("knob", ["reduce_topology", "event_hook",
-                                      "transport", "worker_cache"])
+                                      "transport", "worker_cache",
+                                      "overlap_rounds"])
     def test_coordinator_rejects(self, knob):
         Coordinator(_cfg())
         with pytest.raises(TypeError):
             Coordinator(_cfg(), **{knob: None})
+
+    def test_executors_have_no_round_cancel_or_overlap_flag(self):
+        for cls in (BaseExecutor, SerialExecutor, ThreadExecutor,
+                    ProcessExecutor):
+            assert not hasattr(cls, "cancel_round"), cls
+            assert not hasattr(cls, "supports_overlap"), cls
 
     def test_fleet_manager_rejects_event_hook(self):
         FleetManager(target_workers=2)

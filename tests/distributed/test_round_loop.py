@@ -1,12 +1,12 @@
-"""Double-buffered rounds and the adaptive round deadline.
+"""The coordinator's round loop and the adaptive round deadline.
 
-The pipeline overlaps the next round's worker compute with the previous
-round's off-critical bookkeeping; it must stay bit-identical to the
-sequential loop (same rounds, same merge order), collect-and-discard
-the one speculative round a convergence break leaves in flight, and
-stand down entirely on fault-injecting fits.  ``round_timeout="auto"``
-arms the executor deadline from a trailing median of observed round
-times and must catch a genuine stall without hand tuning.
+Every executor runs one sequential round loop: send, stream-merge,
+update, tail.  It must stay bit-identical to the serial backend, send
+exactly one round per iteration (no round is ever sent ahead of
+convergence), and recover from a real worker death.
+``round_timeout="auto"`` arms the executor deadline from a trailing
+median of observed round times and must catch a genuine stall without
+hand tuning.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.core.config import KMeansConfig
 from repro.dist.coordinator import Coordinator
 from repro.dist.executors import make_executor
 from repro.dist.faults import WorkerFaultInjector
+from repro.obs.trace import TraceRecorder
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +38,9 @@ def _y0(x, n):
     return x[:n].copy()
 
 
-class TestOverlap:
+class TestRoundLoop:
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_overlapped_bit_identical_to_serial(self, data, executor):
+    def test_bit_identical_to_serial(self, data, executor):
         x = data
         serial = Coordinator(_cfg(executor="serial")).fit(x, _y0(x, 6))
         coord = Coordinator(_cfg(executor=executor))
@@ -47,11 +48,6 @@ class TestOverlap:
         assert np.array_equal(serial.centroids, res.centroids)
         assert np.array_equal(serial.labels, res.labels)
         assert serial.inertia_history == res.inertia_history
-
-    def test_overlap_capability_flags(self):
-        assert make_executor("serial").supports_overlap is False
-        assert make_executor("thread").supports_overlap is True
-        assert make_executor("process").supports_overlap is True
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_collect_without_send_raises(self, data, executor):
@@ -75,48 +71,42 @@ class TestOverlap:
         finally:
             ex.shutdown()
 
-    def test_convergence_break_discards_inflight_round(self, data):
-        """A tol-converging fit ends with one speculative round in
-        flight; the coordinator must drain it and return the exact
-        sequential result (n_iter from the converged round, not the
-        speculative one)."""
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_no_round_sent_past_convergence(self, data, executor,
+                                            monkeypatch):
+        """A tol-converging fit sends exactly one round per iteration,
+        and every broadcast happens between rounds, directly under the
+        fit span — never from inside a round's update/tail."""
         x = data
-        seq = Coordinator(_cfg(executor="serial", tol=1e-3, max_iter=30)
-                          ).fit(x, _y0(x, 6))
-        ovl = Coordinator(_cfg(executor="thread", tol=1e-3, max_iter=30)
-                          ).fit(x, _y0(x, 6))
-        assert seq.converged and ovl.converged
-        assert seq.n_iter == ovl.n_iter
-        assert np.array_equal(seq.centroids, ovl.centroids)
+        cls = type(make_executor(executor))
+        original = cls.send_round
+        sent = []
 
-    def test_faulty_fits_run_sequentially(self, data):
-        """Fault injection disables the pipeline (a converged fit must
-        never draw the next round's one-shot directives) — and recovery
-        still lands on the clean bits."""
-        x = data
-        clean = Coordinator(_cfg(executor="thread")).fit(x, _y0(x, 6))
-        coord = Coordinator(
-            _cfg(executor="thread", checkpoint_every=2),
-            worker_faults=WorkerFaultInjector.crash_at(1, 3))
-        res = coord.fit(x, _y0(x, 6))
-        assert res.recoveries == 1
-        assert np.array_equal(clean.centroids, res.centroids)
+        def send_round(self, y, iteration, directives):
+            sent.append(iteration)
+            return original(self, y, iteration, directives)
 
-    def test_overlap_off_switch(self, data):
-        x = data
-        res = Coordinator(_cfg(executor="thread"),
-                          overlap_rounds=False).fit(x, _y0(x, 6))
-        ref = Coordinator(_cfg(executor="serial")).fit(x, _y0(x, 6))
-        assert np.array_equal(ref.centroids, res.centroids)
+        monkeypatch.setattr(cls, "send_round", send_round)
+        tracer = TraceRecorder()
+        res = Coordinator(_cfg(executor=executor, tol=1e-3, max_iter=30),
+                          tracer=tracer).fit(x, _y0(x, 6))
+        assert res.converged and res.n_iter < 30
+        assert sent == list(range(1, res.n_iter + 1))
+        bcasts = [s for s in tracer.spans if s.name == "broadcast"]
+        assert len(bcasts) == res.n_iter
+        assert {s.parent for s in bcasts} == {"fit"}
+        serial = Coordinator(_cfg(executor="serial", tol=1e-3, max_iter=30)
+                             ).fit(x, _y0(x, 6))
+        assert serial.n_iter == res.n_iter
+        assert np.array_equal(serial.centroids, res.centroids)
 
-    def test_real_crash_in_overlapped_round_recovers(self, data):
-        """A genuine worker death (no injector: overlap stays armed)
-        surfacing from an overlapped collect runs ordinary recovery."""
+    def test_real_crash_without_injector_recovers(self, data):
+        """A genuine worker death on a fit with no fault injector
+        surfaces from the collect and runs ordinary recovery."""
         x = data
         clean = Coordinator(_cfg(executor="thread")).fit(x, _y0(x, 6))
         coord = Coordinator(_cfg(executor="thread", checkpoint_every=1))
-        # kill one worker's round mid-fit without a fault injector, so
-        # the overlap guard (faults is None) keeps the pipeline on
+        # kill one worker's round mid-fit without a fault injector
         fired = {"done": False}
         orig = coord.executor.__class__.send_round
 
