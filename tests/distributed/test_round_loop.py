@@ -100,6 +100,20 @@ class TestRoundLoop:
         assert serial.n_iter == res.n_iter
         assert np.array_equal(serial.centroids, res.centroids)
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_injected_crash_recovers_to_clean_bits(self, data, executor):
+        """A fault-injecting fit runs the same round loop as a clean
+        one, and its recovery still lands on the clean bits."""
+        x = data
+        clean = Coordinator(_cfg(executor=executor)).fit(x, _y0(x, 6))
+        coord = Coordinator(
+            _cfg(executor=executor, checkpoint_every=2),
+            worker_faults=WorkerFaultInjector.crash_at(1, 3))
+        res = coord.fit(x, _y0(x, 6))
+        assert res.recoveries == 1
+        assert np.array_equal(clean.centroids, res.centroids)
+        assert np.array_equal(clean.labels, res.labels)
+
     def test_real_crash_without_injector_recovers(self, data):
         """A genuine worker death on a fit with no fault injector
         surfaces from the collect and runs ordinary recovery."""

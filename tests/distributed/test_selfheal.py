@@ -55,6 +55,21 @@ def _ping_factory(wid):
     return _PingWorker(wid)
 
 
+class _SleepyWorker(_PingWorker):
+    """Sleeps on directive — a worker wedged mid-round."""
+
+    def run_round(self, y, iteration, directive):
+        import time
+
+        if directive and "sleep_s" in directive:
+            time.sleep(directive["sleep_s"])
+        return ("ok", self.wid, iteration)
+
+
+def _sleepy_factory(wid):
+    return _SleepyWorker(wid)
+
+
 @pytest.fixture(scope="module")
 def x():
     rng = np.random.default_rng(0)
@@ -416,6 +431,43 @@ class TestOperandHoist:
             other, labels, bind_to=x,
             x_t=np.zeros_like(transpose_blocked(x)))
         assert np.array_equal(plain, guarded)
+
+
+class TestRestartInFlight:
+    """Recovery restarts the executor with a round sent but not (fully)
+    collected; the restart must discard that round, not replay it."""
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_restart_discards_uncollected_round(self, executor):
+        ex = make_executor(executor)
+        ex.start(_ping_factory, (0, 1))
+        try:
+            ex.send_round(np.zeros(4), 1, {})
+            ex.restart(_ping_factory, (0, 1))
+            out = ex.run_round(np.zeros(4), 2, {})
+            assert [r[2] for r in out] == [2, 2]   # no stale round 1
+        finally:
+            ex.shutdown()
+
+    def test_restart_abandons_wedged_round_quickly(self):
+        # the uncollected round holds a child that would sleep 600 s:
+        # restart must escalate past it after the join grace (shortened
+        # here), not drain it
+        import time
+
+        ex = make_executor("process")
+        ex.JOIN_TIMEOUT = 0.5
+        ex.start(_sleepy_factory, (0, 1))
+        try:
+            ex.send_round(np.zeros(4), 1, {0: {"sleep_s": 600.0}})
+            time.sleep(0.1)                # let the sleeper start
+            t0 = time.monotonic()
+            ex.restart(_sleepy_factory, (0, 1))
+            out = ex.run_round(np.zeros(4), 2, {})
+            assert time.monotonic() - t0 < 15.0
+            assert [r[2] for r in out] == [2, 2]
+        finally:
+            ex.shutdown()
 
 
 class TestConfigValidation:
