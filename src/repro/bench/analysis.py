@@ -64,7 +64,7 @@ SCHEMA_FAMILIES = {"fastpath_walltime": 4, "dist_scaling": 8}
 #: trend series (problem shape + perf-relevant engine config; the
 #: runner's best-entry gate uses the same keys)
 FASTPATH_SHAPE_KEYS = ("m", "n_features", "n_clusters", "iters", "dtype",
-                       "workers", "chunk_bytes")
+                       "chunk_bytes")
 
 #: config keys that must match for two dist records to share a series
 DIST_SHAPE_KEYS = ("m_grid", "n_features", "n_clusters", "iters",

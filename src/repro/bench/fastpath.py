@@ -212,7 +212,7 @@ def _pruning_workload(m, n_features, n_clusters, dt, seed):
 
 
 def _pruning_bench(dev, dt, tile, tf32, *, m, n_features, n_clusters,
-                   chunk_bytes, workers, seed,
+                   chunk_bytes, seed,
                    iters: int = PRUNE_ITERS) -> dict:
     """Pruned vs unpruned assignment in lockstep on one trajectory.
 
@@ -223,8 +223,7 @@ def _pruning_bench(dev, dt, tile, tf32, *, m, n_features, n_clusters,
     """
     x, y0 = _pruning_workload(m, n_features, n_clusters, dt, seed)
     mode = resolve_prune_mode("auto")
-    kw = dict(tile=tile, tf32=tf32, chunk_bytes=chunk_bytes,
-              workers=workers)
+    kw = dict(tile=tile, tf32=tf32, chunk_bytes=chunk_bytes)
     pruned = FastPathEngine(dev, dt, prune=mode, **kw)
     plain = FastPathEngine(dev, dt, prune="off", **kw)
     u = np.uint32 if dt.itemsize == 4 else np.uint64
@@ -324,7 +323,7 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
                        n_clusters: int = FULL_SHAPE["n_clusters"],
                        iters: int = FULL_SHAPE["iters"], *,
                        dtype="float32", device="a100",
-                       chunk_bytes: int | None = None, workers: int = 1,
+                       chunk_bytes: int | None = None,
                        seed: int = 0, include_unchunked: bool = True) -> dict:
     """One wall-clock comparison run; returns the JSON-ready record."""
     if iters < 1:
@@ -338,7 +337,7 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
     tf32 = dt == np.dtype(np.float32)
 
     engine = FastPathEngine(dev, dt, tile=tile, tf32=tf32,
-                            chunk_bytes=chunk_bytes, workers=workers)
+                            chunk_bytes=chunk_bytes)
 
     def engine_assign(xa, ya):
         return engine.assign(xa, ya, PerfCounters())
@@ -360,8 +359,7 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
     # engine forced onto the explicit unit walk must agree bit-for-bit
     # on first-iteration centroids
     ref_engine = FastPathEngine(dev, dt, tile=tile, tf32=tf32,
-                                chunk_bytes=chunk_bytes, workers=workers,
-                                batch_chunks=False)
+                                chunk_bytes=chunk_bytes, batch_chunks=False)
     try:
         ref_engine.begin_fit(x, n_clusters)
         ref_labels, ref_best = ref_engine.assign(x, y0, PerfCounters())
@@ -376,8 +374,7 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
 
     pruning = _pruning_bench(dev, dt, tile, tf32, m=m,
                              n_features=n_features, n_clusters=n_clusters,
-                             chunk_bytes=chunk_bytes, workers=workers,
-                             seed=seed)
+                             chunk_bytes=chunk_bytes, seed=seed)
 
     # -- traced pass: the same fused fit once more under the span
     # recorder, run *separately* so the headline engine wall above
@@ -387,8 +384,7 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
     # a bit, re-proved on every bench run.
     recorder = TraceRecorder()
     traced_engine = FastPathEngine(dev, dt, tile=tile, tf32=tf32,
-                                   chunk_bytes=chunk_bytes, workers=workers,
-                                   tracer=recorder)
+                                   chunk_bytes=chunk_bytes, tracer=recorder)
     try:
         traced_engine.begin_fit(x, n_clusters)
         traced = _lloyd_fused(x, y0, n_clusters, iters, traced_engine,
@@ -413,8 +409,7 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
         "config": {
             "m": m, "n_features": n_features, "n_clusters": n_clusters,
             "iters": iters, "dtype": str(dt), "device": dev.name,
-            "chunk_bytes": engine.chunk_bytes, "workers": workers,
-            "seed": seed,
+            "chunk_bytes": engine.chunk_bytes, "seed": seed,
         },
         "engine": {
             "wall_s": fused["wall_s"],
@@ -535,7 +530,7 @@ def _summarise(record: dict) -> str:
     lines = [
         f"fastpath walltime  M={cfg['m']} N(features)={cfg['n_features']} "
         f"K={cfg['n_clusters']} iters={cfg['iters']} dtype={cfg['dtype']}",
-        f"  chunk_bytes={cfg['chunk_bytes']} workers={cfg['workers']} "
+        f"  chunk_bytes={cfg['chunk_bytes']} "
         f"chunks/pass={record['engine']['chunks_run'] // max(1, cfg['iters'])} "
         f"peak_scratch={record['engine']['peak_scratch_bytes']} B",
         f"  fast lane      : batched_chunks="
@@ -595,7 +590,6 @@ def main(argv=None) -> dict:
     parser.add_argument("--clusters", type=int, default=None)
     parser.add_argument("--iters", type=int, default=None)
     parser.add_argument("--chunk-bytes", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--dtype", default="float32")
     parser.add_argument("--out", default=str(DEFAULT_RESULT_PATH),
                         help="trajectory JSON to append to ('-' to skip)")
@@ -607,8 +601,7 @@ def main(argv=None) -> dict:
         if val is not None:
             kwargs[key] = val
     run = run_smoke if args.smoke else run_fastpath_bench
-    record = run(chunk_bytes=args.chunk_bytes, workers=args.workers,
-                 dtype=args.dtype, **kwargs)
+    record = run(chunk_bytes=args.chunk_bytes, dtype=args.dtype, **kwargs)
     print(_summarise(record))
     if args.out != "-":
         path = write_record(record, args.out)

@@ -7,7 +7,7 @@ from repro.core.accumulate import (
     accumulate_streamed,
 )
 from repro.core.api import FTKMeans
-from repro.core.assignment import AssignmentKernelBase, AssignmentResult, fast_assign
+from repro.core.assignment import AssignmentKernelBase, AssignmentResult
 from repro.core.broadcast import V3BroadcastAssignment
 from repro.core.config import MODES, UPDATE_MODES, VARIANT_NAMES, KMeansConfig
 from repro.core.convergence import ConvergenceMonitor, EwaInertiaMonitor
@@ -32,7 +32,6 @@ __all__ = [
     "FTKMeans",
     "AssignmentKernelBase",
     "AssignmentResult",
-    "fast_assign",
     "StreamedAccumulator",
     "accumulate_oneshot",
     "accumulate_streamed",

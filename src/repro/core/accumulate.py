@@ -38,8 +38,7 @@ own budget, deliberately separate from the engine's ``chunk_bytes``
 ``alloc_hook``.
 
 Thread-safety: feeds must arrive in global sample order — the engine's
-threaded dispatch commits chunks in order (see
-``FastPathEngine._run_threaded``); the accumulator itself is
+chunk loop feeds chunks in order; the accumulator itself is
 single-writer by contract.
 
 Sample weights: :meth:`StreamedAccumulator.bind_weights` attaches a

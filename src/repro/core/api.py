@@ -131,8 +131,7 @@ class FTKMeans:
                  dtype="float32", device="a100", mode: str = "fast",
                  tile=None, abft="none", p_inject: float = 0.0,
                  dmr_update: bool = True, use_tf32: bool = True,
-                 chunk_bytes: int | None = None, engine_workers: int = 1,
-                 prune: str = "auto",
+                 chunk_bytes: int | None = None, prune: str = "auto",
                  update_mode: str = "auto", batch_size: int | None = None,
                  n_workers: int = 1, executor: str = "serial",
                  checkpoint_every: int = 0, checkpoint_sync: bool = False,
@@ -150,8 +149,7 @@ class FTKMeans:
             n_clusters=n_clusters, variant=variant, dtype=np.dtype(dtype),
             device=device, mode=mode, tile=tile, abft=abft,
             p_inject=p_inject, dmr_update=dmr_update, use_tf32=use_tf32,
-            chunk_bytes=chunk_bytes, engine_workers=engine_workers,
-            prune=prune,
+            chunk_bytes=chunk_bytes, prune=prune,
             update_mode=update_mode, batch_size=batch_size,
             n_workers=n_workers, executor=executor,
             checkpoint_every=checkpoint_every,
@@ -315,8 +313,8 @@ class FTKMeans:
                         break
         finally:
             # even on interrupt/error: a (partially) fitted model must
-            # not pin the training array, scratch or worker threads,
-            # and predict/score must recompute norms fresh
+            # not pin the training array or scratch, and predict/score
+            # must recompute norms fresh
             assigner.end_fit()
         self.cluster_centers_ = y
         self.cluster_counts_ = upd.counts.copy()

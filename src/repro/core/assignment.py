@@ -1,10 +1,10 @@
 """Assignment-stage infrastructure shared by all kernel variants.
 
-Defines the :class:`AssignmentResult` contract, the common base class,
-global-memory setup helpers, and the vectorised ``fast`` execution path
-that preserves the fault-injection / ABFT semantics of the functional
-kernels at NumPy speed (Sec. 5 of DESIGN.md).  The fast path runs
-through the blocked streaming engine of :mod:`repro.core.engine`.
+Defines the :class:`AssignmentResult` contract, the common base class
+and global-memory setup helpers.  Every variant's ``fast`` mode runs
+through the blocked streaming engine of :mod:`repro.core.engine`, which
+preserves the fault-injection / ABFT semantics of the functional
+kernels at NumPy speed (Sec. 5 of DESIGN.md).
 """
 
 from __future__ import annotations
@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.abft.schemes import NONE, AbftScheme
 from repro.core.engine import FastPathEngine
-from repro.gemm.tiling import TileConfig
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import GlobalMemory
 from repro.gpusim.timing import KernelTiming, TimingModel
 
-__all__ = ["AssignmentResult", "AssignmentKernelBase", "setup_gmem", "fast_assign"]
+__all__ = ["AssignmentResult", "AssignmentKernelBase", "setup_gmem"]
 
 
 @dataclass
@@ -73,23 +71,22 @@ def setup_gmem(x: np.ndarray, y: np.ndarray, counters: PerfCounters) -> GlobalMe
 class AssignmentKernelBase(ABC):
     """Common interface of the step-wise assignment variants.
 
-    ``chunk_bytes`` / ``workers`` parameterise the blocked streaming
-    engine every variant's ``fast`` mode runs through; the engine is
-    built lazily so subclasses can finish configuring themselves (tile,
-    scheme, TF32) before first use.
+    ``chunk_bytes`` parameterises the blocked streaming engine every
+    variant's ``fast`` mode runs through; the engine is built lazily so
+    subclasses can finish configuring themselves (tile, scheme, TF32)
+    before first use.
     """
 
     name: str = "base"
 
     def __init__(self, device: DeviceSpec, dtype, *, mode: str = "fast",
                  injector=None, chunk_bytes: int | None = None,
-                 workers: int = 1, prune="auto"):
+                 prune="auto"):
         self.device = device
         self.dtype = np.dtype(dtype)
         self.mode = mode
         self.injector = injector
         self.chunk_bytes = chunk_bytes
-        self.workers = workers
         self.prune = prune
         self.model = TimingModel(device)
         self._engine: FastPathEngine | None = None
@@ -106,8 +103,7 @@ class AssignmentKernelBase(ABC):
             self._engine = FastPathEngine(
                 self.device, self.dtype, tile=getattr(self, "tile", None),
                 injector=self.injector, chunk_bytes=self.chunk_bytes,
-                workers=self.workers, prune=self.prune,
-                **self._engine_options())
+                prune=self.prune, **self._engine_options())
         return self._engine
 
     def feed_centroid_shifts(self, shifts, y) -> None:
@@ -157,30 +153,3 @@ class AssignmentKernelBase(ABC):
     def estimate(self, m: int, n_clusters: int, k_features: int) -> list[tuple[str, KernelTiming]]:
         """Modelled kernel timings for one assignment pass at this shape."""
 
-
-def fast_assign(x: np.ndarray, y: np.ndarray, *, dtype, tf32: bool,
-                counters: PerfCounters, tile: TileConfig | None = None,
-                injector=None, scheme: AbftScheme = NONE,
-                safety: float = 4.0, chunk_bytes: int | None = None,
-                workers: int = 1,
-                device: DeviceSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised assignment with fault/ABFT semantics.
-
-    Thin functional wrapper over :class:`repro.core.engine.FastPathEngine`:
-    the accumulator is computed in memory-bounded sample chunks with the
-    row-argmin fused in, and the SEU plan is replayed block-by-block on
-    the same logical tile coordinates the functional kernels corrupt.
-    Detecting schemes measure each flip against the same threshold policy
-    the functional kernel uses and (for correcting schemes) undo it;
-    sub-threshold flips survive — exactly the functional behaviour.
-
-    Callers that reuse the engine across Lloyd iterations should hold a
-    :class:`FastPathEngine` instead (per-fit invariants stay hoisted);
-    this wrapper builds a one-shot engine per call.
-    """
-    engine = FastPathEngine(device, dtype, tile=tile, tf32=tf32,
-                            injector=injector, scheme=scheme, safety=safety,
-                            chunk_bytes=chunk_bytes, workers=workers)
-    # the engine is local to this call, so its result buffers have no
-    # other referent and can be handed back directly
-    return engine.assign(x, y, counters)

@@ -67,10 +67,6 @@ class KMeansConfig:
         Memory budget of the blocked streaming fast-path engine (scratch
         per assignment pass).  None auto-derives the budget from the
         device's L2 capacity.
-    engine_workers:
-        Worker threads the engine may dispatch independent sample-chunks
-        across (the per-chunk budget divides accordingly, so the total
-        scratch footprint stays under ``chunk_bytes``).
     prune:
         Cross-iteration bound pruning of the assignment stage
         (:mod:`repro.core.bounds`): once most samples stop changing
@@ -198,7 +194,6 @@ class KMeansConfig:
     dmr_update: bool = True
     use_tf32: bool = True
     chunk_bytes: int | None = None
-    engine_workers: int = 1
     prune: str = "auto"
     update_mode: str = "auto"
     batch_size: int | None = None
@@ -240,9 +235,6 @@ class KMeansConfig:
         if self.chunk_bytes is not None and self.chunk_bytes < 1:
             raise ValueError(
                 f"chunk_bytes must be >= 1, got {self.chunk_bytes}")
-        if self.engine_workers < 1:
-            raise ValueError(
-                f"engine_workers must be >= 1, got {self.engine_workers}")
         if self.prune not in PRUNE_MODES:
             raise ValueError(
                 f"unknown prune mode {self.prune!r}; "

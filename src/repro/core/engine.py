@@ -31,16 +31,11 @@ row-chunking-invariant, so the engine always issues GEMMs in a fixed
 inner unit of :data:`GEMM_UNIT_ROWS` rows (rounded to a multiple of the
 tile's TB_M).  Any two *engine* runs with the same tile therefore
 execute the identical sequence of GEMM calls regardless of
-``chunk_bytes`` or ``workers``, making their labels/inertia
-bit-identical — the property the equivalence tests pin down.  The
+``chunk_bytes``, making their labels/inertia bit-identical — the
+property the equivalence tests pin down.  The
 claim is engine-vs-engine: the legacy :func:`unchunked_assign`
 baseline below uses one full-M GEMM and a different epilogue
 association, so it agrees on labels but not necessarily on bits.
-
-Independent chunks can optionally be dispatched across worker threads
-(NumPy releases the GIL inside BLAS); the per-chunk budget is divided
-by the worker count so the total scratch footprint stays bounded by
-``chunk_bytes``.
 
 Fault-free fast lane: when no fault plan targets a chunk's blocks the
 engine dispatches that chunk's whole unit grid as **one** stacked
@@ -72,12 +67,10 @@ Fused centroid-update accumulation: ``assign`` optionally takes a
 :class:`repro.core.accumulate.StreamedAccumulator` and feeds it each
 chunk's (rows, labels) right after the chunk's argmin — the update
 stage's sum/count pass rides the assignment loop instead of re-reading
-all of ``x``.  Sequential dispatch feeds in chunk order naturally;
-threaded dispatch commits chunks *in order* (a worker that finishes
-chunk ``t`` early parks it until every chunk ``< t`` has been fed), so
-the accumulated bits never depend on ``workers`` — and, thanks to the
-accumulator's sequential-continuation design, never on ``chunk_bytes``
-either.  They equal the seed one-shot ``np.add.at`` pass exactly.
+all of ``x``.  Chunks are fed in chunk order, and thanks to the
+accumulator's sequential-continuation design the accumulated bits never
+depend on ``chunk_bytes``: they equal the seed one-shot ``np.add.at``
+pass exactly.
 """
 
 from __future__ import annotations
@@ -85,7 +78,6 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,7 +254,6 @@ class FitCache:
     best: np.ndarray             # (m,) kernel-dtype output buffer
     n_clusters: int | None = None
     chunks: list[tuple[int, int]] | None = None
-    workers: int = 1             # effective worker count for this geometry
     block_map: BlockMap | None = None
     x_t: np.ndarray | None = None        # hoisted transposed update operand
     bounds: BoundsState | None = None    # cross-round pruning state
@@ -298,7 +289,7 @@ class FastPathEngine:
         Kernel element type (float32/float64).
     tile:
         Tile geometry for the fault block map; None disables injection
-        replay (matching the legacy ``fast_assign`` gate).
+        replay.
     tf32:
         Apply TF32 operand rounding (FP32 only).
     injector / scheme / safety:
@@ -308,9 +299,6 @@ class FastPathEngine:
     chunk_bytes:
         Memory budget for chunk scratch.  None auto-derives from the
         device L2 (or :data:`DEFAULT_CHUNK_BYTES` without a device).
-    workers:
-        Worker threads for independent chunks; the per-chunk budget is
-        ``chunk_bytes // workers`` so the total stays bounded.
     batch_chunks:
         Dispatch a fault-free chunk's unit grid as one stacked matmul
         (default).  False forces the per-unit Python walk everywhere —
@@ -341,8 +329,8 @@ class FastPathEngine:
                  tile: TileConfig | None = None, tf32: bool = False,
                  injector=None, scheme: AbftScheme = NONE,
                  safety: float = 4.0, chunk_bytes: int | None = None,
-                 workers: int = 1, batch_chunks: bool = True,
-                 prune="auto", alloc_hook=None, tracer=None):
+                 batch_chunks: bool = True, prune="auto", alloc_hook=None,
+                 tracer=None):
         self.device = device
         self.dtype = np.dtype(dtype)
         self.tile = tile
@@ -357,9 +345,6 @@ class FastPathEngine:
         if int(chunk_bytes) < 1:
             raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
         self.chunk_bytes = int(chunk_bytes)
-        if int(workers) < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
         # the hoisted update operand is admitted while x fits this
         self.operand_budget = host_operand_budget()
         self.batch_chunks = bool(batch_chunks)
@@ -376,9 +361,9 @@ class FastPathEngine:
         self.stats = EngineStats()
         self._cache: FitCache | None = None
         self._pool: list[np.ndarray] = []
+        # guards the scratch pool: an abandoned shard worker may still be
+        # mid-pass while its coordinator calls end_fit
         self._lock = threading.Lock()
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_workers = 0
 
     # -- geometry -------------------------------------------------------
     @property
@@ -386,27 +371,21 @@ class FastPathEngine:
         """Fixed inner-GEMM row unit (multiple of TB_M; see module doc)."""
         return unit_rows_for_tile(self.tile)
 
-    def _plan_chunks(self, m: int, n: int,
-                     k: int) -> tuple[list[tuple[int, int]], int]:
+    def _plan_chunks(self, m: int, n: int, k: int) -> list[tuple[int, int]]:
         """Split [0, m) into unit-aligned chunks under the memory budget.
 
-        Returns (chunks, effective_workers).  Each in-flight chunk costs
-        its accumulator (rows x n) plus, on the TF32 path, one unit of
-        staged rounded operands (unit x k) — both are charged against
-        ``chunk_bytes``, and the worker count is clamped so the *total*
-        stays under it.  One unit per single worker is the hard minimum:
-        the budget cannot shrink an inner GEMM block.
+        The one in-flight chunk costs its accumulator (rows x n) plus, on
+        the TF32 path, one unit of staged rounded operands (unit x k) —
+        both are charged against ``chunk_bytes``.  One unit is the hard
+        minimum: the budget cannot shrink an inner GEMM block.
         """
         unit = self.unit_rows
         itemsize = self.dtype.itemsize
         row_bytes = max(1, n * itemsize)
         operand_bytes = unit * k * itemsize if self.tf32 else 0
-        unit_bytes = unit * row_bytes + operand_bytes
-        workers = min(self.workers, max(1, self.chunk_bytes // unit_bytes))
-        budget = max(1, self.chunk_bytes // workers - operand_bytes)
+        budget = max(1, self.chunk_bytes - operand_bytes)
         rows = max(unit, (budget // row_bytes) // unit * unit)
-        return ([(lo, min(lo + rows, m)) for lo in range(0, m, rows)],
-                workers)
+        return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
     # -- per-fit cache --------------------------------------------------
     def begin_fit(self, x: np.ndarray, n_clusters: int | None = None, *,
@@ -428,37 +407,20 @@ class FastPathEngine:
         return self._cache
 
     def end_fit(self) -> None:
-        """Drop the fit cache, pooled scratch and worker threads.
+        """Drop the fit cache and pooled scratch.
 
         Called when the Lloyd loop finishes so a fitted estimator does
-        not pin the training array (or budget-sized scratch, or idle
-        threads) for its whole lifetime — and so later ``predict`` /
-        ``score`` passes recompute norms instead of trusting an
-        identity-keyed cache the caller may have mutated underneath.
+        not pin the training array (or budget-sized scratch) for its
+        whole lifetime — and so later ``predict`` / ``score`` passes
+        recompute norms instead of trusting an identity-keyed cache the
+        caller may have mutated underneath.
         """
         self._cache = None
         with self._lock:
+            # a buffer still held by a pass in flight stays counted
+            # until that pass drops it (_put_scratch)
+            self.stats.scratch_bytes -= sum(b.nbytes for b in self._pool)
             self._pool.clear()
-            self.stats.scratch_bytes = 0
-        self._shutdown_executor()
-
-    def _shutdown_executor(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_workers = 0
-
-    def _get_executor(self, workers: int) -> ThreadPoolExecutor:
-        """Reuse one pool across Lloyd iterations.
-
-        Sized exactly to the effective worker count: the budget clamp
-        relies on at most ``workers`` chunks being in flight at once.
-        """
-        if self._executor is None or self._executor_workers != workers:
-            self._shutdown_executor()
-            self._executor = ThreadPoolExecutor(max_workers=workers)
-            self._executor_workers = workers
-        return self._executor
 
     def _build_cache(self, x: np.ndarray,
                      n_clusters: int | None = None) -> FitCache:
@@ -480,7 +442,7 @@ class FastPathEngine:
 
     def _resolve_geometry(self, cache: FitCache, n: int, k: int) -> None:
         cache.n_clusters = n
-        cache.chunks, cache.workers = self._plan_chunks(cache.x.shape[0], n, k)
+        cache.chunks = self._plan_chunks(cache.x.shape[0], n, k)
         cache.block_map = (BlockMap.for_shape(cache.x.shape[0], n, k, self.tile)
                            if self.tile is not None else None)
 
@@ -555,8 +517,8 @@ class FastPathEngine:
             if self._cache is not None:
                 self._pool.append(buf)
             else:
-                # transient pass (predict/score, one-shot wrapper): drop
-                # the buffer so nothing budget-sized outlives the call
+                # transient pass (predict/score): drop the buffer so
+                # nothing budget-sized outlives the call
                 self.stats.scratch_bytes -= buf.nbytes
 
     # -- fault replay ---------------------------------------------------
@@ -636,9 +598,8 @@ class FastPathEngine:
         accumulator : StreamedAccumulator, optional
             When given, each chunk's sample rows and fresh labels are fed
             to it inside the chunk loop (fused assign+accumulate).  Fed
-            strictly in chunk order — also under threaded dispatch — so
-            the accumulated sums are bit-identical to a one-shot
-            sequential pass.
+            strictly in chunk order, so the accumulated sums are
+            bit-identical to a one-shot sequential pass.
         """
         if accumulator is not None:
             # fused pool reports through the engine's allocation tracker
@@ -711,35 +672,26 @@ class FastPathEngine:
                                             shifts=shifts)
             self.stats.bounds_rebuilds += bounds.rebuilds - heals
 
-        computed = m
-        if cache.workers == 1 or len(chunks) == 1:
-            computed = 0
-            scratch = self._take_scratch(min(chunks[0][1] - chunks[0][0], m), n)
-            try:
-                for lo, hi in chunks:
-                    self._check_cancelled()
-                    with tr.span("assign_chunk", lo=int(lo), hi=int(hi)):
-                        calls, batched, rows_run = self._run_chunk(
-                            lo, hi, x, yr_t, yy, cache, plans, policy,
-                            counters, scratch, active, bounds, tr=tr)
-                    computed += rows_run
-                    self.stats.gemm_calls += calls
-                    self.stats.batched_chunks += batched
-                    if accumulator is not None:
-                        # fused update accumulation: the chunk's rows are
-                        # still cache-hot from the GEMM/argmin above
-                        with tr.span("update_feed", lo=int(lo),
-                                     hi=int(hi)):
-                            accumulator.feed(x[lo:hi], cache.labels[lo:hi])
-                        self.stats.update_chunks_fed += 1
-            finally:
-                self._put_scratch(scratch)
-        else:
-            computed = self._run_threaded(chunks, x, yr_t, yy, cache, plans,
-                                          policy, counters, n, cache.workers,
-                                          accumulator=accumulator,
-                                          active=active, bounds=bounds,
-                                          tr=tr)
+        computed = 0
+        scratch = self._take_scratch(min(chunks[0][1] - chunks[0][0], m), n)
+        try:
+            for lo, hi in chunks:
+                self._check_cancelled()
+                with tr.span("assign_chunk", lo=int(lo), hi=int(hi)):
+                    calls, batched, rows_run = self._run_chunk(
+                        lo, hi, x, yr_t, yy, cache, plans, policy,
+                        counters, scratch, active, bounds, tr=tr)
+                computed += rows_run
+                self.stats.gemm_calls += calls
+                self.stats.batched_chunks += batched
+                if accumulator is not None:
+                    # fused update accumulation: the chunk's rows are
+                    # still cache-hot from the GEMM/argmin above
+                    with tr.span("update_feed", lo=int(lo), hi=int(hi)):
+                        accumulator.feed(x[lo:hi], cache.labels[lo:hi])
+                    self.stats.update_chunks_fed += 1
+        finally:
+            self._put_scratch(scratch)
         if bounds is not None:
             with tr.span("bounds_refresh", phase="end_round"):
                 bounds.end_round(y, cache.labels, cache.best)
@@ -747,83 +699,7 @@ class FastPathEngine:
         if computed < m:
             self.stats.rows_pruned += m - computed
             self.stats.pruned_passes += 1
-        if self._cache is None:
-            # no fit is active to reuse the threads (a transient pass
-            # during a fit leaves the fit's pool alone).  Deliberate
-            # tradeoff: threaded one-shot passes pay pool spawn/join per
-            # call rather than leaving idle threads pinned to the engine
-            self._shutdown_executor()
         return cache.labels, cache.best
-
-    def _run_threaded(self, chunks, x, yr_t, yy, cache, plans, policy,
-                      counters, n, workers, *, accumulator=None,
-                      active=None, bounds=None, tr=NULL_TRACER) -> int:
-        """Dispatch independent chunks across worker threads.
-
-        Each thread owns a pooled scratch buffer and a private counter
-        bundle; counters merge in chunk order so totals are
-        deterministic.  A fused update accumulator is fed through an
-        in-order commit: whichever worker finishes the next-uncommitted
-        chunk drains every completed chunk in order, so the accumulated
-        bits match sequential dispatch exactly while the GEMMs still
-        overlap.  Returns the number of rows actually computed."""
-        max_rows = max(hi - lo for lo, hi in chunks)
-        locals_ = threading.local()
-        partials: list[PerfCounters | None] = [None] * len(chunks)
-        gemms: list[tuple[int, bool, int]] = [(0, False, 0)] * len(chunks)
-        held: list[np.ndarray] = []
-        done = [False] * len(chunks)
-        commit = {"next": 0}
-        commit_lock = threading.Lock()
-
-        def work(idx: int) -> None:
-            self._check_cancelled()
-            scr = getattr(locals_, "scratch", None)
-            if scr is None:
-                scr = self._take_scratch(max_rows, n)
-                locals_.scratch = scr
-                with self._lock:
-                    held.append(scr)
-            local_counters = PerfCounters()
-            lo, hi = chunks[idx]
-            with tr.span("assign_chunk", lo=int(lo), hi=int(hi)):
-                gemms[idx] = self._run_chunk(lo, hi, x, yr_t, yy, cache,
-                                             plans, policy, local_counters,
-                                             scr, active, bounds, tr=tr)
-            partials[idx] = local_counters
-            if accumulator is not None:
-                with commit_lock:
-                    done[idx] = True
-                    while (commit["next"] < len(chunks)
-                           and done[commit["next"]]):
-                        clo, chi = chunks[commit["next"]]
-                        with tr.span("update_feed", lo=int(clo),
-                                     hi=int(chi)):
-                            accumulator.feed(x[clo:chi],
-                                             cache.labels[clo:chi])
-                        self.stats.update_chunks_fed += 1
-                        commit["next"] += 1
-
-        try:
-            list(self._get_executor(workers).map(work, range(len(chunks))))
-        except BaseException:
-            # one chunk failed but siblings may still be writing their
-            # scratch: join every worker before the buffers can be
-            # repooled (and later handed to a new pass mid-write)
-            self._shutdown_executor()
-            raise
-        finally:
-            for buf in held:
-                self._put_scratch(buf)
-        for part in partials:
-            if part is not None:
-                counters.merge(part)
-        computed = 0
-        for calls, batched, rows_run in gemms:
-            self.stats.gemm_calls += calls
-            self.stats.batched_chunks += batched
-            computed += rows_run
-        return computed
 
     def _chunk_plans(self, lo: int, hi: int, cache: FitCache,
                      plans: dict) -> list:

@@ -189,11 +189,10 @@ class FtAssignment(TensorOpAssignment):
                  tile=None, use_tf32: bool = True,
                  scheme: str | AbftScheme = FTKMEANS, safety: float = 4.0,
                  stages: int | None = None, chunk_bytes: int | None = None,
-                 workers: int = 1, prune="auto"):
+                 prune="auto"):
         super().__init__(device, dtype, mode=mode, injector=injector,
                          tile=tile, use_tf32=use_tf32, stages=stages,
-                         chunk_bytes=chunk_bytes, workers=workers,
-                         prune=prune)
+                         chunk_bytes=chunk_bytes, prune=prune)
         self.scheme = get_scheme(scheme)
         self.safety = safety
         if self.scheme.name == "wu":

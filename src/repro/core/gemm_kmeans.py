@@ -39,11 +39,9 @@ class V1GemmAssignment(AssignmentKernelBase):
 
     def __init__(self, device, dtype, *, mode="fast", injector=None,
                  tile: TileConfig | None = None,
-                 chunk_bytes: int | None = None, workers: int = 1,
-                 prune="auto"):
+                 chunk_bytes: int | None = None, prune="auto"):
         super().__init__(device, dtype, mode=mode, injector=injector,
-                         chunk_bytes=chunk_bytes, workers=workers,
-                         prune=prune)
+                         chunk_bytes=chunk_bytes, prune=prune)
         self.tile = tile if tile is not None else default_simt_tile(dtype)
 
     # ------------------------------------------------------------------

@@ -43,10 +43,9 @@ class TensorOpAssignment(AssignmentKernelBase):
     def __init__(self, device, dtype, *, mode="fast", injector=None,
                  tile: TileConfig | None = None, use_tf32: bool = True,
                  stages: int | None = None, chunk_bytes: int | None = None,
-                 workers: int = 1, prune="auto"):
+                 prune="auto"):
         super().__init__(device, dtype, mode=mode, injector=injector,
-                         chunk_bytes=chunk_bytes, workers=workers,
-                         prune=prune)
+                         chunk_bytes=chunk_bytes, prune=prune)
         self.tile = tile if tile is not None else default_tensorop_tile(dtype)
         if stages is not None and stages != self.tile.stages:
             self.tile = TileConfig(self.tile.tb, self.tile.warp,

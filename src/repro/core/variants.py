@@ -55,8 +55,7 @@ def build_assignment(cfg: KMeansConfig, n_samples: int, n_features: int,
                 if cfg.p_inject > 0 else NullInjector())
     tile = _resolve_tile(cfg, n_samples, n_features)
     kwargs: dict = dict(mode=cfg.mode, injector=injector,
-                        chunk_bytes=cfg.chunk_bytes,
-                        workers=cfg.engine_workers, prune=cfg.prune)
+                        chunk_bytes=cfg.chunk_bytes, prune=cfg.prune)
     if cfg.variant in ("v1", "v2", "v3"):
         kwargs["tile"] = tile
     elif cfg.variant == "tensorop":

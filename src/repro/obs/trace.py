@@ -17,11 +17,10 @@ every bit-identity suite passes unchanged with tracing enabled (also
 asserted under hypothesis, including with SEU injection on).
 
 Spans nest via an explicit per-recorder stack, so the recorder needs no
-thread-local magic for the common single-threaded coordinator/engine
-loops; the engine's threaded dispatch records worker-side chunk spans
-through :meth:`TraceRecorder.span` under a lock, keeping the ring
-consistent (ordering between workers is by completion, as with any
-tracer).
+thread-local magic for the single-threaded coordinator/engine loops;
+recording takes a lock, so a span recorded from another thread keeps
+the ring consistent (ordering between threads is by completion, as with
+any tracer).
 """
 
 from __future__ import annotations

@@ -134,11 +134,11 @@ class TestRegressionGate:
     best prior same-shape entry and fails loudly past the slack."""
 
     @staticmethod
-    def _entry(wall, m=1024, host="ci", workers=1, chunk_bytes=20971520):
+    def _entry(wall, m=1024, host="ci", chunk_bytes=20971520):
         return {"host": host,
                 "config": {"m": m, "n_features": 64, "n_clusters": 64,
                            "iters": 1, "dtype": "float32",
-                           "workers": workers, "chunk_bytes": chunk_bytes},
+                           "chunk_bytes": chunk_bytes},
                 "engine": {"wall_s": wall}}
 
     def test_fresh_slow_record_fails(self, tmp_path):
@@ -186,8 +186,7 @@ class TestRegressionGate:
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v2",
              "entries": [self._entry(0.1, host="fastbox"),
-                         self._entry(0.1, chunk_bytes=1 << 20),
-                         self._entry(0.1, workers=4), fresh]}))
+                         self._entry(0.1, chunk_bytes=1 << 20), fresh]}))
         assert "skipped" in runner.check_fastpath_regression(fresh, out)
 
     def test_smoke_gate_end_to_end(self, tmp_path, capsys):

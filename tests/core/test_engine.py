@@ -1,7 +1,7 @@
 """Tests for the blocked streaming fast-path engine.
 
 The contract under test: chunking is an implementation detail — for any
-``chunk_bytes`` / ``workers`` configuration the engine produces
+``chunk_bytes`` configuration the engine produces
 bit-identical labels and inertia (including under fault injection with a
 fixed seed), its scratch memory stays under the configured budget, and
 the per-fit invariant cache is actually reused across iterations.
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import FTKMeans
-from repro.core.assignment import fast_assign, setup_gmem
+from repro.core.assignment import setup_gmem
 from repro.core.config import KMeansConfig, VARIANT_NAMES
 from repro.core.engine import (
     BlockMap,
@@ -39,11 +39,9 @@ def data():
     return x, y
 
 
-def _build(variant, mode, m, k, *, chunk_bytes=None, workers=1,
-           p_inject=0.0, seed=0):
+def _build(variant, mode, m, k, *, chunk_bytes=None, p_inject=0.0, seed=0):
     cfg = KMeansConfig(n_clusters=10, variant=variant, mode=mode,
-                       p_inject=p_inject, chunk_bytes=chunk_bytes,
-                       engine_workers=workers)
+                       p_inject=p_inject, chunk_bytes=chunk_bytes)
     return build_assignment(cfg, m, k, np.random.default_rng(seed))
 
 
@@ -109,20 +107,6 @@ class TestChunkedEquivalence:
         assert (fast.counters.errors_injected
                 == func.counters.errors_injected)
         assert np.array_equal(fast.labels, func.labels)
-
-    def test_workers_bit_identical(self, data):
-        """Thread dispatch re-partitions the chunks but not the inner
-        GEMM units, so the result bits don't move."""
-        x, y = data
-        base = _build("tensorop", "fast", *x.shape, chunk_bytes=TINY_BUDGET,
-                      p_inject=0.5, seed=3).assign(x, y)
-        threaded = _build("tensorop", "fast", *x.shape,
-                          chunk_bytes=TINY_BUDGET, workers=3,
-                          p_inject=0.5, seed=3).assign(x, y)
-        assert np.array_equal(base.labels, threaded.labels)
-        assert np.array_equal(base.min_sqdist, threaded.min_sqdist)
-        assert (base.counters.errors_injected
-                == threaded.counters.errors_injected)
 
     def test_offset_data_distances_nonnegative(self):
         """The GEMM norm identity cancels on offset-heavy data; the
@@ -206,44 +190,75 @@ class TestMemoryBudget:
 
     def test_tf32_operand_staging_charged_to_budget(self):
         """Wide-feature TF32 runs: the per-unit rounded-operand copy is
-        part of the contract, so the worker clamp and chunk rows shrink
-        to keep accumulator + staging under chunk_bytes."""
+        part of the contract, so the chunk rows shrink to keep the one
+        in-flight accumulator + staging under chunk_bytes."""
         m, feats, n = 4096, 2048, 16
         budget = 8 << 20
         rng = np.random.default_rng(2)
         x = rng.random((m, feats), dtype=np.float32)
         y = x[:n].copy()
         eng = FastPathEngine(None, np.float32, tf32=True,
-                             chunk_bytes=budget, workers=2)
+                             chunk_bytes=budget)
         eng.begin_fit(x, n)
         cache = eng._cache
         unit = eng.unit_rows
         operand = unit * feats * 4
         rows = max(hi - lo for lo, hi in cache.chunks)
-        # per-worker accumulator + staged operands, summed over workers
-        assert cache.workers * (rows * n * 4 + operand) <= budget
+        # the one in-flight accumulator + its staged operands
+        assert rows * n * 4 + operand <= budget
         eng.assign(x, y, PerfCounters())
         assert eng.stats.peak_scratch_bytes <= budget
 
-    def test_workers_share_the_budget(self):
-        """With worker threads the per-chunk budget divides, so the
-        total concurrent scratch stays under chunk_bytes."""
-        m, feats, k = 20_000, 32, 16
-        budget = 512 << 10
-        rng = np.random.default_rng(1)
-        x = rng.random((m, feats), dtype=np.float32)
-        y = x[:k].copy()
+    @pytest.mark.parametrize("m,n,k,tf32,budget", [
+        (700, 10, 24, False, TINY_BUDGET),
+        (5000, 1024, 8, False, 2 << 20),
+        (200_000, 16, 2048, True, 8 << 20),   # TF32 operand staging
+        (1000, 64, 32, False, 1),             # below one unit
+    ])
+    def test_chunk_rows_largest_unit_multiple_under_budget(self, m, n, k,
+                                                           tf32, budget):
+        """The plan partitions [0, m) into unit-aligned chunks whose
+        rows are the largest unit multiple with accumulator + TF32
+        staging under chunk_bytes (one unit when none fits)."""
+        eng = FastPathEngine(None, np.float32, tf32=tf32, chunk_bytes=budget)
+        unit = eng.unit_rows
+        chunks = eng._plan_chunks(m, n, k)
+        assert chunks[0][0] == 0 and chunks[-1][1] == m
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert all(lo % unit == 0 for lo, _ in chunks)
+        rows = chunks[0][1] - chunks[0][0]
+        assert all(hi - lo == rows for lo, hi in chunks[:-1])
+        operand = unit * k * 4 if tf32 else 0
+
+        def cost(r):
+            return r * n * 4 + operand
+
+        assert rows == unit or cost(rows) <= budget
+        assert cost(rows + unit) > budget
+
+    @pytest.mark.parametrize("dt,tf32,budget", [
+        (np.float32, True, TINY_BUDGET),
+        (np.float32, False, TINY_BUDGET),
+        (np.float64, False, 2 * TINY_BUDGET),
+        (np.float32, True, 1 << 30),          # one chunk
+    ])
+    def test_one_scratch_buffer_per_fit(self, data, dt, tf32, budget):
+        """Chunks run one at a time: a fit allocates one scratch buffer,
+        sized to its largest chunk, and reuses it on every pass."""
+        x, y = (a.astype(dt) for a in data)
         allocs: list[tuple[str, int]] = []
-        eng = FastPathEngine(None, np.float32,
-                             tile=default_tensorop_tile(np.float32),
-                             chunk_bytes=budget, workers=2,
+        eng = FastPathEngine(None, dt, tile=default_tensorop_tile(dt),
+                             tf32=tf32, chunk_bytes=budget,
                              alloc_hook=lambda name, nb: allocs.append((name, nb)))
-        eng.begin_fit(x, k)
-        for _ in range(2):
+        eng.begin_fit(x, y.shape[0])
+        for _ in range(3):
             eng.assign(x, y, PerfCounters())
+        rows = max(hi - lo for lo, hi in eng._cache.chunks)
         scratch = [nb for name, nb in allocs if name == "chunk_scratch"]
-        assert sum(scratch) <= budget
-        assert eng.stats.peak_scratch_bytes <= budget
+        assert scratch == [rows * y.shape[0] * np.dtype(dt).itemsize]
+        assert eng.stats.peak_scratch_bytes == scratch[0]
+        eng.end_fit()
+        assert eng.stats.scratch_bytes == 0
 
 
 class TestFitCache:
@@ -282,20 +297,6 @@ class TestFitCache:
                                   PerfCounters())
         assert labels.shape == (0,) and best.shape == (0,)
 
-    def test_workers_clamped_to_budget(self):
-        """When the per-worker share would fall below one GEMM unit the
-        worker count shrinks instead of the scratch total growing."""
-        n = 1024  # unit(256) * 1024 cols * 4 B = 1 MB per worker minimum
-        budget = 2 << 20
-        rng = np.random.default_rng(0)
-        x = rng.random((2048, 8), dtype=np.float32)
-        y = rng.random((n, 8), dtype=np.float32)
-        eng = FastPathEngine(None, np.float32, chunk_bytes=budget, workers=4)
-        eng.begin_fit(x, n)
-        eng.assign(x, y, PerfCounters())
-        assert eng._cache.workers == 2
-        assert eng.stats.peak_scratch_bytes <= budget
-
     def test_begin_fit_coerces_dtype(self, data):
         """A dtype-mismatched fit array is converted once, not per pass."""
         x, y = data
@@ -308,22 +309,34 @@ class TestFitCache:
         eng.assign(x64, y, PerfCounters())
         assert eng.stats.cache_hits == 2
 
-    def test_executor_lifecycle(self, data):
-        """One worker pool serves the whole fit, then shuts down; a
-        transient threaded pass never leaves idle threads behind."""
+    def test_end_fit_mid_pass_finishes_and_drops_scratch(self, data):
+        """An abandoned shard worker can be mid-pass when its
+        coordinator calls end_fit: the pass still finishes with the
+        fit's bits, its scratch buffer is dropped rather than repooled,
+        and the scratch accounting returns to zero."""
         x, y = data
-        eng = FastPathEngine(None, np.float32, chunk_bytes=TINY_BUDGET * 2,
-                             workers=2)
+        ref = FastPathEngine(None, np.float32, chunk_bytes=TINY_BUDGET)
+        ref.begin_fit(x, y.shape[0])
+        l_ref, b_ref = (a.copy() for a in ref.assign(x, y, PerfCounters()))
+        eng = FastPathEngine(None, np.float32, chunk_bytes=TINY_BUDGET)
         eng.begin_fit(x, y.shape[0])
-        eng.assign(x, y, PerfCounters())
-        pool = eng._executor
-        assert pool is not None
-        eng.assign(x, y, PerfCounters())
-        assert eng._executor is pool  # reused across iterations
-        eng.end_fit()
-        assert eng._executor is None
-        eng.assign(x, y, PerfCounters())  # transient pass
-        assert eng._executor is None
+
+        class EndFitAfterFirstChunk:
+            polls = 0
+
+            def is_set(self):
+                self.polls += 1
+                if self.polls == 2:
+                    eng.end_fit()
+                return False
+
+        eng.cancel_token = EndFitAfterFirstChunk()
+        labels, best = eng.assign(x, y, PerfCounters())
+        assert eng.cancel_token.polls == eng.stats.chunks_run > 2
+        assert eng._cache is None and not eng._pool
+        assert eng.stats.scratch_bytes == 0
+        assert np.array_equal(labels, l_ref)
+        assert np.array_equal(best, b_ref)
 
     def test_norms_match_seed_formula(self, data):
         x, _ = data
@@ -378,21 +391,6 @@ class TestBlockMap:
 
 
 class TestWiring:
-    def test_fast_assign_wrapper_matches_engine(self, data):
-        x, y = data
-        counters = PerfCounters()
-        labels, best = fast_assign(x, y, dtype=np.float32, tf32=True,
-                                   counters=counters,
-                                   tile=default_tensorop_tile(np.float32))
-        eng = FastPathEngine(None, np.float32,
-                             tile=default_tensorop_tile(np.float32),
-                             tf32=True)
-        l2, b2 = eng.assign(x, y, PerfCounters())
-        assert np.array_equal(labels, l2)
-        assert np.array_equal(best, b2)
-        # the wrapper hands back owned arrays, not engine buffers
-        assert labels.base is None or labels.base is not l2
-
     def test_unchunked_reference_agrees_on_labels(self, data):
         x, y = data
         eng = FastPathEngine(None, np.float32,
@@ -405,8 +403,8 @@ class TestWiring:
     def test_estimator_chunking_invariant_end_to_end(self, data):
         x, _ = data
         fits = [FTKMeans(n_clusters=6, seed=0, max_iter=12,
-                         chunk_bytes=cb, engine_workers=w).fit(x)
-                for cb, w in ((TINY_BUDGET, 1), (None, 1), (TINY_BUDGET, 2))]
+                         chunk_bytes=cb).fit(x)
+                for cb in (TINY_BUDGET, None)]
         for other in fits[1:]:
             assert np.array_equal(fits[0].labels_, other.labels_)
             assert fits[0].inertia_ == other.inertia_
@@ -429,8 +427,6 @@ class TestWiring:
     def test_config_rejects_bad_engine_knobs(self):
         with pytest.raises(ValueError):
             KMeansConfig(chunk_bytes=0)
-        with pytest.raises(ValueError):
-            KMeansConfig(engine_workers=0)
 
 
 class TestSetupGmemDtype:

@@ -34,7 +34,7 @@ SMALL_CHUNK = 256 * 10 * 4
 
 
 def _run(x, y, *, batch_chunks, chunk_bytes=None, operand_budget=None,
-         tf32=True, injector_seed=None, p=0.7, weights=None, workers=1,
+         tf32=True, injector_seed=None, p=0.7, weights=None,
          alloc_hook=None):
     """One fused assignment pass; returns everything comparable.
 
@@ -44,8 +44,7 @@ def _run(x, y, *, batch_chunks, chunk_bytes=None, operand_budget=None,
            if injector_seed is not None else None)
     eng = FastPathEngine(None, np.float32, tile=TILE, tf32=tf32,
                          injector=inj, chunk_bytes=chunk_bytes,
-                         batch_chunks=batch_chunks, workers=workers,
-                         alloc_hook=alloc_hook)
+                         batch_chunks=batch_chunks, alloc_hook=alloc_hook)
     if operand_budget is not None:
         eng.operand_budget = operand_budget
     acc = StreamedAccumulator(y.shape[0], x.shape[1])
@@ -140,18 +139,6 @@ class TestFastLaneBitIdentity:
         one = accumulate_oneshot(x, fast["labels"], y.shape[0],
                                  sample_weight=w)
         assert np.array_equal(one.view(np.uint64), fast["sums_bits"])
-
-    def test_threaded_dispatch_bit_identical(self, data):
-        """The fast lane composes with worker threads (in-order commit)."""
-        x, y = data
-        ref = _run(x, y, batch_chunks=False, chunk_bytes=SMALL_CHUNK,
-                   operand_budget=0)
-        fast = _run(x, y, batch_chunks=True, chunk_bytes=x.nbytes,
-                    workers=3)
-        assert fast["hoisted"] and fast["stats"].chunks_run > 1
-        assert np.array_equal(ref["labels"], fast["labels"])
-        assert np.array_equal(ref["best_bits"], fast["best_bits"])
-        assert np.array_equal(ref["sums_bits"], fast["sums_bits"])
 
     @given(m=st.integers(40, 600), k=st.integers(2, 24),
            n=st.integers(2, 12), chunk_kb=st.sampled_from([1, 3, 16, 1024]),
@@ -300,8 +287,10 @@ class TestOperandBudget:
             KMeansConfig(reduce_topology="stream")
         with pytest.raises(TypeError):
             KMeansConfig(transport="shm")
+        with pytest.raises(TypeError):
+            KMeansConfig(engine_workers=1)
         for knob in ("operand_cache", "reduce_topology", "event_hook",
-                     "transport"):
+                     "transport", "engine_workers"):
             with pytest.raises(TypeError):
                 FTKMeans(**{knob: None})
 
@@ -322,10 +311,13 @@ class TestOperandBudget:
         assert np.array_equal(ref["sums_bits"], got["sums_bits"])
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_variant_constructors_reject_operand_cache(self, variant):
+    def test_variant_constructors_reject_removed_knobs(self, variant):
         VARIANTS[variant](None, np.float32)
         with pytest.raises(TypeError):
             VARIANTS[variant](None, np.float32, operand_cache="auto")
+        for build in (VARIANTS[variant], FastPathEngine):
+            with pytest.raises(TypeError):
+                build(None, np.float32, workers=1)
 
     def test_transient_pass_never_hoists(self, data):
         """predict/score-style passes on foreign data keep the staging

@@ -57,7 +57,7 @@ def _lloyd_step(x, labels, y):
 
 
 def _trajectory(x, y0, iters, *, prune, dtype=np.float32, tf32=True,
-                chunk_bytes=None, workers=1, inject_seed=None,
+                chunk_bytes=None, inject_seed=None,
                 mutate=None, fuse=False):
     """Run ``iters`` Lloyd rounds on one engine; return everything
     comparable (per-round labels + best bits + optional fused sums)
@@ -66,7 +66,7 @@ def _trajectory(x, y0, iters, *, prune, dtype=np.float32, tf32=True,
     inj = (FaultInjector(np.random.default_rng(inject_seed), 0.7, dtype)
            if inject_seed is not None else None)
     eng = FastPathEngine(None, dtype, tf32=tf32, chunk_bytes=chunk_bytes,
-                         workers=workers, injector=inj,
+                         injector=inj,
                          scheme=get_scheme("ftkmeans") if inj else None,
                          prune=prune)
     u = np.dtype(dtype).str.replace("f", "u")
@@ -145,16 +145,14 @@ class TestPrunedBitExactness:
     @given(seed=st.integers(0, 2**16),
            mode=st.sampled_from(["hamerly", "elkan"]),
            chunk_kb=st.sampled_from([None, 16, 64]),
-           workers=st.sampled_from([1, 3]),
            dtype=st.sampled_from([np.float32, np.float64]),
            shuffle=st.booleans())
     def test_property_any_config_bit_exact(self, seed, mode, chunk_kb,
-                                           workers, dtype, shuffle):
+                                           dtype, shuffle):
         x, y0 = _blobs(seed, m=1024, k=6, d=8, dtype=dtype,
                        shuffle=shuffle)
         kw = dict(dtype=dtype, tf32=dtype == np.float32,
-                  chunk_bytes=None if chunk_kb is None else chunk_kb << 10,
-                  workers=workers)
+                  chunk_bytes=None if chunk_kb is None else chunk_kb << 10)
         got, stats, _ = _trajectory(x, y0, 6, prune=mode, fuse=True, **kw)
         ref, _, _ = _trajectory(x, y0, 6, prune="off", fuse=True, **kw)
         assert_trajectories_equal(got, ref)
@@ -195,11 +193,10 @@ class TestPrunedUnderInjection:
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16),
-           mode=st.sampled_from(["hamerly", "elkan"]),
-           workers=st.sampled_from([1, 2]))
-    def test_injected_runs_bit_exact(self, seed, mode, workers):
+           mode=st.sampled_from(["hamerly", "elkan"]))
+    def test_injected_runs_bit_exact(self, seed, mode):
         x, y0 = _blobs(seed, m=1024, k=6, d=8)
-        kw = dict(chunk_bytes=16 << 10, workers=workers, inject_seed=seed)
+        kw = dict(chunk_bytes=16 << 10, inject_seed=seed)
         got, _, _ = _trajectory(x, y0, 6, prune=mode, fuse=True, **kw)
         ref, _, _ = _trajectory(x, y0, 6, prune="off", fuse=True, **kw)
         assert_trajectories_equal(got, ref)
@@ -431,17 +428,4 @@ class TestCancellation:
                 y = _lloyd_step(x, labels.copy(), y)
             assert eng.stats.bounds_rebuilds >= 1
         finally:
-            eng.end_fit()
-
-    def test_threaded_workers_observe_token(self, blob_data):
-        x, y0 = blob_data
-        eng = FastPathEngine(None, np.float32, tf32=True,
-                             chunk_bytes=8 << 10, workers=3)
-        try:
-            eng.begin_fit(x, K)
-            eng.cancel_token = _TripAfter(0)    # tripped from the start
-            with pytest.raises(EngineCancelled):
-                eng.assign(x, y0, PerfCounters())
-        finally:
-            eng.cancel_token = None
             eng.end_fit()

@@ -4,8 +4,8 @@ Contracts under test:
 
 * the streamed (bincount-continuation) accumulation is bit-identical to
   the seed one-shot ``np.add.at`` pass for every feed granularity,
-  dtype, and variant — with and without SEU injection, chunked, fused,
-  and threaded;
+  dtype, and variant — with and without SEU injection, chunked and
+  fused;
 * ``partial_fit`` converges on synthetic blobs, is deterministic under
   a fixed seed, re-seeds empty clusters deterministically, and routes
   fault injection / ABFT through every variant per batch;
@@ -16,6 +16,7 @@ Contracts under test:
 import numpy as np
 import pytest
 
+from repro.abft.schemes import get_scheme
 from repro.core.accumulate import (
     StreamedAccumulator,
     accumulate_oneshot,
@@ -30,6 +31,7 @@ from repro.core.update import UpdateStage
 from repro.core.variants import build_assignment
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.device import A100_PCIE_40GB
+from repro.gpusim.faults import FaultInjector
 
 #: forces several engine chunks at the shapes below (unit = 256 rows)
 TINY_BUDGET = 256 * 10 * 4
@@ -112,6 +114,53 @@ class TestFusedEngineAccumulation:
         assert np.array_equal(acc.packed(),
                               accumulate_oneshot(x, labels, y.shape[0]))
 
+    @pytest.mark.parametrize("prune", ["off", "hamerly"])
+    @pytest.mark.parametrize("inject", [False, True])
+    def test_feeds_arrive_in_chunk_order(self, prune, inject):
+        """The accumulator's contract is global sample order: every pass
+        feeds each planned chunk exactly once, in order, with its final
+        labels — pruned and fault-planned chunks included."""
+        rng = np.random.default_rng(12)
+        centres = 8.0 * rng.standard_normal((10, 24))
+        x = (centres[rng.integers(0, 10, 1500)]
+             + rng.standard_normal((1500, 24))).astype(np.float32)
+        y = (centres + 0.5).astype(np.float32)
+        inj = FaultInjector(7, 0.1, np.float32) if inject else None
+        eng = FastPathEngine(None, np.float32,
+                             tile=default_tensorop_tile(np.float32),
+                             tf32=True, injector=inj,
+                             scheme=get_scheme("ftkmeans"),
+                             chunk_bytes=TINY_BUDGET, prune=prune)
+
+        class Recorder(StreamedAccumulator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.fed = []
+
+            def feed(self, x_chunk, labels_chunk):
+                self.fed.append((x_chunk, labels_chunk.copy()))
+                super().feed(x_chunk, labels_chunk)
+
+        counters = PerfCounters()
+        eng.begin_fit(x, y.shape[0])
+        try:
+            for _ in range(5):
+                acc = Recorder(y.shape[0], x.shape[1])
+                labels, _ = eng.assign(x, y, counters, accumulator=acc)
+                assert ([len(xc) for xc, _ in acc.fed]
+                        == [hi - lo for lo, hi in eng._cache.chunks])
+                assert np.array_equal(
+                    np.concatenate([xc for xc, _ in acc.fed]), x)
+                assert np.array_equal(
+                    np.concatenate([lc for _, lc in acc.fed]), labels)
+                nz = acc.counts > 0
+                y = y.copy()
+                y[nz] = (acc.sums[nz] / acc.counts[nz, None]).astype(y.dtype)
+            assert (eng.stats.rows_pruned > 0) == (prune != "off")
+            assert (counters.errors_injected > 0) == inject
+        finally:
+            eng.end_fit()
+
     def test_alloc_hook_sees_every_accumulator_allocation(self, data):
         """The engine attaches its tracker at the first fused assign;
         allocations predating the attachment (the sums from __init__)
@@ -143,23 +192,6 @@ class TestFusedEngineAccumulation:
         labels = rng.integers(0, 4, 3000)
         acc.feed(x, labels)
         assert np.array_equal(acc.packed(), accumulate_oneshot(x, labels, 4))
-
-    def test_threaded_in_order_commit_bit_identical(self, data):
-        """Worker threads overlap the GEMMs but commit feeds in chunk
-        order: the accumulated bits cannot depend on ``workers``."""
-        x, y = data
-        packed = []
-        for workers in (1, 3):
-            eng = FastPathEngine(None, np.float32,
-                                 tile=default_tensorop_tile(np.float32),
-                                 tf32=True, chunk_bytes=TINY_BUDGET * 2,
-                                 workers=workers)
-            eng.begin_fit(x, y.shape[0])
-            acc = StreamedAccumulator(y.shape[0], x.shape[1])
-            eng.assign(x, y, PerfCounters(), accumulator=acc)
-            eng.end_fit()
-            packed.append(acc.packed())
-        assert np.array_equal(packed[0], packed[1])
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_variant_assign_feeds_accumulator(self, data, variant):
@@ -209,18 +241,6 @@ class TestFitStreamedEqualsOneshot:
         assert a.counters_.errors_injected > 0
         assert np.array_equal(a.cluster_centers_, b.cluster_centers_)
         assert a.inertia_ == b.inertia_
-
-    def test_workers_do_not_move_fit_bits(self, data):
-        x, _ = data
-        base = FTKMeans(n_clusters=6, seed=0, max_iter=8,
-                        update_mode="streamed",
-                        chunk_bytes=TINY_BUDGET).fit(x)
-        threaded = FTKMeans(n_clusters=6, seed=0, max_iter=8,
-                            update_mode="streamed",
-                            chunk_bytes=TINY_BUDGET, engine_workers=3).fit(x)
-        assert np.array_equal(base.cluster_centers_,
-                              threaded.cluster_centers_)
-        assert base.inertia_ == threaded.inertia_
 
     def test_auto_resolves_per_mode(self):
         assert KMeansConfig(update_mode="auto",
