@@ -58,7 +58,7 @@ __all__ = [
 
 #: newest schema generation per trajectory family (the versions the
 #: benches write today; the loader accepts every generation up to it)
-SCHEMA_FAMILIES = {"fastpath_walltime": 4, "dist_scaling": 8}
+SCHEMA_FAMILIES = {"fastpath_walltime": 4, "dist_scaling": 9}
 
 #: config keys that must match for two fast-path records to share a
 #: trend series (problem shape + perf-relevant engine config; the
@@ -455,7 +455,6 @@ _DIST_STAGES = (
     ("update", "centroid update"),
     ("abft_check", "ABFT checksum verify"),
     ("checkpoint", "checkpoint save"),
-    ("checkpoint_flush", "checkpoint flush"),
     ("recovery", "crash recovery (restore + replan)"),
 )
 

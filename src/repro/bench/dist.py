@@ -37,17 +37,15 @@ scaling of the stream merge over a widening fleet: for each worker
 count, one fit on the serial executor — arrivals are deterministic
 there, so the curve measures reduce *work*, not host thread
 scheduling — recording the coordinator's reduce-busy seconds
-(``dist_reduce_busy_s_``), the per-fit metrics delta, and the
-bit-identity flag.  ``runner --smoke`` gates every cell's bit-identity
-and the widest fleet's occupancy against the best prior entry.
+(``dist_reduce_busy_s_``) and the bit-identity flag.  ``runner
+--smoke`` gates every cell's bit-identity and the widest fleet's
+occupancy against the best prior entry.
 
-A **checkpoint run** measures the per-round checkpoint overhead of the
-synchronous write path against the asynchronous background writer
-(``checkpoint_sync``): three otherwise identical disk-backed fits —
-no checkpoints, ``checkpoint_every=1`` synchronous, and
-``checkpoint_every=1`` asynchronous — with the coordinator's own
-in-loop save cost (``dist_checkpoint_save_s_``) and the async flush
-barrier recorded alongside the wall-clock deltas.
+A **checkpoint run** measures the per-round cost of durable on-disk
+checkpoints: two otherwise identical fits — no ``checkpoint_every``
+against ``checkpoint_every=1`` into a directory — with the
+coordinator's own save cost (``dist_checkpoint_save_s_``) recorded
+alongside the wall-clock delta and a bit-identity flag.
 
 Each run appends one record to ``BENCH_dist.json``::
 
@@ -77,6 +75,10 @@ __all__ = ["run_dist_bench", "run_smoke", "DEFAULT_RESULT_PATH", "main"]
 #: BENCH_fastpath.json, resolved against the working directory)
 DEFAULT_RESULT_PATH = Path("BENCH_dist.json")
 
+#: v9 made the ``checkpoint`` record two fits (no checkpoints vs
+#: on-disk ``checkpoint_every=1``; every save is synchronous) and
+#: dropped the per-cell ``metrics`` dumps from the grid and ``reduce``
+#: rows and from the ``recovery`` record.
 #: v8 dropped the ``transport`` record: the process executor has one
 #: round path (pipes), so there is no second data plane to compare.
 #: v7 added the ``transport`` record (shared-memory vs pipe data plane
@@ -94,7 +96,7 @@ DEFAULT_RESULT_PATH = Path("BENCH_dist.json")
 #: v2 added the ``elastic`` stall-then-shrink record; v3 the
 #: ``checkpoint`` sync-vs-async overhead record; v4 the ``selfheal``
 #: kill → spawn → re-expand record
-SCHEMA = "dist_scaling/v8"
+SCHEMA = "dist_scaling/v9"
 
 #: full grid (CI-feasible, a few minutes)
 FULL_SHAPE = dict(m_grid=(60_000, 120_000), n_features=64, n_clusters=64,
@@ -108,9 +110,9 @@ SMOKE_SHAPE = dict(m_grid=(16_384,), n_features=32, n_clusters=16, iters=3,
 
 def _fit_once(x, y0, *, n_clusters, iters, workers, executor, seed,
               checkpoint_every=0, worker_faults=None, elastic=False,
-              round_timeout=None, checkpoint_sync=False,
-              checkpoint_dir=None, target_workers=None, hot_spares=0,
-              heartbeat_interval=None, tracer=None):
+              round_timeout=None, checkpoint_dir=None,
+              target_workers=None, hot_spares=0, heartbeat_interval=None,
+              tracer=None):
     """One timed sharded (or single-worker) fit; returns (model, wall)."""
     km = FTKMeans(n_clusters=n_clusters, variant="tensorop", mode="fast",
                   n_workers=workers, tracer=tracer,
@@ -119,7 +121,6 @@ def _fit_once(x, y0, *, n_clusters, iters, workers, executor, seed,
                   max_iter=iters, tol=0.0, seed=seed, init_centroids=y0,
                   worker_faults=worker_faults, elastic=elastic,
                   round_timeout=round_timeout,
-                  checkpoint_sync=checkpoint_sync,
                   checkpoint_dir=checkpoint_dir,
                   target_workers=target_workers if workers > 1 else None,
                   hot_spares=hot_spares if workers > 1 else 0,
@@ -191,10 +192,6 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
                 "sim_speedup_vs_single": (
                     base[0].sim_time_s_ / max(1e-12, km.sim_time_s_)),
             }
-            if workers > 1:
-                # per-fit metrics delta: the unified registry view of
-                # this cell (sim.* counters + dist.* scalars)
-                row["metrics"] = km.dist_metrics_
             grid.append(row)
         rec_data = (x, y0)  # recovery runs at the largest M
 
@@ -225,7 +222,6 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
         "recovered_bit_identical": bool(
             np.array_equal(crashed.cluster_centers_,
                            clean.cluster_centers_)),
-        "metrics": crashed.dist_metrics_,
     }
 
     # -- traced pass: the crash-recovery fit once more under the span
@@ -300,24 +296,19 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
                            el_clean.cluster_centers_)),
     }
 
-    # -- checkpoint overhead: synchronous vs background writer --------
-    # three otherwise identical disk-backed fits at the recovery shape:
-    # the per-round cost of checkpoint_every=1 against a no-checkpoint
-    # baseline, for both write policies.  The coordinator's own in-loop
-    # save cost is the robust signal; wall-clock deltas ride along.
+    # -- checkpoint overhead: on-disk snapshots every round -----------
+    # two otherwise identical fits at the recovery shape: the per-round
+    # cost of durable checkpoint_every=1 writes against a no-checkpoint
+    # baseline.  The coordinator's own save cost is the robust signal;
+    # the wall-clock delta rides along.
     none_fit, none_wall = _fit_once(
         x, y0, n_clusters=n_clusters, iters=iters, workers=rec_workers,
         executor=executor, seed=seed, checkpoint_every=0)
-    with tempfile.TemporaryDirectory(prefix="bench_ckpt_sync_") as d_sync, \
-            tempfile.TemporaryDirectory(prefix="bench_ckpt_async_") as d_async:
-        sync_fit, sync_wall = _fit_once(
+    with tempfile.TemporaryDirectory(prefix="bench_ckpt_") as d:
+        ckpt_fit, ckpt_wall = _fit_once(
             x, y0, n_clusters=n_clusters, iters=iters, workers=rec_workers,
             executor=executor, seed=seed, checkpoint_every=1,
-            checkpoint_sync=True, checkpoint_dir=d_sync)
-        async_fit, async_wall = _fit_once(
-            x, y0, n_clusters=n_clusters, iters=iters, workers=rec_workers,
-            executor=executor, seed=seed, checkpoint_every=1,
-            checkpoint_sync=False, checkpoint_dir=d_async)
+            checkpoint_dir=d)
     rounds = max(1, none_fit.n_iter_)
     # checkpoint_every=1 saves once per round PLUS the iteration-0
     # snapshot before the loop: normalise the save cost by the actual
@@ -331,20 +322,13 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
         "rounds": rounds,
         "saves": saves,
         "clean_wall_s": none_wall,
-        "sync_wall_s": sync_wall,
-        "async_wall_s": async_wall,
-        "sync_save_s": sync_fit.dist_checkpoint_save_s_,
-        "async_save_s": async_fit.dist_checkpoint_save_s_,
-        "async_flush_s": async_fit.dist_checkpoint_flush_s_,
-        "sync_save_per_checkpoint_s": sync_fit.dist_checkpoint_save_s_ / saves,
-        "async_save_per_checkpoint_s": async_fit.dist_checkpoint_save_s_ / saves,
-        "sync_overhead_per_round_s": (sync_wall - none_wall) / rounds,
-        "async_overhead_per_round_s": (async_wall - none_wall) / rounds,
-        "save_reduction": (sync_fit.dist_checkpoint_save_s_
-                           / max(1e-12, async_fit.dist_checkpoint_save_s_)),
-        "bit_identical_sync_vs_async": bool(
-            np.array_equal(sync_fit.cluster_centers_,
-                           async_fit.cluster_centers_)),
+        "wall_s": ckpt_wall,
+        "save_s": ckpt_fit.dist_checkpoint_save_s_,
+        "save_per_checkpoint_s": ckpt_fit.dist_checkpoint_save_s_ / saves,
+        "overhead_per_round_s": (ckpt_wall - none_wall) / rounds,
+        "bit_identical_vs_clean": bool(
+            np.array_equal(ckpt_fit.cluster_centers_,
+                           none_fit.cluster_centers_)),
     }
 
     # -- self-healing: kill -> spawn -> re-expand -> converge ---------
@@ -435,7 +419,6 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
                 np.array_equal(km_t.labels_, base[0].labels_)
                 and np.array_equal(km_t.cluster_centers_,
                                    base[0].cluster_centers_)),
-            "metrics": km_t.dist_metrics_,
         })
     reduce = {
         "m": x.shape[0],
@@ -506,12 +489,11 @@ def _summarise(record: dict) -> str:
         f"recovered-bit-identical {el['recovered_bit_identical']}")
     ck = record["checkpoint"]
     lines.append(
-        f"  checkpoint (every round, on disk): in-loop save "
-        f"{ck['sync_save_per_checkpoint_s'] * 1e3:.2f} ms/save sync vs "
-        f"{ck['async_save_per_checkpoint_s'] * 1e3:.2f} ms/save async "
-        f"({ck['save_reduction']:.1f}x off the loop; flush "
-        f"{ck['async_flush_s'] * 1e3:.2f} ms at fit end), bit-identical "
-        f"{ck['bit_identical_sync_vs_async']}")
+        f"  checkpoint (every round, on disk): "
+        f"{ck['save_per_checkpoint_s'] * 1e3:.2f} ms/save, "
+        f"{ck['overhead_per_round_s'] * 1e3:+.2f} ms/round over "
+        f"{ck['clean_wall_s']:.3f} s clean, bit-identical "
+        f"{ck['bit_identical_vs_clean']}")
     sh = record["selfheal"]
     lines.append(
         f"  selfheal (kill@{sh['kill_iteration']}, spawn+re-expand): "

@@ -128,8 +128,7 @@ class StreamedAccumulator:
                              STAGING_BYTES // (8 * self.n_features))
         self.samples_seen = 0
         self.feeds = 0
-        #: lifetime tallies (never zeroed by reset): what the metrics
-        #: registry exports as ``accumulate.*`` — per-iteration
+        #: lifetime tallies (never zeroed by reset): per-iteration
         #: ``feeds``/``samples_seen`` restart at 0 every reset and
         #: cannot describe a whole fit
         self.total_feeds = 0
@@ -317,7 +316,7 @@ class StreamedAccumulator:
 
     # ------------------------------------------------------------------
     def metrics(self) -> dict:
-        """Lifetime observability tallies (for the metrics registry).
+        """Lifetime observability tallies of the accumulator.
 
         ``total_feeds`` / ``total_rows_fed`` accumulate across resets —
         one fit's whole feed history — unlike the per-iteration

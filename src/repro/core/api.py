@@ -96,10 +96,8 @@ class FTKMeans:
     place from hot spares), ``dist_expands_`` (workers regrown toward
     ``target_workers``) and ``dist_heartbeat_failures_`` (losses caught
     by the between-round heartbeat rather than the round deadline),
-    plus the checkpoint-overhead split ``dist_checkpoint_save_s_``
-    (in-loop save cost: full writes when ``checkpoint_sync=True``,
-    snapshot+enqueue when async) and ``dist_checkpoint_flush_s_`` (the
-    end-of-fit flush barrier of the async writer), ``dist_reduce_busy_s_``
+    plus the checkpoint overhead ``dist_checkpoint_save_s_`` (wall
+    seconds of every synchronous snapshot save), ``dist_reduce_busy_s_``
     (coordinator occupancy of the reduce: wall seconds of merge work
     not hidden under still-computing workers), the transport trio
     ``dist_broadcast_bytes_`` / ``dist_gather_bytes_`` (per-fit bytes
@@ -107,9 +105,7 @@ class FTKMeans:
     in each direction; 0 on the in-process backends) and
     ``dist_boot_stats_`` (worker boot/attach walls
     aggregated by kind: cold spawn vs spare promote vs warm
-    reconfigure), and ``dist_metrics_``
-    (the fit's :class:`~repro.obs.metrics.MetricsRegistry` delta —
-    ``sim.*`` / ``dist.*`` scalars contributed by exactly this fit).
+    reconfigure).
 
     ``spawn_hook`` (constructor-only, like ``worker_faults``) is the
     fleet manager's budget callback for booting replacement workers
@@ -134,7 +130,7 @@ class FTKMeans:
                  chunk_bytes: int | None = None, prune: str = "auto",
                  update_mode: str = "auto", batch_size: int | None = None,
                  n_workers: int = 1, executor: str = "serial",
-                 checkpoint_every: int = 0, checkpoint_sync: bool = False,
+                 checkpoint_every: int = 0,
                  round_timeout=None, elastic: bool = False,
                  target_workers: int | None = None, hot_spares: int = 0,
                  heartbeat_interval: float | None = None,
@@ -153,7 +149,6 @@ class FTKMeans:
             update_mode=update_mode, batch_size=batch_size,
             n_workers=n_workers, executor=executor,
             checkpoint_every=checkpoint_every,
-            checkpoint_sync=checkpoint_sync,
             round_timeout=round_timeout, elastic=elastic,
             target_workers=target_workers, hot_spares=hot_spares,
             heartbeat_interval=heartbeat_interval,
@@ -354,9 +349,7 @@ class FTKMeans:
 
         coord = Coordinator(
             cfg, executor=cfg.executor,
-            checkpoint=CheckpointStore(
-                self._checkpoint_dir,
-                sync=True if cfg.checkpoint_sync else None),
+            checkpoint=CheckpointStore(self._checkpoint_dir),
             worker_faults=self._worker_faults,
             spawn_hook=self._spawn_hook,
             event_bus=self._event_bus,
@@ -382,12 +375,10 @@ class FTKMeans:
         self.dist_heartbeat_failures_ = res.heartbeat_failures
         self.dist_trace_ = res.trace
         self.dist_checkpoint_save_s_ = res.checkpoint_save_s
-        self.dist_checkpoint_flush_s_ = res.checkpoint_flush_s
         self.dist_reduce_busy_s_ = res.reduce_busy_s
         self.dist_broadcast_bytes_ = res.broadcast_bytes
         self.dist_gather_bytes_ = res.gather_bytes
         self.dist_boot_stats_ = res.boot_stats
-        self.dist_metrics_ = res.metrics
         # predict/score run single-pass through an ordinary assigner
         self._assigner = build_assignment(cfg, m, k, rng)
         return self

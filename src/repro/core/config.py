@@ -114,14 +114,6 @@ class KMeansConfig:
         every this many iterations, so a crashed worker resumes from
         the last checkpoint instead of iteration 0.  0 disables
         periodic checkpoints (recovery then restarts the fit).
-    checkpoint_sync:
-        With ``n_workers > 1`` and a ``checkpoint_dir``: True writes
-        each snapshot synchronously on the round loop (the legacy
-        behaviour); False (default) hands the pickled snapshot to a
-        background writer so the fsync cost leaves the hot loop.  Reads
-        (and recovery restores) flush the writer first, and each write
-        keeps the atomic tmp+fsync+replace protocol, so crash
-        consistency and bit-exact recovery are identical either way.
     round_timeout:
         With ``n_workers > 1``: seconds each coordinator round may take
         before unanswered workers are classified stalled (terminated
@@ -200,7 +192,6 @@ class KMeansConfig:
     n_workers: int = 1
     executor: str = "serial"
     checkpoint_every: int = 0
-    checkpoint_sync: bool = False
     round_timeout: float | str | None = None
     elastic: bool = False
     target_workers: int | None = None
@@ -261,7 +252,6 @@ class KMeansConfig:
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        self.checkpoint_sync = bool(self.checkpoint_sync)
         if isinstance(self.round_timeout, str):
             if self.round_timeout != "auto":
                 raise ValueError(

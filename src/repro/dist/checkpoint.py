@@ -2,11 +2,12 @@
 
 Snapshots are pickled blobs of the coordinator's whole per-iteration
 state — centroids, iteration index, convergence monitor, simulated
-clock, counters — taken every ``checkpoint_every`` iterations.  After a
-worker loss the coordinator restores the newest snapshot and replays
-from there; because the Lloyd step is deterministic given ``(x, y)``
-(and the worker SEU streams are keyed by iteration, not history), the
-replayed trajectory is bit-identical to an uninterrupted run.
+clock, counters.  The coordinator saves the initial state as iteration
+0 and then every ``checkpoint_every`` iterations.  After a worker loss
+it restores the newest snapshot and replays from there; because the
+Lloyd step is deterministic given ``(x, y)`` (and the worker SEU
+streams are keyed by iteration, not history), the replayed trajectory
+is bit-identical to an uninterrupted run.
 
 Two storage modes behind one API:
 
@@ -25,23 +26,14 @@ Two storage modes behind one API:
   live tmp (a healthy save holds its tmp for milliseconds).  Only the
   ``keep`` newest files are retained.
 
-**Asynchronous writes.**  Directory-backed stores default to a
-background writer (``sync=False``): :meth:`save` pickles the state in
-the calling thread — the snapshot is consistent at call time, and the
-caller may keep mutating the live objects — then hands the blob to a
-daemon writer over a bounded queue, moving the write+fsync cost off the
-coordinator's round loop.  The durability contract is preserved by a
-**flush barrier**: every read (:attr:`iterations`, :meth:`load_latest`)
-and :meth:`clear` drain the queue first, so a recovery restore can
-never observe a snapshot that was saved but not yet durable, and the
-coordinator flushes once more when the fit ends.  Each write still uses
-the same tmp+fsync+replace protocol, so a crash at any point — of the
-writer thread or the whole process — leaves only complete, restorable
-checkpoint files behind (an interrupted write strands at most a tmp
-file the sweep collects later).  A failed background write is re-raised
-at the next ``save``/``flush``.  ``sync=True`` keeps every write on the
-calling thread (the legacy behaviour, and the default for in-memory
-stores, where there is no I/O to hide).
+**Durability.**  Every write runs on the calling thread: when
+:meth:`save` returns, the snapshot is pickled, fsynced and renamed into
+place, so any later read — a recovery restore included — sees it.  A
+crash at any point, of the saving thread or the whole process, leaves
+only complete, restorable checkpoint files behind (an interrupted write
+strands at most a tmp file the sweep collects later).  A snapshot is a
+K×N centroid block plus a few small objects, so a write costs
+milliseconds against a round of tens to hundreds.
 
 Snapshots are the only state a fit persists.  Workers keep nothing on
 disk: a replacement rebuilds its shard's per-fit invariants (the norm
@@ -53,93 +45,10 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-import threading
 import time
-from collections import deque
 from pathlib import Path
 
 __all__ = ["CheckpointStore"]
-
-
-class _DaemonWriter:
-    """Bounded queue of write thunks drained by one self-respawning daemon.
-
-    :class:`CheckpointStore`'s asynchronous write path: :meth:`submit`
-    enqueues a zero-argument callable (blocking once ``QUEUE_MAX``
-    thunks are outstanding, so a producer that outruns the disk
-    throttles instead of buffering unbounded blobs) and
-    :meth:`flush` is the barrier — it returns only when every accepted
-    thunk has run.  A thunk that raises poisons the writer: the queue
-    is dropped and the exception re-raises at the next submit/flush.
-
-    The drain thread exits when idle and is respawned by the next
-    submit.  Liveness is a lock-guarded flag cleared in the same
-    critical section as the exit decision — ``Thread.is_alive()`` could
-    report a dying-but-alive thread and let a submit skip the respawn,
-    orphaning its freshly queued thunk.
-    """
-
-    #: thread name of the drain daemon
-    NAME = "checkpoint-writer"
-    #: bounded write queue: a saver that outruns the disk blocks here
-    #: instead of buffering unbounded snapshot blobs
-    QUEUE_MAX = 4
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._pending: deque = deque()
-        self._thread: threading.Thread | None = None
-        self._live = False
-        self._busy = False
-        self._error: BaseException | None = None
-
-    def submit(self, fn) -> None:
-        with self._cond:
-            if self._error is not None:
-                err, self._error = self._error, None
-                raise err
-            while len(self._pending) >= self.QUEUE_MAX:
-                self._cond.wait()
-            self._pending.append(fn)
-            if not self._live:
-                self._live = True
-                self._thread = threading.Thread(
-                    target=self._drain, name=self.NAME, daemon=True)
-                self._thread.start()
-            self._cond.notify_all()
-
-    def flush(self) -> None:
-        with self._cond:
-            while self._pending or self._busy:
-                self._cond.wait()
-            if self._error is not None:
-                err, self._error = self._error, None
-                raise err
-
-    def _drain(self) -> None:
-        while True:
-            with self._cond:
-                if not self._pending:
-                    # exit decision and liveness clear are atomic under
-                    # the lock: any submit() arriving after this sees a
-                    # dead writer and spawns a fresh one
-                    self._live = False
-                    self._busy = False
-                    self._cond.notify_all()
-                    return
-                fn = self._pending.popleft()
-                self._busy = True
-                self._cond.notify_all()
-            try:
-                fn()
-            except BaseException as exc:
-                with self._cond:
-                    self._error = exc
-                    self._pending.clear()
-                    self._live = False
-                    self._busy = False
-                    self._cond.notify_all()
-                return
 
 
 class CheckpointStore:
@@ -152,19 +61,11 @@ class CheckpointStore:
         keeps snapshots in memory.
     keep : int
         Newest snapshots retained; older ones are pruned.
-    sync : bool, optional
-        True writes every snapshot on the calling thread; False hands
-        the pickled blob to a background writer (bounded queue, flush
-        barrier on reads).  None (default) resolves to synchronous for
-        in-memory stores and asynchronous for directory-backed ones.
     event_bus : :class:`repro.obs.events.EventBus`, optional
-        Bus the store publishes ``checkpoint_save`` (one per accepted
-        snapshot, from the saving thread) and ``checkpoint_flush`` (one
-        per completed barrier) events onto, source ``"checkpoint"``.
-        The coordinator wires its fit bus in here automatically when
-        the store was not pre-wired to one of its own.  Events mark
-        *acceptance*, not durability — an async save's write may still
-        be in flight until the next flush event.
+        Bus the store publishes one ``checkpoint_save`` event per
+        durable snapshot onto, source ``"checkpoint"``.  The
+        coordinator wires its fit bus in here automatically when the
+        store was not pre-wired to one of its own.
     """
 
     #: tmp files younger than this are presumed to be a concurrent
@@ -173,7 +74,7 @@ class CheckpointStore:
     TMP_SWEEP_AGE_S = 60.0
 
     def __init__(self, directory: str | os.PathLike | None = None, *,
-                 keep: int = 2, sync: bool | None = None, event_bus=None):
+                 keep: int = 2, event_bus=None):
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep}")
         self.keep = int(keep)
@@ -182,16 +83,9 @@ class CheckpointStore:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._sweep_tmp()
-        self.sync = (self.directory is None) if sync is None else bool(sync)
         self._mem: dict[int, bytes] = {}
-        # background writer (directory-backed async stores only)
-        self._writer = _DaemonWriter()
 
     # ------------------------------------------------------------------
-    def _publish(self, kind: str, **fields) -> None:
-        if self.event_bus is not None:
-            self.event_bus.publish(kind, source="checkpoint", **fields)
-
     def _path(self, iteration: int) -> Path:
         return self.directory / f"ckpt_{iteration:08d}.pkl"
 
@@ -210,47 +104,23 @@ class CheckpointStore:
                 continue
 
     def save(self, iteration: int, state: dict) -> None:
-        """Snapshot ``state`` under ``iteration`` (atomic on disk).
-
-        The state is pickled before ``save`` returns, so the snapshot
-        is consistent at call time even when the write itself happens
-        on the background writer; a previously failed background write
-        is re-raised here.
-        """
+        """Snapshot ``state`` under ``iteration``; durable (atomic on
+        disk) when this returns."""
         if iteration < 0:
             raise ValueError(f"iteration must be >= 0, got {iteration}")
         blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         if self.directory is None:
             self._mem[iteration] = blob
-            for it in sorted(self._mem)[:-self.keep]:
-                del self._mem[it]
-            self._publish("checkpoint_save", iteration=int(iteration),
-                          nbytes=len(blob), mode="memory")
-            return
-        if self.sync:
+            mode = "memory"
+        else:
             self._write_blob(iteration, blob)
-            self._prune()
-            self._publish("checkpoint_save", iteration=int(iteration),
-                          nbytes=len(blob), mode="sync")
-            return
-        self._writer.submit(lambda: self._write_and_prune(iteration, blob))
-        # published outside the writer hand-off: subscribers run on the
-        # saving thread and must never block the drain loop
-        self._publish("checkpoint_save", iteration=int(iteration),
-                      nbytes=len(blob), mode="async")
-
-    def flush(self) -> None:
-        """Barrier: return only when every queued snapshot is durably
-        written (and re-raise a background write failure).  No-op for
-        synchronous and in-memory stores."""
-        if self.directory is None or self.sync:
-            return
-        self._writer.flush()
-        self._publish("checkpoint_flush")
-
-    def _write_and_prune(self, iteration: int, blob: bytes) -> None:
-        self._write_blob(iteration, blob)
-        self._prune()
+            mode = "disk"
+        for it in self.iterations[:-self.keep]:
+            self._drop(it)
+        if self.event_bus is not None:
+            self.event_bus.publish("checkpoint_save", source="checkpoint",
+                                   iteration=int(iteration),
+                                   nbytes=len(blob), mode=mode)
 
     def _write_blob(self, iteration: int, blob: bytes) -> None:
         # unique tmp name (two writers on one directory can never step
@@ -269,11 +139,15 @@ class CheckpointStore:
             Path(tmp).unlink(missing_ok=True)
             raise
 
-    def _prune(self) -> None:
-        for it in self._list_iterations()[:-self.keep]:
-            self._path(it).unlink(missing_ok=True)
+    def _drop(self, iteration: int) -> None:
+        if self.directory is None:
+            del self._mem[iteration]
+        else:
+            self._path(iteration).unlink(missing_ok=True)
 
-    def _list_iterations(self) -> list[int]:
+    @property
+    def iterations(self) -> list[int]:
+        """Checkpointed iterations, oldest first."""
         if self.directory is None:
             return sorted(self._mem)
         its = []
@@ -284,19 +158,11 @@ class CheckpointStore:
                 continue
         return sorted(its)
 
-    @property
-    def iterations(self) -> list[int]:
-        """Checkpointed iterations, oldest first (flushes the writer
-        first, so the listing reflects every completed ``save``)."""
-        self.flush()
-        return self._list_iterations()
-
     def load_latest(self) -> tuple[int, dict] | None:
         """Newest ``(iteration, state)`` snapshot, or None when empty.
 
-        Flushes the background writer first — a restore never races a
-        write — and the returned state is freshly unpickled: mutating it
-        never touches the stored snapshot.
+        The returned state is freshly unpickled: mutating it never
+        touches the stored snapshot.
         """
         its = self.iterations
         if not its:
@@ -307,14 +173,7 @@ class CheckpointStore:
         return it, pickle.loads(blob)
 
     def clear(self) -> None:
-        self._mem.clear()
+        for it in self.iterations:
+            self._drop(it)
         if self.directory is not None:
-            try:
-                self.flush()
-            except Exception:
-                # a failed pending write is moot: everything it could
-                # have produced is being deleted anyway
-                pass
-            for it in self._list_iterations():
-                self._path(it).unlink(missing_ok=True)
             self._sweep_tmp()

@@ -24,9 +24,11 @@
    single-device estimator runs (DMR included), so sharded fits are
    bit-identical to ``FTKMeans.fit`` with ``n_workers=1``.
 
-**Checkpoint/restart.**  Every ``checkpoint_every`` iterations the
-coordinator snapshots ``(iteration, centroids, convergence monitor,
-simulated clock, counters)`` into a :class:`CheckpointStore`.  When a
+**Checkpoint/restart.**  The coordinator snapshots ``(iteration,
+centroids, convergence monitor, simulated clock, counters)`` into a
+:class:`CheckpointStore` once before the first round (iteration 0) and
+then every ``checkpoint_every`` iterations; each save is durable when
+it returns.  When a
 worker dies — a :class:`WorkerCrash` from the executor, whether injected
 in-process or a real child-process death — the coordinator restores the
 newest snapshot, restarts the executor (all workers rebuild from the
@@ -97,8 +99,6 @@ every first boot does.
 
 from __future__ import annotations
 
-import pickle
-import sys
 import time
 import warnings
 from collections import deque
@@ -124,7 +124,6 @@ from repro.dist.worker import RoundResult, build_worker
 from repro.gpusim.clock import SimClock
 from repro.gpusim.counters import PerfCounters
 from repro.obs.events import EventBus
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import active_tracer
 
 __all__ = ["Coordinator", "DistFitResult", "ReduceOccupancy",
@@ -159,8 +158,7 @@ class DistFitResult:
     crash_recoveries: int = 0            # workers lost to death
     stall_recoveries: int = 0            # workers lost to the deadline
     shrinks: int = 0                     # elastic re-plans performed
-    checkpoint_save_s: float = 0.0       # in-loop checkpoint save cost
-    checkpoint_flush_s: float = 0.0      # end-of-fit async flush barrier
+    checkpoint_save_s: float = 0.0       # wall of every snapshot save
     promotions: int = 0                  # dead ids healed by hot spares
     expands: int = 0                     # workers regrown toward target
     heartbeat_failures: int = 0          # losses caught by heartbeat
@@ -168,7 +166,6 @@ class DistFitResult:
     broadcast_bytes: int = 0             # pipe bytes coordinator->workers
     gather_bytes: int = 0                # pipe bytes workers->coordinator
     boot_stats: dict = field(default_factory=dict)  # boot walls by kind
-    metrics: dict = field(default_factory=dict)  # per-fit registry delta
 
 
 class ReduceOccupancy:
@@ -221,7 +218,6 @@ class _FitState:
     counters: PerfCounters
     plan: ShardPlan
     round_times: deque
-    initial_blob: bytes = b""    # the pickled iteration-0 snapshot
     trace: list[dict] = field(default_factory=list)
     recoveries: int = 0
     crash_workers_lost: int = 0
@@ -280,7 +276,7 @@ class Coordinator:
         Snapshot store; defaults to a fresh in-memory store.
     checkpoint_every : int, optional
         Snapshot period in iterations; defaults to ``cfg.checkpoint_every``
-        (0 = only the implicit initial state, i.e. recovery restarts the
+        (0 = only the iteration-0 snapshot, i.e. recovery restarts the
         fit from iteration 0).
     worker_faults : WorkerFaultInjector, optional
         Worker-level fault source for the rounds.
@@ -318,10 +314,10 @@ class Coordinator:
     event_bus : :class:`repro.obs.events.EventBus`, optional
         Bus for the fit's structured events: fleet membership events
         (source ``"fleet"``), coordinator ``recovery`` / ``restore`` /
-        ``re_expand`` events (source ``"coordinator"``) and checkpoint
-        ``checkpoint_save`` / ``checkpoint_flush`` events (source
-        ``"checkpoint"``).  A private bus is created when omitted;
-        either way it is exposed as :attr:`event_bus`.
+        ``re_expand`` events (source ``"coordinator"``) and
+        ``checkpoint_save`` events (source ``"checkpoint"``).  A private
+        bus is created when omitted; either way it is exposed as
+        :attr:`event_bus`.
     tracer : :class:`repro.obs.trace.TraceRecorder`, optional
         Span recorder for the coordinator-side stage taxonomy ``fit ->
         {broadcast, compute -> merge, recovery, round -> {update,
@@ -510,23 +506,18 @@ class Coordinator:
         # counters once the loop ends
         faults_seen = {"stalls": 0, "injected": 0, "detected": 0,
                        "corrected": 0}
-        # the implicit iteration-0 snapshot: recovery's floor when no
-        # periodic checkpoint exists yet
-        st.initial_blob = pickle.dumps(st.snapshot(0),
-                                       protocol=pickle.HIGHEST_PROTOCOL)
         # a reused store (e.g. a checkpoint_dir shared across fits) must
-        # not leak a previous fit's snapshots into this one's recovery
+        # not leak a previous fit's snapshots into this one's recovery;
+        # the iteration-0 snapshot is recovery's floor until a periodic
+        # checkpoint supersedes it
         self.store.clear()
-        ckpt_save_s = 0.0
-        ckpt_flush_s = 0.0
-        if self.checkpoint_every:
-            t0 = time.perf_counter()
-            self.store.save(0, st.snapshot(0))
-            ckpt_save_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        self.store.save(0, st.snapshot(0))
+        ckpt_save_s = time.perf_counter() - t0
 
         occ = ReduceOccupancy()
         # the fit span brackets the whole round loop including the
-        # shutdown/flush tail
+        # shutdown tail
         with tr.span("fit", m=int(m), n_features=int(k),
                      n_workers=int(plan.n_workers)):
             try:
@@ -631,18 +622,6 @@ class Coordinator:
                     merge_acc.bind_source_t(None)
                     updater.bind_source_t(None, None)
                     shm_session.close()
-                # flush barrier: every snapshot of this fit is durable
-                # before fit() returns (or propagates its error)
-                t0 = time.perf_counter()
-                with tr.span("checkpoint_flush"):
-                    if sys.exc_info()[0] is None:
-                        self.store.flush()
-                    else:
-                        try:
-                            self.store.flush()
-                        except Exception:
-                            pass
-                ckpt_flush_s = time.perf_counter() - t0
 
         # fold the restore-proof tallies into the final counter totals:
         # crashes and deadline-tripped stalls count the workers lost,
@@ -656,7 +635,7 @@ class Coordinator:
         counters.errors_detected += faults_seen["detected"]
         counters.errors_corrected += faults_seen["corrected"]
         monitor = st.monitor
-        result = DistFitResult(
+        return DistFitResult(
             centroids=st.y, labels=labels, best=best,
             counts=(upd.counts.copy() if upd is not None
                     else np.zeros(n_clusters, dtype=np.int64)),
@@ -667,23 +646,13 @@ class Coordinator:
             executor=getattr(self.executor, "name", "custom"),
             crash_recoveries=st.crash_workers_lost,
             stall_recoveries=st.stall_workers_lost, shrinks=st.shrinks,
-            checkpoint_save_s=ckpt_save_s, checkpoint_flush_s=ckpt_flush_s,
+            checkpoint_save_s=ckpt_save_s,
             promotions=self.fleet.promotions, expands=self.fleet.expands,
             heartbeat_failures=st.heartbeat_failures,
             reduce_busy_s=occ.busy_s,
             broadcast_bytes=int(self.executor.broadcast_bytes),
             gather_bytes=int(self.executor.gather_bytes),
             boot_stats=_boot_stats(self.executor.boot_events))
-        # per-fit metrics delta: a fresh registry ingests the fit's two
-        # counter surfaces, and the delta against the empty snapshot —
-        # i.e. exactly what *this* fit contributed — rides on the result
-        # (and from there into bench records)
-        registry = MetricsRegistry()
-        before = registry.snapshot()
-        registry.register_perf_counters(counters)
-        registry.register_dist_result(result)
-        result.metrics = MetricsRegistry.delta(before, registry.snapshot())
-        return result
 
     # ------------------------------------------------------------------
     def _recover(self, crash: WorkerCrash, st: _FitState, make_factory,
@@ -691,8 +660,8 @@ class Coordinator:
         """Recover the fit from the workers ``crash`` lost; returns the
         iteration to resume from.
 
-        Restores the newest snapshot (the implicit iteration-0 one when
-        none exists yet) into ``st``, then re-establishes a working
+        Restores the store's newest snapshot (at worst the fit's
+        iteration-0 one) into ``st``, then re-establishes a working
         fleet under one of three policies: the fleet manager promotes
         ready spares in place or shrinks onto the survivors; ``elastic``
         shrinks onto the survivors; otherwise the full membership
@@ -726,10 +695,7 @@ class Coordinator:
                                      self.executor.round_timeout})
             if st.recoveries > self.max_recoveries:
                 raise crash
-            loaded = self.store.load_latest()
-            if loaded is None:
-                loaded = (0, pickle.loads(st.initial_blob))
-            restored_it, state = loaded
+            restored_it, state = self.store.load_latest()
             st.restore(state)
             st.trace.append({"kind": "restore", "iteration": restored_it})
             self.event_bus.publish("restore", source="coordinator",

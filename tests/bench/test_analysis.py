@@ -121,6 +121,23 @@ class TestLoader:
         with pytest.raises(analysis.SchemaError):
             analysis.load_trajectory(tmp_path / "missing.json")
 
+    def test_dist_loader_accepts_v9_rejects_v10(self, tmp_path):
+        p = tmp_path / "dist.json"
+
+        def write(schema):
+            p.write_text(json.dumps({
+                "schema": schema,
+                "entries": [{"bench": "dist_scaling", "schema": schema,
+                             "config": {"m_grid": [1024]}}]}))
+
+        write("dist_scaling/v9")
+        traj = analysis.load_trajectory(p)
+        assert traj.family == "dist_scaling"
+        assert [e["schema_version"] for e in traj.entries] == [9]
+        write("dist_scaling/v10")
+        with pytest.raises(analysis.SchemaError, match="postdates"):
+            analysis.load_trajectory(p)
+
     def test_host_normalization(self, tmp_path):
         p = tmp_path / "t.json"
         doc = {"schema": "fastpath_walltime/v1",

@@ -284,14 +284,15 @@ class TestDistSmokeGate:
                      "--report", str(tmp_path / "perf.md"),
                      "--m", "1024", "--iters", "1"])
         doc = json.loads(dist_out.read_text())
-        assert doc["schema"] == "dist_scaling/v8"
+        assert doc["schema"] == "dist_scaling/v9"
         (record,) = doc["entries"]
-        assert record["schema"] == "dist_scaling/v8"
+        assert record["schema"] == "dist_scaling/v9"
         workers = [row["workers"] for row in record["grid"]]
         assert workers == record["config"]["workers_grid"] == [1, 2]
         for row in record["grid"]:
             assert row["bit_identical_vs_single"] is True
             assert row["wall_s"] > 0
+            assert "metrics" not in row   # v9 dropped the per-cell dumps
         rec = record["recovery"]
         assert rec["recoveries"] == 1
         assert rec["recovered_bit_identical"] is True
@@ -309,14 +310,13 @@ class TestDistSmokeGate:
                     "stall_wall_s", "shrink_overhead_s",
                     "shrink_overhead_frac"):
             assert key in el, key
-        # the checkpoint sync-vs-async overhead record
+        # the on-disk checkpoint overhead record (v9: one write path)
         ck = record["checkpoint"]
-        assert ck["bit_identical_sync_vs_async"] is True
-        assert ck["sync_save_s"] > 0 and ck["async_save_s"] > 0
-        for key in ("sync_save_per_checkpoint_s", "async_save_per_checkpoint_s",
-                    "sync_overhead_per_round_s",
-                    "async_overhead_per_round_s", "async_flush_s",
-                    "save_reduction"):
+        assert ck["bit_identical_vs_clean"] is True
+        assert ck["save_s"] > 0 and ck["wall_s"] > 0
+        assert ck["saves"] == ck["rounds"] + 1
+        for key in ("clean_wall_s", "save_per_checkpoint_s",
+                    "overhead_per_round_s"):
             assert key in ck, key
         # the kill -> spawn -> re-expand self-healing record of v4:
         # the fit must finish back at its target fleet size
@@ -347,7 +347,7 @@ class TestDistSmokeGate:
             assert row["topology"] == "stream"
             assert row["bit_identical_vs_single"] is True
             assert row["reduce_busy_s"] >= 0
-            assert row["metrics"]["dist.n_iter"] >= 1
+            assert "metrics" not in row
         assert [r["workers"] for r in red["curve"]] == [
             w for w in red["workers_grid"] if w > 1]
         # schema v8 dropped the transport record (one process round

@@ -24,6 +24,7 @@ import repro.core.engine as engine_mod
 from repro.core.engine import FastPathEngine, host_operand_budget
 from repro.core.tensorop import default_tensorop_tile
 from repro.core.variants import VARIANTS
+from repro.dist.checkpoint import CheckpointStore
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.faults import FaultInjector
 
@@ -280,7 +281,7 @@ class TestOperandBudget:
         assert engine_mod._usable_memory() == (min(phys, 1 << 30) if capped
                                                else phys)
 
-    def test_removed_knobs_rejected(self):
+    def test_removed_knobs_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             KMeansConfig(operand_cache="auto")
         with pytest.raises(TypeError):
@@ -289,10 +290,14 @@ class TestOperandBudget:
             KMeansConfig(transport="shm")
         with pytest.raises(TypeError):
             KMeansConfig(engine_workers=1)
+        with pytest.raises(TypeError):
+            KMeansConfig(checkpoint_sync=True)
         for knob in ("operand_cache", "reduce_topology", "event_hook",
-                     "transport", "engine_workers"):
+                     "transport", "engine_workers", "checkpoint_sync"):
             with pytest.raises(TypeError):
                 FTKMeans(**{knob: None})
+        with pytest.raises(TypeError):
+            CheckpointStore(tmp_path, sync=True)
 
     @pytest.mark.parametrize("slack,hoisted", [(-1, False), (0, True),
                                                (1, True)])

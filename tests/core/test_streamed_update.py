@@ -101,6 +101,16 @@ class TestAccumulatorBitExact:
             acc.counts, np.bincount(labels, minlength=4).astype(np.float64))
         assert acc.sums.shape == (4, 3)
 
+    def test_accumulator_lifetime_metrics(self):
+        acc = StreamedAccumulator(2, 3)
+        x = np.ones((4, 3), dtype=np.float32)
+        labels = np.zeros(4, dtype=np.int32)
+        acc.feed(x, labels)
+        acc.reset()                      # per-iteration reset ...
+        acc.feed(x, labels)
+        # ... must not zero the lifetime tallies
+        assert acc.metrics() == {"total_feeds": 2, "total_rows_fed": 8}
+
 
 class TestFusedEngineAccumulation:
     def test_fused_equals_oneshot_chunked(self, data):

@@ -184,7 +184,7 @@ class TestSegmentFallback:
 
 class TestByteCounters:
     """The pipes carry the pickled round payloads — and the counters
-    land in the metrics registry and the span metadata."""
+    land on the estimator, per fit, and in the span metadata."""
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_in_process_fits_move_no_pipe_bytes(self, x, executor):
@@ -199,12 +199,12 @@ class TestByteCounters:
         assert km.dist_broadcast_bytes_ > 2 * km.n_iter_ * K * N_FEATURES * 4
         assert km.dist_gather_bytes_ > km.n_iter_ * M * (8 + 4)
 
-    def test_counters_reach_metrics_registry(self, x):
+    def test_counters_are_per_fit(self, x):
+        # a refit reports its own bytes, not a running total
         km = fit(x, n_workers=2, executor="process")
-        assert km.dist_metrics_["dist.broadcast_bytes"] == \
-            km.dist_broadcast_bytes_
-        assert km.dist_metrics_["dist.gather_bytes"] == \
-            km.dist_gather_bytes_
+        first = (km.dist_broadcast_bytes_, km.dist_gather_bytes_)
+        km.fit(x)
+        assert (km.dist_broadcast_bytes_, km.dist_gather_bytes_) == first
 
     def test_spans_carry_payload_bytes(self, x):
         tr = TraceRecorder()

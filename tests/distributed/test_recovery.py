@@ -1,5 +1,14 @@
 """Checkpoint/restart: crash-at-k recovery converges to the same bits."""
 
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,6 +63,24 @@ class TestCheckpointStore:
         _, state = store.load_latest()
         assert np.array_equal(state["y"], np.zeros(4))
 
+    def test_snapshot_consistent_at_save_time(self, tmp_path):
+        """The caller may mutate the live state right after save():
+        the disk snapshot holds the state as it was at the call."""
+        store = CheckpointStore(tmp_path)
+        live = {"iteration": 7, "y": np.full(64, 7.0)}
+        store.save(7, live)
+        live["y"][:] = -1.0
+        _, state = store.load_latest()
+        np.testing.assert_array_equal(state["y"], np.full(64, 7.0))
+
+    def test_write_error_raises_from_save(self, tmp_path):
+        # a failed write surfaces on the save that asked for it
+        store = CheckpointStore(tmp_path)
+        store.save(0, {"v": 0})
+        store.directory = tmp_path / "vanished"
+        with pytest.raises(OSError):
+            store.save(1, {"v": 1})
+
     def test_empty_store_loads_none(self):
         assert CheckpointStore().load_latest() is None
 
@@ -90,6 +117,51 @@ class TestCheckpointStore:
         store.clear()
         assert not list(tmp_path.iterdir())
 
+    def test_killed_saver_leaves_only_complete_checkpoints(self, tmp_path):
+        """A process SIGKILLed while it saves ~16 MB states in a loop
+        strands at most a tmp file: every surviving ckpt_*.pkl
+        unpickles to a complete snapshot, and a fresh store on the
+        directory restores."""
+        n = 2_000_000  # float64: 16 MB per state
+        script = textwrap.dedent(f"""
+            import numpy as np
+            from repro.dist.checkpoint import CheckpointStore
+            store = CheckpointStore({str(tmp_path)!r}, keep=2)
+            big = np.arange({n}, dtype=np.float64)
+            for i in range(1000):
+                store.save(i, {{"iteration": i, "y": big + i}})
+        """)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob("ckpt_*.pkl")):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            # let the next save get under way, then kill mid-stream
+            time.sleep(0.02)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(30)
+            proc.stderr.close()
+        assert proc.returncode == -signal.SIGKILL
+        files = sorted(tmp_path.glob("ckpt_*.pkl"))
+        assert files
+        for p in files:
+            state = pickle.loads(p.read_bytes())  # must not raise
+            np.testing.assert_array_equal(
+                state["y"],
+                np.arange(n, dtype=np.float64) + state["iteration"])
+        it, state = CheckpointStore(tmp_path).load_latest()
+        assert state["iteration"] == it
+
     def test_sweep_spares_a_live_writers_tmp(self, tmp_path):
         # fresh tmp files may be a concurrent writer mid-save on a
         # shared directory: the age guard must leave them alone
@@ -102,9 +174,6 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         for it in range(4):
             store.save(it, {"v": it})
-        # iterations flushes the background writer first: only after
-        # the barrier is "no stranded tmp" a guarantee (a *live* tmp
-        # may exist while a write is in flight)
         assert store.iterations == [2, 3]
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -162,13 +231,27 @@ class TestCrashRecovery:
         assert np.array_equal(crashed.cluster_centers_,
                               clean.cluster_centers_)
 
-    def test_disk_checkpoints(self, x, tmp_path):
-        clean = fit(x, checkpoint_every=2)
-        crashed = fit(x, checkpoint_every=2, checkpoint_dir=tmp_path,
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_disk_checkpoints(self, x, tmp_path, executor):
+        # each save is durable when it returns, so the restore always
+        # reads a complete snapshot, whatever the executor
+        cfg = dict(max_iter=6, executor=executor, checkpoint_every=2)
+        clean = fit(x, **cfg)
+        crashed = fit(x, **cfg, checkpoint_dir=tmp_path,
                       worker_faults=WorkerFaultInjector.crash_at(1, 5))
+        assert crashed.dist_recoveries_ == 1
         assert np.array_equal(crashed.cluster_centers_,
                               clean.cluster_centers_)
+        assert np.array_equal(crashed.labels_, clean.labels_)
         assert list(tmp_path.glob("ckpt_*.pkl"))
+        assert crashed.dist_checkpoint_save_s_ > 0.0
+
+    def test_iteration_zero_snapshot_goes_through_the_store(self, x,
+                                                             tmp_path):
+        # no periodic checkpoints: the store still holds the fit's
+        # iteration-0 snapshot, recovery's only restore point
+        fit(x, max_iter=3, checkpoint_every=0, checkpoint_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt_00000000.pkl"]
 
     def test_recovery_budget_exhausts(self, x):
         # two scheduled crashes of the same (worker, iteration): the

@@ -406,8 +406,7 @@ class TestChromeTrace:
 class TestEstimatorSurface:
     @pytest.mark.parametrize("n_workers,executor",
                              [(8, "serial"), (2, "thread")])
-    def test_fitted_attrs_and_metrics_delta(self, x, ref, n_workers,
-                                            executor):
+    def test_fitted_attrs_and_counters(self, x, ref, n_workers, executor):
         tracer = TraceRecorder()
         km = fit(x, n_workers=n_workers, executor=executor, tracer=tracer)
         assert_same_fit(km, ref)
@@ -415,10 +414,8 @@ class TestEstimatorSurface:
         merges = [s for s in tracer.spans if s.name == "merge"]
         assert len(merges) == km.n_workers_ * km.n_iter_
         assert {s.parent for s in merges} == {"compute"}
+        assert isinstance(km.dist_reduce_busy_s_, float)
         assert km.dist_reduce_busy_s_ >= 0.0
-        assert isinstance(km.dist_metrics_, dict)
-        assert km.dist_metrics_["dist.reduce_busy_s"] == pytest.approx(
-            km.dist_reduce_busy_s_)
-        assert km.dist_metrics_["dist.n_iter"] == km.n_iter_
-        # the per-fit delta carries the simulator counters too
-        assert any(name.startswith("sim.") for name in km.dist_metrics_)
+        assert km.n_iter_ == len(km.inertia_history_)
+        # the coordinator's per-round ABFT test lands in counters_
+        assert km.counters_.checksum_tests == km.n_iter_

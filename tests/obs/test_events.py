@@ -64,9 +64,9 @@ class TestExport:
     def test_to_jsonl_round_trips(self):
         bus = EventBus()
         bus.publish("checkpoint_save", source="checkpoint",
-                    iteration=2, nbytes=128, mode="async")
+                    iteration=2, nbytes=128, mode="disk")
         (doc,) = [json.loads(line)
                   for line in bus.to_jsonl().strip().split("\n")]
         assert doc == {"kind": "checkpoint_save", "source": "checkpoint",
                        "seq": 1, "iteration": 2, "nbytes": 128,
-                       "mode": "async"}
+                       "mode": "disk"}
