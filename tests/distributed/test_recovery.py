@@ -20,6 +20,7 @@ from repro.dist import (
     WorkerFaultPlan,
 )
 from repro.dist.faults import CRASH
+from repro.obs import EventBus
 
 M, N_FEATURES, K = 1537, 12, 7
 
@@ -177,6 +178,102 @@ class TestCheckpointStore:
         assert store.iterations == [2, 3]
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_negative_iteration_rejected(self, tmp_path, on_disk):
+        store = CheckpointStore(tmp_path if on_disk else None)
+        with pytest.raises(ValueError, match="iteration"):
+            store.save(-1, {"v": -1})
+        assert store.iterations == []
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("keep", [0, -1])
+    def test_keep_must_be_positive(self, keep):
+        with pytest.raises(ValueError, match="keep"):
+            CheckpointStore(keep=keep)
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_keep_one_holds_only_the_newest(self, tmp_path, on_disk):
+        store = CheckpointStore(tmp_path if on_disk else None, keep=1)
+        for it in range(5):
+            store.save(it, {"v": it})
+            # pruning runs inside save, before it returns
+            assert store.iterations == [it]
+        assert store.load_latest() == (4, {"v": 4})
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_resave_replaces_the_snapshot(self, tmp_path, on_disk):
+        # a replay after a restore saves the same iteration again
+        store = CheckpointStore(tmp_path if on_disk else None)
+        store.save(3, {"v": "first"})
+        store.save(3, {"v": "replayed"})
+        assert store.iterations == [3]
+        assert store.load_latest() == (3, {"v": "replayed"})
+        if on_disk:
+            assert [p.name for p in tmp_path.iterdir()] == ["ckpt_00000003.pkl"]
+
+    def test_reopened_store_restores_prior_snapshots(self, tmp_path):
+        # durable on return: a new store on the directory (a restarted
+        # coordinator process) sees every save the old one made
+        first = CheckpointStore(tmp_path, keep=3)
+        for it in (0, 2, 4, 6):
+            first.save(it, {"y": np.full(3, float(it))})
+        again = CheckpointStore(tmp_path, keep=3)
+        assert again.iterations == [2, 4, 6]
+        it, state = again.load_latest()
+        assert it == 6
+        np.testing.assert_array_equal(state["y"], np.full(3, 6.0))
+
+    def test_iterations_ignore_foreign_files(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.save(5, {"v": 5})
+        for name in ("ckpt_latest.pkl", "ckpt_.pkl", "notes.txt",
+                     "other_00000009.pkl"):
+            (tmp_path / name).write_bytes(b"not a snapshot")
+        assert store.iterations == [5]
+        assert store.load_latest() == (5, {"v": 5})
+
+    def test_failed_write_keeps_the_previous_snapshot(self, tmp_path,
+                                                      monkeypatch):
+        bus = EventBus()
+        store = CheckpointStore(tmp_path, event_bus=bus)
+        store.save(1, {"v": 1})
+
+        def broken_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", broken_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            store.save(2, {"v": 2})
+        monkeypatch.undo()
+        # the failed tmp is unlinked, the older snapshot still restores,
+        # and only the durable save was announced
+        assert not list(tmp_path.glob("*.tmp"))
+        assert store.iterations == [1]
+        assert store.load_latest() == (1, {"v": 1})
+        assert [e.fields["iteration"] for e in bus.history] == [1]
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_save_publishes_one_event(self, tmp_path, on_disk):
+        bus = EventBus()
+        store = CheckpointStore(tmp_path if on_disk else None, event_bus=bus)
+        state = {"y": np.arange(8.0)}
+        store.save(4, state)
+        (ev,) = bus.history
+        assert (ev.kind, ev.source) == ("checkpoint_save", "checkpoint")
+        nbytes = len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+        assert ev.fields == {"iteration": 4, "nbytes": nbytes,
+                             "mode": "disk" if on_disk else "memory"}
+        if on_disk:
+            assert (tmp_path / "ckpt_00000004.pkl").stat().st_size == nbytes
+
+    def test_async_writer_is_gone(self):
+        import repro.dist.checkpoint as checkpoint_mod
+
+        assert not hasattr(checkpoint_mod, "_DaemonWriter")
+        store = CheckpointStore()
+        assert not hasattr(store, "flush")
+        assert not hasattr(store, "sync")
+
 
 class TestCrashRecovery:
     @pytest.mark.parametrize("crash_it", [1, 5, 9])
@@ -252,6 +349,39 @@ class TestCrashRecovery:
         # iteration-0 snapshot, recovery's only restore point
         fit(x, max_iter=3, checkpoint_every=0, checkpoint_dir=tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt_00000000.pkl"]
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_disk_restore_from_iteration_zero(self, x, tmp_path, executor):
+        # the on-disk iteration-0 snapshot is the only restore point;
+        # replaying from it lands on the clean fit's bits
+        cfg = dict(max_iter=5, executor=executor, checkpoint_every=0)
+        clean = fit(x, **cfg)
+        crashed = fit(x, **cfg, checkpoint_dir=tmp_path,
+                      worker_faults=WorkerFaultInjector.crash_at(0, 3))
+        restore = [e for e in crashed.dist_trace_
+                   if e["kind"] == "restore"][0]
+        assert restore["iteration"] == 0
+        assert crashed.dist_recoveries_ == 1
+        assert np.array_equal(crashed.cluster_centers_,
+                              clean.cluster_centers_)
+        assert np.array_equal(crashed.labels_, clean.labels_)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt_00000000.pkl"]
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_fit_publishes_a_save_per_snapshot(self, x, tmp_path, on_disk):
+        bus = EventBus()
+        km = fit(x, max_iter=6, tol=0.0, checkpoint_every=2, event_bus=bus,
+                 checkpoint_dir=tmp_path if on_disk else None)
+        saves = [e.fields for e in bus.history if e.kind == "checkpoint_save"]
+        expected = [0] + [it for it in range(1, km.n_iter_ + 1)
+                          if it % 2 == 0]
+        assert [f["iteration"] for f in saves] == expected
+        assert {f["mode"] for f in saves} == {"disk" if on_disk
+                                              else "memory"}
+        if on_disk:
+            # keep=2: the two newest snapshots survive the fit
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                f"ckpt_{it:08d}.pkl" for it in expected[-2:]]
 
     def test_recovery_budget_exhausts(self, x):
         # two scheduled crashes of the same (worker, iteration): the

@@ -419,3 +419,44 @@ class TestEstimatorSurface:
         assert km.n_iter_ == len(km.inertia_history_)
         # the coordinator's per-round ABFT test lands in counters_
         assert km.counters_.checksum_tests == km.n_iter_
+
+    def test_estimator_surfaces_every_dist_result_counter(self, x,
+                                                          monkeypatch):
+        from dataclasses import fields
+
+        from repro.dist.coordinator import DistFitResult
+
+        results = []
+        real_fit = Coordinator.fit
+
+        def spy(self, *args, **kwargs):
+            results.append(real_fit(self, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(Coordinator, "fit", spy)
+        km = fit(x, n_workers=2, executor="serial", checkpoint_every=2)
+        (res,) = results
+        surface = {
+            "recoveries": "dist_recoveries_",
+            "stall_recoveries": "dist_stall_recoveries_",
+            "shrinks": "dist_shrinks_",
+            "promotions": "dist_promotions_",
+            "expands": "dist_expands_",
+            "heartbeat_failures": "dist_heartbeat_failures_",
+            "checkpoint_save_s": "dist_checkpoint_save_s_",
+            "reduce_busy_s": "dist_reduce_busy_s_",
+            "broadcast_bytes": "dist_broadcast_bytes_",
+            "gather_bytes": "dist_gather_bytes_",
+            "inertia": "inertia_",
+            "n_iter": "n_iter_",
+        }
+        for name, attr in surface.items():
+            assert getattr(km, attr) == getattr(res, name), name
+        assert km.counters_ is res.counters
+        assert km.dist_boot_stats_ is res.boot_stats
+        # a new scalar field on DistFitResult must reach the estimator
+        # (or be named here as deliberately internal)
+        internal = {"converged", "executor", "crash_recoveries"}
+        scalars = {f.name for f in fields(DistFitResult)
+                   if f.type in ("int", "float", "bool", "str")}
+        assert scalars - internal == set(surface)

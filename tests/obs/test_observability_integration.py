@@ -224,3 +224,30 @@ class TestEventBusOnRealFits:
         fm.event_bus.publish("heartbeat", source="fleet", iteration=0)
         assert [(e.kind, e.fields) for e in seen] == [
             ("heartbeat", {"iteration": 0})]
+
+
+class TestOneCounterSurface:
+    """Counters live on ``counters_`` and the ``dist_*_`` attributes;
+    there is no second registry to keep in step with them."""
+
+    def test_metrics_registry_is_gone(self):
+        import importlib
+
+        import repro.obs
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.obs.metrics")
+        for name in ("MetricsRegistry", "Counter", "Gauge", "Histogram"):
+            assert not hasattr(repro.obs, name), name
+
+    def test_fitted_estimator_carries_no_metrics_dump(self):
+        from dataclasses import fields
+
+        from repro.dist.coordinator import DistFitResult
+
+        km = _fit(_data(), workers=2, checkpoint_every=1)
+        assert km.dist_checkpoint_save_s_ > 0.0
+        assert not hasattr(km, "dist_metrics_")
+        assert not hasattr(km, "dist_checkpoint_flush_s_")
+        names = {f.name for f in fields(DistFitResult)}
+        assert not names & {"metrics", "checkpoint_flush_s"}
