@@ -17,7 +17,9 @@ single-worker fit, and the stream merge's occupancy at the widest
 fleet must not regress against the best prior entry.  The fast-path
 record's operand-hoist twin — a small fit whose chunk budget is below
 ``x.nbytes`` — must hoist one x-sized transposed operand with the
-staging path's bits (:func:`check_hoist_twin`).  ``--trace-out``
+staging path's bits (:func:`check_hoist_twin`), and every chunk of its
+TF32 fit must take the stacked fast lane with the per-unit walk's bits
+(:func:`check_fast_lane`).  ``--trace-out``
 forwards a trace output path to the dist smoke (a ``.jsonl`` suffix
 streams spans live as each closes; any other suffix writes a post-hoc
 Chrome trace JSON).
@@ -56,7 +58,8 @@ import numpy as np
 from repro.bench import analysis, figures
 from repro.bench.tables import print_figure
 
-__all__ = ["all_figures", "check_fastpath_regression", "check_hoist_twin",
+__all__ = ["all_figures", "check_fast_lane", "check_fastpath_regression",
+           "check_hoist_twin",
            "check_pruning_regression", "check_reduce_scaling",
            "check_selfheal_regression", "check_stale_report", "main"]
 
@@ -133,6 +136,26 @@ def check_hoist_twin(record: dict) -> str:
         raise SystemExit(f"HOIST REGRESSION: default-knob twin {tw}")
     return (f"hoist twin ok: {tw['operand_bytes']} B operand past a "
             f"{tw['config']['chunk_bytes']} B chunk budget, bit-identical")
+
+
+def check_fast_lane(record: dict) -> str:
+    """Gate the fast-lane columns of a fast-path record.
+
+    The record's fit (TF32 on the float32 smoke) must dispatch every
+    chunk through the stacked lane (``batched_chunks == chunks_run``),
+    and the per-unit walk twin must agree with it bit for bit.  A
+    structural gate: no wall clock, so no host-drift slack.  Raises
+    :class:`SystemExit` otherwise; returns a verdict line.
+    """
+    eng = record["engine"]
+    if (eng["batched_chunks"] != eng["chunks_run"]
+            or not record["unit_path_bit_identical"]):
+        raise SystemExit(
+            f"FAST LANE REGRESSION: batched_chunks={eng['batched_chunks']} "
+            f"of chunks_run={eng['chunks_run']}, unit-path bit-identical "
+            f"{record['unit_path_bit_identical']}")
+    return (f"fast lane ok: {eng['batched_chunks']}/{eng['chunks_run']} "
+            f"chunks stacked, bit-identical to the unit walk")
 
 
 def check_pruning_regression(record: dict, path, *,
@@ -364,6 +387,7 @@ def main(argv=None) -> None:
                                + (["--out", args.out] if args.out else [])
                                + extra)
         print("  " + check_hoist_twin(record))
+        print("  " + check_fast_lane(record))
         if out != "-" and not args.no_regression_check:
             print("  " + check_fastpath_regression(
                 record, out, slack=args.regression_slack))

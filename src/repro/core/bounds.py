@@ -34,6 +34,18 @@ contract.  The loosening step is valid for **any** centroid transition
 (it never assumes a forward Lloyd step), so checkpoint rewinds,
 re-plans and interleaved passes on the fit cache are all safe.
 
+**Lazy activation.**  Bounds pay only once some centroid stops
+moving: until then no row can be pruned, so the refresh, the error
+vector and the fingerprints would be pure cost.  The state therefore
+starts *lazy* — it keeps only ``prev_y``, the previous round's K x N
+centroids — and :meth:`BoundsState.wake` compares each round's
+centroids against it.  The first round that finds a bit-frozen
+centroid goes *live*: it allocates the bound arrays, computes the error
+vector and runs fully active with refresh, and pruning starts the round
+after.  A fit whose centroids never freeze (a short cold fit) never
+pays for bounds beyond that K x N compare and copy.  Which rounds are
+live only moves the active set, so it can never move a bit either.
+
 **Error margin.**  The engine computes ``d = -2*x.y + |x|^2 + |y|^2``
 in the kernel dtype (optionally TF32-rounded operands).  The deviation
 of the computed value from the true squared distance is bounded by the
@@ -113,10 +125,13 @@ class BoundsState:
     tf32 : bool
         Whether the engine rounds GEMM operands to TF32 (widens the
         error margin).
+    alloc_hook : callable, optional
+        ``(name, nbytes)``, called once with ``"bounds_state"`` when the
+        bound arrays are allocated (the engine's allocation tracker).
     """
 
     def __init__(self, x: np.ndarray, n_clusters: int, *,
-                 mode: str = "hamerly", tf32: bool = False):
+                 mode: str = "hamerly", tf32: bool = False, alloc_hook=None):
         if mode not in ("hamerly", "elkan"):
             raise ValueError(f"mode must be 'hamerly' or 'elkan', got {mode!r}")
         m, k = x.shape
@@ -124,17 +139,14 @@ class BoundsState:
         self.m = m
         self.n_clusters = int(n_clusters)
         self.tf32 = bool(tf32)
-        # float64 squared sample norms, computed band-by-band so the
-        # float64 staging copy stays cache-sized
-        self.nx = np.empty(m, dtype=np.float64)
-        step = max(1, (4 << 20) // max(1, k * 8))
-        for lo in range(0, m, step):
-            band = x[lo:lo + step].astype(np.float64, copy=False)
-            self.nx[lo:lo + step] = np.einsum("ij,ij->i", band, band)
+        self._x = x
+        self._alloc_hook = alloc_hook
         eps = float(np.finfo(x.dtype).eps)
         self._coeff = ERR_SAFETY * (k * eps + (TF32_EPS if self.tf32 else 0.0))
-        shape = (m,) if mode == "hamerly" else (m, self.n_clusters)
-        self.lb = np.full(shape, -np.inf, dtype=np.float64)
+        #: False until a round finds a bit-frozen centroid (see module doc)
+        self.live = False
+        self.nx: np.ndarray | None = None
+        self.lb: np.ndarray | None = None
         self.prev_y: np.ndarray | None = None
         self._sums: tuple | None = None
         self._err: np.ndarray | None = None
@@ -144,11 +156,13 @@ class BoundsState:
     # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:
-        return self.lb.nbytes + self.nx.nbytes
+        """Bytes of the bound arrays (0 while lazy)."""
+        return 0 if not self.live else self.lb.nbytes + self.nx.nbytes
 
     def invalidate(self) -> None:
         """Drop all cross-round trust: the next round is fully active."""
-        self.lb.fill(-np.inf)
+        if self.lb is not None:
+            self.lb.fill(-np.inf)
         self.prev_y = None
         self._sums = None
 
@@ -175,13 +189,46 @@ class BoundsState:
         return (y.view(u) == self.prev_y.view(u)).all(axis=1)
 
     # ------------------------------------------------------------------
+    def wake(self, y: np.ndarray) -> bool:
+        """Whether the bounds are live for a round on centroids ``y``.
+
+        While lazy, compares ``y`` against the stored ``prev_y`` and
+        goes live on the first bit-frozen centroid: the float64 sample
+        norms and the bound arrays are allocated then (all bounds
+        untrusted, so that round runs fully active).  Once live, stays
+        live for the fit.
+        """
+        if self.live:
+            return True
+        if (self.prev_y is None or self.prev_y.shape != y.shape
+                or self.prev_y.dtype != y.dtype
+                or not self._frozen_centroids(y).any()):
+            return False
+        x = self._x
+        m, k = x.shape
+        # float64 squared sample norms, computed band-by-band so the
+        # float64 staging copy stays cache-sized
+        self.nx = np.empty(m, dtype=np.float64)
+        step = max(1, (4 << 20) // max(1, k * 8))
+        for lo in range(0, m, step):
+            band = x[lo:lo + step].astype(np.float64, copy=False)
+            self.nx[lo:lo + step] = np.einsum("ij,ij->i", band, band)
+        self.n_clusters = int(y.shape[0])
+        shape = (m,) if self.mode == "hamerly" else (m, self.n_clusters)
+        self.lb = np.full(shape, -np.inf, dtype=np.float64)
+        self.live = True
+        if self._alloc_hook is not None:
+            self._alloc_hook("bounds_state", self.nbytes)
+        return True
+
     def begin_round(self, y: np.ndarray, labels: np.ndarray,
                     best: np.ndarray, shifts=None):
         """Verify the state, loosen the bounds for the ``prev_y -> y``
-        transition and return the active mask.
+        transition and return the active mask (live rounds only: call
+        after :meth:`wake` returned True).
 
         Returns a boolean (M,) mask — True rows must be recomputed —
-        or None when no row can be pruned this round (first round,
+        or None when no row can be pruned this round (first live round,
         geometry change, or a fingerprint mismatch, which also counts a
         heal in :attr:`rebuilds`).  Always prepares this round's error
         margins so :meth:`refresh` can re-tighten computed rows either
@@ -201,6 +248,10 @@ class BoundsState:
             return None
         if self.prev_y.shape != y.shape or self.prev_y.dtype != y.dtype:
             self.invalidate()
+            return None
+        if self._sums is None:
+            # first live round (or the retry of an aborted one): no
+            # bound has been fingerprinted yet, so nothing is trusted
             return None
         if self._fingerprint(labels, best) != self._sums:
             self.rebuilds += 1
@@ -242,8 +293,6 @@ class BoundsState:
         post-epilogue, pre-floor.  The hamerly refresh scribbles on the
         tile when ``labels`` (the rows' fresh argmins) are supplied —
         callers pass engine scratch that is fully consumed by then.
-        Disjoint row sets may refresh concurrently (the engine's
-        threaded chunk dispatch).
         """
         err = self._err[idx]
         if self.mode == "elkan":
@@ -268,7 +317,8 @@ class BoundsState:
 
     def end_round(self, y: np.ndarray, labels: np.ndarray,
                   best: np.ndarray) -> None:
-        """Store the transition anchor and fingerprint every array the
-        next round's pruning will trust."""
+        """Store the transition anchor and, once live, fingerprint every
+        array the next round's pruning will trust."""
         self.prev_y = y.copy()
-        self._sums = self._fingerprint(labels, best)
+        if self.live:
+            self._sums = self._fingerprint(labels, best)

@@ -46,8 +46,12 @@ by construction (a *flat* chunk-sized GEMM would not be: BLAS results
 are not row-batching-invariant in general).  The unit grid is only
 walked in Python when fault plans actually intersect the chunk, keeping
 the fault lane's replay semantics byte-for-byte untouched.  TF32 chunks
-always walk the units, rounding each unit's samples right before its
-GEMM, so no rounded copy of the samples outlives a unit.
+take the same lane through a cache-blocked rounder: the chunk is
+rounded :data:`ROUND_BLOCK_BYTES` (~1024 rows, a unit multiple) at a
+time into one small pooled buffer by :func:`round_tf32`'s in-place
+chain, and each block's units go out as one stacked matmul.  Rounding
+is elementwise, so the bits are the walk's, and no rounded copy of the
+samples outlives a block.
 
 One fit-lifetime **operand cache** (charged to the allocation tracker)
 hoists per-iteration work out of the loop: a transposed copy of the
@@ -96,6 +100,7 @@ from repro.utils.bits import flip_bit
 __all__ = [
     "GEMM_UNIT_ROWS",
     "DEFAULT_CHUNK_BYTES",
+    "ROUND_BLOCK_BYTES",
     "unit_rows_for_tile",
     "transpose_blocked",
     "host_operand_budget",
@@ -120,6 +125,11 @@ GEMM_UNIT_ROWS = 256
 
 #: memory budget when neither ``chunk_bytes`` nor a device is given
 DEFAULT_CHUNK_BYTES = 8 << 20
+
+#: target size of one TF32 rounding block (~1024 rows at 64 f32
+#: features): small enough that a block stays cache-resident from the
+#: rounder through its stacked GEMM
+ROUND_BLOCK_BYTES = 256 << 10
 
 
 #: cgroup (v2, then v1) files holding this process's memory limit
@@ -267,7 +277,7 @@ class EngineStats:
     cache_hits: int = 0
     chunks_run: int = 0
     gemm_calls: int = 0          # inner (BLAS-level) unit GEMMs issued
-    batched_chunks: int = 0      # chunks dispatched as one stacked matmul
+    batched_chunks: int = 0      # chunks dispatched as stacked matmuls
     update_chunks_fed: int = 0   # chunks fed to a fused update accumulator
     scratch_bytes: int = 0       # scratch currently held (pooled)
     peak_scratch_bytes: int = 0
@@ -300,9 +310,11 @@ class FastPathEngine:
         Memory budget for chunk scratch.  None auto-derives from the
         device L2 (or :data:`DEFAULT_CHUNK_BYTES` without a device).
     batch_chunks:
-        Dispatch a fault-free chunk's unit grid as one stacked matmul
-        (default).  False forces the per-unit Python walk everywhere —
-        the reference path the fast lane is bit-compared against.
+        Dispatch a fault-free chunk's unit grid as stacked matmuls
+        (default): the whole chunk at once, or under TF32 one rounding
+        block at a time.  False forces the per-unit Python walk
+        everywhere — the reference path the fast lane is bit-compared
+        against.
     prune:
         Cross-iteration bound pruning of the assignment GEMM
         (:mod:`repro.core.bounds`): 'auto' (default, resolves to the
@@ -360,7 +372,9 @@ class FastPathEngine:
         self.tracer = tracer
         self.stats = EngineStats()
         self._cache: FitCache | None = None
-        self._pool: list[np.ndarray] = []
+        # pooled scratch, one buffer per role (chunk accumulator, TF32
+        # rounding block)
+        self._pool: dict[str, np.ndarray] = {}
         # guards the scratch pool: an abandoned shard worker may still be
         # mid-pass while its coordinator calls end_fit
         self._lock = threading.Lock()
@@ -371,20 +385,38 @@ class FastPathEngine:
         """Fixed inner-GEMM row unit (multiple of TB_M; see module doc)."""
         return unit_rows_for_tile(self.tile)
 
+    def _round_block_rows(self, k: int) -> int:
+        """Rows of one TF32 rounding block for ``k`` features: the
+        largest unit multiple within :data:`ROUND_BLOCK_BYTES` (one unit
+        minimum), so every block is a whole number of GEMM units."""
+        unit = self.unit_rows
+        return unit * max(1, ROUND_BLOCK_BYTES
+                          // (unit * k * self.dtype.itemsize))
+
     def _plan_chunks(self, m: int, n: int, k: int) -> list[tuple[int, int]]:
         """Split [0, m) into unit-aligned chunks under the memory budget.
 
         The one in-flight chunk costs its accumulator (rows x n) plus, on
-        the TF32 path, one unit of staged rounded operands (unit x k) —
-        both are charged against ``chunk_bytes``.  One unit is the hard
+        the TF32 path, the rounding block buffer: the rounded block and
+        its equally large gather stage, ``min(block, rows)`` rows of k
+        each.  Both are charged against ``chunk_bytes``, and ``rows`` is
+        the largest unit multiple that fits.  One unit is the hard
         minimum: the budget cannot shrink an inner GEMM block.
         """
         unit = self.unit_rows
         itemsize = self.dtype.itemsize
         row_bytes = max(1, n * itemsize)
-        operand_bytes = unit * k * itemsize if self.tf32 else 0
-        budget = max(1, self.chunk_bytes - operand_bytes)
-        rows = max(unit, (budget // row_bytes) // unit * unit)
+        rows = self.chunk_bytes // row_bytes // unit * unit
+        if self.tf32:
+            block = self._round_block_rows(k)
+            block_row_bytes = 2 * k * itemsize
+            rows = (max(0, self.chunk_bytes - block * block_row_bytes)
+                    // row_bytes // unit * unit)
+            if rows < block:
+                # a chunk below one block: the buffer shrinks with it
+                rows = (self.chunk_bytes // (row_bytes + block_row_bytes)
+                        // unit * unit)
+        rows = max(unit, rows)
         return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
     # -- per-fit cache --------------------------------------------------
@@ -419,7 +451,8 @@ class FastPathEngine:
         with self._lock:
             # a buffer still held by a pass in flight stays counted
             # until that pass drops it (_put_scratch)
-            self.stats.scratch_bytes -= sum(b.nbytes for b in self._pool)
+            self.stats.scratch_bytes -= sum(
+                b.nbytes for b in self._pool.values())
             self._pool.clear()
 
     def _build_cache(self, x: np.ndarray,
@@ -497,10 +530,14 @@ class FastPathEngine:
         if self.alloc_hook is not None:
             self.alloc_hook(name, nbytes)
 
-    def _take_scratch(self, rows: int, n: int) -> np.ndarray:
+    def _take_scratch(self, rows: int, n: int,
+                      role: str = "chunk_scratch") -> np.ndarray:
+        """A ``(>= rows, n)`` scratch buffer for ``role``: the pooled one
+        when it fits, else a fresh allocation charged to the stats and
+        reported to ``alloc_hook`` under the role's name."""
         with self._lock:
-            while self._pool:
-                buf = self._pool.pop()
+            buf = self._pool.pop(role, None)
+            if buf is not None:
                 if (buf.shape[0] >= rows and buf.shape[1] == n
                         and buf.dtype == self.dtype):
                     return buf
@@ -509,13 +546,14 @@ class FastPathEngine:
             self.stats.peak_scratch_bytes = max(self.stats.peak_scratch_bytes,
                                                 self.stats.scratch_bytes)
         buf = np.empty((rows, n), dtype=self.dtype)
-        self._record_alloc("chunk_scratch", buf.nbytes)
+        self._record_alloc(role, buf.nbytes)
         return buf
 
-    def _put_scratch(self, buf: np.ndarray) -> None:
+    def _put_scratch(self, buf: np.ndarray,
+                     role: str = "chunk_scratch") -> None:
         with self._lock:
-            if self._cache is not None:
-                self._pool.append(buf)
+            if self._cache is not None and role not in self._pool:
+                self._pool[role] = buf
             else:
                 # transient pass (predict/score): drop the buffer so
                 # nothing budget-sized outlives the call
@@ -649,38 +687,52 @@ class FastPathEngine:
 
         # cross-round bound pruning: fit caches only (a transient
         # predict/score pass has no history to trust), resolved to an
-        # active-row mask for this round.  Which rows land in the active
-        # set can never move an output bit — pruning retains values the
-        # bounds proved bit-identical to a recompute — so fed vs
+        # active-row mask for this round.  The state stays lazy — no
+        # refresh, error vector or fingerprint — until a round finds a
+        # bit-frozen centroid; only live rounds hand ``bounds`` to the
+        # chunk loop.  Which rows land in the active set can never move
+        # an output bit — pruning retains values the bounds proved
+        # bit-identical to a recompute — so lazy rounds, fed vs
         # self-computed shifts, shard-local bounds and heals all compose
         # freely with the engine's bit-identity contracts.
-        bounds = active = None
+        state = bounds = active = None
         fed = self._fed_shifts
         self._fed_shifts = None
         if self._prune_mode != "off" and cache is self._cache:
-            bounds = cache.bounds
-            if bounds is None or bounds.mode != self._prune_mode:
-                bounds = cache.bounds = BoundsState(
-                    x, n, mode=self._prune_mode, tf32=self.tf32)
-                self._record_alloc("bounds_state", bounds.nbytes)
-            # the fed shift vector is one-shot and identity-keyed to the
-            # centroid array it described; anything stale self-recomputes
-            shifts = (fed[0] if fed is not None and fed[1] is y_in else None)
-            heals = bounds.rebuilds
-            with tr.span("bounds_refresh", phase="begin_round"):
-                active = bounds.begin_round(y, cache.labels, cache.best,
-                                            shifts=shifts)
-            self.stats.bounds_rebuilds += bounds.rebuilds - heals
+            state = cache.bounds
+            if state is None or state.mode != self._prune_mode:
+                state = cache.bounds = BoundsState(
+                    x, n, mode=self._prune_mode, tf32=self.tf32,
+                    alloc_hook=self.alloc_hook)
+            if state.wake(y):
+                # the fed shift vector is one-shot and identity-keyed to
+                # the centroid array it described; anything stale
+                # self-recomputes
+                shifts = (fed[0] if fed is not None and fed[1] is y_in
+                          else None)
+                heals = state.rebuilds
+                with tr.span("bounds_refresh", phase="begin_round"):
+                    active = state.begin_round(y, cache.labels, cache.best,
+                                               shifts=shifts)
+                self.stats.bounds_rebuilds += state.rebuilds - heals
+                bounds = state
 
         computed = 0
-        scratch = self._take_scratch(min(chunks[0][1] - chunks[0][0], m), n)
+        rows0 = min(chunks[0][1] - chunks[0][0], m)
+        scratch = self._take_scratch(rows0, n)
+        # the TF32 stacked lane rounds through one small pooled buffer:
+        # the rounded block, then its gather stage (pruned lane).  The
+        # block is a unit multiple unless it spans the one chunk whole
+        block = min(self._round_block_rows(k), rows0)
+        blk = (self._take_scratch(2 * block, k, "tf32_block")
+               if self.tf32 and self.batch_chunks else None)
         try:
             for lo, hi in chunks:
                 self._check_cancelled()
                 with tr.span("assign_chunk", lo=int(lo), hi=int(hi)):
                     calls, batched, rows_run = self._run_chunk(
                         lo, hi, x, yr_t, yy, cache, plans, policy,
-                        counters, scratch, active, bounds, tr=tr)
+                        counters, scratch, blk, block, active, bounds, tr=tr)
                 computed += rows_run
                 self.stats.gemm_calls += calls
                 self.stats.batched_chunks += batched
@@ -692,9 +744,11 @@ class FastPathEngine:
                     self.stats.update_chunks_fed += 1
         finally:
             self._put_scratch(scratch)
-        if bounds is not None:
+            if blk is not None:
+                self._put_scratch(blk, "tf32_block")
+        if state is not None:
             with tr.span("bounds_refresh", phase="end_round"):
-                bounds.end_round(y, cache.labels, cache.best)
+                state.end_round(y, cache.labels, cache.best)
         self.stats.last_active_frac = computed / m
         if computed < m:
             self.stats.rows_pruned += m - computed
@@ -715,28 +769,59 @@ class FastPathEngine:
                     hits.append((bm, bn, plan))
         return hits
 
+    def _stacked_gemm(self, xs: np.ndarray, yr_t, out: np.ndarray) -> int:
+        """Per-unit GEMMs of the rows ``xs`` (unit-aligned, contiguous)
+        into ``out``: whole units as one stacked matmul over a
+        ``(q, unit, K)`` view, a short tail as one more call.  Returns
+        the inner GEMM count."""
+        unit = self.unit_rows
+        q, rem = divmod(xs.shape[0], unit)
+        if q:
+            np.matmul(xs[:q * unit].reshape(q, unit, -1), yr_t,
+                      out=out[:q * unit].reshape(q, unit, -1))
+        if rem:
+            np.matmul(xs[q * unit:], yr_t, out=out[q * unit:])
+        return q + (1 if rem else 0)
+
+    def _rounded_gemm(self, x: np.ndarray, lo: int, hi: int, yr_t,
+                      out: np.ndarray, blk: np.ndarray, block: int) -> int:
+        """The TF32 stacked lane: rows [lo, hi) rounded ``block`` rows at
+        a time into the pooled ``blk``, each block's units dispatched as
+        one stacked matmul.  Rounding is elementwise and ``block`` is a
+        unit multiple, so the per-unit GEMMs — and the bits — are the
+        walk's."""
+        calls = 0
+        for b0 in range(lo, hi, block):
+            b1 = min(b0 + block, hi)
+            rounded = round_tf32(x[b0:b1], out=blk[:b1 - b0])
+            calls += self._stacked_gemm(rounded, yr_t, out[b0 - lo:b1 - lo])
+        return calls
+
     def _run_chunk(self, lo: int, hi: int, x, yr_t, yy, cache: FitCache,
                    plans: dict, policy, counters: PerfCounters,
-                   scratch: np.ndarray, active=None,
-                   bounds=None, tr=NULL_TRACER) -> tuple[int, bool, int]:
+                   scratch: np.ndarray, blk=None, block: int = 0,
+                   active=None, bounds=None,
+                   tr=NULL_TRACER) -> tuple[int, bool, int]:
         """One chunk's GEMM + fault replay + epilogue.
 
         Returns ``(inner_gemm_calls, batched, rows_computed)`` for the
-        stats.  The fault-free fast lane dispatches the whole unit grid
-        as one stacked matmul (same per-unit BLAS GEMM sequence, so the
-        bits match the walk exactly); chunks a fault plan targets — and
-        TF32 chunks, which round per unit — walk the units in Python.
-        With an ``active`` mask, fault-free chunks route through the
-        pruned lane unless every unit is active anyway; fault-planned
-        chunks always compute in full (the replay coordinates assume
-        chunk-row geometry) and their rows stop being trusted as pruning
-        history.
+        stats.  The fault-free fast lane dispatches the unit grid as
+        stacked matmuls (same per-unit BLAS GEMM sequence, so the bits
+        match the walk exactly): the whole chunk at once, or under TF32
+        one rounding block at a time (:meth:`_rounded_gemm`).  Chunks a
+        fault plan targets walk the units in Python, rounding each unit
+        right before its GEMM.  With an ``active`` mask, fault-free
+        chunks route through the pruned lane unless every unit is active
+        anyway; fault-planned chunks always compute in full (the replay
+        coordinates assume chunk-row geometry) and their rows stop being
+        trusted as pruning history.
         """
         rows = hi - lo
         chunk_plans = self._chunk_plans(lo, hi, cache, plans)
         if active is not None and not chunk_plans:
             res = self._run_chunk_pruned(lo, hi, x, yr_t, yy, cache,
-                                         scratch, active, bounds, tr=tr)
+                                         scratch, blk, block, active,
+                                         bounds, tr=tr)
             if res is not None:
                 return res
             # None: every unit holds an active row — fall through to the
@@ -746,19 +831,13 @@ class FastPathEngine:
         # inner GEMMs on the fixed unit grid (globally aligned: lo is a
         # unit multiple), so the call sequence is chunking-invariant
         unit = self.unit_rows
-        batched = (self.batch_chunks and not chunk_plans and not self.tf32
-                   and x.flags.c_contiguous)
+        batched = (self.batch_chunks and not chunk_plans
+                   and (self.tf32 or x.flags.c_contiguous))
         with tr.span("gemm", lo=int(lo), hi=int(hi), batched=batched):
-            if batched:
-                k = x.shape[1]
-                q, rem = divmod(rows, unit)
-                calls = q + (1 if rem else 0)
-                if q:
-                    np.matmul(x[lo:lo + q * unit].reshape(q, unit, k),
-                              yr_t, out=acc[:q * unit].reshape(q, unit, -1))
-                if rem:
-                    np.matmul(x[lo + q * unit:hi], yr_t,
-                              out=acc[q * unit:rows])
+            if batched and self.tf32:
+                calls = self._rounded_gemm(x, lo, hi, yr_t, acc, blk, block)
+            elif batched:
+                calls = self._stacked_gemm(x[lo:hi], yr_t, acc)
             else:
                 calls = 0
                 for u0 in range(lo, hi, unit):
@@ -799,8 +878,8 @@ class FastPathEngine:
         return calls, batched, rows
 
     def _run_chunk_pruned(self, lo: int, hi: int, x, yr_t, yy,
-                          cache: FitCache, scratch: np.ndarray, active,
-                          bounds, tr=NULL_TRACER
+                          cache: FitCache, scratch: np.ndarray, blk,
+                          block: int, active, bounds, tr=NULL_TRACER
                           ) -> tuple[int, bool, int] | None:
         """Fault-free chunk under a bounds mask: compute only the GEMM
         units containing active rows (compacted gather -> stacked unit
@@ -816,7 +895,6 @@ class FastPathEngine:
         any centroid has frozen)."""
         unit = self.unit_rows
         rows = hi - lo
-        n = yr_t.shape[1]
         act = active[lo:hi]
         q, rem = divmod(rows, unit)
         idx = (np.flatnonzero(act[:q * unit].reshape(q, unit).any(axis=1))
@@ -829,20 +907,36 @@ class FastPathEngine:
         if na == q and (tail_active or not rem):
             return None
         calls = 0
-        batched = (self.batch_chunks and not self.tf32
-                   and x.flags.c_contiguous)
+        batched = (self.batch_chunks
+                   and (self.tf32 or x.flags.c_contiguous))
         k = x.shape[1]
         if na:
             flat = scratch[:na * unit]
+            gidx = (lo + (idx[:, None] * unit
+                          + np.arange(unit)[None, :])).reshape(-1)
             with tr.span("gemm", lo=int(lo), hi=int(hi), batched=batched,
                          pruned=True):
-                if batched:
+                if batched and self.tf32:
+                    # gather the active rows a block at a time into the
+                    # stage half of blk, round into its first half
+                    stage = blk[block:2 * block]
+                    for g0 in range(0, na * unit, block):
+                        g = gidx[g0:g0 + block]
+                        r = g.size
+                        # mode="clip" writes straight into ``out``
+                        # (the default "raise" buffers it); every index
+                        # is in range anyway
+                        np.take(x, g, axis=0, out=stage[:r], mode="clip")
+                        rounded = round_tf32(stage[:r], out=blk[:r])
+                        calls += self._stacked_gemm(rounded, yr_t,
+                                                    flat[g0:g0 + r])
+                elif batched:
                     # fancy-index gather of the active units: a contiguous
                     # (na, unit, K) copy, so the stacked matmul issues the
                     # identical per-unit GEMMs the full grid would
                     gathered = x[lo:lo + q * unit].reshape(q, unit, k)[idx]
-                    np.matmul(gathered, yr_t, out=flat.reshape(na, unit, n))
-                    calls += na
+                    calls += self._stacked_gemm(
+                        gathered.reshape(na * unit, k), yr_t, flat)
                 else:
                     for t, u in enumerate(idx):
                         xa = x[lo + u * unit: lo + (u + 1) * unit]
@@ -851,8 +945,6 @@ class FastPathEngine:
                         np.matmul(xa, yr_t,
                                   out=flat[t * unit:(t + 1) * unit])
                         calls += 1
-            gidx = (lo + (idx[:, None] * unit
-                          + np.arange(unit)[None, :])).reshape(-1)
             self._epilogue_rows(flat, gidx, cache, yy, bounds)
         if tail_active:
             tail = scratch[na * unit:na * unit + rem]
@@ -860,7 +952,8 @@ class FastPathEngine:
                          batched=False, pruned=True):
                 xa = x[lo + q * unit:hi]
                 if self.tf32:
-                    xa = round_tf32(xa)
+                    xa = round_tf32(xa, out=None if blk is None
+                                    else blk[:rem])
                 np.matmul(xa, yr_t, out=tail)
             calls += 1
             self._epilogue_rows(tail, np.arange(lo + q * unit, hi),

@@ -60,7 +60,14 @@ def mma_shape_for(dtype) -> MmaShape:
     raise ValueError(f"unsupported dtype {dt!r}")
 
 
-def round_tf32(x: np.ndarray) -> np.ndarray:
+#: the RNE chain's constants: the kept-LSB position (13 dropped mantissa
+#: bits), the round-half bias below it and the mask that drops them
+_TF32_DROP = np.uint32(13)
+_TF32_HALF = np.uint32(0xFFF)
+_TF32_KEEP = np.uint32(0xFFFFE000)
+
+
+def round_tf32(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Round FP32 values to TF32 precision (10-bit mantissa, RNE).
 
     TF32 keeps FP32's 8-bit exponent but only 10 mantissa bits; hardware
@@ -69,18 +76,34 @@ def round_tf32(x: np.ndarray) -> np.ndarray:
     Accumulation stays full FP32, which is why the checksum threshold
     analysis in :mod:`repro.abft.thresholds` uses TF32 unit roundoff for
     the products but FP32 for the sums.
+
+    ``out`` (a float32 array of ``x``'s shape) receives the result
+    instead of a fresh allocation.  The rounding runs as one in-place
+    chain of integer ufuncs on ``out``'s bits — shift, AND, add the
+    half bias, add the input, mask — so a caller that rounds into a
+    reused buffer allocates nothing.  ``out`` may be ``x`` itself; the
+    input bits are then staged in one temporary first.
     """
     x = np.asarray(x, dtype=np.float32)
+    if out is None:
+        out = np.empty_like(x)
+    elif np.may_share_memory(x, out):
+        x = x.copy()
     bits = x.view(np.uint32)
-    # round-to-nearest-even on the low 13 bits; mantissa carries propagate
-    # into the exponent exactly as the hardware rounder does
-    lsb = (bits >> np.uint32(13)) & np.uint32(1)
-    rounded = (bits + np.uint32(0xFFF) + lsb) & np.uint32(0xFFFFE000)
-    out = rounded.view(np.float32)
-    # non-finite payloads must pass through untouched
-    finite = np.isfinite(x)
-    if not finite.all():
-        out = np.where(finite, out, x)
+    o = out.view(np.uint32)
+    # round-to-nearest-even on the low 13 bits: bias = 0xFFF + kept LSB;
+    # mantissa carries propagate into the exponent exactly as the
+    # hardware rounder does (the largest finite values round to inf)
+    np.right_shift(bits, _TF32_DROP, out=o)
+    np.bitwise_and(o, np.uint32(1), out=o)
+    np.add(o, _TF32_HALF, out=o)
+    np.add(o, bits, out=o)
+    np.bitwise_and(o, _TF32_KEEP, out=o)
+    # +-inf come through the chain unchanged; NaN payloads must pass
+    # through untouched too (the bias could carry them into inf or
+    # across the sign bit).  max() propagates NaN: one read-only pass
+    if x.size and np.isnan(np.max(x)):
+        np.copyto(out, x, where=np.isnan(x))
     return out
 
 
@@ -120,7 +143,7 @@ class MmaUnit:
                 f"fragment mismatch: a {a_frag.shape}, b {b_frag.shape}, acc {acc.shape}"
             )
         if self.use_tf32:
-            prod = round_tf32(a_frag).astype(np.float32) @ round_tf32(b_frag).astype(np.float32)
+            prod = round_tf32(a_frag) @ round_tf32(b_frag)
         else:
             prod = a_frag.astype(self.dtype) @ b_frag.astype(self.dtype)
         with np.errstate(invalid="ignore", over="ignore"):

@@ -72,9 +72,11 @@ class TestSmokeGate:
         assert record["unchunked"]["update_per_iter_s"]
         assert record["label_mismatch_frac"] <= 1e-3
         assert record["engine"]["update_chunks_fed"] >= 1
-        # the fast-lane columns of schema v2: the TF32 bench rounds per
-        # unit, so its chunks walk; x fits the budget, so x_t hoists
-        assert record["engine"]["batched_chunks"] == 0
+        # the fast-lane columns of schema v2: the TF32 bench rounds
+        # block by block inside the stacked lane, so every chunk
+        # batches; x fits the budget, so x_t hoists
+        assert (record["engine"]["batched_chunks"]
+                == record["engine"]["chunks_run"])
         assert record["engine"]["hoisted_transposed_operand"] is True
         assert record["unit_path_label_mismatch_frac"] == 0.0
         assert record["unit_path_bit_identical"] is True
@@ -114,6 +116,17 @@ class TestSmokeGate:
             {"hoist_twin": good})
         with pytest.raises(SystemExit, match="HOIST REGRESSION"):
             runner.check_hoist_twin({"hoist_twin": {**good, key: bad}})
+
+    @pytest.mark.parametrize("patch", [
+        {"engine": {"batched_chunks": 0, "chunks_run": 6}},
+        {"engine": {"batched_chunks": 5, "chunks_run": 6}},
+        {"unit_path_bit_identical": False}])
+    def test_fast_lane_gate_fails_loudly(self, patch):
+        good = {"engine": {"batched_chunks": 6, "chunks_run": 6},
+                "unit_path_bit_identical": True}
+        assert "fast lane ok" in runner.check_fast_lane(good)
+        with pytest.raises(SystemExit, match="FAST LANE REGRESSION"):
+            runner.check_fast_lane({**good, **patch})
 
     def test_runner_smoke_appends_to_trajectory(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -189,25 +189,31 @@ class TestMemoryBudget:
         assert eng.stats.chunks_run > 3  # genuinely chunked, each pass
 
     def test_tf32_operand_staging_charged_to_budget(self):
-        """Wide-feature TF32 runs: the per-unit rounded-operand copy is
-        part of the contract, so the chunk rows shrink to keep the one
-        in-flight accumulator + staging under chunk_bytes."""
+        """Wide-feature TF32 runs: the rounding block buffer (rounded
+        block + gather stage) is part of the contract, so the chunk rows
+        shrink to keep the one in-flight accumulator + block under
+        chunk_bytes — and the buffer the pass takes is the one charged."""
         m, feats, n = 4096, 2048, 16
         budget = 8 << 20
         rng = np.random.default_rng(2)
         x = rng.random((m, feats), dtype=np.float32)
         y = x[:n].copy()
+        allocs: list[tuple[str, int]] = []
         eng = FastPathEngine(None, np.float32, tf32=True,
-                             chunk_bytes=budget)
+                             chunk_bytes=budget,
+                             alloc_hook=lambda name, nb: allocs.append((name, nb)))
         eng.begin_fit(x, n)
         cache = eng._cache
-        unit = eng.unit_rows
-        operand = unit * feats * 4
         rows = max(hi - lo for lo, hi in cache.chunks)
-        # the one in-flight accumulator + its staged operands
-        assert rows * n * 4 + operand <= budget
+        block_bytes = 2 * min(eng._round_block_rows(feats), rows) * feats * 4
+        # the one in-flight accumulator + its rounding block
+        assert rows * n * 4 + block_bytes <= budget
         eng.assign(x, y, PerfCounters())
+        assert [nb for name, nb in allocs if name == "tf32_block"] == [
+            block_bytes]
+        assert eng.stats.peak_scratch_bytes == rows * n * 4 + block_bytes
         assert eng.stats.peak_scratch_bytes <= budget
+        assert eng.stats.batched_chunks == eng.stats.chunks_run
 
     @pytest.mark.parametrize("m,n,k,tf32,budget", [
         (700, 10, 24, False, TINY_BUDGET),
@@ -219,7 +225,8 @@ class TestMemoryBudget:
                                                            tf32, budget):
         """The plan partitions [0, m) into unit-aligned chunks whose
         rows are the largest unit multiple with accumulator + TF32
-        staging under chunk_bytes (one unit when none fits)."""
+        rounding block (the block and its gather stage, each at most
+        one chunk tall) under chunk_bytes (one unit when none fits)."""
         eng = FastPathEngine(None, np.float32, tf32=tf32, chunk_bytes=budget)
         unit = eng.unit_rows
         chunks = eng._plan_chunks(m, n, k)
@@ -228,10 +235,11 @@ class TestMemoryBudget:
         assert all(lo % unit == 0 for lo, _ in chunks)
         rows = chunks[0][1] - chunks[0][0]
         assert all(hi - lo == rows for lo, hi in chunks[:-1])
-        operand = unit * k * 4 if tf32 else 0
+        block = eng._round_block_rows(k)
+        assert block % unit == 0
 
         def cost(r):
-            return r * n * 4 + operand
+            return r * n * 4 + (2 * min(block, r) * k * 4 if tf32 else 0)
 
         assert rows == unit or cost(rows) <= budget
         assert cost(rows + unit) > budget
@@ -244,7 +252,8 @@ class TestMemoryBudget:
     ])
     def test_one_scratch_buffer_per_fit(self, data, dt, tf32, budget):
         """Chunks run one at a time: a fit allocates one scratch buffer,
-        sized to its largest chunk, and reuses it on every pass."""
+        sized to its largest chunk (and under TF32 one rounding block),
+        and reuses it on every pass."""
         x, y = (a.astype(dt) for a in data)
         allocs: list[tuple[str, int]] = []
         eng = FastPathEngine(None, dt, tile=default_tensorop_tile(dt),
@@ -256,7 +265,11 @@ class TestMemoryBudget:
         rows = max(hi - lo for lo, hi in eng._cache.chunks)
         scratch = [nb for name, nb in allocs if name == "chunk_scratch"]
         assert scratch == [rows * y.shape[0] * np.dtype(dt).itemsize]
-        assert eng.stats.peak_scratch_bytes == scratch[0]
+        # TF32 adds one pooled rounding block (+ its gather stage)
+        blocks = [nb for name, nb in allocs if name == "tf32_block"]
+        block_rows = min(eng._round_block_rows(x.shape[1]), rows)
+        assert blocks == ([2 * block_rows * x.shape[1] * 4] if tf32 else [])
+        assert eng.stats.peak_scratch_bytes == scratch[0] + sum(blocks)
         eng.end_fit()
         assert eng.stats.scratch_bytes == 0
 

@@ -83,9 +83,10 @@ class TestFastLaneBitIdentity:
                    operand_budget=0, tf32=tf32)
         fast = _run(x, y, batch_chunks=True, tf32=tf32)
         assert not ref["hoisted"] and fast["hoisted"]
-        # TF32 rounds per unit, so its chunks always walk
+        # TF32 rounds block by block inside the stacked lane, so every
+        # fault-free chunk batches either way
         stats = fast["stats"]
-        assert stats.batched_chunks == (0 if tf32 else stats.chunks_run)
+        assert stats.batched_chunks == stats.chunks_run
         assert np.array_equal(ref["labels"], fast["labels"])
         assert np.array_equal(ref["best_bits"], fast["best_bits"])
         assert np.array_equal(ref["sums_bits"], fast["sums_bits"])

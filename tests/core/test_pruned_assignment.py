@@ -212,6 +212,88 @@ class TestPrunedUnderInjection:
         assert_trajectories_equal(got, ref)
 
 
+def _random_start(x, seed=0):
+    """K distinct sample rows: most blobs freeze by round 3 while a few
+    centroids keep moving, so a fit crosses its first-freeze round."""
+    rng = np.random.default_rng(seed)
+    return x[rng.choice(len(x), K, replace=False)].copy()
+
+
+class TestLazyBounds:
+    """Bounds stay lazy — no refresh, error vector or fingerprint —
+    until a round finds a bit-frozen centroid; that round runs fully
+    active with refresh and pruning starts the round after."""
+
+    def test_no_freeze_opens_only_end_round_spans(self, blob_data):
+        from repro.obs.trace import TraceRecorder
+
+        x, y0 = blob_data
+        rec = TraceRecorder()
+        allocs = []
+        eng = FastPathEngine(None, np.float32, tf32=True, prune="hamerly",
+                             tracer=rec,
+                             alloc_hook=lambda n, b: allocs.append(n))
+        try:
+            eng.begin_fit(x, K)
+            for it in range(5):
+                # every centroid moves every round: nothing ever freezes
+                eng.assign(x, y0 + np.float32(0.01 * (it + 1)),
+                           PerfCounters())
+            bounds = eng._cache.bounds
+            assert not bounds.live
+            assert bounds.lb is None and bounds.nx is None
+            assert bounds.nbytes == 0
+        finally:
+            eng.end_fit()
+        phases = [s.meta.get("phase") for s in rec.spans
+                  if s.name == "bounds_refresh"]
+        assert phases == ["end_round"] * 5
+        assert eng.stats.rows_pruned == 0 and eng.stats.pruned_passes == 0
+        assert "bounds_state" not in allocs
+
+    @pytest.mark.parametrize("mode", ["hamerly", "elkan"])
+    def test_first_freeze_round_goes_live_then_prunes(self, blob_data,
+                                                      mode):
+        x, _ = blob_data
+        y0 = _random_start(x)
+        got, stats, bounds = _trajectory(x, y0, 8, prune=mode, fuse=True)
+        ref, _, _ = _trajectory(x, y0, 8, prune="off", fuse=True)
+        assert_trajectories_equal(got, ref)
+        fracs = [r["active_frac"] for r in got]
+        # the unpruned trajectory's first repeated centroid row marks
+        # the first-freeze round
+        ys = [y0]
+        for r in ref[:-1]:
+            ys.append(_lloyd_step(x, r["labels"], ys[-1]))
+        frozen = [it for it in range(1, len(ys))
+                  if (ys[it].view(np.uint32)
+                      == ys[it - 1].view(np.uint32)).all(axis=1).any()]
+        first = frozen[0]
+        assert 1 < first < len(fracs) - 1
+        # lazy rounds and the first live round run fully active
+        assert fracs[:first + 1] == [1.0] * (first + 1)
+        assert min(fracs[first + 1:]) < 1.0
+        assert bounds.live and stats.rows_pruned > 0
+        assert stats.bounds_rebuilds == 0
+
+    def test_live_bounds_charged_once(self, blob_data):
+        x, _ = blob_data
+        allocs = []
+        eng = FastPathEngine(None, np.float32, tf32=True, prune="hamerly",
+                             alloc_hook=lambda n, b: allocs.append((n, b)))
+        try:
+            eng.begin_fit(x, K)
+            y = _random_start(x)
+            for _ in range(6):
+                labels, _ = eng.assign(x, y, PerfCounters())
+                y = _lloyd_step(x, labels, y)
+            bounds = eng._cache.bounds
+        finally:
+            eng.end_fit()
+        charged = [b for n, b in allocs if n == "bounds_state"]
+        assert charged == [bounds.nbytes] == [2 * len(x) * 8]
+
+
 class TestBoundsProtection:
     """The bounds' own protection story: an SEU in the pruning metadata
     (bound arrays, stored anchor, cached labels/best) is caught by the
@@ -404,7 +486,10 @@ class TestCancellation:
             eng.end_fit()
 
     def test_aborted_pass_heals_and_stays_exact(self, blob_data):
-        x, y0 = blob_data
+        x, _ = blob_data
+        # a random start keeps a few centroids moving after the rest
+        # freeze, so bounds are live while rows are still active
+        y0 = _random_start(x)
         eng = FastPathEngine(None, np.float32, tf32=True,
                              chunk_bytes=8 << 10, prune="hamerly")
         ref, _, _ = _trajectory(x, y0, 6, prune="off",
@@ -413,10 +498,14 @@ class TestCancellation:
             eng.begin_fit(x, K)
             y = y0.copy()
             for it in range(6):
-                if it == 1:
-                    # cancelled while rows are still active: the pass
+                if it == 4:
+                    # cancelled in a live round while rows are still
+                    # active: the pass loosens the bounds and
                     # half-overwrites labels/best, so the stale
                     # fingerprint must force a fully-active heal
+                    bounds = eng._cache.bounds
+                    assert bounds.live and eng.stats.rows_pruned > 0
+                    assert not np.array_equal(bounds.prev_y, y)
                     eng.cancel_token = _TripAfter(2)
                     with pytest.raises(EngineCancelled):
                         eng.assign(x, y, PerfCounters())

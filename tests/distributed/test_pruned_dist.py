@@ -104,6 +104,33 @@ class TestShardedPrunedBitIdentity:
         off = fit(data, n_workers=3, executor="serial", prune="off")
         assert_same_fit(on, off)
 
+    def test_two_workers_cross_the_first_freeze(self, data, ref,
+                                                monkeypatch):
+        """Shard-local bounds start lazy and go live mid-fit: both
+        workers run lazy rounds, then live ones, and the fit stays
+        bit-identical to the unpruned and single-worker fits."""
+        from repro.core.bounds import BoundsState
+
+        woken = {}
+        wake = BoundsState.wake
+
+        def spy(self, y):
+            live = wake(self, y)
+            woken.setdefault(id(self), []).append(live)
+            return live
+
+        monkeypatch.setattr(BoundsState, "wake", spy)
+        on = fit(data, n_workers=2, executor="serial")
+        monkeypatch.undo()
+        off = fit(data, n_workers=2, executor="serial", prune="off")
+        assert_same_fit(on, off)
+        assert_same_fit(on, ref)
+        assert len(woken) == 2                      # one state per shard
+        for history in woken.values():
+            first_live = history.index(True)
+            assert first_live > 0                   # lazy rounds first
+            assert all(history[first_live:])        # then live for good
+
     def test_sharded_pruned_under_injection(self, data):
         on = fit(data, n_workers=2, executor="serial", p_inject=0.3,
                  abft="ftkmeans")

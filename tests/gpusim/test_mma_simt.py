@@ -64,6 +64,106 @@ class TestRoundTf32:
         np.testing.assert_array_equal(round_tf32(x), x)
 
 
+def _round_tf32_oracle(x):
+    """The allocating rounder the in-place chain replaced, kept verbatim
+    as the oracle: RNE via (bits + 0xFFF + lsb) & mask, then every
+    non-finite input passed through with np.where."""
+    x = np.asarray(x, dtype=np.float32)
+    bits = x.view(np.uint32)
+    lsb = (bits >> np.uint32(13)) & np.uint32(1)
+    rounded = (bits + np.uint32(0xFFF) + lsb) & np.uint32(0xFFFFE000)
+    out = rounded.view(np.float32)
+    finite = np.isfinite(x)
+    if not finite.all():
+        out = np.where(finite, out, x)
+    return out
+
+
+def _from_bits(bits):
+    return np.asarray(bits, dtype=np.uint32).view(np.float32)
+
+
+class TestRoundTf32MatchesOracle:
+    """The in-place chain is bit-exact against the old implementation,
+    through every ``out=`` form the engine and the simulator use."""
+
+    @staticmethod
+    def assert_bit_exact(x):
+        want = _round_tf32_oracle(x).view(np.uint32)
+        np.testing.assert_array_equal(round_tf32(x).view(np.uint32), want)
+        out = np.empty_like(x)
+        assert round_tf32(x, out=out) is out
+        np.testing.assert_array_equal(out.view(np.uint32), want)
+        inplace = x.copy()
+        round_tf32(inplace, out=inplace)
+        np.testing.assert_array_equal(inplace.view(np.uint32), want)
+
+    def test_random_bit_patterns(self, rng):
+        # every pattern class at once: normals, subnormals, inf, NaN
+        x = _from_bits(rng.integers(0, 2**32, size=1 << 18,
+                                    dtype=np.uint64).astype(np.uint32))
+        self.assert_bit_exact(x)
+
+    def test_ties_round_to_even(self, rng):
+        # low 13 bits exactly 0x1000 (half an ulp): kept LSB 0 stays,
+        # kept LSB 1 rounds up to even
+        hi = rng.integers(0, 2**19, size=4096, dtype=np.uint64)
+        bits = ((hi << 13) | 0x1000).astype(np.uint32)
+        x = _from_bits(bits)
+        self.assert_bit_exact(x)
+        got = round_tf32(x).view(np.uint32)
+        finite = np.isfinite(x)
+        even = (bits >> 13) & 1 == 0
+        assert (even & finite).any() and (~even & finite).any()
+        np.testing.assert_array_equal(got[even & finite],
+                                      (bits & 0xFFFFE000)[even & finite])
+        np.testing.assert_array_equal(
+            got[~even & finite],
+            ((bits & 0xFFFFE000) + 0x2000)[~even & finite].astype(np.uint32))
+
+    def test_largest_finite_carries_to_inf(self):
+        x = _from_bits([0x7F7FFFFF, 0xFF7FFFFF, 0x7F7FF000, 0x7F7FEFFF])
+        self.assert_bit_exact(x)
+        got = round_tf32(x)
+        assert np.isposinf(got[0]) and np.isneginf(got[1])
+        assert np.isposinf(got[2])          # tie, odd LSB: rounds up
+        assert np.isfinite(got[3])
+
+    def test_specials_pass_through(self):
+        bits = [0x00000000, 0x80000000,             # +-0
+                0x00000001, 0x00001FFF, 0x00001000,  # subnormals
+                0x00003000, 0x807FFFFF, 0x007FF000,
+                0x7F800000, 0xFF800000,             # +-inf
+                0x7FC00000, 0xFFC00000,             # quiet NaNs
+                0x7F800001, 0x7FBFFFFF,             # signalling payloads
+                0x7FFFFFFF, 0xFFFFFFFF,             # would carry past
+                0x7FFFF000, 0xFFFFF001]             # the sign bit
+        x = _from_bits(bits)
+        self.assert_bit_exact(x)
+        got = round_tf32(x).view(np.uint32)
+        # non-finite inputs come back with their exact payloads
+        nonfinite = ~np.isfinite(x)
+        np.testing.assert_array_equal(got[nonfinite],
+                                      np.asarray(bits, np.uint32)[nonfinite])
+
+    def test_strided_input_into_block_buffer(self, rng):
+        # the engine's use: a row band of a wider array into a buffer
+        x = rng.standard_normal((300, 40)).astype(np.float32)
+        x[6, 7] = np.nan                    # band row 2, column 3
+        band = x[::3, 4:36]
+        out = np.full((band.shape[0], band.shape[1]), 7.0, np.float32)
+        round_tf32(band, out=out)
+        assert np.isnan(out[2, 3])
+        np.testing.assert_array_equal(
+            out.view(np.uint32), _round_tf32_oracle(band).view(np.uint32))
+
+    def test_float64_input_rounds_its_float32_cast(self, rng):
+        x = rng.standard_normal(1000)
+        np.testing.assert_array_equal(
+            round_tf32(x).view(np.uint32),
+            _round_tf32_oracle(x.astype(np.float32)).view(np.uint32))
+
+
 class TestMmaUnit:
     def test_accumulates_correctly_fp64(self, rng):
         unit = MmaUnit(np.float64)
