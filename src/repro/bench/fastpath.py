@@ -192,22 +192,35 @@ def _lloyd_unchunked(x, y0, n_clusters, iters, dtype, tf32):
     }
 
 
-def _pruning_workload(m, n_features, n_clusters, dt, seed):
+def _pruning_workload(m, n_features, n_clusters, dt, seed,
+                      wide_pair: bool = False):
     """A converging workload the bounds can prune: well-separated blobs
     laid out contiguously (frozen blobs empty whole GEMM units) and a
     near-converged warm start, so labels settle within ~2 iterations
-    and the centroids bit-freeze right after."""
+    and the centroids bit-freeze right after.
+
+    ``wide_pair`` draws the first two blobs as one wide blob (ten
+    times the spread) around the first centre and starts their two
+    centroids off its middle: the boundary between them keeps
+    drifting, so those two centroids keep moving for many iterations
+    while every other blob is unchanged and freezes as before."""
     rng = np.random.default_rng(seed + 1)
     centers = (rng.standard_normal((n_clusters, n_features)) * 6.0
                ).astype(dt)
+    wide = 2 if wide_pair and n_clusters >= 2 else 0
+    if wide:
+        centers[1] = centers[0]
     per = m // n_clusters
     sizes = [per + 1 if i < m - per * n_clusters else per
              for i in range(n_clusters)]
     x = np.concatenate([
-        centers[i] + rng.normal(scale=0.1,
+        centers[i] + rng.normal(scale=1.0 if i < wide else 0.1,
                                 size=(sizes[i], n_features)).astype(dt)
         for i in range(n_clusters)])
     y0 = centers + rng.normal(scale=0.02, size=centers.shape).astype(dt)
+    if wide:
+        y0[0] += dt.type(0.2)
+        y0[1] -= dt.type(0.1)
     return np.ascontiguousarray(x), np.ascontiguousarray(y0)
 
 
@@ -262,6 +275,65 @@ def _pruning_bench(dev, dt, tile, tf32, *, m, n_features, n_clusters,
         "bounds_rebuilds": int(rebuilds),
         "assign_speedup": sum(plain_s) / max(1e-12, sum(pruned_s)),
         "bit_identical": True,
+    }
+
+
+def _row_pruning_twin(dev, dt, tile, tf32, *, m, n_features, n_clusters,
+                      chunk_bytes, seed, iters: int = PRUNE_ITERS) -> dict:
+    """The ``wide_pair`` pruning workload in contiguous and in shuffled
+    row order, pruned, on one centroid trajectory.
+
+    Every blob but the wide pair freezes by the third pass; the pair's
+    two centroids keep moving through all ``iters``, so a fraction of
+    the rows stays active to the end.  Both layouts see the same
+    centroids each pass and a row's bounds depend on that row alone,
+    so a pruned lane that skips certified rows wherever they sit
+    computes as many rows in either layout (up to the partial tail
+    unit, which runs whole when any of its rows is active) — while one
+    that could only skip emptied GEMM units would compute nearly every
+    unit of the shuffled layout, each of which holds rows of the wide
+    pair.  The shuffled pass is compared bit for bit against an
+    unpruned engine on every pass.
+    """
+    x, y0 = _pruning_workload(m, n_features, n_clusters, dt, seed,
+                              wide_pair=True)
+    xs = np.ascontiguousarray(
+        x[np.random.default_rng(seed + 2).permutation(len(x))])
+    mode = resolve_prune_mode("auto")
+    kw = dict(tile=tile, tf32=tf32, chunk_bytes=chunk_bytes)
+    contiguous = FastPathEngine(dev, dt, prune=mode, **kw)
+    shuffled = FastPathEngine(dev, dt, prune=mode, **kw)
+    plain = FastPathEngine(dev, dt, prune="off", **kw)
+    u = np.uint32 if dt.itemsize == 4 else np.uint64
+    frac_c, frac_s, same = [], [], []
+    try:
+        contiguous.begin_fit(x, n_clusters)
+        shuffled.begin_fit(xs, n_clusters)
+        plain.begin_fit(xs, n_clusters)
+        y = y0.copy()
+        for _ in range(iters):
+            contiguous.assign(x, y, PerfCounters())
+            frac_c.append(float(contiguous.stats.last_active_frac))
+            ls, bs = shuffled.assign(xs, y, PerfCounters())
+            frac_s.append(float(shuffled.stats.last_active_frac))
+            lu, bu = plain.assign(xs, y, PerfCounters())
+            same.append(bool(np.array_equal(ls, lu)
+                             and np.array_equal(bs.view(u), bu.view(u))))
+            y = _divide(accumulate_streamed(xs, lu, n_clusters), dt)
+        rows_pruned = shuffled.stats.rows_pruned
+    finally:
+        for eng in (contiguous, shuffled, plain):
+            eng.end_fit()
+    return {
+        "mode": mode,
+        "iters": iters,
+        "active_frac_per_iter": frac_s,
+        "final_active_frac": frac_s[-1],
+        "contiguous_active_frac_per_iter": frac_c,
+        "contiguous_final_active_frac": frac_c[-1],
+        "rows_pruned": int(rows_pruned),
+        "bit_identical_per_iter": same,
+        "bit_identical": all(same),
     }
 
 
@@ -372,9 +444,10 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
     finally:
         ref_engine.end_fit()
 
-    pruning = _pruning_bench(dev, dt, tile, tf32, m=m,
-                             n_features=n_features, n_clusters=n_clusters,
-                             chunk_bytes=chunk_bytes, seed=seed)
+    prune_kw = dict(m=m, n_features=n_features, n_clusters=n_clusters,
+                    chunk_bytes=chunk_bytes, seed=seed)
+    pruning = _pruning_bench(dev, dt, tile, tf32, **prune_kw)
+    pruning["shuffled"] = _row_pruning_twin(dev, dt, tile, tf32, **prune_kw)
 
     # -- traced pass: the same fused fit once more under the span
     # recorder, run *separately* so the headline engine wall above
@@ -426,7 +499,9 @@ def run_fastpath_bench(m: int = FULL_SHAPE["m"],
         "unit_path_label_mismatch_frac": unit_mismatch,
         "unit_path_bit_identical": unit_bit_identical,
         # bound-pruned vs unpruned assignment on the converging blob
-        # workload (bit-equality asserted inside the loop)
+        # workload (bit-equality asserted inside the loop), with the
+        # shuffled-row twin under ``shuffled`` (runner's
+        # check_row_pruning gates it)
         "pruning": pruning,
         # per-stage wall breakdown of the traced re-run (span recorder)
         "trace": trace_summary,
@@ -554,6 +629,13 @@ def _summarise(record: dict) -> str:
         f"active_frac {pr['active_frac_per_iter'][0]:.2f} -> "
         f"{pr['final_active_frac']:.2f}, "
         f"{pr['rows_pruned']} rows pruned")
+    sh = pr["shuffled"]
+    lines.append(
+        f"  shuffled twin  : final active_frac "
+        f"{sh['final_active_frac']:.3f} vs contiguous "
+        f"{sh['contiguous_final_active_frac']:.3f}, "
+        f"{sh['rows_pruned']} rows pruned, bit-identical "
+        f"{sh['bit_identical']}")
     tw = record.get("hoist_twin")
     if tw:
         lines.append(

@@ -19,7 +19,11 @@ record's operand-hoist twin — a small fit whose chunk budget is below
 ``x.nbytes`` — must hoist one x-sized transposed operand with the
 staging path's bits (:func:`check_hoist_twin`), and every chunk of its
 TF32 fit must take the stacked fast lane with the per-unit walk's bits
-(:func:`check_fast_lane`).  ``--trace-out``
+(:func:`check_fast_lane`).  The pruning record's shuffled-row twin
+must match the unpruned engine bit for bit on every pass and end with
+the active fraction of its contiguous layout
+(:func:`check_row_pruning`).
+``--trace-out``
 forwards a trace output path to the dist smoke (a ``.jsonl`` suffix
 streams spans live as each closes; any other suffix writes a post-hoc
 Chrome trace JSON).
@@ -61,6 +65,7 @@ from repro.bench.tables import print_figure
 __all__ = ["all_figures", "check_fast_lane", "check_fastpath_regression",
            "check_hoist_twin",
            "check_pruning_regression", "check_reduce_scaling",
+           "check_row_pruning",
            "check_selfheal_regression", "check_stale_report", "main"]
 
 #: fresh engine wall may exceed the best prior same-shape entry by at
@@ -156,6 +161,34 @@ def check_fast_lane(record: dict) -> str:
             f"{record['unit_path_bit_identical']}")
     return (f"fast lane ok: {eng['batched_chunks']}/{eng['chunks_run']} "
             f"chunks stacked, bit-identical to the unit walk")
+
+
+def check_row_pruning(record: dict) -> str:
+    """Gate the shuffled-row twin of the fast-path pruning record.
+
+    The twin runs a partly converging blob workload in contiguous and
+    in shuffled row order on one centroid trajectory; in the shuffled
+    order every GEMM unit mixes clusters.  The shuffled run must stay
+    bit-identical to the unpruned engine on every pass, and its final
+    ``active_frac`` must sit within 0.01 of the contiguous layout's —
+    the pruned lane skips certified rows wherever they sit, not only
+    inside emptied units.  A structural gate: no wall clock, so no
+    host-drift slack.  Raises :class:`SystemExit` otherwise; returns a
+    verdict line.
+    """
+    tw = (record.get("pruning") or {}).get("shuffled")
+    if not tw:
+        raise SystemExit("ROW PRUNING REGRESSION: the pruning record has "
+                         "no shuffled-row twin")
+    fresh, ref = tw["final_active_frac"], tw["contiguous_final_active_frac"]
+    if not all(tw["bit_identical_per_iter"]) or abs(fresh - ref) > 0.01:
+        raise SystemExit(
+            f"ROW PRUNING REGRESSION: shuffled twin bit-identical per pass "
+            f"{tw['bit_identical_per_iter']}, final active_frac "
+            f"{fresh:.3f} vs contiguous {ref:.3f}")
+    return (f"row pruning ok: shuffled twin bit-identical on "
+            f"{len(tw['bit_identical_per_iter'])} passes, final active_frac "
+            f"{fresh:.3f} vs contiguous {ref:.3f}")
 
 
 def check_pruning_regression(record: dict, path, *,
@@ -388,6 +421,7 @@ def main(argv=None) -> None:
                                + extra)
         print("  " + check_hoist_twin(record))
         print("  " + check_fast_lane(record))
+        print("  " + check_row_pruning(record))
         if out != "-" and not args.no_regression_check:
             print("  " + check_fastpath_regression(
                 record, out, slack=args.regression_slack))

@@ -11,9 +11,17 @@ provably **bit-identical** to recomputing it:
    centroid it is assigned to has exactly the same bits as in the round
    its cached label/distance were computed (``prev_y`` compare through
    unsigned views).  The engine computes each distance row through a
-   fixed-shape GEMM unit whose BLAS result depends only on that row and
-   column operand, and an elementwise epilogue — so a frozen centroid
-   reproduces the cached ``best`` value bit-for-bit, floor included.
+   fixed-shape GEMM unit and an elementwise epilogue, and at that shape
+   the BLAS result of a row depends only on that row and the column
+   operand — not on the row's position in the unit or on the rows
+   beside it.  A frozen centroid therefore reproduces the cached
+   ``best`` value bit-for-bit, floor included, and the engine may pack
+   the active rows of many units into fresh units (row-granular
+   pruning).  The row independence is a BLAS-kernel property, so the
+   engine probes it once per geometry
+   (:func:`repro.core.engine.gemm_rows_independent`) and, should it
+   fail, widens the active set back to whole units, whose GEMMs are
+   the unpruned pass's own.
 2. **Margin-certified competitors.**  Every *other* centroid's freshly
    computed distance must provably exceed the cached own distance.  A
    per-sample float64 lower bound ``lb`` on the true distance to the

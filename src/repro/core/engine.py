@@ -53,6 +53,18 @@ chain, and each block's units go out as one stacked matmul.  Rounding
 is elementwise, so the bits are the walk's, and no rounded copy of the
 samples outlives a block.
 
+Row-granular bound pruning: with live bounds (:mod:`repro.core.bounds`)
+a fault-free chunk computes only its active rows.  They are gathered a
+block at a time into the same pooled buffer's gather stage and packed
+into fresh fixed-shape unit GEMMs, the last padded by repeating an
+active row; the epilogue, argmin and bounds refresh run on the real
+rows only and scatter back by global index.  At the unit shape BLAS
+computes each output row from that row alone, so a packed row keeps
+its unpruned bits — a kernel property :func:`gemm_rows_independent`
+probes once per geometry, widening the lane back to whole units should
+it ever fail.  The global tail (a partial unit ending the samples)
+runs whole when any of its rows is active, as unpruned.
+
 One fit-lifetime **operand cache** (charged to the allocation tracker)
 hoists per-iteration work out of the loop: a transposed copy of the
 samples for the fused update accumulator.  The per-feed ``x_chunk.T``
@@ -102,6 +114,7 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "ROUND_BLOCK_BYTES",
     "unit_rows_for_tile",
+    "gemm_rows_independent",
     "transpose_blocked",
     "host_operand_budget",
     "BlockMap",
@@ -204,6 +217,47 @@ def unit_rows_for_tile(tile: TileConfig | None) -> int:
         return GEMM_UNIT_ROWS
     tb_m = tile.tb.m
     return tb_m * max(1, GEMM_UNIT_ROWS // tb_m)
+
+
+@functools.cache
+def gemm_rows_independent(dtype: str, tf32: bool, unit: int,
+                          n_features: int, n_clusters: int) -> bool:
+    """Whether a unit GEMM's output row bits depend on that row alone.
+
+    The row-granular pruned lane packs the active rows of many units
+    into fresh ``(unit, n_features) @ (n_features, n_clusters)`` GEMMs,
+    at other positions and beside other rows, and pads the last one by
+    repeating a row.  Its bits match the unpruned pass only if BLAS
+    computes each output row from that row and the column operand
+    alone at this shape.  That is a property of the BLAS kernel, not of
+    the math, so it is probed once per geometry (cached per process):
+    two units of seeded operands, laid out exactly as the engine lays
+    them out (contiguous rows, the transposed centroid view, TF32
+    rounding when on), are recomputed after a permutation across both
+    units, a resample with repeats and a padded tail, and every row
+    must keep its bits.  False makes the lane widen its active rows
+    back to whole units, whose GEMMs are the unpruned pass's own.
+    """
+    dt = np.dtype(dtype)
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal((2 * unit, n_features)).astype(dt)
+    y = rng.standard_normal((n_clusters, n_features)).astype(dt)
+    if tf32:
+        xs, y = round_tf32(xs), round_tf32(y)
+    u = np.dtype(f"u{dt.itemsize}")
+
+    def unit_gemm(rows: np.ndarray) -> np.ndarray:
+        return np.matmul(rows.reshape(2, unit, n_features), y.T
+                         ).reshape(2 * unit, n_clusters).view(u)
+
+    ref = unit_gemm(xs)
+    last = np.arange(2 * unit)
+    last[unit + unit // 2:] = unit + unit // 2 - 1   # a padded tail
+    for idx in (rng.permutation(2 * unit),
+                rng.integers(0, 2 * unit, 2 * unit), last):
+        if not np.array_equal(unit_gemm(xs[idx]), ref[idx]):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -393,23 +447,34 @@ class FastPathEngine:
         return unit * max(1, ROUND_BLOCK_BYTES
                           // (unit * k * self.dtype.itemsize))
 
+    def _block_stages(self) -> int:
+        """Block-sized row buffers one pass may hold: under TF32 the
+        rounded block and the pruned lane's gather stage (the
+        ``tf32_block`` role), otherwise the gather stage alone when
+        pruning is on (``gather_block``), else none."""
+        if self.tf32:
+            return 2
+        return int(self._prune_mode != "off")
+
     def _plan_chunks(self, m: int, n: int, k: int) -> list[tuple[int, int]]:
         """Split [0, m) into unit-aligned chunks under the memory budget.
 
-        The one in-flight chunk costs its accumulator (rows x n) plus, on
-        the TF32 path, the rounding block buffer: the rounded block and
-        its equally large gather stage, ``min(block, rows)`` rows of k
-        each.  Both are charged against ``chunk_bytes``, and ``rows`` is
-        the largest unit multiple that fits.  One unit is the hard
-        minimum: the budget cannot shrink an inner GEMM block.
+        The one in-flight chunk costs its accumulator (rows x n) plus the
+        block buffer: :meth:`_block_stages` stages of ``min(block,
+        rows)`` rows of k each (the TF32 rounded block, the pruned
+        lane's gather stage).  Both are charged against
+        ``chunk_bytes``, and ``rows`` is the largest unit multiple that
+        fits.  One unit is the hard minimum: the budget cannot shrink an
+        inner GEMM block.
         """
         unit = self.unit_rows
         itemsize = self.dtype.itemsize
         row_bytes = max(1, n * itemsize)
         rows = self.chunk_bytes // row_bytes // unit * unit
-        if self.tf32:
+        stages = self._block_stages()
+        if stages:
             block = self._round_block_rows(k)
-            block_row_bytes = 2 * k * itemsize
+            block_row_bytes = stages * k * itemsize
             rows = (max(0, self.chunk_bytes - block * block_row_bytes)
                     // row_bytes // unit * unit)
             if rows < block:
@@ -720,12 +785,19 @@ class FastPathEngine:
         computed = 0
         rows0 = min(chunks[0][1] - chunks[0][0], m)
         scratch = self._take_scratch(rows0, n)
-        # the TF32 stacked lane rounds through one small pooled buffer:
-        # the rounded block, then its gather stage (pruned lane).  The
-        # block is a unit multiple unless it spans the one chunk whole
+        # one small pooled block buffer (see _block_stages): the TF32
+        # stacked lane's rounded block, and the pruned lane's gather
+        # stage.  The block is a unit multiple unless it spans the one
+        # chunk whole
         block = min(self._round_block_rows(k), rows0)
-        blk = (self._take_scratch(2 * block, k, "tf32_block")
-               if self.tf32 and self.batch_chunks else None)
+        blk = blk_role = None
+        if self.tf32 and (self.batch_chunks or active is not None):
+            blk_role = "tf32_block"
+        elif active is not None:
+            blk_role = "gather_block"
+        if blk_role is not None:
+            blk = self._take_scratch(self._block_stages() * block, k,
+                                     blk_role)
         try:
             for lo, hi in chunks:
                 self._check_cancelled()
@@ -745,7 +817,7 @@ class FastPathEngine:
         finally:
             self._put_scratch(scratch)
             if blk is not None:
-                self._put_scratch(blk, "tf32_block")
+                self._put_scratch(blk, blk_role)
         if state is not None:
             with tr.span("bounds_refresh", phase="end_round"):
                 state.end_round(y, cache.labels, cache.best)
@@ -769,16 +841,21 @@ class FastPathEngine:
                     hits.append((bm, bn, plan))
         return hits
 
-    def _stacked_gemm(self, xs: np.ndarray, yr_t, out: np.ndarray) -> int:
+    def _stacked_gemm(self, xs: np.ndarray, yr_t, out: np.ndarray,
+                      stacked: bool = True) -> int:
         """Per-unit GEMMs of the rows ``xs`` (unit-aligned, contiguous)
         into ``out``: whole units as one stacked matmul over a
-        ``(q, unit, K)`` view, a short tail as one more call.  Returns
+        ``(q, unit, K)`` view (one call per unit when not ``stacked``:
+        the same BLAS GEMMs), a short tail as one more call.  Returns
         the inner GEMM count."""
         unit = self.unit_rows
         q, rem = divmod(xs.shape[0], unit)
-        if q:
+        if q and stacked:
             np.matmul(xs[:q * unit].reshape(q, unit, -1), yr_t,
                       out=out[:q * unit].reshape(q, unit, -1))
+        elif q:
+            for u0 in range(0, q * unit, unit):
+                np.matmul(xs[u0:u0 + unit], yr_t, out=out[u0:u0 + unit])
         if rem:
             np.matmul(xs[q * unit:], yr_t, out=out[q * unit:])
         return q + (1 if rem else 0)
@@ -811,7 +888,7 @@ class FastPathEngine:
         one rounding block at a time (:meth:`_rounded_gemm`).  Chunks a
         fault plan targets walk the units in Python, rounding each unit
         right before its GEMM.  With an ``active`` mask, fault-free
-        chunks route through the pruned lane unless every unit is active
+        chunks route through the pruned lane unless every row is active
         anyway; fault-planned chunks always compute in full (the replay
         coordinates assume chunk-row geometry) and their rows stop being
         trusted as pruning history.
@@ -824,7 +901,7 @@ class FastPathEngine:
                                          bounds, tr=tr)
             if res is not None:
                 return res
-            # None: every unit holds an active row — fall through to the
+            # None: every row is active — fall through to the
             # full-chunk lane below (same bits, none of the
             # gather/scatter overhead)
         acc = scratch[:rows]
@@ -881,84 +958,75 @@ class FastPathEngine:
                           cache: FitCache, scratch: np.ndarray, blk,
                           block: int, active, bounds, tr=NULL_TRACER
                           ) -> tuple[int, bool, int] | None:
-        """Fault-free chunk under a bounds mask: compute only the GEMM
-        units containing active rows (compacted gather -> stacked unit
-        GEMM -> scatter back); pruned rows keep their cached
-        labels/best, which the bounds proved bit-identical to a
-        recompute.  Unit granularity keeps the per-unit BLAS calls at
-        the engine's fixed shape, so a computed unit's bits match the
-        unpruned pass exactly regardless of which other units run.
+        """Fault-free chunk under a bounds mask: compute only the active
+        rows.  Pruned rows keep their cached labels/best, which the
+        bounds proved bit-identical to a recompute.
 
-        Returns None when every unit holds an active row: the caller's
-        full-chunk lane computes the identical bits without the
-        gather/scatter detour (the common case early in a fit, before
-        any centroid has frozen)."""
+        The active rows of the chunk's full units are gathered ``block``
+        rows at a time into the pooled stage (TF32: rounded into the
+        block's first half) and packed into fresh fixed-shape unit
+        GEMMs, the last one padded to ``unit_rows`` by repeating its
+        last active row; the epilogue, argmin and bounds refresh then
+        run on the real rows only and scatter back by global index.  A
+        packed row's bits equal its unpruned bits because, at the unit
+        shape, BLAS computes each output row from that row alone — a
+        kernel property :func:`gemm_rows_independent` probes once per
+        geometry.  Should the probe fail, the active mask widens back
+        to whole units, whose packed GEMMs are the unpruned pass's own.
+        The global tail (a partial unit ending ``x``) runs as one whole
+        GEMM when any of its rows is active, as in the unpruned pass.
+
+        Returns None when every row is active: the caller's full-chunk
+        lane computes the identical bits without the gather/scatter
+        detour (the common case early in a fit, before any centroid has
+        frozen)."""
         unit = self.unit_rows
-        rows = hi - lo
-        act = active[lo:hi]
-        q, rem = divmod(rows, unit)
-        idx = (np.flatnonzero(act[:q * unit].reshape(q, unit).any(axis=1))
-               if q else np.empty(0, dtype=np.int64))
-        na = int(idx.size)
-        tail_active = bool(rem) and bool(act[q * unit:].any())
-        computed = na * unit + (rem if tail_active else 0)
-        if not computed:
-            return 0, False, 0
-        if na == q and (tail_active or not rem):
+        q, rem = divmod(hi - lo, unit)
+        full = lo + q * unit
+        act = active[lo:full]
+        k, n = yr_t.shape
+        if not gemm_rows_independent(self.dtype.str, self.tf32, unit, k, n):
+            act = np.repeat(act.reshape(q, unit).any(axis=1), unit)
+        gidx = np.flatnonzero(act)
+        na = int(gidx.size)
+        tail_active = bool(rem) and bool(active[full:hi].any())
+        if na == q * unit and (tail_active or not rem):
             return None
         calls = 0
-        batched = (self.batch_chunks
-                   and (self.tf32 or x.flags.c_contiguous))
-        k = x.shape[1]
         if na:
-            flat = scratch[:na * unit]
-            gidx = (lo + (idx[:, None] * unit
-                          + np.arange(unit)[None, :])).reshape(-1)
-            with tr.span("gemm", lo=int(lo), hi=int(hi), batched=batched,
-                         pruned=True):
-                if batched and self.tf32:
-                    # gather the active rows a block at a time into the
-                    # stage half of blk, round into its first half
-                    stage = blk[block:2 * block]
-                    for g0 in range(0, na * unit, block):
-                        g = gidx[g0:g0 + block]
-                        r = g.size
-                        # mode="clip" writes straight into ``out``
-                        # (the default "raise" buffers it); every index
-                        # is in range anyway
-                        np.take(x, g, axis=0, out=stage[:r], mode="clip")
-                        rounded = round_tf32(stage[:r], out=blk[:r])
-                        calls += self._stacked_gemm(rounded, yr_t,
-                                                    flat[g0:g0 + r])
-                elif batched:
-                    # fancy-index gather of the active units: a contiguous
-                    # (na, unit, K) copy, so the stacked matmul issues the
-                    # identical per-unit GEMMs the full grid would
-                    gathered = x[lo:lo + q * unit].reshape(q, unit, k)[idx]
-                    calls += self._stacked_gemm(
-                        gathered.reshape(na * unit, k), yr_t, flat)
-                else:
-                    for t, u in enumerate(idx):
-                        xa = x[lo + u * unit: lo + (u + 1) * unit]
-                        if self.tf32:
-                            xa = round_tf32(xa)
-                        np.matmul(xa, yr_t,
-                                  out=flat[t * unit:(t + 1) * unit])
-                        calls += 1
-            self._epilogue_rows(flat, gidx, cache, yy, bounds)
+            gidx += lo
+            padded = ceil_div(na, unit) * unit
+            flat = scratch[:padded]
+            stage = blk[block:2 * block] if self.tf32 else blk
+            with tr.span("gemm", lo=int(lo), hi=int(hi),
+                         batched=self.batch_chunks, pruned=True):
+                for g0 in range(0, padded, block):
+                    g = gidx[g0:g0 + block]
+                    r, real = min(block, padded - g0), g.size
+                    # mode="clip" writes straight into ``out`` (the
+                    # default "raise" buffers it); every index is in
+                    # range anyway
+                    np.take(x, g, axis=0, out=stage[:real], mode="clip")
+                    stage[real:r] = stage[real - 1]
+                    xs = (round_tf32(stage[:r], out=blk[:r]) if self.tf32
+                          else stage[:r])
+                    calls += self._stacked_gemm(xs, yr_t, flat[g0:g0 + r],
+                                                self.batch_chunks)
+            self._epilogue_rows(flat[:na], gidx, cache, yy, bounds)
         if tail_active:
-            tail = scratch[na * unit:na * unit + rem]
-            with tr.span("gemm", lo=int(lo + q * unit), hi=int(hi),
+            # the packed tile is consumed: its scratch takes the tail
+            tail = scratch[:rem]
+            with tr.span("gemm", lo=int(full), hi=int(hi),
                          batched=False, pruned=True):
-                xa = x[lo + q * unit:hi]
+                xa = x[full:hi]
                 if self.tf32:
-                    xa = round_tf32(xa, out=None if blk is None
-                                    else blk[:rem])
+                    xa = round_tf32(xa, out=blk[:rem])
                 np.matmul(xa, yr_t, out=tail)
             calls += 1
-            self._epilogue_rows(tail, np.arange(lo + q * unit, hi),
-                                cache, yy, bounds)
-        return calls, batched and na > 0, computed
+            self._epilogue_rows(tail, np.arange(full, hi), cache, yy,
+                                bounds)
+        return (calls, self.batch_chunks and na > 0,
+                na + (rem if tail_active else 0))
 
     def _epilogue_rows(self, tile: np.ndarray, gidx: np.ndarray,
                        cache: FitCache, yy: np.ndarray, bounds) -> None:

@@ -91,6 +91,14 @@ class TestSmokeGate:
         assert len(pr["active_frac_per_iter"]) == pr["iters"]
         assert len(pr["pruned_assign_per_iter_s"]) == pr["iters"]
         assert pr["assign_speedup"] > 0
+        # its shuffled-row twin (gated by check_row_pruning): some rows
+        # stay active to the end, and the shuffled layout prunes as the
+        # contiguous one does
+        tw = pr["shuffled"]
+        assert tw["bit_identical_per_iter"] == [True] * tw["iters"]
+        assert 0.0 < tw["contiguous_final_active_frac"] < 0.1
+        assert abs(tw["final_active_frac"]
+                   - tw["contiguous_final_active_frac"]) <= 0.01
         # the traced re-run of schema v4: bit-identity re-proved on
         # every bench run, with the per-stage span breakdown attached
         tr = record["trace"]
@@ -127,6 +135,22 @@ class TestSmokeGate:
         assert "fast lane ok" in runner.check_fast_lane(good)
         with pytest.raises(SystemExit, match="FAST LANE REGRESSION"):
             runner.check_fast_lane({**good, **patch})
+
+    @pytest.mark.parametrize("patch", [
+        {"final_active_frac": 1.0},       # only emptied units pruned
+        {"final_active_frac": 0.05},
+        {"bit_identical_per_iter": [True, False, True]}])
+    def test_row_pruning_gate_fails_loudly(self, patch):
+        good = {"final_active_frac": 0.033,
+                "contiguous_final_active_frac": 0.031,
+                "bit_identical_per_iter": [True, True, True]}
+        assert "row pruning ok" in runner.check_row_pruning(
+            {"pruning": {"shuffled": good}})
+        with pytest.raises(SystemExit, match="ROW PRUNING REGRESSION"):
+            runner.check_row_pruning({"pruning": {"shuffled": {**good,
+                                                               **patch}}})
+        with pytest.raises(SystemExit, match="ROW PRUNING REGRESSION"):
+            runner.check_row_pruning({"pruning": {}})
 
     def test_runner_smoke_appends_to_trajectory(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -61,3 +61,61 @@ def blobs(rng):
 
     x, centers, labels = gaussian_blobs(600, 16, 5, np.float32, seed=7)
     return x, centers, labels
+
+
+class BoundsLog:
+    """What a pruned fit's bounds asked for and what its engines did.
+
+    ``masks`` holds ``(m, mask)`` per live bounds round (``mask`` None
+    when the round ran fully active), ``rows_pruned`` the rows every
+    engine pass skipped.
+    """
+
+    def __init__(self):
+        self.masks: list = []
+        self.rows_pruned = 0
+
+    def prunable(self) -> tuple[int, int]:
+        """Rows a row-granular and a unit-granular lane skip for the
+        logged masks.  The row lane skips every inactive row of the
+        full units; the unit lane only units with no active row.  Both
+        run a partial tail unit whole when any of its rows is active."""
+        from repro.core.engine import GEMM_UNIT_ROWS as unit
+
+        rows = units = 0
+        for m, mask in self.masks:
+            if mask is None:
+                continue
+            full = m // unit * unit
+            tail = 0 if mask[full:].any() else m - full
+            rows += full - int(mask[:full].sum()) + tail
+            units += (full // unit - int(
+                mask[:full].reshape(-1, unit).any(axis=1).sum())) * unit + tail
+        return rows, units
+
+
+@pytest.fixture
+def bounds_log(monkeypatch):
+    """Record every live bounds round's active mask and every engine
+    pass's pruned rows (in-process engines only)."""
+    from repro.core.bounds import BoundsState
+    from repro.core.engine import FastPathEngine
+
+    log = BoundsLog()
+    begin, assign = BoundsState.begin_round, FastPathEngine.assign
+
+    def begin_spy(self, *args, **kwargs):
+        mask = begin(self, *args, **kwargs)
+        log.masks.append((self.m, None if mask is None else mask.copy()))
+        return mask
+
+    def assign_spy(self, *args, **kwargs):
+        before = self.stats.rows_pruned
+        try:
+            return assign(self, *args, **kwargs)
+        finally:
+            log.rows_pruned += self.stats.rows_pruned - before
+
+    monkeypatch.setattr(BoundsState, "begin_round", begin_spy)
+    monkeypatch.setattr(FastPathEngine, "assign", assign_spy)
+    return log

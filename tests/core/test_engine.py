@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from repro.core.api import FTKMeans
 from repro.core.assignment import setup_gmem
 from repro.core.config import KMeansConfig, VARIANT_NAMES
+import repro.core.engine as engine_mod
 from repro.core.engine import (
     BlockMap,
     FastPathEngine,
     GEMM_UNIT_ROWS,
+    gemm_rows_independent,
     unchunked_assign,
 )
 from repro.core.tensorop import default_tensorop_tile
@@ -26,9 +28,45 @@ from repro.core.variants import build_assignment
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.device import A100_PCIE_40GB
 from repro.gpusim.faults import FaultInjector
+from repro.gpusim.mma import round_tf32
 
 #: forces several chunks at the test shapes below (unit = 256 rows)
 TINY_BUDGET = 256 * 10 * 4
+
+
+def _converging(m, n_features, n_clusters, dt, *, seed=0, shuffle=True):
+    """Blobs (rows shuffled unless ``shuffle`` is False) and a start of
+    sample rows: most clusters freeze within a few rounds, some keep
+    moving, so live pruning rounds leave part of the rows active."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(n_clusters, n_features)) * 8.0
+    x = (centers[np.arange(m) * n_clusters // m]
+         + rng.normal(scale=0.3, size=(m, n_features))).astype(dt)
+    if shuffle:
+        rng.shuffle(x)
+    y0 = x[rng.choice(m, n_clusters, replace=False)].copy()
+    return np.ascontiguousarray(x), y0
+
+
+def _lloyd_passes(eng, x, y0, iters, between=None):
+    """``iters`` assignment passes with a float64 mean update between
+    them; returns each pass's (labels, best bits).  ``between(it)``
+    wraps each pass (a context manager factory), when given."""
+    import contextlib
+
+    u = np.dtype(f"u{x.dtype.itemsize}")
+    y, out = y0.copy(), []
+    for it in range(iters):
+        with (between(it) if between else contextlib.nullcontext()):
+            labels, best = eng.assign(x, y, PerfCounters())
+        out.append((labels.copy(), best.view(u).copy()))
+        sums = np.zeros(y.shape)
+        np.add.at(sums, labels, x.astype(np.float64))
+        cnt = np.bincount(labels, minlength=len(y))
+        nz = cnt > 0
+        y = y.copy()
+        y[nz] = (sums[nz] / cnt[nz, None]).astype(y.dtype)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -224,10 +262,12 @@ class TestMemoryBudget:
     def test_chunk_rows_largest_unit_multiple_under_budget(self, m, n, k,
                                                            tf32, budget):
         """The plan partitions [0, m) into unit-aligned chunks whose
-        rows are the largest unit multiple with accumulator + TF32
-        rounding block (the block and its gather stage, each at most
-        one chunk tall) under chunk_bytes (one unit when none fits)."""
+        rows are the largest unit multiple with accumulator + block
+        buffer (TF32: the rounded block and its gather stage; otherwise
+        the pruned lane's gather stage; each at most one chunk tall)
+        under chunk_bytes (one unit when none fits)."""
         eng = FastPathEngine(None, np.float32, tf32=tf32, chunk_bytes=budget)
+        stages = 2 if tf32 else 1
         unit = eng.unit_rows
         chunks = eng._plan_chunks(m, n, k)
         assert chunks[0][0] == 0 and chunks[-1][1] == m
@@ -239,10 +279,21 @@ class TestMemoryBudget:
         assert block % unit == 0
 
         def cost(r):
-            return r * n * 4 + (2 * min(block, r) * k * 4 if tf32 else 0)
+            return r * n * 4 + stages * min(block, r) * k * 4
 
         assert rows == unit or cost(rows) <= budget
         assert cost(rows + unit) > budget
+
+    def test_unpruned_plan_charges_no_gather_stage(self):
+        """Without TF32 the block buffer is only the pruned lane's
+        gather stage: prune='off' charges the accumulator alone."""
+        m, n, k, budget = 5000, 1024, 8, 2 << 20
+        eng = FastPathEngine(None, np.float32, chunk_bytes=budget,
+                             prune="off")
+        rows = budget // (n * 4) // eng.unit_rows * eng.unit_rows
+        assert eng._plan_chunks(m, n, k)[0] == (0, rows)
+        pruned = FastPathEngine(None, np.float32, chunk_bytes=budget)
+        assert pruned._plan_chunks(m, n, k)[0][1] < rows
 
     @pytest.mark.parametrize("dt,tf32,budget", [
         (np.float32, True, TINY_BUDGET),
@@ -252,8 +303,10 @@ class TestMemoryBudget:
     ])
     def test_one_scratch_buffer_per_fit(self, data, dt, tf32, budget):
         """Chunks run one at a time: a fit allocates one scratch buffer,
-        sized to its largest chunk (and under TF32 one rounding block),
-        and reuses it on every pass."""
+        sized to its largest chunk, plus one block buffer (under TF32
+        the rounding block and its gather stage; otherwise the gather
+        stage, once the third pass prunes), and reuses them on every
+        pass."""
         x, y = (a.astype(dt) for a in data)
         allocs: list[tuple[str, int]] = []
         eng = FastPathEngine(None, dt, tile=default_tensorop_tile(dt),
@@ -265,13 +318,133 @@ class TestMemoryBudget:
         rows = max(hi - lo for lo, hi in eng._cache.chunks)
         scratch = [nb for name, nb in allocs if name == "chunk_scratch"]
         assert scratch == [rows * y.shape[0] * np.dtype(dt).itemsize]
-        # TF32 adds one pooled rounding block (+ its gather stage)
-        blocks = [nb for name, nb in allocs if name == "tf32_block"]
+        # one pooled block buffer: TF32 rounding block (+ its gather
+        # stage), or the pruned lane's gather stage alone
+        role = "tf32_block" if tf32 else "gather_block"
+        blocks = [nb for name, nb in allocs if name == role]
         block_rows = min(eng._round_block_rows(x.shape[1]), rows)
-        assert blocks == ([2 * block_rows * x.shape[1] * 4] if tf32 else [])
+        assert blocks == [(2 if tf32 else 1) * block_rows * x.shape[1]
+                          * np.dtype(dt).itemsize]
+        assert {name for name, _ in allocs} == {
+            "x_norms", "labels", "best", "chunk_scratch", role,
+            "bounds_state"}
         assert eng.stats.peak_scratch_bytes == scratch[0] + sum(blocks)
         eng.end_fit()
         assert eng.stats.scratch_bytes == 0
+
+
+    @pytest.mark.parametrize("dt,tf32", [
+        (np.float32, True), (np.float32, False), (np.float64, False)])
+    def test_pruned_pass_gathers_through_pooled_block(self, dt, tf32):
+        """The pruned lane packs its active rows through the pooled
+        block buffer, charged by the chunk plan: past the first pruned
+        pass nothing new is allocated, the peak is exactly chunk
+        scratch + block buffer, and no pass allocates a gathered copy
+        of its active rows (a few O(m) scalar temporaries at most —
+        even an eighth of x, gathered, would be over that bound)."""
+        import contextlib
+        import tracemalloc
+
+        m, feats, n = 16_384, 256, 8
+        x, y0 = _converging(m, feats, n, dt)
+        itemsize = np.dtype(dt).itemsize
+        stages = 2 if tf32 else 1
+        # the block buffer (one unit of rows) plus four chunks' worth
+        budget = (stages * GEMM_UNIT_ROWS * feats + m // 4 * n) * itemsize
+        allocs: list[tuple[int, str, int]] = []
+        eng = FastPathEngine(None, dt, tf32=tf32, chunk_bytes=budget,
+                             alloc_hook=lambda name, nb: allocs.append(
+                                 (passes, name, nb)))
+        passes, peaks, fracs = 0, [], []
+
+        @contextlib.contextmanager
+        def measured(it):
+            nonlocal passes
+            passes = it
+            tracemalloc.start()
+            try:
+                yield
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+                fracs.append(eng.stats.last_active_frac)
+
+        eng.begin_fit(x, n)
+        try:
+            _lloyd_passes(eng, x, y0, 8, between=measured)
+            rows = max(hi - lo for lo, hi in eng._cache.chunks)
+        finally:
+            eng.end_fit()
+        assert len(eng._plan_chunks(m, n, feats)) == 4
+        assert 0 < eng.stats.rows_pruned < (eng.stats.pruned_passes * m)
+        role = "tf32_block" if tf32 else "gather_block"
+        block = min(eng._round_block_rows(feats), rows)
+        block_bytes = stages * block * feats * itemsize
+        assert [nb for _, name, nb in allocs if name == role] == [
+            block_bytes]
+        assert {name for _, name, _ in allocs} == {
+            "x_norms", "labels", "best", "chunk_scratch", role,
+            "bounds_state"}
+        first_pruned = min(i for i, f in enumerate(fracs) if f < 1.0)
+        assert not [a for a in allocs if a[0] > first_pruned]
+        assert eng.stats.peak_scratch_bytes == rows * n * itemsize + block_bytes
+        assert eng.stats.peak_scratch_bytes <= budget
+        assert max(peaks[first_pruned + 1:]) < 8 * m * 8 < x.nbytes // 8
+
+
+class TestRowIndependence:
+    """The BLAS fact the row-granular pruned lane stands on: at the
+    engine's unit shape a GEMM computes each output row from that row
+    alone, so packing active rows into fresh units keeps their bits;
+    and the probe that guards it, whose failure widens the lane back to
+    whole units."""
+
+    @pytest.mark.parametrize("k,n", [(3, 1), (17, 5), (64, 64), (128, 33),
+                                     (300, 100), (64, 256)])
+    @pytest.mark.parametrize("dt,tf32", [
+        (np.float32, False), (np.float32, True), (np.float64, False)])
+    def test_unit_gemm_rows_independent(self, dt, tf32, k, n):
+        unit = GEMM_UNIT_ROWS
+        rng = np.random.default_rng(k * 1000 + n)
+        a = rng.standard_normal((2 * unit, k)).astype(dt)
+        y = rng.standard_normal((n, k)).astype(dt)
+        if tf32:
+            a, y = round_tf32(a), round_tf32(y)
+        u = np.dtype(f"u{np.dtype(dt).itemsize}")
+        ref = np.concatenate([a[:unit] @ y.T, a[unit:] @ y.T]).view(u)
+        for idx in (rng.permutation(2 * unit)[:unit],   # across units
+                    rng.integers(0, 2 * unit, unit),    # with repeats
+                    np.r_[np.arange(unit - 7), [3] * 7]):  # padded
+            assert np.array_equal((a[idx] @ y.T).view(u), ref[idx])
+        assert gemm_rows_independent(np.dtype(dt).str, tf32, unit, k, n)
+
+    @pytest.mark.parametrize("mode", ["hamerly", "elkan"])
+    @pytest.mark.parametrize("dt,tf32", [
+        (np.float32, True), (np.float64, False)])
+    def test_failed_probe_widens_to_units(self, monkeypatch, bounds_log,
+                                          dt, tf32, mode):
+        """A BLAS that failed the probe: the lane computes every unit
+        that holds an active row (exactly the unit-granular count) and
+        stays bit-identical to prune='off'."""
+        monkeypatch.setattr(engine_mod, "gemm_rows_independent",
+                            lambda *args: False)
+        x, y0 = _converging(4096 + 100, 16, 8, dt, shuffle=False)
+        passes = []
+        for prune in (mode, "off"):
+            eng = FastPathEngine(None, dt, tf32=tf32, prune=prune,
+                                 chunk_bytes=32 << 10)
+            eng.begin_fit(x, 8)
+            try:
+                passes.append(_lloyd_passes(eng, x, y0, 8))
+            finally:
+                eng.end_fit()
+            if prune == mode:
+                pruned = eng.stats.rows_pruned
+        for (la, ba), (lb, bb) in zip(*passes):
+            assert np.array_equal(la, lb) and np.array_equal(ba, bb)
+        rows, units = bounds_log.prunable()
+        assert pruned == bounds_log.rows_pruned == units > 0
+        assert rows > units
 
 
 class TestFitCache:

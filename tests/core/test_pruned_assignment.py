@@ -294,6 +294,114 @@ class TestLazyBounds:
         assert charged == [bounds.nbytes] == [2 * len(x) * 8]
 
 
+class TestRowGranularLane:
+    """The pruned lane computes active *rows*, not active units: on
+    shuffled rows (every GEMM unit mixes clusters) a frozen cluster's
+    certified rows drop out even though no unit empties, and the packed
+    unit GEMMs still reproduce the unpruned bits."""
+
+    @staticmethod
+    def _shuffled(m, seed=0):
+        x, _ = _blobs(seed, m=m // K * K + K, shuffle=True)
+        x = np.ascontiguousarray(x[:m])
+        return x, _random_start(x, seed)
+
+    @staticmethod
+    def _park_moving_row_last(x, y0, iters):
+        """Swap a row of a centroid that still moves in the last round
+        into the last position, so a one-row tail stays active while
+        the frozen clusters' rows are pruned."""
+        ref, _, _ = _trajectory(x, y0, iters, prune="off")
+        y = y0
+        for r in ref[:-1]:
+            y_prev, y = y, _lloyd_step(x, r["labels"], y)
+        moving = np.flatnonzero((y.view(np.uint32)
+                                 != y_prev.view(np.uint32)).any(axis=1))
+        i = np.flatnonzero(np.isin(ref[-1]["labels"], moving))[0]
+        x = x.copy()
+        x[[i, -1]] = x[[-1, i]]
+        return x
+
+    @pytest.mark.parametrize("mode", ["hamerly", "elkan"])
+    def test_shuffled_fit_bit_exact_and_row_granular(self, bounds_log,
+                                                     mode):
+        x, y0 = self._shuffled(2048)
+        got, stats, _ = _trajectory(x, y0, 8, prune=mode, fuse=True)
+        ref, _, _ = _trajectory(x, y0, 8, prune="off", fuse=True)
+        assert_trajectories_equal(got, ref)
+        rows, units = bounds_log.prunable()
+        # every inactive row was skipped, far more than whole units
+        assert stats.rows_pruned == bounds_log.rows_pruned == rows
+        assert rows > units
+
+    @pytest.mark.parametrize("chunk_kb", [None, 16])
+    @pytest.mark.parametrize("m", [2049, 2303])   # 1, 255 (mod 256)
+    def test_ragged_tail_bit_exact(self, bounds_log, m, chunk_kb):
+        x, y0 = self._shuffled(m)
+        x = self._park_moving_row_last(x, y0, 8)
+        kw = dict(chunk_bytes=None if chunk_kb is None else chunk_kb << 10)
+        got, stats, _ = _trajectory(x, y0, 8, prune="hamerly", fuse=True,
+                                    **kw)
+        ref, _, _ = _trajectory(x, y0, 8, prune="off", fuse=True, **kw)
+        assert_trajectories_equal(got, ref)
+        rows, units = bounds_log.prunable()
+        assert stats.rows_pruned == rows > units
+        # the tail unit ran inside the pruned lane: active while other
+        # rows were pruned (and, at 255 rows, itself only partly active)
+        tails = [mask[m // 256 * 256:] for _, mask in bounds_log.masks
+                 if mask is not None and not mask.all()]
+        assert any(t.any() for t in tails)
+        if m % 256 > 1:
+            assert any(t.any() and not t.all() for t in tails)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("residue", [1, 2, 7, 255])
+    def test_padded_last_unit_bit_exact(self, monkeypatch, residue, dtype):
+        """Any superset of the rows the bounds leave active is a valid
+        active set.  Topping the mask up so the last packed unit holds
+        ``residue`` real rows exercises its padding: a GEMM shorter
+        than the unit takes other BLAS kernels, with other bits."""
+        m, k = 4096, 64
+        x, _ = _blobs(0, m=m, k=k, d=64, dtype=dtype, shuffle=True)
+        y0 = x[np.random.default_rng(0).choice(m, k, replace=False)].copy()
+        begin = BoundsState.begin_round
+
+        def topped(self, *args, **kwargs):
+            mask = begin(self, *args, **kwargs)
+            if mask is not None:
+                need = (residue - int(mask.sum())) % 256
+                mask[np.flatnonzero(~mask)[:need]] = True
+            return mask
+
+        monkeypatch.setattr(BoundsState, "begin_round", topped)
+        kw = dict(dtype=dtype, tf32=dtype == np.float32)
+        got, _, _ = _trajectory(x, y0, 8, prune="hamerly", **kw)
+        ref, _, _ = _trajectory(x, y0, 8, prune="off", **kw)
+        assert_trajectories_equal(got, ref)
+        computed = [round(r["active_frac"] * m) for r in got]
+        assert any(c % 256 == residue for c in computed)
+
+    @pytest.mark.parametrize("mode", ["hamerly", "elkan"])
+    def test_sample_weight_fit_bit_exact(self, bounds_log, mode):
+        from repro import FTKMeans
+
+        x, y0 = self._shuffled(2048)
+        w = np.random.default_rng(1).uniform(0.5, 2.0, len(x))
+
+        def fit(prune):
+            return FTKMeans(n_clusters=K, init_centroids=y0, max_iter=10,
+                            tol=0, prune=prune).fit(x, sample_weight=w)
+
+        on = fit(mode)
+        rows, units = bounds_log.prunable()
+        off = fit("off")
+        assert np.array_equal(on.labels_, off.labels_)
+        assert np.array_equal(on.cluster_centers_.view(np.uint32),
+                              off.cluster_centers_.view(np.uint32))
+        assert on.inertia_ == off.inertia_
+        assert bounds_log.rows_pruned == rows > units
+
+
 class TestBoundsProtection:
     """The bounds' own protection story: an SEU in the pruning metadata
     (bound arrays, stored anchor, cached labels/best) is caught by the

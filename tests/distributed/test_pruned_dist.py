@@ -131,6 +131,20 @@ class TestShardedPrunedBitIdentity:
             assert first_live > 0                   # lazy rounds first
             assert all(history[first_live:])        # then live for good
 
+    def test_two_workers_shuffled_rows_prune_row_granular(self, data,
+                                                          bounds_log):
+        """Shuffled rows: no GEMM unit empties, yet each shard's pruned
+        lane skips the certified rows and the 2-worker fit stays
+        bit-identical to the unpruned single-worker fit."""
+        x, y0 = data
+        order = np.random.default_rng(0).permutation(len(x))
+        shuffled = (np.ascontiguousarray(x[order]), y0)
+        on = fit(shuffled, n_workers=2, executor="serial")
+        rows, units = bounds_log.prunable()
+        off = fit(shuffled, prune="off")
+        assert_same_fit(on, off)
+        assert bounds_log.rows_pruned == rows > units
+
     def test_sharded_pruned_under_injection(self, data):
         on = fit(data, n_workers=2, executor="serial", p_inject=0.3,
                  abft="ftkmeans")
