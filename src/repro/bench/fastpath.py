@@ -224,6 +224,60 @@ def _pruning_workload(m, n_features, n_clusters, dt, seed,
     return np.ascontiguousarray(x), np.ascontiguousarray(y0)
 
 
+def _prune_lockstep(dev, dt, tile, tf32, chunk_bytes, x, y0, n_clusters,
+                    iters: int, twin_x=None) -> dict:
+    """Pruned vs unpruned assignment of ``x`` in lockstep on one
+    trajectory (the unpruned labels drive the update), comparing the
+    two bit for bit on every pass.  ``twin_x`` adds a third, pruned
+    engine on another row order of ``x`` that sees the same centroids
+    each pass; only its active fraction is recorded."""
+    mode = resolve_prune_mode("auto")
+    kw = dict(tile=tile, tf32=tf32, chunk_bytes=chunk_bytes)
+    pruned = FastPathEngine(dev, dt, prune=mode, **kw)
+    plain = FastPathEngine(dev, dt, prune="off", **kw)
+    twin = (FastPathEngine(dev, dt, prune=mode, **kw)
+            if twin_x is not None else None)
+    u = np.uint32 if dt.itemsize == 4 else np.uint64
+    pruned_s, plain_s, frac, twin_frac, same = [], [], [], [], []
+    try:
+        pruned.begin_fit(x, n_clusters)
+        plain.begin_fit(x, n_clusters)
+        if twin is not None:
+            twin.begin_fit(twin_x, n_clusters)
+        y = y0.copy()
+        for _ in range(iters):
+            t0 = time.perf_counter()
+            lp, bp = pruned.assign(x, y, PerfCounters())
+            pruned_s.append(time.perf_counter() - t0)
+            frac.append(float(pruned.stats.last_active_frac))
+            t0 = time.perf_counter()
+            lu, bu = plain.assign(x, y, PerfCounters())
+            plain_s.append(time.perf_counter() - t0)
+            # the whole point: pruning must never move a bit
+            same.append(bool(np.array_equal(lp, lu)
+                             and np.array_equal(bp.view(u), bu.view(u))))
+            if twin is not None:
+                twin.assign(twin_x, y, PerfCounters())
+                twin_frac.append(float(twin.stats.last_active_frac))
+            y = _divide(accumulate_streamed(x, lu, n_clusters), dt)
+        rows_pruned = pruned.stats.rows_pruned
+        rebuilds = pruned.stats.bounds_rebuilds
+    finally:
+        for eng in (pruned, plain, twin):
+            if eng is not None:
+                eng.end_fit()
+    return {
+        "mode": mode,
+        "pruned_s": pruned_s,
+        "plain_s": plain_s,
+        "frac": frac,
+        "twin_frac": twin_frac,
+        "same": same,
+        "rows_pruned": int(rows_pruned),
+        "bounds_rebuilds": int(rebuilds),
+    }
+
+
 def _pruning_bench(dev, dt, tile, tf32, *, m, n_features, n_clusters,
                    chunk_bytes, seed,
                    iters: int = PRUNE_ITERS) -> dict:
@@ -235,35 +289,12 @@ def _pruning_bench(dev, dt, tile, tf32, *, m, n_features, n_clusters,
     difference is pure skipped work.
     """
     x, y0 = _pruning_workload(m, n_features, n_clusters, dt, seed)
-    mode = resolve_prune_mode("auto")
-    kw = dict(tile=tile, tf32=tf32, chunk_bytes=chunk_bytes)
-    pruned = FastPathEngine(dev, dt, prune=mode, **kw)
-    plain = FastPathEngine(dev, dt, prune="off", **kw)
-    u = np.uint32 if dt.itemsize == 4 else np.uint64
-    pruned_s, plain_s, frac = [], [], []
-    try:
-        pruned.begin_fit(x, n_clusters)
-        plain.begin_fit(x, n_clusters)
-        y = y0.copy()
-        for _ in range(iters):
-            t0 = time.perf_counter()
-            lp, bp = pruned.assign(x, y, PerfCounters())
-            pruned_s.append(time.perf_counter() - t0)
-            frac.append(float(pruned.stats.last_active_frac))
-            t0 = time.perf_counter()
-            lu, bu = plain.assign(x, y, PerfCounters())
-            plain_s.append(time.perf_counter() - t0)
-            # the whole point: pruning must never move a bit
-            assert np.array_equal(lp, lu)
-            assert np.array_equal(bp.view(u), bu.view(u))
-            y = _divide(accumulate_streamed(x, lu, n_clusters), dt)
-        rows_pruned = pruned.stats.rows_pruned
-        rebuilds = pruned.stats.bounds_rebuilds
-    finally:
-        pruned.end_fit()
-        plain.end_fit()
+    run = _prune_lockstep(dev, dt, tile, tf32, chunk_bytes, x, y0,
+                          n_clusters, iters)
+    assert all(run["same"])
+    pruned_s, plain_s, frac = run["pruned_s"], run["plain_s"], run["frac"]
     return {
-        "mode": mode,
+        "mode": run["mode"],
         "iters": iters,
         "pruned_assign_per_iter_s": pruned_s,
         "unpruned_assign_per_iter_s": plain_s,
@@ -271,8 +302,8 @@ def _pruning_bench(dev, dt, tile, tf32, *, m, n_features, n_clusters,
         "unpruned_assign_wall_s": sum(plain_s),
         "active_frac_per_iter": frac,
         "final_active_frac": frac[-1],
-        "rows_pruned": int(rows_pruned),
-        "bounds_rebuilds": int(rebuilds),
+        "rows_pruned": run["rows_pruned"],
+        "bounds_rebuilds": run["bounds_rebuilds"],
         "assign_speedup": sum(plain_s) / max(1e-12, sum(pruned_s)),
         "bit_identical": True,
     }
@@ -280,7 +311,7 @@ def _pruning_bench(dev, dt, tile, tf32, *, m, n_features, n_clusters,
 
 def _row_pruning_twin(dev, dt, tile, tf32, *, m, n_features, n_clusters,
                       chunk_bytes, seed, iters: int = PRUNE_ITERS) -> dict:
-    """The ``wide_pair`` pruning workload in contiguous and in shuffled
+    """The ``wide_pair`` pruning workload in shuffled and in contiguous
     row order, pruned, on one centroid trajectory.
 
     Every blob but the wide pair freezes by the third pass; the pair's
@@ -299,41 +330,19 @@ def _row_pruning_twin(dev, dt, tile, tf32, *, m, n_features, n_clusters,
                               wide_pair=True)
     xs = np.ascontiguousarray(
         x[np.random.default_rng(seed + 2).permutation(len(x))])
-    mode = resolve_prune_mode("auto")
-    kw = dict(tile=tile, tf32=tf32, chunk_bytes=chunk_bytes)
-    contiguous = FastPathEngine(dev, dt, prune=mode, **kw)
-    shuffled = FastPathEngine(dev, dt, prune=mode, **kw)
-    plain = FastPathEngine(dev, dt, prune="off", **kw)
-    u = np.uint32 if dt.itemsize == 4 else np.uint64
-    frac_c, frac_s, same = [], [], []
-    try:
-        contiguous.begin_fit(x, n_clusters)
-        shuffled.begin_fit(xs, n_clusters)
-        plain.begin_fit(xs, n_clusters)
-        y = y0.copy()
-        for _ in range(iters):
-            contiguous.assign(x, y, PerfCounters())
-            frac_c.append(float(contiguous.stats.last_active_frac))
-            ls, bs = shuffled.assign(xs, y, PerfCounters())
-            frac_s.append(float(shuffled.stats.last_active_frac))
-            lu, bu = plain.assign(xs, y, PerfCounters())
-            same.append(bool(np.array_equal(ls, lu)
-                             and np.array_equal(bs.view(u), bu.view(u))))
-            y = _divide(accumulate_streamed(xs, lu, n_clusters), dt)
-        rows_pruned = shuffled.stats.rows_pruned
-    finally:
-        for eng in (contiguous, shuffled, plain):
-            eng.end_fit()
+    run = _prune_lockstep(dev, dt, tile, tf32, chunk_bytes, xs, y0,
+                          n_clusters, iters, twin_x=x)
+    frac_s, frac_c = run["frac"], run["twin_frac"]
     return {
-        "mode": mode,
+        "mode": run["mode"],
         "iters": iters,
         "active_frac_per_iter": frac_s,
         "final_active_frac": frac_s[-1],
         "contiguous_active_frac_per_iter": frac_c,
         "contiguous_final_active_frac": frac_c[-1],
-        "rows_pruned": int(rows_pruned),
-        "bit_identical_per_iter": same,
-        "bit_identical": all(same),
+        "rows_pruned": run["rows_pruned"],
+        "bit_identical_per_iter": run["same"],
+        "bit_identical": all(run["same"]),
     }
 
 

@@ -366,9 +366,11 @@ class FastPathEngine:
     batch_chunks:
         Dispatch a fault-free chunk's unit grid as stacked matmuls
         (default): the whole chunk at once, or under TF32 one rounding
-        block at a time.  False forces the per-unit Python walk
-        everywhere — the reference path the fast lane is bit-compared
-        against.
+        block at a time.  False forces the per-unit Python walk on the
+        unpruned lane — the reference path the fast lane is
+        bit-compared against.  The pruned lane always packs its active
+        rows into stacked matmuls (bounds only go live across passes,
+        and its bits are compared against ``prune='off'``).
     prune:
         Cross-iteration bound pruning of the assignment GEMM
         (:mod:`repro.core.bounds`): 'auto' (default, resolves to the
@@ -841,21 +843,16 @@ class FastPathEngine:
                     hits.append((bm, bn, plan))
         return hits
 
-    def _stacked_gemm(self, xs: np.ndarray, yr_t, out: np.ndarray,
-                      stacked: bool = True) -> int:
+    def _stacked_gemm(self, xs: np.ndarray, yr_t, out: np.ndarray) -> int:
         """Per-unit GEMMs of the rows ``xs`` (unit-aligned, contiguous)
         into ``out``: whole units as one stacked matmul over a
-        ``(q, unit, K)`` view (one call per unit when not ``stacked``:
-        the same BLAS GEMMs), a short tail as one more call.  Returns
+        ``(q, unit, K)`` view, a short tail as one more call.  Returns
         the inner GEMM count."""
         unit = self.unit_rows
         q, rem = divmod(xs.shape[0], unit)
-        if q and stacked:
+        if q:
             np.matmul(xs[:q * unit].reshape(q, unit, -1), yr_t,
                       out=out[:q * unit].reshape(q, unit, -1))
-        elif q:
-            for u0 in range(0, q * unit, unit):
-                np.matmul(xs[u0:u0 + unit], yr_t, out=out[u0:u0 + unit])
         if rem:
             np.matmul(xs[q * unit:], yr_t, out=out[q * unit:])
         return q + (1 if rem else 0)
@@ -999,7 +996,7 @@ class FastPathEngine:
             flat = scratch[:padded]
             stage = blk[block:2 * block] if self.tf32 else blk
             with tr.span("gemm", lo=int(lo), hi=int(hi),
-                         batched=self.batch_chunks, pruned=True):
+                         batched=True, pruned=True):
                 for g0 in range(0, padded, block):
                     g = gidx[g0:g0 + block]
                     r, real = min(block, padded - g0), g.size
@@ -1010,8 +1007,7 @@ class FastPathEngine:
                     stage[real:r] = stage[real - 1]
                     xs = (round_tf32(stage[:r], out=blk[:r]) if self.tf32
                           else stage[:r])
-                    calls += self._stacked_gemm(xs, yr_t, flat[g0:g0 + r],
-                                                self.batch_chunks)
+                    calls += self._stacked_gemm(xs, yr_t, flat[g0:g0 + r])
             self._epilogue_rows(flat[:na], gidx, cache, yy, bounds)
         if tail_active:
             # the packed tile is consumed: its scratch takes the tail
@@ -1025,8 +1021,7 @@ class FastPathEngine:
             calls += 1
             self._epilogue_rows(tail, np.arange(full, hi), cache, yy,
                                 bounds)
-        return (calls, self.batch_chunks and na > 0,
-                na + (rem if tail_active else 0))
+        return calls, na > 0, na + (rem if tail_active else 0)
 
     def _epilogue_rows(self, tile: np.ndarray, gidx: np.ndarray,
                        cache: FitCache, yy: np.ndarray, bounds) -> None:
