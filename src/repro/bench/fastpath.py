@@ -40,7 +40,6 @@ from repro.core.accumulate import (
     accumulate_oneshot,
     accumulate_streamed,
 )
-from repro.core.bounds import resolve_prune_mode
 from repro.core.engine import FastPathEngine, unchunked_assign
 from repro.core.tensorop import default_tensorop_tile
 from repro.gpusim.counters import PerfCounters
@@ -231,11 +230,10 @@ def _prune_lockstep(dev, dt, tile, tf32, chunk_bytes, x, y0, n_clusters,
     two bit for bit on every pass.  ``twin_x`` adds a third, pruned
     engine on another row order of ``x`` that sees the same centroids
     each pass; only its active fraction is recorded."""
-    mode = resolve_prune_mode("auto")
     kw = dict(tile=tile, tf32=tf32, chunk_bytes=chunk_bytes)
-    pruned = FastPathEngine(dev, dt, prune=mode, **kw)
+    pruned = FastPathEngine(dev, dt, prune="auto", **kw)
     plain = FastPathEngine(dev, dt, prune="off", **kw)
-    twin = (FastPathEngine(dev, dt, prune=mode, **kw)
+    twin = (FastPathEngine(dev, dt, prune="auto", **kw)
             if twin_x is not None else None)
     u = np.uint32 if dt.itemsize == 4 else np.uint64
     pruned_s, plain_s, frac, twin_frac, same = [], [], [], [], []
@@ -267,7 +265,7 @@ def _prune_lockstep(dev, dt, tile, tf32, chunk_bytes, x, y0, n_clusters,
             if eng is not None:
                 eng.end_fit()
     return {
-        "mode": mode,
+        "mode": "auto",
         "pruned_s": pruned_s,
         "plain_s": plain_s,
         "frac": frac,

@@ -3,8 +3,7 @@
 A :class:`KernelSelector` owns the feasible parameter queue for one
 (device, dtype) pair and answers "which kernel should run this shape?"
 by ranking the candidates with the timing model.  Selections are cached
-per shape, can be precomputed over a problem grid, and serialise via
-:mod:`repro.codegen.database`.
+per shape and serialise via :mod:`repro.codegen.database`.
 """
 
 from __future__ import annotations
@@ -68,14 +67,6 @@ class KernelSelector:
         tile = self.best_tile(m, n_clusters, k_features)
         return score_candidate(TimingModel(self.device), tile, m, n_clusters,
                                k_features, self.dtype)
-
-    def precompute(self, shapes: list[tuple[int, int, int]]) -> dict[str, int]:
-        """Select for a grid of shapes; returns {shape_key: param_id}."""
-        out = {}
-        for m, n, k in shapes:
-            tile = self.best_tile(m, n, k)
-            out[_shape_key(m, n, k)] = tile.param_id
-        return out
 
     def selected_param_ids(self) -> list[int]:
         """Distinct parameter ids chosen so far (paper: only 7 FP32 / 4

@@ -9,7 +9,7 @@ from repro.core.accumulate import (
 from repro.core.api import FTKMeans
 from repro.core.assignment import AssignmentKernelBase, AssignmentResult
 from repro.core.broadcast import V3BroadcastAssignment
-from repro.core.config import MODES, UPDATE_MODES, VARIANT_NAMES, KMeansConfig
+from repro.core.config import MODES, VARIANT_NAMES, KMeansConfig
 from repro.core.convergence import ConvergenceMonitor, EwaInertiaMonitor
 from repro.core.engine import (
     BlockMap,
@@ -37,7 +37,6 @@ __all__ = [
     "accumulate_streamed",
     "V3BroadcastAssignment",
     "MODES",
-    "UPDATE_MODES",
     "VARIANT_NAMES",
     "KMeansConfig",
     "ConvergenceMonitor",

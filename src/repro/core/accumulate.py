@@ -99,9 +99,9 @@ class StreamedAccumulator:
     -----
     ``feed`` must be called in global sample order; the running sums then
     carry exactly the same bits as one sequential ``np.add.at`` pass over
-    the concatenation of every fed chunk.  ``packed()`` returns the seed
-    update stage's ``(K, N+1)`` layout (sums ‖ counts) so the two paths
-    stay drop-in interchangeable.
+    the concatenation of every fed chunk.  ``packed()`` returns the
+    ``(K, N+1)`` layout (sums ‖ counts) that
+    :meth:`repro.core.update.UpdateStage.update` takes.
     """
 
     def __init__(self, n_clusters: int, n_features: int, *, alloc_hook=None):
@@ -127,12 +127,6 @@ class StreamedAccumulator:
         self.feed_rows = max(MIN_FEED_ROWS,
                              STAGING_BYTES // (8 * self.n_features))
         self.samples_seen = 0
-        self.feeds = 0
-        #: lifetime tallies (never zeroed by reset): per-iteration
-        #: ``feeds``/``samples_seen`` restart at 0 every reset and
-        #: cannot describe a whole fit
-        self.total_feeds = 0
-        self.total_rows_fed = 0
         self._record_alloc("accumulator_sums", self._sums_t.nbytes
                            + self._counts.nbytes)
 
@@ -204,7 +198,6 @@ class StreamedAccumulator:
         self._sums_t[:] = 0.0
         self._counts[:] = 0.0
         self.samples_seen = 0
-        self.feeds = 0
 
     def _staging(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """Pooled (weights, labels) staging of at least n + rows slots."""
@@ -251,9 +244,6 @@ class StreamedAccumulator:
                                labels_chunk[lo:lo + step])
         else:
             self._feed_one(x_chunk, labels_chunk)
-        self.feeds += 1
-        self.total_feeds += 1
-        self.total_rows_fed += rows
 
     def _feed_one(self, x_chunk: np.ndarray, labels_chunk: np.ndarray) -> None:
         rows = x_chunk.shape[0]
@@ -315,16 +305,6 @@ class StreamedAccumulator:
         self.samples_seen += rows
 
     # ------------------------------------------------------------------
-    def metrics(self) -> dict:
-        """Lifetime observability tallies of the accumulator.
-
-        ``total_feeds`` / ``total_rows_fed`` accumulate across resets —
-        one fit's whole feed history — unlike the per-iteration
-        ``feeds`` / ``samples_seen`` the bit-exactness machinery uses.
-        """
-        return {"total_feeds": self.total_feeds,
-                "total_rows_fed": self.total_rows_fed}
-
     def packed(self) -> np.ndarray:
         """Sums and counts in the seed update stage's ``(K, N+1)`` layout."""
         out = np.empty((self.n_clusters, self.n_features + 1),
@@ -347,10 +327,11 @@ class StreamedAccumulator:
 def accumulate_oneshot(x: np.ndarray, labels: np.ndarray, n_clusters: int,
                        *, sample_weight: np.ndarray | None = None
                        ) -> np.ndarray:
-    """The seed accumulation (``np.add.at``), kept as the regression
-    baseline the streamed path is bit-compared against.  With
-    ``sample_weight`` the scatter adds ``w_i * x_i`` and the count column
-    accumulates the weights themselves."""
+    """The seed accumulation (``np.add.at``), kept as the test oracle
+    the streamed path is bit-compared against and as the unchunked
+    bench baseline.  With ``sample_weight`` the scatter adds
+    ``w_i * x_i`` and the count column accumulates the weights
+    themselves."""
     k = x.shape[1]
     sums = np.zeros((n_clusters, k + 1), dtype=np.float64)
     x64 = x.astype(np.float64)

@@ -128,7 +128,7 @@ class FTKMeans:
                  tile=None, abft="none", p_inject: float = 0.0,
                  dmr_update: bool = True, use_tf32: bool = True,
                  chunk_bytes: int | None = None, prune: str = "auto",
-                 update_mode: str = "auto", batch_size: int | None = None,
+                 batch_size: int | None = None,
                  n_workers: int = 1, executor: str = "serial",
                  checkpoint_every: int = 0,
                  round_timeout=None, elastic: bool = False,
@@ -145,8 +145,7 @@ class FTKMeans:
             n_clusters=n_clusters, variant=variant, dtype=np.dtype(dtype),
             device=device, mode=mode, tile=tile, abft=abft,
             p_inject=p_inject, dmr_update=dmr_update, use_tf32=use_tf32,
-            chunk_bytes=chunk_bytes, prune=prune,
-            update_mode=update_mode, batch_size=batch_size,
+            chunk_bytes=chunk_bytes, prune=prune, batch_size=batch_size,
             n_workers=n_workers, executor=executor,
             checkpoint_every=checkpoint_every,
             round_timeout=round_timeout, elastic=elastic,
@@ -245,17 +244,13 @@ class FTKMeans:
         else:
             y = self._run_init(x, rng)
 
-        update_mode = cfg.resolved_update_mode()
         assigner = build_assignment(cfg, m, k, rng)
         self._attach_tracer(assigner)
-        updater = UpdateStage(cfg.device, cfg.dtype, dmr=cfg.dmr_update,
-                              update_mode=update_mode)
-        # fused accumulation: the engine feeds the update sums inside its
-        # assignment chunk loop (fast mode only; bit-identical either way)
-        fuse = update_mode == "streamed" and cfg.mode == "fast"
-        acc = (StreamedAccumulator(cfg.n_clusters, k) if fuse else None)
-        if acc is not None:
-            acc.bind_weights(w)
+        updater = UpdateStage(cfg.device, cfg.dtype, dmr=cfg.dmr_update)
+        # the assignment pass feeds the update sums (the fast engine per
+        # chunk inside its loop, functional kernels once per pass)
+        acc = StreamedAccumulator(cfg.n_clusters, k)
+        acc.bind_weights(w)
         clock = SimClock()
         counters = PerfCounters()
         monitor = ConvergenceMonitor(cfg.tol)
@@ -266,7 +261,7 @@ class FTKMeans:
             # hoist fit-invariants (sample norms, output buffers, chunk
             # and injector block plans) once; every iteration reuses them
             assigner.begin_fit(x, cfg.n_clusters)
-            if fuse:
+            if cfg.mode == "fast":
                 # share the engine's hoisted transposed operand with the
                 # update stage: under DMR the duplicate re-accumulation
                 # streams all of x each iteration and otherwise pays a
@@ -277,8 +272,7 @@ class FTKMeans:
                     updater.bind_source_t(x, xt)
             for n_iter in range(1, cfg.max_iter + 1):
                 with tr.span("iteration", iteration=int(n_iter)):
-                    if acc is not None:
-                        acc.reset()
+                    acc.reset()
                     res: AssignmentResult = assigner.assign(x, y,
                                                             accumulator=acc)
                     labels = res.labels
@@ -288,9 +282,7 @@ class FTKMeans:
 
                     upd = updater.update(
                         x, labels, res.min_sqdist, y, counters,
-                        fused_sums=(acc.packed() if acc is not None
-                                    else None),
-                        sample_weight=w)
+                        acc.packed(), sample_weight=w)
                     for label, t in upd.timings:
                         clock.charge(label, t)
                     y = upd.centroids
@@ -488,19 +480,15 @@ class FTKMeans:
                             rng: np.random.Generator) -> None:
         """The shared per-stream state of partial_fit and batch_size fit."""
         cfg = self.config
-        update_mode = cfg.resolved_update_mode()
-        fuse = update_mode == "streamed" and cfg.mode == "fast"
         self._online_state = {
             "centers64": y.astype(np.float64),
             "counts": counts,
             "assigner": build_assignment(cfg, batch_m, n_features, rng),
             "updater": UpdateStage(cfg.device, cfg.dtype,
-                                   dmr=cfg.dmr_update,
-                                   update_mode=update_mode),
+                                   dmr=cfg.dmr_update),
             # pooled across batches (reset per step), like fit()'s
             # per-iteration reuse
-            "accumulator": (StreamedAccumulator(cfg.n_clusters, n_features)
-                            if fuse else None),
+            "accumulator": StreamedAccumulator(cfg.n_clusters, n_features),
             "monitor": EwaInertiaMonitor(cfg.tol),
             "clock": SimClock(),
             "counters": PerfCounters(),
@@ -531,9 +519,8 @@ class FTKMeans:
         centers64 = state["centers64"]
         y = centers64.astype(cfg.dtype)
         acc = state["accumulator"]
-        if acc is not None:
-            acc.reset()
-            acc.bind_weights(w)
+        acc.reset()
+        acc.bind_weights(w)
         fault_snap = {f: getattr(state["counters"], f)
                       for f in self._TRACE_FIELDS}
         res: AssignmentResult = state["assigner"].assign(x, y,
@@ -546,8 +533,7 @@ class FTKMeans:
 
         updater: UpdateStage = state["updater"]
         sums = updater.accumulate_protected(
-            x, labels, cfg.n_clusters, state["counters"],
-            fused_sums=acc.packed() if acc is not None else None,
+            x, labels, cfg.n_clusters, state["counters"], acc.packed(),
             sample_weight=w)
         bsums, bcounts = sums[:, :k], sums[:, k]
         counts = state["counts"]

@@ -144,8 +144,12 @@ class AssignmentKernelBase(ABC):
         sums are bit-identical to a one-shot sequential pass."""
 
     def _feed_functional(self, accumulator, x: np.ndarray,
-                         labels: np.ndarray) -> None:
-        """Feed a full functional-mode pass to the update accumulator."""
+                         labels: np.ndarray, best: np.ndarray) -> None:
+        """Finish a functional-mode pass: floor the min squared distances
+        at 0 in place, as the engine does (cancellation or an injected
+        flip can push them negative, down to -inf; labels keep the raw
+        argmin), then feed the pass to the update accumulator."""
+        np.maximum(best, 0, out=best)
         if accumulator is not None:
             accumulator.feed(x, labels)
 

@@ -1,6 +1,6 @@
 """Cross-iteration distance bounds for pruned **exact** assignment.
 
-Elkan/Hamerly-style pruning normally trades exactness guarantees that
+Hamerly-style pruning normally trades exactness guarantees that
 hold in real arithmetic for float trouble at the margins.  This repo's
 contract is stronger than "same clusters": every knob (chunking,
 workers, sharding) must leave labels *and* min-distance bits untouched.
@@ -85,12 +85,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PRUNE_MODES", "BoundsState", "resolve_prune_mode"]
+__all__ = ["PRUNE_MODES", "BoundsState"]
 
-#: string modes of the ``prune`` knob.  ``'auto'`` resolves to the
-#: O(M)-memory Hamerly bound; ``'elkan'`` keeps a per-centroid (M, K)
-#: bound matrix (tighter, K x the memory) and is opt-in.
-PRUNE_MODES = ("auto", "off", "elkan", "hamerly")
+#: values of the ``prune`` knob: ``'auto'`` keeps the O(M)-memory
+#: Hamerly bound, ``'off'`` disables pruning
+PRUNE_MODES = ("auto", "off")
 
 #: safety factor on the analytic dot-product error bound; generous on
 #: purpose (a loose margin only reduces pruning, never exactness)
@@ -98,14 +97,6 @@ ERR_SAFETY = 8.0
 
 #: operand-rounding step of TF32 (10 explicit mantissa bits)
 TF32_EPS = 2.0 ** -10
-
-
-def resolve_prune_mode(prune) -> str:
-    """Validate the ``prune`` knob and resolve ``'auto'``."""
-    if prune not in PRUNE_MODES:
-        raise ValueError(
-            f"unknown prune mode {prune!r}; choose from {PRUNE_MODES}")
-    return "hamerly" if prune == "auto" else prune
 
 
 def _checksum(arr: np.ndarray) -> int:
@@ -117,7 +108,9 @@ def _checksum(arr: np.ndarray) -> int:
 
 
 class BoundsState:
-    """Per-fit pruning state owned by the engine's :class:`FitCache`.
+    """Per-fit pruning state owned by the engine's :class:`FitCache`:
+    one float64 lower bound per sample on the distance to the nearest
+    *competitor* centroid.
 
     Parameters
     ----------
@@ -126,10 +119,6 @@ class BoundsState:
         norms are kept.
     n_clusters : int
         Centroid count of the fit (re-resolved if a pass changes it).
-    mode : str
-        ``'hamerly'`` — one float64 lower bound per sample on the
-        distance to the nearest *competitor* centroid; ``'elkan'`` — a
-        float64 (M, K) matrix of per-centroid lower bounds.
     tf32 : bool
         Whether the engine rounds GEMM operands to TF32 (widens the
         error margin).
@@ -139,12 +128,8 @@ class BoundsState:
     """
 
     def __init__(self, x: np.ndarray, n_clusters: int, *,
-                 mode: str = "hamerly", tf32: bool = False, alloc_hook=None):
-        if mode not in ("hamerly", "elkan"):
-            raise ValueError(f"mode must be 'hamerly' or 'elkan', got {mode!r}")
-        m, k = x.shape
-        self.mode = mode
-        self.m = m
+                 tf32: bool = False, alloc_hook=None):
+        k = x.shape[1]
         self.n_clusters = int(n_clusters)
         self.tf32 = bool(tf32)
         self._x = x
@@ -222,8 +207,7 @@ class BoundsState:
             band = x[lo:lo + step].astype(np.float64, copy=False)
             self.nx[lo:lo + step] = np.einsum("ij,ij->i", band, band)
         self.n_clusters = int(y.shape[0])
-        shape = (m,) if self.mode == "hamerly" else (m, self.n_clusters)
-        self.lb = np.full(shape, -np.inf, dtype=np.float64)
+        self.lb = np.full(m, -np.inf, dtype=np.float64)
         self.live = True
         if self._alloc_hook is not None:
             self._alloc_hook("bounds_state", self.nbytes)
@@ -245,8 +229,6 @@ class BoundsState:
         n = int(y.shape[0])
         if n != self.n_clusters:
             self.n_clusters = n
-            if self.mode == "elkan":
-                self.lb = np.full((self.m, n), -np.inf, dtype=np.float64)
             self.invalidate()
         y64 = y.astype(np.float64, copy=False)
         ny_max = float(np.max(np.einsum("ij,ij->i", y64, y64))) if n else 0.0
@@ -270,58 +252,35 @@ class BoundsState:
         else:
             shifts64 = self._shifts_from(self.prev_y, y)
         frozen = self._frozen_centroids(y)
-        if self.mode == "hamerly":
-            self.lb -= float(shifts64.max(initial=0.0))
-            lb_floor = np.maximum(self.lb, 0.0)
-            margin = lb_floor * lb_floor - self._err
-        else:
-            self.lb -= shifts64[None, :]
-            if n < 2:
-                # one centroid: no competitors, a frozen own centroid
-                # alone certifies the cached row
-                margin = np.full(self.m, np.inf)
-            else:
-                col = labels[:, None]
-                stash = np.take_along_axis(self.lb, col, axis=1)
-                np.put_along_axis(self.lb, col, np.inf, axis=1)
-                lbmin = self.lb.min(axis=1)
-                np.put_along_axis(self.lb, col, stash, axis=1)
-                lb_floor = np.maximum(lbmin, 0.0)
-                margin = lb_floor * lb_floor - self._err
+        self.lb -= float(shifts64.max(initial=0.0))
+        lb_floor = np.maximum(self.lb, 0.0)
+        margin = lb_floor * lb_floor - self._err
         # strict >: competitors must beat the cached minimum outright so
         # first-index argmin tie-breaking cannot be disturbed either
         pruned = frozen[labels] & (margin > best.astype(np.float64))
         return ~pruned
 
-    def refresh(self, idx, tile: np.ndarray, labels=None) -> None:
+    def refresh(self, idx, tile: np.ndarray, labels: np.ndarray) -> None:
         """Re-tighten bounds for freshly computed rows.
 
         ``idx`` — the rows' global indices (slice or int array);
         ``tile`` — their raw computed squared-distance tile (rows, K),
-        post-epilogue, pre-floor.  The hamerly refresh scribbles on the
-        tile when ``labels`` (the rows' fresh argmins) are supplied —
-        callers pass engine scratch that is fully consumed by then.
+        post-epilogue, pre-floor; ``labels`` — the rows' fresh argmins.
+        The refresh scribbles on the tile: callers pass engine scratch
+        that is fully consumed by then.
         """
-        err = self._err[idx]
-        if self.mode == "elkan":
-            self.lb[idx] = np.sqrt(np.maximum(
-                tile.astype(np.float64) - err[:, None], 0.0))
-        elif self.n_clusters < 2:
+        if self.n_clusters < 2:
             self.lb[idx] = np.inf
-        else:
-            # second-smallest computed value = the nearest competitor's
-            # computed distance (ties only make the bound conservative).
-            # With the argmin in hand, masking the assigned column and
-            # taking the row min gives the same value as a partition —
-            # the label column either holds the strict minimum or ties
-            # the second-smallest — in one cheap pass over the tile
-            if labels is not None:
-                np.put_along_axis(tile, labels[:, None], np.inf, axis=1)
-                second = tile.min(axis=1).astype(np.float64)
-            else:
-                second = np.partition(tile, 1,
-                                      axis=1)[:, 1].astype(np.float64)
-            self.lb[idx] = np.sqrt(np.maximum(second - err, 0.0))
+            return
+        # second-smallest computed value = the nearest competitor's
+        # computed distance (ties only make the bound conservative).
+        # With the argmin in hand, masking the assigned column and
+        # taking the row min gives the same value as a partition — the
+        # label column either holds the strict minimum or ties the
+        # second-smallest — in one cheap pass over the tile
+        np.put_along_axis(tile, labels[:, None], np.inf, axis=1)
+        second = tile.min(axis=1).astype(np.float64)
+        self.lb[idx] = np.sqrt(np.maximum(second - self._err[idx], 0.0))
 
     def end_round(self, y: np.ndarray, labels: np.ndarray,
                   best: np.ndarray) -> None:

@@ -11,18 +11,14 @@ from repro.core.bounds import PRUNE_MODES
 from repro.gemm.tiling import TileConfig
 from repro.gpusim.device import DeviceSpec, get_device
 
-__all__ = ["KMeansConfig", "VARIANT_NAMES", "MODES", "UPDATE_MODES",
-           "EXECUTORS", "REASSIGNMENT_MODES", "PRUNE_MODES"]
+__all__ = ["KMeansConfig", "VARIANT_NAMES", "MODES", "EXECUTORS",
+           "REASSIGNMENT_MODES", "PRUNE_MODES"]
 
 #: assignment-stage implementations, in the paper's optimisation order
 VARIANT_NAMES = ("naive", "v1", "v2", "v3", "tensorop", "ft")
 
 #: execution modes of the simulator
 MODES = ("fast", "functional")
-
-#: centroid-update accumulation implementations ('auto' resolves per
-#: execution mode: streamed+fused in 'fast', oneshot in 'functional')
-UPDATE_MODES = ("auto", "oneshot", "streamed")
 
 #: executor backends of the sharded multi-worker layer (repro.dist)
 EXECUTORS = ("serial", "thread", "process")
@@ -77,17 +73,9 @@ class KMeansConfig:
         bound certifies every competitor, so labels, inertia and the
         full fit trajectory are bit-identical to the unpruned engine
         (sharded fits included; bounds are shard-local).  'auto'
-        (default) resolves to 'hamerly' (one float64 bound per sample);
-        'elkan' keeps per-centroid (M, K) bounds — tighter, K x the
-        memory; 'off' disables pruning.  The bounds arrays carry their
-        own checksummed protection story (see ``docs/architecture.md``).
-    update_mode:
-        Centroid-update accumulation implementation.  'oneshot' is the
-        seed ``np.add.at`` scatter pass; 'streamed' is the chunked
-        bincount segment-sum path, which ``mode='fast'`` additionally
-        fuses into the engine's assignment chunk loop.  Both produce
-        bit-identical sums.  'auto' (default) picks 'streamed' in fast
-        mode and 'oneshot' in functional mode.
+        (default) keeps one float64 Hamerly bound per sample; 'off'
+        disables pruning.  The bounds arrays carry their own
+        checksummed protection story (see ``docs/architecture.md``).
     batch_size:
         When set, ``fit`` runs mini-batch K-means: each epoch streams
         ``batch_size``-sample batches (a fresh shuffle per epoch)
@@ -187,7 +175,6 @@ class KMeansConfig:
     use_tf32: bool = True
     chunk_bytes: int | None = None
     prune: str = "auto"
-    update_mode: str = "auto"
     batch_size: int | None = None
     n_workers: int = 1
     executor: str = "serial"
@@ -230,10 +217,6 @@ class KMeansConfig:
             raise ValueError(
                 f"unknown prune mode {self.prune!r}; "
                 f"choose from {PRUNE_MODES}")
-        if self.update_mode not in UPDATE_MODES:
-            raise ValueError(
-                f"unknown update_mode {self.update_mode!r}; "
-                f"choose from {UPDATE_MODES}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}")
@@ -297,16 +280,3 @@ class KMeansConfig:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.init not in ("k-means++", "random"):
             raise ValueError(f"init must be 'k-means++' or 'random', got {self.init!r}")
-
-    def resolved_update_mode(self) -> str:
-        """The effective update accumulation path ('auto' resolved).
-
-        Returns
-        -------
-        str
-            'streamed' in fast mode, 'oneshot' in functional mode when
-            ``update_mode='auto'``; otherwise ``update_mode`` verbatim.
-        """
-        if self.update_mode != "auto":
-            return self.update_mode
-        return "streamed" if self.mode == "fast" else "oneshot"

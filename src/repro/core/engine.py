@@ -100,7 +100,7 @@ import numpy as np
 
 from repro.abft.schemes import NONE, AbftScheme
 from repro.abft.thresholds import ThresholdPolicy
-from repro.core.bounds import BoundsState, resolve_prune_mode
+from repro.core.bounds import PRUNE_MODES, BoundsState
 from repro.gemm.tiling import TileConfig
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.device import DeviceSpec
@@ -373,14 +373,12 @@ class FastPathEngine:
         and its bits are compared against ``prune='off'``).
     prune:
         Cross-iteration bound pruning of the assignment GEMM
-        (:mod:`repro.core.bounds`): 'auto' (default, resolves to the
-        O(M) Hamerly bound), 'hamerly', 'elkan' (per-centroid (M, K)
-        bounds, tighter but K x the memory) or 'off'.  Pruning only
-        engages on ``begin_fit`` caches (transient predict/score passes
-        have no cross-round history) and is proven bit-identical to the
-        unpruned path — a row is skipped only when its assigned
-        centroid's bits are frozen and an error-margined lower bound
-        certifies every competitor.
+        (:mod:`repro.core.bounds`): 'auto' (default, the O(M) Hamerly
+        bound) or 'off'.  Pruning only engages on ``begin_fit`` caches
+        (transient predict/score passes have no cross-round history)
+        and is proven bit-identical to the unpruned path — a row is
+        skipped only when its assigned centroid's bits are frozen and
+        an error-margined lower bound certifies every competitor.
     alloc_hook:
         Optional callable ``(name, nbytes)`` invoked for every scratch /
         buffer allocation the engine makes (allocation-tracking tests).
@@ -416,8 +414,10 @@ class FastPathEngine:
         # the hoisted update operand is admitted while x fits this
         self.operand_budget = host_operand_budget()
         self.batch_chunks = bool(batch_chunks)
-        self.prune = prune
-        self._prune_mode = resolve_prune_mode(prune)
+        if prune not in PRUNE_MODES:
+            raise ValueError(
+                f"unknown prune mode {prune!r}; choose from {PRUNE_MODES}")
+        self._pruning = prune != "off"
         self.cancel_token = None
         self._fed_shifts: tuple | None = None
         self.alloc_hook = alloc_hook
@@ -456,7 +456,7 @@ class FastPathEngine:
         pruning is on (``gather_block``), else none."""
         if self.tf32:
             return 2
-        return int(self._prune_mode != "off")
+        return int(self._pruning)
 
     def _plan_chunks(self, m: int, n: int, k: int) -> list[tuple[int, int]]:
         """Split [0, m) into unit-aligned chunks under the memory budget.
@@ -765,12 +765,11 @@ class FastPathEngine:
         state = bounds = active = None
         fed = self._fed_shifts
         self._fed_shifts = None
-        if self._prune_mode != "off" and cache is self._cache:
+        if self._pruning and cache is self._cache:
             state = cache.bounds
-            if state is None or state.mode != self._prune_mode:
+            if state is None:
                 state = cache.bounds = BoundsState(
-                    x, n, mode=self._prune_mode, tf32=self.tf32,
-                    alloc_hook=self.alloc_hook)
+                    x, n, tf32=self.tf32, alloc_hook=self.alloc_hook)
             if state.wake(y):
                 # the fed shift vector is one-shot and identity-keyed to
                 # the centroid array it described; anything stale

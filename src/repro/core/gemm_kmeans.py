@@ -52,7 +52,7 @@ class V1GemmAssignment(AssignmentKernelBase):
         counters = PerfCounters()
         if self.mode == "functional":
             labels, best = self._assign_functional(x, y, counters)
-            self._feed_functional(accumulator, x, labels)
+            self._feed_functional(accumulator, x, labels, best)
         else:
             labels, best = self.engine.assign(x, y, counters,
                                               accumulator=accumulator)

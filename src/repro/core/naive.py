@@ -67,7 +67,7 @@ class NaiveAssignment(AssignmentKernelBase):
             counters.flops += 3 * (hi - lo) * n * k
             labels[lo:hi] = np.argmin(d, axis=1)
             best[lo:hi] = d[np.arange(hi - lo), labels[lo:hi]]
-        self._feed_functional(accumulator, x, labels)
+        self._feed_functional(accumulator, x, labels, best)
         timings = self.estimate(m, n, k)
         return AssignmentResult(labels, best, counters, timings)
 

@@ -75,7 +75,7 @@ class TensorOpAssignment(AssignmentKernelBase):
             assign = gmem["assign"]
             labels = assign[:, 1].astype(np.int64)
             best = assign[:, 0].astype(self.dtype)
-            self._feed_functional(accumulator, x, labels)
+            self._feed_functional(accumulator, x, labels, best)
         else:
             labels, best = self.engine.assign(x, y, counters,
                                               accumulator=accumulator)

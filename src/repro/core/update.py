@@ -7,19 +7,13 @@ plus a count; a small second kernel divides.  The stage is memory-bound
 redundancy (DMR) protects it for <1% (Sec. I) — the duplicate arithmetic
 hides behind the loads.
 
-Two accumulation implementations produce bit-identical sums:
-
-* ``oneshot`` — the seed ``np.add.at`` scatter pass (regression
-  baseline, see :func:`repro.core.accumulate.accumulate_oneshot`);
-* ``streamed`` — per-chunk ``bincount`` segment sums with sequential
-  continuation (:class:`repro.core.accumulate.StreamedAccumulator`),
-  which the fast-path engine can additionally *fuse* into its assignment
-  chunk loop so the samples are only streamed once per iteration.
-
-When the engine has already fused the accumulation, :meth:`update`
-accepts the packed sums as ``fused_sums``; under DMR the fused pass
-counts as the first replica and one independent re-accumulation is the
-duplicate — identical detect/recompute semantics to the seed.
+The accumulation is fused into the assignment pass: the pass feeds a
+:class:`repro.core.accumulate.StreamedAccumulator` (per-chunk
+``bincount`` segment sums with sequential continuation, bit-identical
+to one sequential ``np.add.at`` pass), and :meth:`UpdateStage.update`
+takes the packed sums it produced.  Under DMR those sums are the first
+replica and one independent streamed re-accumulation is the duplicate
+— identical detect/recompute semantics to the seed.
 
 Empty clusters are re-seeded from the samples farthest from their
 assigned centroid (a common cuML/sklearn policy), keeping K constant.
@@ -30,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.abft.dmr import dmr_protected
-from repro.core.accumulate import accumulate_oneshot, accumulate_streamed
+from repro.core.accumulate import accumulate_streamed
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timing import KernelTiming, TimingModel
@@ -85,25 +79,16 @@ class UpdateStage:
     dmr : bool, default True
         Duplicate the accumulation arithmetic and compare (Sec. I/IV);
         a mismatch triggers recomputation.
-    update_mode : {'oneshot', 'streamed'}, default 'oneshot'
-        Accumulation implementation when no fused sums are supplied.
-        Both produce bit-identical sums; ``streamed`` is the faster
-        bincount path.
     corrupt_hook : callable, optional
         Test hook — an SEU inside one DMR replica (see
         :mod:`repro.abft.dmr`).
     """
 
     def __init__(self, device: DeviceSpec, dtype, *, dmr: bool = True,
-                 update_mode: str = "oneshot", corrupt_hook=None):
-        if update_mode not in ("oneshot", "streamed"):
-            raise ValueError(
-                f"update_mode must be 'oneshot' or 'streamed', "
-                f"got {update_mode!r}")
+                 corrupt_hook=None):
         self.device = device
         self.dtype = np.dtype(dtype)
         self.dmr = dmr
-        self.update_mode = update_mode
         self.model = TimingModel(device)
         #: test hook — an SEU inside one DMR replica (see abft.dmr)
         self.corrupt_hook = corrupt_hook
@@ -115,9 +100,8 @@ class UpdateStage:
                       x_t: np.ndarray | None) -> None:
         """Attach a hoisted transposed copy of one sample matrix.
 
-        When a later accumulation pass runs over exactly ``x`` (object
-        identity) in streamed mode — notably the DMR duplicate's
-        re-accumulation, which otherwise re-transposes the whole matrix
+        When the DMR duplicate's re-accumulation runs over exactly ``x``
+        (object identity) — it otherwise re-transposes the whole matrix
         every iteration — it reads contiguous feature rows from ``x_t``
         instead.  The bits are unchanged (see
         :meth:`StreamedAccumulator.bind_source_t`), and so is the DMR
@@ -129,21 +113,9 @@ class UpdateStage:
         self._src = x
         self._src_t = x_t
 
-    def _accumulate(self, x: np.ndarray, labels: np.ndarray, n_clusters: int,
-                    sample_weight: np.ndarray | None = None) -> np.ndarray:
-        """One accumulation pass in the configured implementation."""
-        if self.update_mode == "streamed":
-            src_t = self._src_t if self._src is x else None
-            return accumulate_streamed(x, labels, n_clusters,
-                                       sample_weight=sample_weight,
-                                       source_t=src_t)
-        return accumulate_oneshot(x, labels, n_clusters,
-                                  sample_weight=sample_weight)
-
     def update(self, x: np.ndarray, labels: np.ndarray, best_sqdist: np.ndarray,
-               old_centroids: np.ndarray, counters: PerfCounters, *,
-               fused_sums: np.ndarray | None = None,
-               sample_weight: np.ndarray | None = None) -> UpdateResult:
+               old_centroids: np.ndarray, counters: PerfCounters,
+               sums: np.ndarray, *, sample_weight: np.ndarray | None = None) -> UpdateResult:
         """Compute new centroids from one assignment pass.
 
         Parameters
@@ -159,10 +131,10 @@ class UpdateStage:
             Previous iteration's centroids.
         counters : PerfCounters
             Statistics sink (atomics, DMR checks, detections).
-        fused_sums : ndarray of shape (K, N+1), optional
-            Packed sums ‖ counts already accumulated by the streaming
-            engine's fused chunk loop.  Under DMR this is the first
-            replica; one independent re-accumulation is the duplicate.
+        sums : ndarray of shape (K, N+1)
+            Packed sums ‖ counts the assignment pass accumulated.  Under
+            DMR this is the first replica; one independent
+            re-accumulation is the duplicate.
         sample_weight : ndarray of shape (M,), optional
             Per-sample weights; sums become ``Σ w_i x_i`` and counts the
             per-cluster weight totals (``UpdateResult.counts`` is then
@@ -174,8 +146,7 @@ class UpdateStage:
         """
         n_clusters, k = old_centroids.shape
         sums = self.accumulate_protected(x, labels, n_clusters, counters,
-                                         fused_sums=fused_sums,
-                                         sample_weight=sample_weight)
+                                         sums, sample_weight=sample_weight)
         wcounts = sums[:, k]
         counts = (wcounts.astype(np.int64) if sample_weight is None
                   else wcounts.copy())
@@ -199,17 +170,17 @@ class UpdateStage:
 
     # ------------------------------------------------------------------
     def accumulate_protected(self, x: np.ndarray, labels: np.ndarray,
-                             n_clusters: int, counters: PerfCounters, *,
-                             fused_sums: np.ndarray | None = None,
+                             n_clusters: int, counters: PerfCounters,
+                             sums: np.ndarray, *,
                              sample_weight: np.ndarray | None = None
                              ) -> np.ndarray:
         """DMR-wrapped sum/count accumulation (packed ``(K, N+1)``).
 
         The shared core of the full-batch :meth:`update` and the online
-        mini-batch step: runs the configured accumulation under DMR when
-        enabled, treating ``fused_sums`` (the engine's fused chunk-loop
-        pass) as the first replica so only the duplicate re-streams the
-        samples.
+        mini-batch step.  ``sums`` — the assignment pass's fused
+        accumulation — is the first replica; under DMR one streamed
+        re-accumulation of ``x`` is the duplicate, and each retry after
+        a mismatch re-accumulates freshly.
 
         Parameters
         ----------
@@ -217,7 +188,7 @@ class UpdateStage:
         labels : ndarray of shape (M,)
         n_clusters : int
         counters : PerfCounters
-        fused_sums : ndarray of shape (K, N+1), optional
+        sums : ndarray of shape (K, N+1)
         sample_weight : ndarray of shape (M,), optional
 
         Returns
@@ -227,31 +198,25 @@ class UpdateStage:
             the last column, float64.
         """
         m, k = x.shape
-
-        def accumulate() -> np.ndarray:
-            """The duplicated instruction stream: sums ‖ counts packed."""
-            return self._accumulate(x, labels, n_clusters, sample_weight)
-
         counters.atomics += m * (k + 1)
         counters.global_loads += x.nbytes
-        if self.dmr:
-            compute = accumulate
-            if fused_sums is not None:
-                # the fused pass is replica 1 (already paid for during
-                # assignment); replicas after it re-accumulate freshly
-                pending = [fused_sums]
+        if not self.dmr:
+            return sums
+        src_t = self._src_t if self._src is x else None
+        pending = [sums]
 
-                def compute() -> np.ndarray:
-                    return pending.pop() if pending else accumulate()
+        def compute() -> np.ndarray:
+            """The duplicated instruction stream: sums ‖ counts packed."""
+            if pending:
+                return pending.pop()
+            return accumulate_streamed(x, labels, n_clusters,
+                                       sample_weight=sample_weight,
+                                       source_t=src_t)
 
-            sums = dmr_protected(compute, counters=counters,
-                                 corrupt_first=self.corrupt_hook)
-            # the hook models a one-shot SEU; don't re-fire next iteration
-            self.corrupt_hook = None
-        elif fused_sums is not None:
-            sums = fused_sums
-        else:
-            sums = accumulate()
+        sums = dmr_protected(compute, counters=counters,
+                             corrupt_first=self.corrupt_hook)
+        # the hook models a one-shot SEU; don't re-fire next iteration
+        self.corrupt_hook = None
         return sums
 
     # ------------------------------------------------------------------

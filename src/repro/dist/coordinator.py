@@ -283,8 +283,6 @@ class Coordinator:
     max_recoveries : int
         Crash-recovery budget; one more crash raises the
         :class:`WorkerCrash` to the caller.
-    partial_tol : float
-        Relative threshold of the merged-partials checksum test.
     elastic : bool, optional
         Recover from a worker loss by re-sharding onto the survivors
         instead of respawning the full set; defaults to ``cfg.elastic``.
@@ -342,7 +340,6 @@ class Coordinator:
                  checkpoint_every: int | None = None,
                  worker_faults: WorkerFaultInjector | None = None,
                  max_recoveries: int = 8,
-                 partial_tol: float = PARTIAL_CHECK_RTOL,
                  elastic: bool | None = None,
                  round_timeout: float | str | None = None,
                  target_workers: int | None = None,
@@ -363,7 +360,6 @@ class Coordinator:
                                  else int(checkpoint_every))
         self.faults = worker_faults
         self.max_recoveries = int(max_recoveries)
-        self.partial_tol = float(partial_tol)
         self.elastic = bool(cfg.elastic if elastic is None else elastic)
         round_timeout = (cfg.round_timeout if round_timeout is None
                          else round_timeout)
@@ -481,8 +477,7 @@ class Coordinator:
                            sample_weight=sample_weight,
                            base_seed=base_seed)
 
-        updater = UpdateStage(cfg.device, cfg.dtype, dmr=cfg.dmr_update,
-                              update_mode=cfg.resolved_update_mode())
+        updater = UpdateStage(cfg.device, cfg.dtype, dmr=cfg.dmr_update)
         merge_acc = StreamedAccumulator(n_clusters, k)
         merge_acc.bind_weights(sample_weight)
         if xt is not None:
@@ -561,8 +556,7 @@ class Coordinator:
                         with tr.span("update"):
                             upd = updater.update(
                                 x, labels, best, st.y, st.counters,
-                                fused_sums=merged,
-                                sample_weight=sample_weight)
+                                merged, sample_weight=sample_weight)
                         for label, t in upd.timings:
                             st.clock.charge(label, t)
                         st.y = upd.centroids
@@ -869,7 +863,7 @@ class Coordinator:
         for res in results:
             total += res.partial
         scale = np.maximum(1.0, np.maximum(np.abs(total), np.abs(merged)))
-        if not (np.abs(total - merged) > self.partial_tol * scale).any():
+        if not (np.abs(total - merged) > PARTIAL_CHECK_RTOL * scale).any():
             return
         faults_seen["detected"] += 1
         located = False

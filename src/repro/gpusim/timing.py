@@ -32,7 +32,7 @@ figure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,13 +158,6 @@ class KernelTiming:
     @property
     def gflops(self) -> float:
         return self.useful_flops / self.time_s / 1e9
-
-    @property
-    def tflops(self) -> float:
-        return self.gflops / 1e3
-
-    def with_time(self, time_s: float) -> "KernelTiming":
-        return replace(self, time_s=time_s)
 
 
 def _saturating(w: float, needed: float, softness: float) -> float:

@@ -106,7 +106,8 @@ def bounds_log(monkeypatch):
 
     def begin_spy(self, *args, **kwargs):
         mask = begin(self, *args, **kwargs)
-        log.masks.append((self.m, None if mask is None else mask.copy()))
+        log.masks.append((len(self.lb),
+                          None if mask is None else mask.copy()))
         return mask
 
     def assign_spy(self, *args, **kwargs):

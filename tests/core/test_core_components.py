@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import KMeansConfig
 from repro.core.convergence import ConvergenceMonitor
 from repro.core.initializers import init_kmeans_plusplus, init_random, initialize
+from repro.core.accumulate import accumulate_oneshot
 from repro.core.update import UpdateStage
 from repro.core.validation import validate_centroids, validate_data
 from repro.gpusim.counters import PerfCounters
@@ -236,7 +237,8 @@ class TestUpdateStage:
         labels = rng.integers(0, 4, 100)
         old = rng.standard_normal((4, 6)).astype(dtype)
         stage = UpdateStage(A100_PCIE_40GB, dtype, dmr=False)
-        res = stage.update(x, labels, np.zeros(100), old, PerfCounters())
+        res = stage.update(x, labels, np.zeros(100), old, PerfCounters(),
+                           accumulate_oneshot(x, labels, 4))
         for c in range(4):
             np.testing.assert_allclose(
                 res.centroids[c], x[labels == c].mean(axis=0),
@@ -250,7 +252,8 @@ class TestUpdateStage:
         best = rng.random(50)
         old = rng.standard_normal((3, 4)).astype(dtype)
         stage = UpdateStage(A100_PCIE_40GB, dtype, dmr=False)
-        res = stage.update(x, labels, best, old, PerfCounters())
+        res = stage.update(x, labels, best, old, PerfCounters(),
+                           accumulate_oneshot(x, labels, 3))
         worst = np.argsort(best)[::-1][:2]
         # clusters 1, 2 re-seeded from the worst-fit samples
         got = {tuple(np.round(res.centroids[c], 5)) for c in (1, 2)}
@@ -268,7 +271,8 @@ class TestUpdateStage:
 
         stage = UpdateStage(A100_PCIE_40GB, dtype, dmr=True,
                             corrupt_hook=corrupt)
-        res = stage.update(x, labels, np.zeros(60), old, c)
+        res = stage.update(x, labels, np.zeros(60), old, c,
+                           accumulate_oneshot(x, labels, 3))
         assert c.dmr_mismatches == 1
         assert c.errors_detected == 1
         # the recomputed result is clean
@@ -281,5 +285,6 @@ class TestUpdateStage:
         labels = rng.integers(0, 2, 40)
         old = np.zeros((2, 3), np.float32)
         stage = UpdateStage(A100_PCIE_40GB, np.float32, dmr=False)
-        res = stage.update(x, labels, np.zeros(40), old, PerfCounters())
+        res = stage.update(x, labels, np.zeros(40), old, PerfCounters(),
+                           accumulate_oneshot(x, labels, 2))
         assert res.shift > 0

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.abft.schemes import get_scheme
-from repro.core.accumulate import StreamedAccumulator
-from repro.core.bounds import BoundsState, resolve_prune_mode
+from repro.core.accumulate import StreamedAccumulator, accumulate_streamed
+from repro.core.bounds import BoundsState
 from repro.core.config import KMeansConfig
 from repro.core.engine import EngineCancelled, FastPathEngine
 from repro.core.update import UpdateStage
@@ -115,10 +115,9 @@ class TestPrunedBitExactness:
     """The acceptance property: pruned trajectory == unpruned, bitwise,
     with pruning demonstrably engaged."""
 
-    @pytest.mark.parametrize("mode", ["hamerly", "elkan"])
-    def test_converging_fit_bit_exact_and_prunes(self, blob_data, mode):
+    def test_converging_fit_bit_exact_and_prunes(self, blob_data):
         x, y0 = blob_data
-        got, stats, _ = _trajectory(x, y0, 8, prune=mode, fuse=True)
+        got, stats, _ = _trajectory(x, y0, 8, prune="auto", fuse=True)
         ref, ref_stats, _ = _trajectory(x, y0, 8, prune="off", fuse=True)
         assert_trajectories_equal(got, ref)
         assert ref_stats.rows_pruned == 0
@@ -127,33 +126,31 @@ class TestPrunedBitExactness:
 
     def test_active_frac_trajectory_collapses(self, blob_data):
         x, y0 = blob_data
-        rounds, _, _ = _trajectory(x, y0, 8, prune="hamerly")
+        rounds, _, _ = _trajectory(x, y0, 8, prune="auto")
         fracs = [r["active_frac"] for r in rounds]
         assert fracs[0] == 1.0                 # no history yet
         assert fracs[-1] == 0.0                # converged: all pruned
         assert min(fracs) == 0.0
 
-    def test_auto_resolves_to_hamerly(self):
-        assert resolve_prune_mode("auto") == "hamerly"
-        assert resolve_prune_mode("off") == "off"
-        with pytest.raises(ValueError):
-            resolve_prune_mode("bogus")
-        with pytest.raises(ValueError):
-            KMeansConfig(n_clusters=4, prune="bogus")
+    @pytest.mark.parametrize("prune", ["on", "bogus", None])
+    def test_prune_accepts_only_auto_and_off(self, prune):
+        with pytest.raises(ValueError, match="prune"):
+            FastPathEngine(None, np.float32, prune=prune)
+        with pytest.raises(ValueError, match="prune"):
+            KMeansConfig(n_clusters=4, prune=prune)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**16),
-           mode=st.sampled_from(["hamerly", "elkan"]),
            chunk_kb=st.sampled_from([None, 16, 64]),
            dtype=st.sampled_from([np.float32, np.float64]),
            shuffle=st.booleans())
-    def test_property_any_config_bit_exact(self, seed, mode, chunk_kb,
-                                           dtype, shuffle):
+    def test_property_any_config_bit_exact(self, seed, chunk_kb, dtype,
+                                           shuffle):
         x, y0 = _blobs(seed, m=1024, k=6, d=8, dtype=dtype,
                        shuffle=shuffle)
         kw = dict(dtype=dtype, tf32=dtype == np.float32,
                   chunk_bytes=None if chunk_kb is None else chunk_kb << 10)
-        got, stats, _ = _trajectory(x, y0, 6, prune=mode, fuse=True, **kw)
+        got, stats, _ = _trajectory(x, y0, 6, prune="auto", fuse=True, **kw)
         ref, _, _ = _trajectory(x, y0, 6, prune="off", fuse=True, **kw)
         assert_trajectories_equal(got, ref)
         if not shuffle:
@@ -169,7 +166,7 @@ class TestPrunedBitExactness:
         for _ in range(6):
             ref, _, _ = _trajectory(x, y, 1, prune="off")
             y = _lloyd_step(x, ref[0]["labels"], y)
-        got, stats, _ = _trajectory(x, y, 4, prune="hamerly")
+        got, stats, _ = _trajectory(x, y, 4, prune="auto")
         ref, _, _ = _trajectory(x, y, 4, prune="off")
         assert_trajectories_equal(got, ref)
         assert stats.rows_pruned >= 2 * len(x)   # rounds 2..4 all pruned
@@ -178,11 +175,10 @@ class TestPrunedBitExactness:
         # K=1: no competitors — a frozen centroid alone certifies rows
         x, _ = _blobs(5, m=512, k=4, d=8)
         y0 = x[:1].copy()
-        for mode in ("hamerly", "elkan"):
-            got, stats, _ = _trajectory(x, y0, 5, prune=mode)
-            ref, _, _ = _trajectory(x, y0, 5, prune="off")
-            assert_trajectories_equal(got, ref)
-            assert stats.rows_pruned > 0
+        got, stats, _ = _trajectory(x, y0, 5, prune="auto")
+        ref, _, _ = _trajectory(x, y0, 5, prune="off")
+        assert_trajectories_equal(got, ref)
+        assert stats.rows_pruned > 0
 
 
 class TestPrunedUnderInjection:
@@ -192,12 +188,11 @@ class TestPrunedUnderInjection:
     as pruning history."""
 
     @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(0, 2**16),
-           mode=st.sampled_from(["hamerly", "elkan"]))
-    def test_injected_runs_bit_exact(self, seed, mode):
+    @given(seed=st.integers(0, 2**16))
+    def test_injected_runs_bit_exact(self, seed):
         x, y0 = _blobs(seed, m=1024, k=6, d=8)
         kw = dict(chunk_bytes=16 << 10, inject_seed=seed)
-        got, _, _ = _trajectory(x, y0, 6, prune=mode, fuse=True, **kw)
+        got, _, _ = _trajectory(x, y0, 6, prune="auto", fuse=True, **kw)
         ref, _, _ = _trajectory(x, y0, 6, prune="off", fuse=True, **kw)
         assert_trajectories_equal(got, ref)
 
@@ -205,7 +200,7 @@ class TestPrunedUnderInjection:
         # with injection on, some rounds carry plans: their chunks'
         # bounds rows are invalidated, yet clean chunks still prune
         x, y0 = blob_data
-        got, stats, _ = _trajectory(x, y0, 8, prune="hamerly",
+        got, stats, _ = _trajectory(x, y0, 8, prune="auto",
                                     chunk_bytes=32 << 10, inject_seed=3)
         ref, _, _ = _trajectory(x, y0, 8, prune="off",
                                 chunk_bytes=32 << 10, inject_seed=3)
@@ -230,7 +225,7 @@ class TestLazyBounds:
         x, y0 = blob_data
         rec = TraceRecorder()
         allocs = []
-        eng = FastPathEngine(None, np.float32, tf32=True, prune="hamerly",
+        eng = FastPathEngine(None, np.float32, tf32=True, prune="auto",
                              tracer=rec,
                              alloc_hook=lambda n, b: allocs.append(n))
         try:
@@ -251,12 +246,10 @@ class TestLazyBounds:
         assert eng.stats.rows_pruned == 0 and eng.stats.pruned_passes == 0
         assert "bounds_state" not in allocs
 
-    @pytest.mark.parametrize("mode", ["hamerly", "elkan"])
-    def test_first_freeze_round_goes_live_then_prunes(self, blob_data,
-                                                      mode):
+    def test_first_freeze_round_goes_live_then_prunes(self, blob_data):
         x, _ = blob_data
         y0 = _random_start(x)
-        got, stats, bounds = _trajectory(x, y0, 8, prune=mode, fuse=True)
+        got, stats, bounds = _trajectory(x, y0, 8, prune="auto", fuse=True)
         ref, _, _ = _trajectory(x, y0, 8, prune="off", fuse=True)
         assert_trajectories_equal(got, ref)
         fracs = [r["active_frac"] for r in got]
@@ -279,7 +272,7 @@ class TestLazyBounds:
     def test_live_bounds_charged_once(self, blob_data):
         x, _ = blob_data
         allocs = []
-        eng = FastPathEngine(None, np.float32, tf32=True, prune="hamerly",
+        eng = FastPathEngine(None, np.float32, tf32=True, prune="auto",
                              alloc_hook=lambda n, b: allocs.append((n, b)))
         try:
             eng.begin_fit(x, K)
@@ -322,11 +315,9 @@ class TestRowGranularLane:
         x[[i, -1]] = x[[-1, i]]
         return x
 
-    @pytest.mark.parametrize("mode", ["hamerly", "elkan"])
-    def test_shuffled_fit_bit_exact_and_row_granular(self, bounds_log,
-                                                     mode):
+    def test_shuffled_fit_bit_exact_and_row_granular(self, bounds_log):
         x, y0 = self._shuffled(2048)
-        got, stats, _ = _trajectory(x, y0, 8, prune=mode, fuse=True)
+        got, stats, _ = _trajectory(x, y0, 8, prune="auto", fuse=True)
         ref, _, _ = _trajectory(x, y0, 8, prune="off", fuse=True)
         assert_trajectories_equal(got, ref)
         rows, units = bounds_log.prunable()
@@ -340,7 +331,7 @@ class TestRowGranularLane:
         x, y0 = self._shuffled(m)
         x = self._park_moving_row_last(x, y0, 8)
         kw = dict(chunk_bytes=None if chunk_kb is None else chunk_kb << 10)
-        got, stats, _ = _trajectory(x, y0, 8, prune="hamerly", fuse=True,
+        got, stats, _ = _trajectory(x, y0, 8, prune="auto", fuse=True,
                                     **kw)
         ref, _, _ = _trajectory(x, y0, 8, prune="off", fuse=True, **kw)
         assert_trajectories_equal(got, ref)
@@ -375,14 +366,13 @@ class TestRowGranularLane:
 
         monkeypatch.setattr(BoundsState, "begin_round", topped)
         kw = dict(dtype=dtype, tf32=dtype == np.float32)
-        got, _, _ = _trajectory(x, y0, 8, prune="hamerly", **kw)
+        got, _, _ = _trajectory(x, y0, 8, prune="auto", **kw)
         ref, _, _ = _trajectory(x, y0, 8, prune="off", **kw)
         assert_trajectories_equal(got, ref)
         computed = [round(r["active_frac"] * m) for r in got]
         assert any(c % 256 == residue for c in computed)
 
-    @pytest.mark.parametrize("mode", ["hamerly", "elkan"])
-    def test_sample_weight_fit_bit_exact(self, bounds_log, mode):
+    def test_sample_weight_fit_bit_exact(self, bounds_log):
         from repro import FTKMeans
 
         x, y0 = self._shuffled(2048)
@@ -392,7 +382,7 @@ class TestRowGranularLane:
             return FTKMeans(n_clusters=K, init_centroids=y0, max_iter=10,
                             tol=0, prune=prune).fit(x, sample_weight=w)
 
-        on = fit(mode)
+        on = fit("auto")
         rows, units = bounds_log.prunable()
         off = fit("off")
         assert np.array_equal(on.labels_, off.labels_)
@@ -425,30 +415,16 @@ class TestBoundsProtection:
             else:
                 eng._cache.best[11] = flip_bit(eng._cache.best[11], 23)
 
-        got, stats, bounds = _trajectory(x, y0, 8, prune="hamerly",
+        got, stats, bounds = _trajectory(x, y0, 8, prune="auto",
                                          mutate=mutate)
         ref, _, _ = _trajectory(x, y0, 8, prune="off")
         assert_trajectories_equal(got, ref)
         assert stats.bounds_rebuilds == 1
         assert bounds.rebuilds == 1
 
-    def test_flip_in_elkan_bound_matrix_heals(self, blob_data):
-        x, y0 = blob_data
-
-        def mutate(it, eng):
-            if it == 5:
-                b = eng._cache.bounds
-                b.lb[3, 2] = flip_bit(b.lb[3, 2], 40)
-
-        got, stats, _ = _trajectory(x, y0, 8, prune="elkan",
-                                    mutate=mutate)
-        ref, _, _ = _trajectory(x, y0, 8, prune="off")
-        assert_trajectories_equal(got, ref)
-        assert stats.bounds_rebuilds == 1
-
     def test_clean_run_never_rebuilds(self, blob_data):
         x, y0 = blob_data
-        _, stats, bounds = _trajectory(x, y0, 8, prune="hamerly")
+        _, stats, bounds = _trajectory(x, y0, 8, prune="auto")
         assert stats.bounds_rebuilds == 0
         assert bounds.rebuilds == 0
 
@@ -460,7 +436,7 @@ class TestTransientPasses:
     def test_interleaved_predict_pass_is_inert(self, blob_data):
         x, y0 = blob_data
         x2, _ = _blobs(9, m=640, k=K, d=D)
-        eng = FastPathEngine(None, np.float32, tf32=True, prune="hamerly")
+        eng = FastPathEngine(None, np.float32, tf32=True, prune="auto")
         ref_eng = FastPathEngine(None, np.float32, tf32=True, prune="off")
         try:
             eng.begin_fit(x, K)
@@ -497,7 +473,8 @@ class TestShiftsFeed:
         stage = UpdateStage(KMeansConfig(n_clusters=K).device, np.float32,
                             dmr=False)
         upd = stage.update(x, labels, np.zeros(len(x), np.float32),
-                           y0, PerfCounters())
+                           y0, PerfCounters(),
+                           accumulate_streamed(x, labels, K))
         expect = BoundsState._shifts_from(y0, upd.centroids)
         assert upd.shifts.dtype == np.float64
         assert np.array_equal(upd.shifts.view(np.uint64),
@@ -508,7 +485,7 @@ class TestShiftsFeed:
 
         def run(feed):
             eng = FastPathEngine(None, np.float32, tf32=True,
-                                 prune="hamerly")
+                                 prune="auto")
             out = []
             try:
                 eng.begin_fit(x, K)
@@ -538,7 +515,7 @@ class TestShiftsFeed:
         # a feed keyed to an array that never reaches assign() must not
         # poison the bounds: the next pass self-recomputes
         x, y0 = blob_data
-        eng = FastPathEngine(None, np.float32, tf32=True, prune="hamerly")
+        eng = FastPathEngine(None, np.float32, tf32=True, prune="auto")
         try:
             eng.begin_fit(x, K)
             y = y0.copy()
@@ -599,7 +576,7 @@ class TestCancellation:
         # freeze, so bounds are live while rows are still active
         y0 = _random_start(x)
         eng = FastPathEngine(None, np.float32, tf32=True,
-                             chunk_bytes=8 << 10, prune="hamerly")
+                             chunk_bytes=8 << 10, prune="auto")
         ref, _, _ = _trajectory(x, y0, 6, prune="off",
                                 chunk_bytes=8 << 10)
         try:

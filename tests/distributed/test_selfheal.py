@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import FTKMeans
+from repro.core.accumulate import accumulate_oneshot
 from repro.core.config import KMeansConfig
 from repro.core.engine import transpose_blocked
 from repro.core.update import UpdateStage
@@ -398,12 +399,16 @@ class TestOperandHoist:
     @staticmethod
     def _run_update(x, labels, *, bind_to=None, x_t=None):
         device = KMeansConfig(n_clusters=K).device
-        stage = UpdateStage(device, np.float32, update_mode="streamed")
+        stage = UpdateStage(device, np.float32)
         if bind_to is not None:
             stage.bind_source_t(bind_to, x_t)
+        counters = PerfCounters()
         res = stage.update(x, labels.copy(),
                            np.zeros(len(x), np.float32), x[:K].copy(),
-                           PerfCounters())
+                           counters, accumulate_oneshot(x, labels, K))
+        # the DMR duplicate re-accumulation must reproduce the one-shot
+        # replica bit for bit, bound operand or not
+        assert counters.dmr_checks == 1 and counters.dmr_mismatches == 0
         return res.centroids
 
     def test_update_stage_bound_operand_bits_identical(self):
