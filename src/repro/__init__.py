@@ -6,7 +6,7 @@ A high-performance K-means with algorithm-based fault tolerance
 * :mod:`repro.core`     -- the FT K-Means algorithm and estimator API
 * :mod:`repro.gpusim`   -- GPU execution-model simulator substrate
 * :mod:`repro.gemm`     -- tiled SIMT / tensor-core GEMM kernels
-* :mod:`repro.abft`     -- checksum encodings, online correction, DMR
+* :mod:`repro.abft`     -- checksum encodings, online correction, update guard
 * :mod:`repro.codegen`  -- template-based kernel generation + selection
 * :mod:`repro.baselines`-- cuML-like, sklearn-like and Wu-ABFT baselines
 * :mod:`repro.bench`    -- the harness regenerating every paper figure

@@ -1,9 +1,12 @@
 """Algorithm-based fault tolerance: encodings, detection, online
-correction with location encoding, DMR, and the baseline schemes."""
+correction with location encoding, the update stage's checksum guard
+(:mod:`repro.abft.sumcheck`, standing in for the paper's DMR: a single
+corrupted sum ε is detected whenever ``|ε| > 2·δ1`` with
+``δ1 = ThresholdPolicy(float64).delta(√M·Σ_k|S_kj|)``), and the baseline
+schemes."""
 
 from repro.abft.corrector import CorrectionKind, CorrectionResult, Corrector
 from repro.abft.detector import Detector, Residuals, measure_residuals
-from repro.abft.dmr import dmr_protected
 from repro.abft.encoding import acc_checksum_triple, checksum_triple, e1, e2
 from repro.abft.kosaian import KosaianBlockState, KosaianDetectGemm
 from repro.abft.schemes import (
@@ -16,6 +19,7 @@ from repro.abft.schemes import (
     AbftScheme,
     get_scheme,
 )
+from repro.abft.sumcheck import checksum_protected
 from repro.abft.thresholds import ThresholdPolicy, detection_threshold, unit_roundoff
 from repro.abft.wu import WuBlockState, WuFtGemm
 
@@ -26,7 +30,7 @@ __all__ = [
     "Detector",
     "Residuals",
     "measure_residuals",
-    "dmr_protected",
+    "checksum_protected",
     "acc_checksum_triple",
     "checksum_triple",
     "e1",

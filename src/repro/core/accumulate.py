@@ -60,13 +60,23 @@ rows at its running sample offset instead of transposing the chunk.
 The float64 conversion — and, with weights, the float64 product —
 happens per element exactly as before, so the accumulated bits are
 identical with or without the binding.
+
+In-pass checksums: alongside the sums, every feed accumulates the
+Sec. IV encodings of the same staged float64 rows — per feature
+``Σ_i w_i·x_ij`` (e1) and ``Σ_i (l_i+1)·w_i·x_ij`` (e2), plus the same
+pair over the counts — as ``rows @ encᵀ`` with ``enc = [1, l+1]``, one
+small GEMM per block of :data:`FEATURE_BLOCK` staged feature rows.  They
+are computed off the input rows, not off the bincount results, so
+:mod:`repro.abft.sumcheck` can verify the sums against them without a
+second pass over the samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["StreamedAccumulator", "accumulate_oneshot", "accumulate_streamed"]
+__all__ = ["StreamedAccumulator", "accumulate_checked", "accumulate_oneshot",
+           "accumulate_streamed"]
 
 #: budget for the pooled float64 transpose staging; oversized feeds are
 #: split so the staging never exceeds this (any split gives identical
@@ -80,6 +90,12 @@ MIN_FEED_ROWS = 1024
 
 #: default sub-feed rows at 64 features (kept for tests/overrides)
 FEED_ROWS = STAGING_BYTES // (8 * 64)
+
+#: feature rows staged together: their checksums are one small GEMM
+#: against the ``(2, rows)`` encoding instead of one pass per feature
+#: (the encoding is read once per block), while the block stays
+#: cache-sized (4 x 16k float64 rows ~ 0.5 MB)
+FEATURE_BLOCK = 4
 
 
 class StreamedAccumulator:
@@ -101,7 +117,9 @@ class StreamedAccumulator:
     carry exactly the same bits as one sequential ``np.add.at`` pass over
     the concatenation of every fed chunk.  ``packed()`` returns the
     ``(K, N+1)`` layout (sums ‖ counts) that
-    :meth:`repro.core.update.UpdateStage.update` takes.
+    :meth:`repro.core.update.UpdateStage.update` takes, and
+    ``checksums()`` the ``(N+1, 2)`` e1/e2 encodings of the same stream
+    that verify them (:mod:`repro.abft.sumcheck`).
     """
 
     def __init__(self, n_clusters: int, n_features: int, *, alloc_hook=None):
@@ -117,9 +135,12 @@ class StreamedAccumulator:
         self._sums_t = np.zeros((self.n_features, self.n_clusters),
                                 dtype=np.float64)
         self._counts = np.zeros(self.n_clusters, dtype=np.float64)
+        # (N+1, 2): per feature (then the counts) Σ w·x and Σ (l+1)·w·x
+        self._checks = np.zeros((self.n_features + 1, 2), dtype=np.float64)
         self._cluster_ids = np.arange(self.n_clusters, dtype=np.int64)
-        self._ext_w: np.ndarray | None = None     # weights staging
+        self._blk: np.ndarray | None = None       # feature-block staging
         self._ext_l: np.ndarray | None = None     # labels staging
+        self._enc: np.ndarray | None = None       # [1, l+1] encoding staging
         self._xt: np.ndarray | None = None        # float64 transpose staging
         self._weights: np.ndarray | None = None   # bound per-sample weights
         self._src_t: np.ndarray | None = None     # bound transposed stream
@@ -128,7 +149,7 @@ class StreamedAccumulator:
                              STAGING_BYTES // (8 * self.n_features))
         self.samples_seen = 0
         self._record_alloc("accumulator_sums", self._sums_t.nbytes
-                           + self._counts.nbytes)
+                           + self._counts.nbytes + self._checks.nbytes)
 
     def _record_alloc(self, name: str, nbytes: int) -> None:
         if self.alloc_hook is not None:
@@ -143,10 +164,12 @@ class StreamedAccumulator:
             return
         self.alloc_hook = hook
         self._record_alloc("accumulator_sums",
-                           self._sums_t.nbytes + self._counts.nbytes)
-        if self._ext_w is not None:
+                           self._sums_t.nbytes + self._counts.nbytes
+                           + self._checks.nbytes)
+        if self._blk is not None:
             self._record_alloc("accumulator_staging",
-                               self._ext_w.nbytes + self._ext_l.nbytes)
+                               self._blk.nbytes + self._ext_l.nbytes
+                               + self._enc.nbytes)
         if self._xt is not None:
             self._record_alloc("accumulator_staging", self._xt.nbytes)
 
@@ -190,31 +213,41 @@ class StreamedAccumulator:
         self._src_t = source_t
 
     def reset(self) -> None:
-        """Zero the running sums/counts (start of a Lloyd iteration).
+        """Zero the running sums/counts/checksums (start of a Lloyd
+        iteration).
 
         Bound weights survive a reset: the same fit re-feeds the same
         stream every iteration, restarting at offset 0.
         """
         self._sums_t[:] = 0.0
         self._counts[:] = 0.0
+        self._checks[:] = 0.0
         self.samples_seen = 0
 
-    def _staging(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pooled (weights, labels) staging of at least n + rows slots."""
+    def _staging(self, rows: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pooled staging for a ``rows``-row sub-feed: the float64
+        feature-block rows (``n + rows`` slots each), the labels of the
+        same slots, and the C-contiguous ``(2, rows)`` checksum
+        encoding."""
         need = self.n_clusters + rows
-        if self._ext_w is None or self._ext_w.shape[0] < need:
-            self._ext_w = np.empty(need, dtype=np.float64)
+        if self._blk is None or self._blk.shape[1] < need:
+            self._blk = np.empty((min(FEATURE_BLOCK, self.n_features), need),
+                                 dtype=np.float64)
             self._ext_l = np.empty(need, dtype=np.int64)
             self._ext_l[:self.n_clusters] = self._cluster_ids
+            # flat, so any (2, rows) prefix view is C-contiguous
+            self._enc = np.empty(2 * rows, dtype=np.float64)
             self._record_alloc("accumulator_staging",
-                               self._ext_w.nbytes + self._ext_l.nbytes)
+                               self._blk.nbytes + self._ext_l.nbytes
+                               + self._enc.nbytes)
         if (self._src_t is None
                 and (self._xt is None or self._xt.shape[1] < rows)):
             # the float64 transpose staging only exists on the unbound
             # path: a bound source is read per feature row directly
             self._xt = np.empty((self.n_features, rows), dtype=np.float64)
             self._record_alloc("accumulator_staging", self._xt.nbytes)
-        return self._ext_w, self._ext_l
+        return self._blk, self._ext_l, self._enc[:2 * rows].reshape(2, rows)
 
     def feed(self, x_chunk: np.ndarray, labels_chunk: np.ndarray) -> None:
         """Accumulate one chunk of samples (must arrive in sample order).
@@ -249,9 +282,12 @@ class StreamedAccumulator:
         rows = x_chunk.shape[0]
         n = self.n_clusters
         off = self.samples_seen
-        w, lbl = self._staging(rows)
+        blk, lbl, enc = self._staging(rows)
         lbl[n:n + rows] = labels_chunk
         ext_l = lbl[:n + rows]
+        enc[0] = 1.0
+        np.add(labels_chunk, 1, out=enc[1])
+        checks = self._checks
         w_s = None
         if self._weights is not None:
             if off + rows > self._weights.shape[0]:
@@ -259,49 +295,54 @@ class StreamedAccumulator:
                     f"feed past bound weights: offset {off} + {rows} rows "
                     f"> {self._weights.shape[0]} weights")
             w_s = self._weights[off: off + rows]
-        src = None
         if self._src_t is not None:
             if off + rows > self._src_t.shape[1]:
                 raise ValueError(
                     f"feed past bound source: offset {off} + {rows} rows "
                     f"> {self._src_t.shape[1]} source columns")
+            # contiguous feature rows off the bound transpose, without
+            # the strided gather
             src = self._src_t[:, off: off + rows]
         else:
-            # transposed float64 staging (pooled): one contiguous column
-            # per feature; the conversion is value-exact, so the bits
-            # match the seed's x.astype(np.float64)
-            xt = self._xt[:, :rows]
-            np.copyto(xt, x_chunk.T)
+            # transposed float64 staging (pooled): one contiguous row
+            # per feature
+            src = self._xt[:, :rows]
+            np.copyto(src, x_chunk.T)
+        step = blk.shape[0]
+        for j0 in range(0, self.n_features, step):
+            j1 = min(j0 + step, self.n_features)
+            # one block of feature rows behind n continuation slots each;
+            # the float64 conversion is value-exact (the seed's
+            # x.astype(np.float64)), and the weighted products match the
+            # one-shot x64 * w[:, None] per element
+            body = blk[:j1 - j0, n:n + rows]
+            np.copyto(body, src[j0:j1])
             if w_s is not None:
-                # weighted products formed in float64, value-identical to
-                # the one-shot x64 * w[:, None]
-                xt *= w_s[None, :]
-        for j in range(self.n_features):
-            # continuation trick: the running sums ride along as one
-            # pseudo-sample per cluster, so the per-bin association stays
-            # exactly sequential across feed boundaries
-            w[:n] = self._sums_t[j]
-            if src is not None:
-                # contiguous feature row off the bound transpose: same
-                # float64 conversion (and weighted product) per element
-                # as the staging path, without the strided gather
-                np.copyto(w[n:n + rows], src[j])
-                if w_s is not None:
-                    w[n:n + rows] *= w_s
-            else:
-                w[n:n + rows] = xt[j]
-            self._sums_t[j] = np.bincount(ext_l, weights=w[:n + rows],
-                                          minlength=n)
+                body *= w_s
+            # the e1/e2 checksums of the staged rows, off the input
+            # rather than the bincount results: an independent stream
+            checks[j0:j1] += body @ enc.T
+            for b, j in enumerate(range(j0, j1)):
+                # continuation trick: the running sums ride along as one
+                # pseudo-sample per cluster, so the per-bin association
+                # stays exactly sequential across feed boundaries
+                row = blk[b, :n + rows]
+                row[:n] = self._sums_t[j]
+                self._sums_t[j] = np.bincount(ext_l, weights=row,
+                                              minlength=n)
         if w_s is None:
             # integer counts: any association is exact, skip the staging
             self._counts += np.bincount(labels_chunk, minlength=n)
+            checks[-1, 0] += rows
+            checks[-1, 1] += int(labels_chunk.sum()) + rows
         else:
             # weighted counts need the same continuation as the sums to
             # match the sequential np.add.at(sums[:, k], labels, w) bits
-            w[:n] = self._counts
-            w[n:n + rows] = w_s
-            self._counts[:] = np.bincount(ext_l, weights=w[:n + rows],
-                                          minlength=n)
+            row = blk[0, :n + rows]
+            row[:n] = self._counts
+            row[n:] = w_s
+            checks[-1] += enc @ row[n:]
+            self._counts[:] = np.bincount(ext_l, weights=row, minlength=n)
         self.samples_seen += rows
 
     # ------------------------------------------------------------------
@@ -312,6 +353,17 @@ class StreamedAccumulator:
         out[:, :self.n_features] = self._sums_t.T
         out[:, self.n_features] = self._counts
         return out
+
+    def checksums(self) -> np.ndarray:
+        """The stream's ``(N+1, 2)`` float64 checksums, a copy.
+
+        Row ``j < N`` holds ``[Σ_i w_i·x_ij, Σ_i (l_i+1)·w_i·x_ij]`` over
+        every row fed since the last ``reset`` (``w_i = 1`` unweighted);
+        row ``N`` the same pair over the counts — exact integers when
+        unweighted.  They encode ``packed()`` as ``e1ᵀ S`` and ``e2ᵀ S``
+        would (:mod:`repro.abft.sumcheck` compares the two).
+        """
+        return self._checks.copy()
 
     @property
     def counts(self) -> np.ndarray:
@@ -345,26 +397,32 @@ def accumulate_oneshot(x: np.ndarray, labels: np.ndarray, n_clusters: int,
     return sums
 
 
-def accumulate_streamed(x: np.ndarray, labels: np.ndarray, n_clusters: int,
-                        *, feed_rows: int = FEED_ROWS,
-                        sample_weight: np.ndarray | None = None,
-                        source_t: np.ndarray | None = None) -> np.ndarray:
-    """One-call streamed accumulation over a whole array.
+def accumulate_checked(x: np.ndarray, labels: np.ndarray, n_clusters: int,
+                       *, feed_rows: int = FEED_ROWS,
+                       sample_weight: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """One-call streamed accumulation over a whole array, with its
+    checksums: ``(packed (K, N+1), checksums (N+1, 2))``.
 
-    Feeds ``x`` through a :class:`StreamedAccumulator` in
-    ``feed_rows``-sized chunks; bit-identical to
+    Feeds ``x`` through a fresh :class:`StreamedAccumulator` in
+    ``feed_rows``-sized chunks; the sums are bit-identical to
     :func:`accumulate_oneshot` for every ``feed_rows`` (weighted or
-    not).  ``source_t`` optionally binds an existing
-    ``(n_features, m)`` transposed copy of ``x`` (see
-    :meth:`StreamedAccumulator.bind_source_t`) so the pass reads
-    contiguous feature rows instead of re-transposing every chunk —
-    same bits, no strided gather.
+    not).  The update guard's recompute after a checksum alarm.
     """
     acc = StreamedAccumulator(n_clusters, x.shape[1])
     acc.bind_weights(sample_weight)
-    acc.bind_source_t(source_t)
     m = x.shape[0]
     for lo in range(0, m, feed_rows):
         hi = min(lo + feed_rows, m)
         acc.feed(x[lo:hi], labels[lo:hi])
-    return acc.packed()
+    return acc.packed(), acc.checksums()
+
+
+def accumulate_streamed(x: np.ndarray, labels: np.ndarray, n_clusters: int,
+                        *, feed_rows: int = FEED_ROWS,
+                        sample_weight: np.ndarray | None = None
+                        ) -> np.ndarray:
+    """:func:`accumulate_checked` without the checksums: the packed
+    ``(K, N+1)`` sums, bit-identical to :func:`accumulate_oneshot`."""
+    return accumulate_checked(x, labels, n_clusters, feed_rows=feed_rows,
+                              sample_weight=sample_weight)[0]

@@ -261,15 +261,6 @@ class FTKMeans:
             # hoist fit-invariants (sample norms, output buffers, chunk
             # and injector block plans) once; every iteration reuses them
             assigner.begin_fit(x, cfg.n_clusters)
-            if cfg.mode == "fast":
-                # share the engine's hoisted transposed operand with the
-                # update stage: under DMR the duplicate re-accumulation
-                # streams all of x each iteration and otherwise pays a
-                # fresh per-chunk transpose (bits unchanged; None only
-                # when x exceeds the host operand budget)
-                xt = assigner.engine.prepare_update_operand()
-                if xt is not None:
-                    updater.bind_source_t(x, xt)
             for n_iter in range(1, cfg.max_iter + 1):
                 with tr.span("iteration", iteration=int(n_iter)):
                     acc.reset()
@@ -282,7 +273,7 @@ class FTKMeans:
 
                     upd = updater.update(
                         x, labels, res.min_sqdist, y, counters,
-                        acc.packed(), sample_weight=w)
+                        acc.packed(), acc.checksums(), sample_weight=w)
                     for label, t in upd.timings:
                         clock.charge(label, t)
                     y = upd.centroids
@@ -534,7 +525,7 @@ class FTKMeans:
         updater: UpdateStage = state["updater"]
         sums = updater.accumulate_protected(
             x, labels, cfg.n_clusters, state["counters"], acc.packed(),
-            sample_weight=w)
+            acc.checksums(), sample_weight=w)
         bsums, bcounts = sums[:, :k], sums[:, k]
         counts = state["counts"]
         new_counts = counts + bcounts

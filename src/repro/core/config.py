@@ -54,9 +54,13 @@ class KMeansConfig:
         'none' otherwise).
     p_inject:
         SEU probability per threadblock per kernel (error-injection
-        experiments).
+        experiments).  The naive variant runs no GEMM threadblocks to
+        inject into, so it rejects ``p_inject > 0``.
     dmr_update:
-        Protect the centroid-update stage with DMR (Sec. I / IV).
+        Protect the centroid-update stage (the paper's DMR, Sec. I):
+        the accumulated sums are verified against e1/e2 checksums formed
+        in the same pass (:mod:`repro.abft.sumcheck`), and an alarm
+        re-accumulates.
     use_tf32:
         TF32 rounding on the FP32 tensor-core path (paper default: on).
     chunk_bytes:
@@ -210,6 +214,12 @@ class KMeansConfig:
             raise ValueError("error injection with variant='ft' needs a scheme")
         if not 0.0 <= self.p_inject <= 1.0:
             raise ValueError(f"p_inject must be in [0, 1], got {self.p_inject}")
+        if self.p_inject and self.variant == "naive":
+            # the naive kernel has no threadblock tiles to inject into: an
+            # injection experiment on it would silently measure a clean run
+            raise ValueError("error injection needs a GEMM variant; "
+                             "variant='naive' has no threadblocks to inject "
+                             "into")
         if self.chunk_bytes is not None and self.chunk_bytes < 1:
             raise ValueError(
                 f"chunk_bytes must be >= 1, got {self.chunk_bytes}")

@@ -563,19 +563,6 @@ class FastPathEngine:
             out["x_t"] = cache.x_t
         return out
 
-    def prepare_update_operand(self) -> np.ndarray | None:
-        """Materialise the hoisted transposed update operand for the
-        active fit cache (None when x exceeds the operand budget), and
-        return it.
-
-        The operand is normally built lazily at the first fused assign;
-        forcing it here lets the estimator bind it through the update
-        stage's DMR duplicate before the first iteration.
-        """
-        if self._cache is None:
-            return None
-        return self._ensure_update_operand(self._cache)
-
     def _ensure_update_operand(self, cache: FitCache) -> np.ndarray | None:
         """Hoist the transposed update-feed operand (fit caches only).
 
@@ -924,6 +911,30 @@ class FastPathEngine:
         for bm, bn, plan in chunk_plans:
             self._replay_fault(acc, lo, bm, bn, plan, bmap, policy,
                                counters)
+        if chunk_plans:
+            # an escaped exponent flip can leave inf/nan in the tile; the
+            # argmin and the floor absorb it, so the epilogue stays quiet
+            # (fault-free chunks pay no errstate switch)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lbl = self._epilogue(acc, lo, hi, yy, cache)
+        else:
+            lbl = self._epilogue(acc, lo, hi, yy, cache)
+        if bounds is not None:
+            if chunk_plans:
+                # an escaped sub-threshold flip may sit in this chunk's
+                # cached values: exact *this* round by the replay
+                # semantics, but not safe as pruning history
+                bounds.invalidate_rows(slice(lo, hi))
+            else:
+                with tr.span("bounds_refresh", lo=int(lo), hi=int(hi)):
+                    bounds.refresh(slice(lo, hi), acc, labels=lbl)
+        return calls, batched, rows
+
+    @staticmethod
+    def _epilogue(acc: np.ndarray, lo: int, hi: int, yy: np.ndarray,
+                  cache: FitCache) -> np.ndarray:
+        """Turn the chunk's GEMM tile into distances in place, and store
+        its labels and floored best distances; returns the labels."""
         # fuse the norm terms in place: acc becomes the distance tile
         acc *= -2.0
         acc += cache.x_norms[lo:hi, None]
@@ -939,16 +950,7 @@ class FastPathEngine:
         # ordering stay meaningful (labels keep the raw argmin)
         np.maximum(best, 0, out=best)
         cache.best[lo:hi] = best
-        if bounds is not None:
-            if chunk_plans:
-                # an escaped sub-threshold flip may sit in this chunk's
-                # cached values: exact *this* round by the replay
-                # semantics, but not safe as pruning history
-                bounds.invalidate_rows(slice(lo, hi))
-            else:
-                with tr.span("bounds_refresh", lo=int(lo), hi=int(hi)):
-                    bounds.refresh(slice(lo, hi), acc, labels=lbl)
-        return calls, batched, rows
+        return lbl
 
     def _run_chunk_pruned(self, lo: int, hi: int, x, yr_t, yy,
                           cache: FitCache, scratch: np.ndarray, blk,

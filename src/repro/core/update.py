@@ -1,19 +1,21 @@
-"""Centroid-update stage (Fig. 2 step 3) with optional DMR protection.
+"""Centroid-update stage (Fig. 2 step 3) with checksum protection.
 
 One kernel handles all centroids: each thread streams its sample and
 ``atomicAdd``s every dimension into the assigned centroid's accumulator,
 plus a count; a small second kernel divides.  The stage is memory-bound
-(it must touch every sample once), which is why duplicated-instruction
-redundancy (DMR) protects it for <1% (Sec. I) — the duplicate arithmetic
-hides behind the loads.
+(it must touch every sample once), which is why the paper protects it
+with duplicated-instruction redundancy (DMR, Sec. I): on a GPU the
+duplicate arithmetic hides behind the loads.
 
 The accumulation is fused into the assignment pass: the pass feeds a
 :class:`repro.core.accumulate.StreamedAccumulator` (per-chunk
 ``bincount`` segment sums with sequential continuation, bit-identical
-to one sequential ``np.add.at`` pass), and :meth:`UpdateStage.update`
-takes the packed sums it produced.  Under DMR those sums are the first
-replica and one independent streamed re-accumulation is the duplicate
-— identical detect/recompute semantics to the seed.
+to one sequential ``np.add.at`` pass), which also forms the Sec. IV
+e1/e2 checksums of the rows it sums.  :meth:`UpdateStage.update` takes
+the packed sums and those checksums and verifies one against the other
+(:mod:`repro.abft.sumcheck`) — the same detect/recompute semantics as
+DMR without a second pass over the samples; only an alarm
+re-accumulates.
 
 Empty clusters are re-seeded from the samples farthest from their
 assigned centroid (a common cuML/sklearn policy), keeping K constant.
@@ -23,8 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.abft.dmr import dmr_protected
-from repro.core.accumulate import accumulate_streamed
+# the verify step keeps the DMR name it replaced: the benchmark's layer
+# probe (perfbench/probes.py) wraps this module global as ``abft.dmr``
+from repro.abft.sumcheck import checksum_protected as dmr_protected
+from repro.core.accumulate import accumulate_checked
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timing import KernelTiming, TimingModel
@@ -68,7 +72,8 @@ class UpdateResult:
 
 
 class UpdateStage:
-    """Centroid update with DMR and empty-cluster re-seeding.
+    """Centroid update with checksum protection and empty-cluster
+    re-seeding.
 
     Parameters
     ----------
@@ -77,11 +82,11 @@ class UpdateStage:
     dtype : dtype-like
         Centroid element type (float32/float64).
     dmr : bool, default True
-        Duplicate the accumulation arithmetic and compare (Sec. I/IV);
-        a mismatch triggers recomputation.
+        Verify the accumulated sums against the pass's e1/e2 checksums
+        (:mod:`repro.abft.sumcheck`); an alarm triggers recomputation.
+        The name is the paper's: the check stands in for its DMR.
     corrupt_hook : callable, optional
-        Test hook — an SEU inside one DMR replica (see
-        :mod:`repro.abft.dmr`).
+        Test hook — an SEU in the fused sums, applied before the check.
     """
 
     def __init__(self, device: DeviceSpec, dtype, *, dmr: bool = True,
@@ -90,32 +95,14 @@ class UpdateStage:
         self.dtype = np.dtype(dtype)
         self.dmr = dmr
         self.model = TimingModel(device)
-        #: test hook — an SEU inside one DMR replica (see abft.dmr)
+        #: test hook — an SEU in the fused sums (see abft.sumcheck)
         self.corrupt_hook = corrupt_hook
-        self._src: np.ndarray | None = None       # bound source identity
-        self._src_t: np.ndarray | None = None     # its transposed copy
 
     # ------------------------------------------------------------------
-    def bind_source_t(self, x: np.ndarray | None,
-                      x_t: np.ndarray | None) -> None:
-        """Attach a hoisted transposed copy of one sample matrix.
-
-        When the DMR duplicate's re-accumulation runs over exactly ``x``
-        (object identity) — it otherwise re-transposes the whole matrix
-        every iteration — it reads contiguous feature rows from ``x_t``
-        instead.  The bits are unchanged (see
-        :meth:`StreamedAccumulator.bind_source_t`), and so is the DMR
-        fault model: both replicas already read the same source memory,
-        DMR protects the accumulation *arithmetic*.  Any other array
-        keeps the legacy per-chunk transpose.  Pass ``(None, None)`` to
-        detach.
-        """
-        self._src = x
-        self._src_t = x_t
-
     def update(self, x: np.ndarray, labels: np.ndarray, best_sqdist: np.ndarray,
                old_centroids: np.ndarray, counters: PerfCounters,
-               sums: np.ndarray, *, sample_weight: np.ndarray | None = None) -> UpdateResult:
+               sums: np.ndarray, checksums: np.ndarray, *,
+               sample_weight: np.ndarray | None = None) -> UpdateResult:
         """Compute new centroids from one assignment pass.
 
         Parameters
@@ -130,11 +117,13 @@ class UpdateStage:
         old_centroids : ndarray of shape (K, N)
             Previous iteration's centroids.
         counters : PerfCounters
-            Statistics sink (atomics, DMR checks, detections).
+            Statistics sink (atomics, update-guard checks, detections).
         sums : ndarray of shape (K, N+1)
-            Packed sums ‖ counts the assignment pass accumulated.  Under
-            DMR this is the first replica; one independent
-            re-accumulation is the duplicate.
+            Packed sums ‖ counts the assignment pass accumulated.
+        checksums : ndarray of shape (N+1, 2)
+            The same pass's e1/e2 checksums
+            (:meth:`StreamedAccumulator.checksums`), verified against
+            ``sums``.
         sample_weight : ndarray of shape (M,), optional
             Per-sample weights; sums become ``Σ w_i x_i`` and counts the
             per-cluster weight totals (``UpdateResult.counts`` is then
@@ -146,7 +135,8 @@ class UpdateStage:
         """
         n_clusters, k = old_centroids.shape
         sums = self.accumulate_protected(x, labels, n_clusters, counters,
-                                         sums, sample_weight=sample_weight)
+                                         sums, checksums,
+                                         sample_weight=sample_weight)
         wcounts = sums[:, k]
         counts = (wcounts.astype(np.int64) if sample_weight is None
                   else wcounts.copy())
@@ -171,16 +161,16 @@ class UpdateStage:
     # ------------------------------------------------------------------
     def accumulate_protected(self, x: np.ndarray, labels: np.ndarray,
                              n_clusters: int, counters: PerfCounters,
-                             sums: np.ndarray, *,
+                             sums: np.ndarray, checksums: np.ndarray, *,
                              sample_weight: np.ndarray | None = None
                              ) -> np.ndarray:
-        """DMR-wrapped sum/count accumulation (packed ``(K, N+1)``).
+        """Checksum-verified sum/count accumulation (packed ``(K, N+1)``).
 
         The shared core of the full-batch :meth:`update` and the online
         mini-batch step.  ``sums`` — the assignment pass's fused
-        accumulation — is the first replica; under DMR one streamed
-        re-accumulation of ``x`` is the duplicate, and each retry after
-        a mismatch re-accumulates freshly.
+        accumulation — is verified against the pass's ``checksums``;
+        only an alarm re-accumulates ``x`` (with a fresh accumulator,
+        verified against its own checksums).
 
         Parameters
         ----------
@@ -189,6 +179,7 @@ class UpdateStage:
         n_clusters : int
         counters : PerfCounters
         sums : ndarray of shape (K, N+1)
+        checksums : ndarray of shape (N+1, 2)
         sample_weight : ndarray of shape (M,), optional
 
         Returns
@@ -202,18 +193,14 @@ class UpdateStage:
         counters.global_loads += x.nbytes
         if not self.dmr:
             return sums
-        src_t = self._src_t if self._src is x else None
-        pending = [sums]
 
-        def compute() -> np.ndarray:
-            """The duplicated instruction stream: sums ‖ counts packed."""
-            if pending:
-                return pending.pop()
-            return accumulate_streamed(x, labels, n_clusters,
-                                       sample_weight=sample_weight,
-                                       source_t=src_t)
+        def recompute() -> tuple[np.ndarray, np.ndarray]:
+            return accumulate_checked(x, labels, n_clusters,
+                                      sample_weight=sample_weight)
 
-        sums = dmr_protected(compute, counters=counters,
+        sums = dmr_protected(sums, checksums, recompute, n_rows=m,
+                             exact_counts=sample_weight is None,
+                             counters=counters,
                              corrupt_first=self.corrupt_hook)
         # the hook models a one-shot SEU; don't re-fire next iteration
         self.corrupt_hook = None

@@ -21,7 +21,8 @@
    coordinator-side, so a detected corruption never pollutes the fit —
    detection + containment, the paper's ABFT philosophy one level up;
 5. applies the same :class:`UpdateStage` / convergence step the
-   single-device estimator runs (DMR included), so sharded fits are
+   single-device estimator runs (checksum guard included, verified
+   against the merge accumulator's checksums), so sharded fits are
    bit-identical to ``FTKMeans.fit`` with ``n_workers=1``.
 
 **Checkpoint/restart.**  The coordinator snapshots ``(iteration,
@@ -442,10 +443,10 @@ class Coordinator:
 
         # the fleet's one transposed update operand, hoisted under the
         # engine's memory rule.  It backs the merge accumulator's
-        # per-round re-feed and the update stage's DMR duplicate, and
-        # every worker borrows its column view — in-process workers of
-        # the array, process children of its segment.  Workers never
-        # hoist their own, so this decision covers the whole fleet.
+        # per-round re-feed, and every worker borrows its column view —
+        # in-process workers of the array, process children of its
+        # segment.  Workers never hoist their own, so this decision
+        # covers the whole fleet.
         # Without the dataset segment, process children carry no view
         # (pickling it would copy it per child) and run the staging path.
         xt = None
@@ -483,7 +484,6 @@ class Coordinator:
         if xt is not None:
             # contiguous feature rows for every re-feed (identical bits)
             merge_acc.bind_source_t(xt)
-            updater.bind_source_t(x, xt)
         labels = np.empty(m, dtype=np.int64)
         best = np.empty(m, dtype=cfg.dtype)
 
@@ -539,6 +539,7 @@ class Coordinator:
                                 sp.meta["payload_bytes"] = (
                                     self.executor.gather_bytes - g0)
                         merged = merge_acc.packed()
+                        merged_checks = merge_acc.checksums()
                         # between-round liveness sweep (rate-limited): a
                         # worker that answered its round but wedged
                         # after is caught here, not one full round
@@ -556,7 +557,8 @@ class Coordinator:
                         with tr.span("update"):
                             upd = updater.update(
                                 x, labels, best, st.y, st.counters,
-                                merged, sample_weight=sample_weight)
+                                merged, merged_checks,
+                                sample_weight=sample_weight)
                         for label, t in upd.timings:
                             st.clock.charge(label, t)
                         st.y = upd.centroids
@@ -612,9 +614,8 @@ class Coordinator:
                 # /dev/shm holds no strays once the fit is gone
                 if shm_session is not None:
                     # a transpose in the segment is unmapped by the
-                    # close: drop the coordinator's bindings of it first
+                    # close: drop the coordinator's binding of it first
                     merge_acc.bind_source_t(None)
-                    updater.bind_source_t(None, None)
                     shm_session.close()
 
         # fold the restore-proof tallies into the final counter totals:

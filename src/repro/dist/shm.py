@@ -11,8 +11,8 @@ promotion and a re-expand all attach in O(1).
 
 When the fit hoists the transposed update operand, the coordinator
 builds it straight into a segment of its own
-(:meth:`ShmSession.share_transpose`): the coordinator's merge and DMR
-passes read that segment, and every child borrows its shard's column
+(:meth:`ShmSession.share_transpose`): the coordinator's merge pass
+reads that segment, and every child borrows its shard's column
 view of it, so a process fleet holds one transpose in total — no child
 hoists (or checkpoints) a copy of its own.
 

@@ -1,12 +1,14 @@
-"""Tests for the scheme registry, DMR, and the Wu/Kosaian baseline kernels."""
+"""Tests for the scheme registry, the update checksum guard, and the
+Wu/Kosaian baseline kernels."""
 
 import numpy as np
 import pytest
 
-from repro.abft.dmr import dmr_protected
 from repro.abft.kosaian import KosaianDetectGemm
 from repro.abft.schemes import FTKMEANS, KOSAIAN, NONE, SCHEMES, WU, get_scheme
+from repro.abft.sumcheck import checksum_protected, sum_residuals, verify_sums
 from repro.abft.wu import WuFtGemm
+from repro.core.accumulate import accumulate_checked
 from repro.gemm.epilogue import BroadcastArgminEpilogue, StoreEpilogue
 from repro.gemm.reference import reference_assignment, reference_distance_matrix
 from repro.gemm.shapes import GemmShape
@@ -46,37 +48,125 @@ class TestSchemeRegistry:
                                 "tensor_only"}
 
 
-class TestDmr:
+def _stream(seed=0, m=3000, n=5, k=4, dtype=np.float64, mean=2.0):
+    """A small labelled stream and its fused (sums, checksums)."""
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((m, n)) + mean).astype(dtype)
+    labels = rng.integers(0, k, m)
+    return x, labels, k, accumulate_checked(x, labels, k)
+
+
+class TestChecksumGuard:
+    """The update stage's in-pass checksum guard (repro.abft.sumcheck),
+    which replaced the generic DMR wrapper."""
+
+    @staticmethod
+    def _never():
+        raise AssertionError("a clean pass must not re-accumulate")
+
     def test_clean_pass(self):
-        out = dmr_protected(lambda: np.arange(5.0))
-        np.testing.assert_array_equal(out, np.arange(5.0))
+        x, labels, k, (sums, checks) = _stream()
+        c = PerfCounters()
+        out = checksum_protected(sums, checks, self._never, n_rows=len(x),
+                                 exact_counts=True, counters=c)
+        assert out is sums
+        assert c.dmr_checks == 1 and c.dmr_mismatches == 0
+        assert c.errors_detected == 0
 
     def test_detects_and_recovers(self):
+        x, labels, k, (sums, checks) = _stream()
+        clean = sums.copy()
         c = PerfCounters()
 
         def corrupt(arr):
-            arr[2] = 999.0
+            arr[2, 1] = 999.0
 
-        out = dmr_protected(lambda: np.arange(5.0), counters=c,
-                            corrupt_first=corrupt)
-        np.testing.assert_array_equal(out, np.arange(5.0))
+        out = checksum_protected(
+            sums, checks, lambda: accumulate_checked(x, labels, k),
+            n_rows=len(x), exact_counts=True, counters=c,
+            corrupt_first=corrupt)
+        np.testing.assert_array_equal(out, clean)
+        # the hook corrupts a copy: the caller's array stays clean
+        np.testing.assert_array_equal(sums, clean)
         assert c.dmr_mismatches == 1
-        assert c.errors_detected == 1
-        assert c.dmr_checks == 2  # first attempt + retry
+        assert c.errors_detected == 1 and c.errors_injected == 1
+        assert c.dmr_checks == 2  # the pass + the recompute
 
     def test_persistent_error_raises(self):
+        x, labels, k, (sums, checks) = _stream()
         calls = {"n": 0}
 
         def flaky():
+            # every recompute is corrupted differently: none verifies
+            # and no two agree
             calls["n"] += 1
-            return np.array([calls["n"] % 2], dtype=float)
+            bad = sums.copy()
+            bad[0, 0] += 1e3 * calls["n"]
+            return bad, checks
 
+        bad = sums.copy()
+        bad[1, 1] = -1e6
         with pytest.raises(UncorrectableError):
-            dmr_protected(flaky, max_retries=2)
+            checksum_protected(bad, checks, flaky, n_rows=len(x),
+                               exact_counts=True, max_retries=2)
+        assert calls["n"] == 2
 
-    def test_nan_equal_comparison(self):
-        out = dmr_protected(lambda: np.array([np.nan, 1.0]))
-        assert np.isnan(out[0])
+    def test_nan_residual_alarms(self):
+        x, labels, k, (sums, checks) = _stream()
+        bad = sums.copy()
+        bad[3, 0] = np.nan
+        assert not verify_sums(bad, checks, n_rows=len(x),
+                               exact_counts=True)
+        c = PerfCounters()
+        out = checksum_protected(bad, checks,
+                                 lambda: accumulate_checked(x, labels, k),
+                                 n_rows=len(x), exact_counts=True,
+                                 counters=c)
+        np.testing.assert_array_equal(out, sums)
+        assert c.errors_detected == 1
+
+    def test_unweighted_counts_must_be_exact(self):
+        x, labels, k, (sums, checks) = _stream()
+        bad = sums.copy()
+        # one sample counted into the wrong cluster: r1 unchanged, the
+        # exact count residual r2 moves by one
+        bad[0, -1] -= 1.0
+        bad[1, -1] += 1.0
+        r1, r2 = sum_residuals(bad, checks)
+        assert r1[-1] == 0.0 and r2[-1] == 1.0
+        assert not verify_sums(bad, checks, n_rows=len(x),
+                               exact_counts=True)
+
+    def test_tampered_checksum_recovers(self):
+        x, labels, k, (sums, checks) = _stream()
+        tampered = checks.copy()
+        tampered[2, 1] *= 1.0 + 2.0 ** -20
+        c = PerfCounters()
+        out = checksum_protected(sums.copy(), tampered,
+                                 lambda: accumulate_checked(x, labels, k),
+                                 n_rows=len(x), exact_counts=True,
+                                 counters=c)
+        np.testing.assert_array_equal(out, sums)
+        assert c.dmr_mismatches == 1  # the checksum was the corrupted part
+
+    def test_rounding_alarm_settled_by_agreeing_replicas(self):
+        """Sums that cancel to rounding noise can alarm fault-free; two
+        bit-identical accumulations settle it without a detection."""
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((40_000, 3))
+        x -= x.mean(axis=0)
+        labels = np.zeros(len(x), dtype=np.int64)
+        sums, checks = accumulate_checked(x, labels, 1)
+        assert not verify_sums(sums, checks, n_rows=len(x),
+                               exact_counts=True)
+        c = PerfCounters()
+        out = checksum_protected(sums, checks,
+                                 lambda: accumulate_checked(x, labels, 1),
+                                 n_rows=len(x), exact_counts=True,
+                                 counters=c)
+        np.testing.assert_array_equal(out, sums)
+        assert c.dmr_checks == 2
+        assert c.dmr_mismatches == 0 and c.errors_detected == 0
 
 
 def _setup(x, y, counters, with_distances=False):

@@ -7,6 +7,8 @@ fixed seed), its scratch memory stays under the configured budget, and
 the per-fit invariant cache is actually reused across iterations.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,30 @@ class TestChunkedEquivalence:
         # NaN, and the invariant is bit-identity, not float equality
         assert np.array_equal(b1.view(np.uint32), b2.view(np.uint32))
         assert i1 == i2 or (np.isnan(i1) and np.isnan(i2))
+
+
+class TestInjectedEpilogue:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", ["v1", "v2", "v3"])
+    def test_injected_fast_fit_warns_nothing(self, variant, dtype):
+        """An exponent flip the unprotected kernels let through can make
+        a chunk's tile inf; the epilogue absorbs it (argmin, floor) and
+        must not surface numpy's overflow warning to the user."""
+        x = np.random.default_rng(0).standard_normal((2000, 16))
+        km = FTKMeans(n_clusters=6, variant=variant, seed=7, max_iter=5,
+                      tol=0.0, p_inject=0.8, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            km.fit(x.astype(dtype))
+        assert km.counters_.errors_injected > 0
+
+    def test_fault_free_chunks_keep_numpy_error_handling(self):
+        """The quiet epilogue is scoped to fault-planned chunks: a
+        fault-free pass that overflows still warns."""
+        x = np.full((300, 4), 1e30, dtype=np.float32)
+        kern = _build("v1", "fast", *x.shape)
+        with pytest.warns(RuntimeWarning):
+            kern.assign(x, x[:10].copy())
 
 
 class TestMemoryBudget:

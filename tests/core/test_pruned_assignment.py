@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.abft.schemes import get_scheme
-from repro.core.accumulate import StreamedAccumulator, accumulate_streamed
+from repro.core.accumulate import StreamedAccumulator, accumulate_checked
 from repro.core.bounds import BoundsState
 from repro.core.config import KMeansConfig
 from repro.core.engine import EngineCancelled, FastPathEngine
@@ -474,7 +474,7 @@ class TestShiftsFeed:
                             dmr=False)
         upd = stage.update(x, labels, np.zeros(len(x), np.float32),
                            y0, PerfCounters(),
-                           accumulate_streamed(x, labels, K))
+                           *accumulate_checked(x, labels, K))
         expect = BoundsState._shifts_from(y0, upd.centroids)
         assert upd.shifts.dtype == np.float64
         assert np.array_equal(upd.shifts.view(np.uint64),

@@ -20,6 +20,7 @@ import pytest
 from repro.abft.schemes import get_scheme
 from repro.core.accumulate import (
     StreamedAccumulator,
+    accumulate_checked,
     accumulate_oneshot,
     accumulate_streamed,
 )
@@ -226,9 +227,12 @@ class TestFastEqualsFunctional:
     update sums, so the trajectories agree bit-for-bit.  ``tol=0``
     keeps the iteration count independent of the inertia bits."""
 
-    @pytest.mark.parametrize("p_inject", [0.0, 0.8])
-    @pytest.mark.parametrize("dt", [np.float32, np.float64])
-    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    @pytest.mark.parametrize("variant,dt,p_inject", [
+        pytest.param(v, dt, p, id=f"{v}-{dt.__name__}-{p}")
+        for p in (0.0, 0.8) for dt in (np.float32, np.float64)
+        for v in VARIANT_NAMES
+        # the naive kernel rejects injection (test_naive_rejects_injection)
+        if not (p and v == "naive")])
     def test_fit(self, data, variant, dt, p_inject):
         """Injected v1-v3 fits cover the min-distance floor: a flip can
         drive an unprotected functional kernel's min distance to -inf,
@@ -241,8 +245,19 @@ class TestFastEqualsFunctional:
                                chunk_bytes=TINY_BUDGET).fit(x)
                 for mode in ("fast", "functional")}
         _assert_modes_agree(fits)
-        if p_inject and variant != "naive":
+        if p_inject:
             assert fits["fast"].counters_.errors_injected > 0
+
+    @pytest.mark.parametrize("mode", ["fast", "functional"])
+    def test_naive_rejects_injection(self, mode):
+        """The naive kernel has no threadblocks to inject into; asking
+        it to inject must fail loudly, not measure a clean run."""
+        with pytest.raises(ValueError, match="naive"):
+            KMeansConfig(n_clusters=6, variant="naive", mode=mode,
+                         p_inject=0.8)
+        with pytest.raises(ValueError, match="naive"):
+            FTKMeans(n_clusters=6, variant="naive", mode=mode, p_inject=0.8)
+        KMeansConfig(n_clusters=6, variant="naive", mode=mode, p_inject=0.0)
 
     def test_weighted_fit(self, data):
         x, _ = data
@@ -273,23 +288,24 @@ class TestFastEqualsFunctional:
 
 class TestUpdateStageFused:
     def test_dmr_duplicate_verifies_fused_sums(self, data):
-        """The fused pass is DMR replica 1; the duplicate re-accumulates
-        and must agree bit-for-bit."""
+        """The fused pass's sums verify against its own checksums: one
+        check, no re-accumulation, the one-shot update's bits."""
         x, y = data
         labels = np.random.default_rng(0).integers(0, 10, x.shape[0])
         c = PerfCounters()
         stage = UpdateStage(A100_PCIE_40GB, np.float32, dmr=True)
-        fused = accumulate_streamed(x, labels, 10)
-        res = stage.update(x, labels, np.zeros(x.shape[0]), y, c, fused)
+        fused = accumulate_checked(x, labels, 10)
+        res = stage.update(x, labels, np.zeros(x.shape[0]), y, c, *fused)
         assert c.dmr_checks == 1 and c.dmr_mismatches == 0
         ref = UpdateStage(A100_PCIE_40GB, np.float32, dmr=False).update(
             x, labels, np.zeros(x.shape[0]), y, PerfCounters(),
-            accumulate_oneshot(x, labels, 10))
+            accumulate_oneshot(x, labels, 10), fused[1])
         assert np.array_equal(res.centroids, ref.centroids)
 
     def test_dmr_detects_corrupted_fused_replica(self, data):
-        """An SEU in the fused replica is caught by the duplicate and
-        recovered by recomputation — seed DMR semantics."""
+        """An SEU in the fused sums is caught by the checksums and
+        recovered by one fresh re-accumulation — DMR's detect/recompute
+        semantics."""
         x, y = data
         labels = np.random.default_rng(0).integers(0, 10, x.shape[0])
         c = PerfCounters()
@@ -299,12 +315,12 @@ class TestUpdateStageFused:
 
         stage = UpdateStage(A100_PCIE_40GB, np.float32, dmr=True,
                             corrupt_hook=corrupt)
-        fused = accumulate_streamed(x, labels, 10)
-        res = stage.update(x, labels, np.zeros(x.shape[0]), y, c, fused)
+        fused = accumulate_checked(x, labels, 10)
+        res = stage.update(x, labels, np.zeros(x.shape[0]), y, c, *fused)
         assert c.dmr_mismatches == 1 and c.errors_detected == 1
         ref = UpdateStage(A100_PCIE_40GB, np.float32, dmr=False).update(
             x, labels, np.zeros(x.shape[0]), y, PerfCounters(),
-            accumulate_oneshot(x, labels, 10))
+            accumulate_oneshot(x, labels, 10), fused[1])
         assert np.array_equal(res.centroids, ref.centroids)
 
 

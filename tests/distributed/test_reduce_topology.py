@@ -21,9 +21,9 @@ import repro.core.engine as engine_mod
 import repro.dist
 import repro.dist.coordinator as coordinator_mod
 from repro import FTKMeans
+from repro.core.accumulate import StreamedAccumulator
 from repro.core.config import KMeansConfig
 from repro.core.engine import FastPathEngine
-from repro.core.update import UpdateStage
 from repro.dist import Coordinator, ReduceOccupancy, WorkerFaultInjector
 from repro.dist.executors import (BaseExecutor, ProcessExecutor,
                                   SerialExecutor, ThreadExecutor)
@@ -206,27 +206,29 @@ class TestMergeOperandHoist:
     def test_hoist_boundary_is_x_nbytes(self, x, monkeypatch, slack,
                                         hoisted):
         bound, charged = [], []
-        bind = UpdateStage.bind_source_t
+        bind = StreamedAccumulator.bind_source_t
         record = FastPathEngine._record_alloc
 
-        def spy(stage, src, src_t):
-            bound.append(src is x and src_t is not None)
-            bind(stage, src, src_t)
+        def spy(acc, src_t):
+            # only the coordinator's merge accumulator binds an operand
+            # of the whole data; workers bind shard-sized column views
+            if src_t is not None and src_t.shape == x.T.shape:
+                bound.append(np.array_equal(src_t, x.T))
+            bind(acc, src_t)
 
         def charge_spy(engine, name, nbytes):
             charged.append(name)
             record(engine, name, nbytes)
 
-        monkeypatch.setattr(UpdateStage, "bind_source_t", spy)
+        monkeypatch.setattr(StreamedAccumulator, "bind_source_t", spy)
         monkeypatch.setattr(FastPathEngine, "_record_alloc", charge_spy)
         monkeypatch.setattr(engine_mod, "host_operand_budget",
                             lambda: x.nbytes + slack)
         y0 = x[:K].copy()
         cfg = _cfg(executor="serial", chunk_bytes=x.nbytes // 8)
         res = Coordinator(cfg).fit(x, y0)
-        # the same transposed copy backs the merge accumulator and the
-        # update stage's DMR re-accumulation; no worker hoists its own,
-        # whichever way the coordinator decided
+        # one transposed copy backs the merge accumulator's re-feed; no
+        # worker hoists its own, whichever way the coordinator decided
         assert bound == ([True] if hoisted else [])
         assert "operand_cache_transpose" not in charged
         monkeypatch.setattr(engine_mod, "host_operand_budget", lambda: 0)
@@ -282,7 +284,8 @@ class TestMergeOperandHoist:
 
         def boot_spy(worker, *args, **kw):
             init(worker, *args, **kw)
-            worker.kernel.engine.prepare_update_operand()
+            engine = worker.kernel.engine
+            engine._ensure_update_operand(engine._cache)
             boots.append((worker.x.nbytes, worker.kernel.engine._cache.x_t))
 
         def charge_spy(engine, name, nbytes):

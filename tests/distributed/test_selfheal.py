@@ -9,10 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import FTKMeans
-from repro.core.accumulate import accumulate_oneshot
+from repro.core.accumulate import StreamedAccumulator, accumulate_oneshot
 from repro.core.config import KMeansConfig
 from repro.core.engine import transpose_blocked
-from repro.core.update import UpdateStage
 from repro.dist import (
     CheckpointStore,
     Coordinator,
@@ -22,7 +21,6 @@ from repro.dist import (
     make_executor,
 )
 from repro.dist.faults import CRASH, STALL, WEDGE
-from repro.gpusim.counters import PerfCounters
 
 M, N_FEATURES, K = 1537, 12, 7
 
@@ -382,7 +380,7 @@ class TestMembershipHistoryProperty:
 
 
 class TestOperandHoist:
-    """Satellites: the blocked transpose and the update stage's bound
+    """Satellites: the blocked transpose and the accumulator's bound
     operand are pure layout changes — bits never move."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (1024, 12),
@@ -396,46 +394,31 @@ class TestOperandHoist:
         assert out.dtype == x.dtype
         assert np.array_equal(out, np.ascontiguousarray(x.T))
 
-    @staticmethod
-    def _run_update(x, labels, *, bind_to=None, x_t=None):
-        device = KMeansConfig(n_clusters=K).device
-        stage = UpdateStage(device, np.float32)
-        if bind_to is not None:
-            stage.bind_source_t(bind_to, x_t)
-        counters = PerfCounters()
-        res = stage.update(x, labels.copy(),
-                           np.zeros(len(x), np.float32), x[:K].copy(),
-                           counters, accumulate_oneshot(x, labels, K))
-        # the DMR duplicate re-accumulation must reproduce the one-shot
-        # replica bit for bit, bound operand or not
-        assert counters.dmr_checks == 1 and counters.dmr_mismatches == 0
-        return res.centroids
-
-    def test_update_stage_bound_operand_bits_identical(self):
-        # the DMR duplicate re-accumulation reads the bound transposed
-        # operand instead of re-transposing per chunk — same bits
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bound_operand_sums_and_checksums_bits_identical(self,
+                                                             weighted):
+        # the accumulator reads the bound transposed operand instead of
+        # re-transposing per chunk — the sums and the checksums formed
+        # off the same staged rows keep their bits
         rng = np.random.default_rng(2)
         x = rng.random((997, 9), dtype=np.float64).astype(np.float32)
         labels = rng.integers(0, K, size=997)
-        plain = self._run_update(x, labels)
-        bound = self._run_update(x, labels, bind_to=x,
-                                 x_t=transpose_blocked(x))
+        w = rng.random(997) if weighted else None
+        out = []
+        for x_t in (None, transpose_blocked(x)):
+            acc = StreamedAccumulator(K, 9)
+            acc.bind_weights(w)
+            acc.bind_source_t(x_t)
+            for lo in range(0, 997, 300):
+                acc.feed(x[lo:lo + 300], labels[lo:lo + 300])
+            out.append((acc.packed(), acc.checksums()))
+        (plain, plain_c), (bound, bound_c) = out
         assert np.array_equal(plain, bound)
-
-    def test_bound_operand_ignored_for_other_arrays(self):
-        # identity guard: a *different* array (equal bytes, different
-        # object) must take the legacy path, not read the stale
-        # operand — binding a poisoned x_t for x must not change the
-        # result of updating over a copy of x
-        rng = np.random.default_rng(3)
-        x = rng.random((512, 8), dtype=np.float64).astype(np.float32)
-        other = x.copy()
-        labels = rng.integers(0, K, size=512)
-        plain = self._run_update(other, labels)
-        guarded = self._run_update(
-            other, labels, bind_to=x,
-            x_t=np.zeros_like(transpose_blocked(x)))
-        assert np.array_equal(plain, guarded)
+        assert np.array_equal(plain_c.view(np.uint64),
+                              bound_c.view(np.uint64))
+        assert np.array_equal(plain,
+                              accumulate_oneshot(x, labels, K,
+                                                 sample_weight=w))
 
 
 class TestRestartInFlight:

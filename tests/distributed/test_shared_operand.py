@@ -213,7 +213,7 @@ class TestBorrowedView:
         try:
             engine.begin_fit(x, K, x_t=xt)
             assert engine._cache.x_t is None
-            assert engine.prepare_update_operand() is None
+            assert engine._ensure_update_operand(engine._cache) is None
         finally:
             engine.end_fit()
 
