@@ -92,6 +92,7 @@ pass exactly.
 from __future__ import annotations
 
 import functools
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -117,6 +118,7 @@ __all__ = [
     "gemm_rows_independent",
     "transpose_blocked",
     "host_operand_budget",
+    "release_tile_reserve",
     "BlockMap",
     "FitCache",
     "EngineStats",
@@ -143,6 +145,79 @@ DEFAULT_CHUNK_BYTES = 8 << 20
 #: features): small enough that a block stays cache-resident from the
 #: rounder through its stacked GEMM
 ROUND_BLOCK_BYTES = 256 << 10
+
+
+class _TileReserve:
+    """At most one released chunk tile, shared by every engine in the
+    process.
+
+    A pass's chunk tile is ``chunk_bytes`` large (19.5 MB at 200k x 64
+    rows and 64 clusters).  Allocated from the C heap and handed back
+    after every ``predict`` and at every ``end_fit``, it left a hole that
+    the long-lived arrays allocated next (fitted labels, predict outputs)
+    split differently from one process to the next, so the next tile
+    sometimes grew the heap instead of reusing the hole: the peak
+    resident set of identical runs differed by up to ~35 MB.  Tiles
+    therefore live in their own anonymous mappings, outside the heap, and
+    a released one is parked here: the next pass of any engine takes it
+    back when it is large enough (and pays no page faults), a larger
+    released tile replaces it, and :func:`release_tile_reserve` unmaps
+    it.  The process holds at most one parked tile.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._buf: np.ndarray | None = None
+
+    def take(self, rows: int, n: int, dtype: np.dtype) -> np.ndarray:
+        """A ``(rows, n)`` tile: a view of the parked one when it is
+        large enough, else a fresh mapping (the parked one then stays)."""
+        nbytes = rows * n * dtype.itemsize
+        with self._lock:
+            buf = self._buf
+            if buf is not None and buf.nbytes >= nbytes:
+                self._buf = None
+            else:
+                buf = None
+        if buf is None:
+            # private: a forked child must not write into this process's
+            # tile (Python maps anonymous memory shared by default)
+            mapping = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE)
+            if hasattr(mmap, "MADV_HUGEPAGE"):
+                # as numpy does for its own large buffers: the GEMM
+                # epilogue and argmin sweep the whole tile.  Only a hint
+                try:
+                    mapping.madvise(mmap.MADV_HUGEPAGE)
+                except OSError:
+                    pass
+            buf = np.frombuffer(mapping, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(rows, n)
+
+    def give(self, tile: np.ndarray) -> None:
+        """Park a released tile unless a larger one is already parked;
+        a dropped tile's mapping is unmapped with its last view."""
+        buf = tile.base
+        with self._lock:
+            if self._buf is None or buf.nbytes > self._buf.nbytes:
+                self._buf = buf
+
+    def clear(self) -> None:
+        with self._lock:
+            self._buf = None
+
+
+_TILE_RESERVE = _TileReserve()
+# a forked child starts with an empty reserve and a fresh lock
+os.register_at_fork(after_in_child=_TILE_RESERVE.__init__)
+
+
+def release_tile_reserve() -> None:
+    """Unmap the parked chunk tile (see :class:`_TileReserve`).
+
+    k-means++ seeding calls this first: its float64 copy of ``x`` is a
+    fit's resident peak, which should not also carry a parked tile.
+    """
+    _TILE_RESERVE.clear()
 
 
 #: cgroup (v2, then v1) files holding this process's memory limit
@@ -520,7 +595,10 @@ class FastPathEngine:
             # until that pass drops it (_put_scratch)
             self.stats.scratch_bytes -= sum(
                 b.nbytes for b in self._pool.values())
+            tile = self._pool.pop("chunk_scratch", None)
             self._pool.clear()
+        if tile is not None:
+            _TILE_RESERVE.give(tile)
 
     def _build_cache(self, x: np.ndarray,
                      n_clusters: int | None = None) -> FitCache:
@@ -599,7 +677,10 @@ class FastPathEngine:
             self.stats.scratch_bytes += rows * n * self.dtype.itemsize
             self.stats.peak_scratch_bytes = max(self.stats.peak_scratch_bytes,
                                                 self.stats.scratch_bytes)
-        buf = np.empty((rows, n), dtype=self.dtype)
+        if role == "chunk_scratch":
+            buf = _TILE_RESERVE.take(rows, n, self.dtype)
+        else:
+            buf = np.empty((rows, n), dtype=self.dtype)
         self._record_alloc(role, buf.nbytes)
         return buf
 
@@ -609,9 +690,12 @@ class FastPathEngine:
             if self._cache is not None and role not in self._pool:
                 self._pool[role] = buf
             else:
-                # transient pass (predict/score): drop the buffer so
-                # nothing budget-sized outlives the call
+                # transient pass (predict/score): nothing budget-sized
+                # outlives the call in this engine; the tile is parked
+                # for the process's next pass
                 self.stats.scratch_bytes -= buf.nbytes
+                if role == "chunk_scratch":
+                    _TILE_RESERVE.give(buf)
 
     # -- fault replay ---------------------------------------------------
     def _draw_plans(self, bmap: BlockMap) -> dict:

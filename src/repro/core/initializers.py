@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.engine import release_tile_reserve
+
 __all__ = ["init_random", "init_kmeans_plusplus", "initialize"]
 
 
@@ -51,6 +53,9 @@ def init_kmeans_plusplus(x: np.ndarray, n_clusters: int,
     m, n = x.shape
     if n_clusters > m:
         raise ValueError(f"n_clusters={n_clusters} exceeds n_samples={m}")
+    # the float64 copy is a fit's resident peak: unmap the engine's
+    # parked chunk tile first
+    release_tile_reserve()
     x64 = np.asarray(x, dtype=np.float64)
     xx = np.einsum("ij,ij->i", x64, x64)
     # |fl(d) - d| <= slack * (xx + c·c): three length-n dot products

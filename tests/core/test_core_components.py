@@ -10,7 +10,8 @@ from repro.core.convergence import ConvergenceMonitor
 from repro.core.initializers import init_kmeans_plusplus, init_random, initialize
 from repro.core.accumulate import accumulate_checked
 from repro.core.update import UpdateStage
-from repro.core.validation import validate_centroids, validate_data
+from repro.core.validation import (FINITE_BAND, all_finite,
+                                   validate_centroids, validate_data)
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.device import A100_PCIE_40GB
 
@@ -201,6 +202,28 @@ class TestValidation:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             validate_data(np.ones(4), np.float32)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [0, FINITE_BAND - 1, FINITE_BAND,
+                                     3 * FINITE_BAND + 5, -1])
+    def test_all_finite_finds_any_element(self, bad, pos):
+        x = np.ones((3 * FINITE_BAND // 64 + 7, 64), dtype=np.float32)
+        assert all_finite(x)
+        x.reshape(-1)[pos] = bad
+        assert not all_finite(x)
+        # a strided view agrees with the full-mask reduction
+        assert all_finite(x[:, ::2]) == bool(np.all(np.isfinite(x[:, ::2])))
+
+    def test_all_finite_mask_is_band_sized(self):
+        import tracemalloc
+        x = np.ones((4096, 64), dtype=np.float64)
+        tracemalloc.start()
+        try:
+            assert all_finite(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * FINITE_BAND
 
     def test_centroid_shape_check(self):
         with pytest.raises(ValueError, match="shape"):

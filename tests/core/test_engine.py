@@ -418,6 +418,76 @@ class TestMemoryBudget:
         assert max(peaks[first_pruned + 1:]) < 8 * m * 8 < x.nbytes // 8
 
 
+class TestTileReserve:
+    """Released chunk tiles are parked process-wide, outside the heap."""
+
+    def _fit(self):
+        x = np.random.default_rng(0).standard_normal(
+            (6000, 16)).astype(np.float32)
+        return x, FTKMeans(n_clusters=8, seed=0, max_iter=3).fit(x)
+
+    def test_predict_reuses_parked_tile(self):
+        x, km = self._fit()
+        parked = engine_mod._TILE_RESERVE._buf
+        assert parked is not None          # end_fit parked the fit's tile
+        first = km.predict(x)
+        assert engine_mod._TILE_RESERVE._buf is parked
+        np.testing.assert_array_equal(km.predict(x), first)
+        engine_mod.release_tile_reserve()   # a fresh tile: same bits
+        np.testing.assert_array_equal(km.predict(x), first)
+
+    def test_kmeanspp_fit_releases_parked_tile(self, monkeypatch):
+        x, km = self._fit()
+        km.predict(x)
+        seen = []
+        orig = engine_mod._TileReserve.take
+
+        def take(self, rows, n, dtype):
+            seen.append(self._buf)
+            return orig(self, rows, n, dtype)
+
+        monkeypatch.setattr(engine_mod._TileReserve, "take", take)
+        FTKMeans(n_clusters=8, seed=0, max_iter=2).fit(x)
+        # the fit's first pass found the reserve empty: k-means++ (the
+        # default init) released it before its float64 copy
+        assert seen[0] is None
+
+    def test_keeps_one_tile_the_larger(self):
+        res = engine_mod._TileReserve()
+        f32 = np.dtype(np.float32)
+        small, big = res.take(10, 4, f32), res.take(100, 4, f32)
+        res.give(big)
+        res.give(small)
+        assert res._buf is big.base
+        again = res.take(50, 4, f32)        # fits: a view of the parked one
+        assert again.base is big.base and res._buf is None
+        assert again.shape == (50, 4) and again.flags.writeable
+        res.give(again)
+        assert res.take(1000, 4, f32).base is not big.base  # too small
+        assert res._buf is big.base
+
+    def test_tile_mapping_is_private(self):
+        import mmap as mmap_mod
+        import os
+        if not hasattr(os, "fork"):
+            pytest.skip("needs fork")
+        res = engine_mod._TileReserve()
+        tile = res.take(256, 4, np.dtype(np.float32))
+        tile[:] = 1.0
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:                        # child: write, report, exit
+            tile[:] = 2.0
+            os.write(w, b"x")
+            os._exit(0)
+        os.read(r, 1)
+        os.waitpid(pid, 0)
+        os.close(r)
+        os.close(w)
+        assert np.all(tile == 1.0)
+        assert isinstance(tile.base.base.obj, mmap_mod.mmap)
+
+
 class TestRowIndependence:
     """The BLAS fact the row-granular pruned lane stands on: at the
     engine's unit shape a GEMM computes each output row from that row
