@@ -91,7 +91,8 @@ DEFAULT_RESULT_PATH = Path("BENCH_dist.json")
 #: v5 added the traced crash-recovery pass (``trace`` key): the
 #: recovery fit re-run under a :class:`~repro.obs.trace.TraceRecorder`
 #: so the coordinator-side stage breakdown (compute / merge / update /
-#: abft_check / checkpoint / recovery) lands in the record and
+#: checkpoint / recovery; records before the worker partials were
+#: dropped also carry ``abft_check``) lands in the record and
 #: ``docs/perf.md`` regenerates from the trajectory file alone.
 #: v2 added the ``elastic`` stall-then-shrink record; v3 the
 #: ``checkpoint`` sync-vs-async overhead record; v4 the ``selfheal``
@@ -226,8 +227,8 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
 
     # -- traced pass: the crash-recovery fit once more under the span
     # recorder, run *separately* so the walls above stay comparable
-    # across PRs.  The coordinator-side stage breakdown (gather /
-    # merge / update / abft_check / checkpoint / recovery) lands in
+    # across PRs.  The coordinator-side stage breakdown (compute /
+    # merge / update / checkpoint / recovery) lands in
     # the record — docs/perf.md regenerates from it — and the result
     # is asserted bit-identical against the untraced crash run:
     # tracing must never move a bit, re-proved on every bench run.

@@ -30,10 +30,10 @@ Both :meth:`fit` and :meth:`partial_fit` accept ``sample_weight``
 (weighted sums/counts through the same bit-exact streamed accumulation).
 
 With ``n_workers > 1`` the full-batch fit shards across simulated
-devices/processes through :mod:`repro.dist` — map-reduce Lloyd rounds,
-an ABFT checksum over the merged partials, and checkpoint/restart
-recovery from worker loss — while staying bit-identical to the
-single-worker fast path.
+devices/processes through :mod:`repro.dist` — map-reduce Lloyd rounds
+whose coordinator-side merge is checked by the same e1/e2 update guard,
+and checkpoint/restart recovery from worker loss — while staying
+bit-identical to the single-worker fast path.
 
 See ``docs/streaming.md`` for the streaming/determinism contract and
 ``docs/distributed.md`` for the sharded execution contract.
@@ -73,7 +73,7 @@ class FTKMeans:
         Optional explicit (K x N) starting centroids (overrides ``init``).
     ``worker_faults``
         Optional :class:`repro.dist.WorkerFaultInjector` driving
-        worker-level crash/stall/corrupt-partial injection in sharded
+        worker-level crash/stall/wedge injection in sharded
         fits (``n_workers > 1``).
     ``checkpoint_dir``
         Directory for the sharded fit's checkpoint snapshots; None

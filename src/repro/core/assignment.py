@@ -114,16 +114,11 @@ class AssignmentKernelBase(ABC):
         if self.mode == "fast" and self._engine is not None:
             self._engine.feed_centroid_shifts(shifts, y)
 
-    def begin_fit(self, x: np.ndarray, n_clusters: int | None = None, *,
-                  x_t: np.ndarray | None = None) -> None:
-        """Hoist per-fit invariants (norms, buffers, chunk/block plans).
-
-        ``x_t`` forwards a borrowed transposed operand to the engine
-        (see :meth:`FastPathEngine.begin_fit`); a mismatched one is
-        ignored there, never trusted.
-        """
+    def begin_fit(self, x: np.ndarray,
+                  n_clusters: int | None = None) -> None:
+        """Hoist per-fit invariants (norms, buffers, chunk/block plans)."""
         if self.mode == "fast":
-            self.engine.begin_fit(x, n_clusters, x_t=x_t)
+            self.engine.begin_fit(x, n_clusters)
 
     def end_fit(self) -> None:
         """Release the per-fit cache (see FastPathEngine.end_fit)."""

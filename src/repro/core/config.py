@@ -91,10 +91,11 @@ class KMeansConfig:
         Shard the full-batch fit across this many simulated
         devices/processes through :mod:`repro.dist` (fast mode only).
         Samples split into GEMM-unit-aligned shards; workers compute
-        per-shard assignments + partial sums map-reduce style and the
-        coordinator merges with sequential-continuation semantics, so
-        the fit stays bit-identical to ``n_workers=1`` for any shard
-        count or executor.  1 (default) keeps the in-process engine.
+        per-shard labels and distances map-reduce style and the
+        coordinator sums the rows in shard order with
+        sequential-continuation semantics (the round's only
+        accumulation), so the fit stays bit-identical to
+        ``n_workers=1`` for any shard count or executor.  1 (default) keeps the in-process engine.
     executor:
         Worker backend when ``n_workers > 1``: 'serial' (in-process
         loop, correctness/debug), 'thread' (worker threads; BLAS

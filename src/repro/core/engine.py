@@ -117,6 +117,7 @@ __all__ = [
     "unit_rows_for_tile",
     "gemm_rows_independent",
     "transpose_blocked",
+    "row_norms",
     "host_operand_budget",
     "release_tile_reserve",
     "BlockMap",
@@ -256,8 +257,7 @@ def host_operand_budget() -> int:
     return _usable_memory() // 4
 
 
-def transpose_blocked(x: np.ndarray, out: np.ndarray | None = None
-                      ) -> np.ndarray:
+def transpose_blocked(x: np.ndarray) -> np.ndarray:
     """Contiguous transposed copy of ``x``, built row band by row band.
 
     A transpose is a pure copy, so blocking cannot move a bit — it only
@@ -265,16 +265,39 @@ def transpose_blocked(x: np.ndarray, out: np.ndarray | None = None
     ~4 MB slab of ``x`` and scatters it into the output's columns,
     instead of one full-matrix strided gather whose reads miss on every
     row once ``x`` outgrows the last-level cache.  Drop-in equal to
-    ``np.ascontiguousarray(x.T)``; ``out`` (a ``(n, m)`` array of
-    ``x``'s dtype, e.g. a shared-memory buffer) receives the copy
-    instead of a fresh allocation.
+    ``np.ascontiguousarray(x.T)``.
     """
     m, n = x.shape
-    if out is None:
-        out = np.empty((n, m), dtype=x.dtype)
+    out = np.empty((n, m), dtype=x.dtype)
     step = max(1, (4 << 20) // max(1, n * x.itemsize))
     for lo in range(0, m, step):
         out[:, lo:lo + step] = x[lo:lo + step].T
+    return out
+
+
+#: bytes of ``x`` per band of :func:`row_norms` (one band-sized temporary)
+NORM_BAND_BYTES = 1 << 18
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Per-sample squared norms ``np.sum(x * x, axis=1)`` in ``x``'s
+    dtype, written band by band into one ``(m,)`` array.
+
+    Each row's sum reads only that row, so the bands cannot move a bit;
+    they replace the x-sized ``x * x`` temporary (51 MB at 200k x 64
+    f32, allocated and freed by every fit and ``predict``) with one
+    band-sized temporary per band.  Input that is not C-contiguous
+    takes the whole-array expression: a one- or two-row band of an
+    F-ordered array would sum its rows in another order.
+    """
+    if not x.flags.c_contiguous:
+        return np.sum(x * x, axis=1, dtype=x.dtype)
+    m, n = x.shape
+    out = np.empty(m, dtype=x.dtype)
+    step = max(1, NORM_BAND_BYTES // max(1, n * x.itemsize))
+    for lo in range(0, m, step):
+        band = x[lo:lo + step]
+        np.sum(band * band, axis=1, dtype=x.dtype, out=out[lo:lo + step])
     return out
 
 
@@ -562,22 +585,10 @@ class FastPathEngine:
         return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
     # -- per-fit cache --------------------------------------------------
-    def begin_fit(self, x: np.ndarray, n_clusters: int | None = None, *,
-                  x_t: np.ndarray | None = None) -> FitCache:
-        """Hoist fit-invariants for ``x``; reused by every assign() on it.
-
-        ``x_t`` lends the fit a transposed update operand the caller
-        already holds — in :mod:`repro.dist`, a worker's column view of
-        the coordinator's whole-data transpose.  It is borrowed as-is:
-        nothing is copied or charged, and the accumulator reads
-        ``x_t[:, off:off+rows]`` exactly as from a hoisted copy, so the
-        bits cannot move.  A shape/dtype mismatch is ignored.
-        """
+    def begin_fit(self, x: np.ndarray,
+                  n_clusters: int | None = None) -> FitCache:
+        """Hoist fit-invariants for ``x``; reused by every assign() on it."""
         self._cache = self._build_cache(x, n_clusters)
-        m, k = self._cache.x.shape
-        if (x_t is not None and x_t.shape == (k, m)
-                and x_t.dtype == self.dtype):
-            self._cache.x_t = x_t
         return self._cache
 
     def end_fit(self) -> None:
@@ -606,7 +617,7 @@ class FastPathEngine:
         if x.dtype != self.dtype:
             x = x.astype(self.dtype)
         m, k = x.shape
-        x_norms = np.sum(x * x, axis=1, dtype=self.dtype)
+        x_norms = row_norms(x)
         labels = np.empty(m, dtype=np.int64)
         best = np.empty(m, dtype=self.dtype)
         self._record_alloc("x_norms", x_norms.nbytes)
@@ -629,7 +640,7 @@ class FastPathEngine:
         """The x-derived operands the active fit cache holds, by name.
 
         The probe surface for held operand memory: the per-sample norms
-        always, the transposed update operand when hoisted or borrowed.
+        always, the transposed update operand when hoisted.
         The arrays are the live cache objects, not copies; callers must
         not mutate them.
         """

@@ -5,22 +5,22 @@ across N simulated devices/processes, surviving whole-worker loss —
 the failure class orthogonal to the paper's in-device SEUs.
 
 * :class:`ShardPlan` — GEMM-unit-aligned sample shards (bit-stable);
-* :class:`ShardWorker` — one shard's fused assignment per round;
+* :class:`ShardWorker` — one shard's assignment pass per round;
 * executors — ``serial`` / ``thread`` / ``process`` backends behind one
   round protocol (:func:`make_executor`);
 * :class:`Coordinator` — map-reduce Lloyd with a sequential-continuation
   merge (bit-identical to single-worker for any shard count *and any
-  membership history*) streamed as results arrive, an ABFT checksum
-  over the merged partials, checkpoint/restart recovery, round-deadline
-  stall detection (:class:`WorkerStall`) and elastic
-  shrink-onto-survivors recovery;
+  membership history*) streamed as results arrive — the round's only
+  accumulation, checked by the update's e1/e2 checksum guard — plus
+  checkpoint/restart recovery, round-deadline stall detection
+  (:class:`WorkerStall`) and elastic shrink-onto-survivors recovery;
 * :class:`FleetManager` — self-healing membership: between-round
   heartbeats, hot-spare promotion, and shrink → re-expand back to the
   target fleet size (bit-identical across any membership history);
 * :class:`CheckpointStore` — atomic in-memory or on-disk snapshots,
   the only state a fit persists;
-* :class:`WorkerFaultInjector` — crash / stall / corrupt-partial /
-  wedge injection for the recovery tests and benchmarks.
+* :class:`WorkerFaultInjector` — crash / stall / wedge injection for
+  the recovery tests and benchmarks.
 
 Usually reached through the estimator::
 

@@ -5,25 +5,19 @@
 1. broadcasts the centroids to every worker (one ``send_round``
    through the configured executor, with any fault directives for the
    round);
-2. gathers per-shard labels / min distances / fused partial sums as
-   they arrive (``collect_round_stream``);
-3. **merges with sequential-continuation semantics**: the shard feeds
-   replay through one :class:`StreamedAccumulator` in shard order, so
-   the merged sums carry exactly the bits a single-worker fused pass
-   over the full sample matrix would have produced — the association
-   never depends on the shard count or executor;
-4. runs an **ABFT checksum test** over the workers' own partials: the
-   worker-order sum of the per-shard partials must match the merged
-   sums within a float64 re-association threshold.  A corrupted partial
-   (injected bit flip, or a worker computing garbage) trips the test;
-   the offender is localized by an exact per-shard recompute and the
-   event is counted/traced.  The authoritative merged sums are computed
-   coordinator-side, so a detected corruption never pollutes the fit —
-   detection + containment, the paper's ABFT philosophy one level up;
-5. applies the same :class:`UpdateStage` / convergence step the
-   single-device estimator runs (checksum guard included, verified
-   against the merge accumulator's checksums), so sharded fits are
-   bit-identical to ``FTKMeans.fit`` with ``n_workers=1``.
+2. gathers per-shard labels / min distances as they arrive
+   (``collect_round_stream``);
+3. **merges with sequential-continuation semantics**: the shards' rows
+   feed one :class:`StreamedAccumulator` in shard order, so the merged
+   sums carry exactly the bits a single-worker fused pass over the full
+   sample matrix would have produced — the association never depends
+   on the shard count or executor.  This merge is the round's only
+   accumulation: workers sum nothing;
+4. applies the same :class:`UpdateStage` / convergence step the
+   single-device estimator runs, its e1/e2 checksum guard verifying
+   the merged sums against the merge accumulator's own checksums, so
+   sharded fits are bit-identical to ``FTKMeans.fit`` with
+   ``n_workers=1`` and a corrupted sum is caught where it is used.
 
 **Checkpoint/restart.**  The coordinator snapshots ``(iteration,
 centroids, convergence monitor, simulated clock, counters)`` into a
@@ -39,7 +33,7 @@ the replayed trajectory — and the final centroids — are bit-identical
 to an uninterrupted run.
 
 **Dataset segment.**  On the process executor the coordinator places
-``x`` (and ``sample_weight``) once in a shared-memory segment
+``x`` once in a shared-memory segment
 (:class:`~repro.dist.shm.ShmSession`), and every worker factory
 carries a reference instead of the rows — a cold spawn, a spare
 promotion and a re-expand attach in O(1).  If the segment cannot be
@@ -50,7 +44,7 @@ the executor's pipes.
 **Stream merge.**  Step 2 consumes results in **arrival** order
 (``collect_round_stream``) but step 3 commits them strictly in
 **shard** order: as soon as the next uncommitted shard's result is in,
-its gather writes and merge re-feed run while later workers still
+its gather writes and merge feed run while later workers still
 compute, so only the commit remainder past the last arrival occupies
 the coordinator.  The commit order is the order the continuation merge
 requires, so the sums never depend on which worker answered first
@@ -127,15 +121,7 @@ from repro.gpusim.counters import PerfCounters
 from repro.obs.events import EventBus
 from repro.obs.trace import active_tracer
 
-__all__ = ["Coordinator", "DistFitResult", "ReduceOccupancy",
-           "PARTIAL_CHECK_RTOL"]
-
-#: relative threshold of the merged-partials checksum test.  Clean runs
-#: differ from the sequential merge only by float64 re-association
-#: (~1e-12 relative at 1e6 samples); flips in high mantissa / exponent
-#: bits land far above this.  Low-order mantissa flips escape — the same
-#: sub-threshold philosophy as the SEU detection thresholds.
-PARTIAL_CHECK_RTOL = 1e-8
+__all__ = ["Coordinator", "DistFitResult", "ReduceOccupancy"]
 
 
 @dataclass
@@ -210,7 +196,9 @@ class _FitState:
 
     ``y`` / ``monitor`` / ``clock`` / ``counters`` are the snapshotted
     Lloyd state (a restore replaces them); ``plan`` is the current
-    membership; the trace and loss tallies are restore-proof.
+    membership; the trace and the loss and straggler tallies are
+    restore-proof (the faults behind them are one-shot, so a replayed
+    round runs clean and could never re-count them).
     """
 
     y: np.ndarray
@@ -225,6 +213,7 @@ class _FitState:
     stall_workers_lost: int = 0
     shrinks: int = 0
     heartbeat_failures: int = 0
+    stragglers: int = 0           # tolerated (sub-deadline) stalls
 
     def snapshot(self, iteration: int) -> dict:
         return {"iteration": iteration, "y": self.y.copy(),
@@ -320,7 +309,7 @@ class Coordinator:
     tracer : :class:`repro.obs.trace.TraceRecorder`, optional
         Span recorder for the coordinator-side stage taxonomy ``fit ->
         {broadcast, compute -> merge, recovery, round -> {update,
-        abft_check, checkpoint}}`` (see ``docs/observability.md``).  Off
+        checkpoint}}`` (see ``docs/observability.md``).  Off
         by default; when enabled it records names and clocks only —
         numerics are untouched, so traced fits stay bit-identical.
     """
@@ -434,7 +423,7 @@ class Coordinator:
         shm_session = None
         if isinstance(self.executor, ProcessExecutor):
             try:
-                shm_session = ShmSession(x, sample_weight)
+                shm_session = ShmSession(x)
             except OSError as exc:
                 warnings.warn(
                     f"shared-memory dataset segment unavailable ({exc}); "
@@ -442,47 +431,34 @@ class Coordinator:
                     RuntimeWarning, stacklevel=2)
 
         # the fleet's one transposed update operand, hoisted under the
-        # engine's memory rule.  It backs the merge accumulator's
-        # per-round re-feed, and every worker borrows its column view —
-        # in-process workers of the array, process children of its
-        # segment.  Workers never hoist their own, so this decision
-        # covers the whole fleet.
-        # Without the dataset segment, process children carry no view
-        # (pickling it would copy it per child) and run the staging path.
+        # engine's memory rule: it backs the merge accumulator's feed,
+        # the only one of the round (workers accumulate nothing, so
+        # they never hoist one)
         xt = None
         if x.nbytes <= probe.engine.operand_budget:
             with tr.span("operand_hoist", nbytes=int(x.nbytes)):
-                xt = (shm_session.share_transpose(x)
-                      if shm_session is not None else transpose_blocked(x))
-        lent_xt = (None if isinstance(self.executor, ProcessExecutor)
-                   else xt)
+                xt = transpose_blocked(x)
 
         # functools.partial of a module-level function: picklable, so
         # the process executor can ship it under any start method.  The
         # plan is baked in, so every membership change builds a fresh
         # factory for the executor restart.  With the dataset segment
-        # the factory carries segment *refs* instead of the arrays —
+        # the factory carries a segment *ref* instead of the array —
         # booting a replacement (cold, spare promote, or re-expand)
         # pickles a few hundred bytes and attaches the shard as a view
         # in O(1).
         def make_factory(p: ShardPlan):
-            if shm_session is not None:
-                return partial(build_worker, plan=p, cfg=worker_cfg,
-                               n_clusters=n_clusters,
-                               data_ref=shm_session.data_ref,
-                               weight_ref=shm_session.weight_ref,
-                               xt_ref=shm_session.xt_ref,
-                               base_seed=base_seed)
-            return partial(build_worker, x=x, x_t=lent_xt, plan=p,
-                           cfg=worker_cfg, n_clusters=n_clusters,
-                           sample_weight=sample_weight,
-                           base_seed=base_seed)
+            data = ({"data_ref": shm_session.data_ref}
+                    if shm_session is not None else {"x": x})
+            return partial(build_worker, plan=p, cfg=worker_cfg,
+                           n_clusters=n_clusters, base_seed=base_seed,
+                           **data)
 
         updater = UpdateStage(cfg.device, cfg.dtype, dmr=cfg.dmr_update)
         merge_acc = StreamedAccumulator(n_clusters, k)
         merge_acc.bind_weights(sample_weight)
         if xt is not None:
-            # contiguous feature rows for every re-feed (identical bits)
+            # contiguous feature rows for every feed (identical bits)
             merge_acc.bind_source_t(xt)
         labels = np.empty(m, dtype=np.int64)
         best = np.empty(m, dtype=cfg.dtype)
@@ -495,12 +471,6 @@ class Coordinator:
         n_iter = 0
         converged = False
         upd = None
-        # coordinator-level fault events are one-shot: a checkpoint
-        # restore must not erase them (the replayed rounds run clean),
-        # so they tally outside the snapshots and apply to the final
-        # counters once the loop ends
-        faults_seen = {"stalls": 0, "injected": 0, "detected": 0,
-                       "corrected": 0}
         # a reused store (e.g. a checkpoint_dir shared across fits) must
         # not leak a previous fit's snapshots into this one's recovery;
         # the iteration-0 snapshot is recovery's floor until a periodic
@@ -532,7 +502,7 @@ class Coordinator:
                         # compute span they genuinely overlap
                         with tr.span("compute", iteration=int(it)) as sp:
                             g0 = self.executor.gather_bytes
-                            results = self._stream_reduce(
+                            self._stream_reduce(
                                 st.plan, x, labels, best, st.counters,
                                 st.clock, merge_acc, occ, tr)
                             if sp is not None:
@@ -566,9 +536,7 @@ class Coordinator:
                         # -- re-expansion: a shrunken fleet regrows toward
                         # the target at this round boundary (no round in
                         # flight; replacements reuse the missing ids, so
-                        # a full regrow restores the original plan).  The
-                        # tail below still reads this round's plan.
-                        round_plan = st.plan
+                        # a full regrow restores the original plan)
                         grown = self.fleet.maybe_expand(st.plan,
                                                         make_factory)
                         if grown is not None:
@@ -583,14 +551,7 @@ class Coordinator:
                                 iteration=int(it), members=members)
 
                         # -- tail ----------------------------------------
-                        self._count_directives(faults_seen, st.trace,
-                                               directives, it)
-                        st.counters.checksum_tests += 1
-                        with tr.span("abft_check"):
-                            self._check_partials(merged, results,
-                                                 round_plan, x, labels,
-                                                 sample_weight,
-                                                 faults_seen, st.trace, it)
+                        self._count_directives(st, directives, it)
                         best64 = best.astype(np.float64)
                         inertia = float(np.sum(best64 * sample_weight)
                                         if sample_weight is not None
@@ -613,9 +574,6 @@ class Coordinator:
                 # is covered by the resource tracker — either way
                 # /dev/shm holds no strays once the fit is gone
                 if shm_session is not None:
-                    # a transpose in the segment is unmapped by the
-                    # close: drop the coordinator's binding of it first
-                    merge_acc.bind_source_t(None)
                     shm_session.close()
 
         # fold the restore-proof tallies into the final counter totals:
@@ -623,12 +581,8 @@ class Coordinator:
         # tolerated (sub-deadline) stall directives count as stragglers
         counters = st.counters
         counters.worker_crashes = st.crash_workers_lost
-        counters.worker_stalls += (st.stall_workers_lost
-                                   + faults_seen["stalls"])
+        counters.worker_stalls += st.stall_workers_lost + st.stragglers
         counters.checkpoint_restores = st.recoveries
-        counters.errors_injected += faults_seen["injected"]
-        counters.errors_detected += faults_seen["detected"]
-        counters.errors_corrected += faults_seen["corrected"]
         monitor = st.monitor
         return DistFitResult(
             centroids=st.y, labels=labels, best=best,
@@ -780,20 +734,18 @@ class Coordinator:
                        labels: np.ndarray, best: np.ndarray,
                        counters: PerfCounters, clock: SimClock,
                        merge_acc: StreamedAccumulator,
-                       occ: ReduceOccupancy, tr) -> list[RoundResult]:
+                       occ: ReduceOccupancy, tr) -> None:
         """The round's collect and merge: arrival-ordered consume,
         shard-ordered commit.
 
         Results are buffered as they arrive and committed strictly in
         shard order — the order the sequential-continuation merge
         requires, regardless of which worker answered first — so each
-        committed shard's gather writes and merge re-feed overlap the
+        committed shard's gather writes and merge feed overlap the
         still-computing workers.  The executor raises its round failure
         only after the stream ends; everything committed by then is
         discarded through the normal recovery path (the next round
         resets the accumulator and rewrites the gather arrays).
-
-        Returns the round's results in shard order.
         """
         shards = cur_plan.shards
         arrived: dict[int, RoundResult] = {}
@@ -821,65 +773,19 @@ class Coordinator:
             raise RuntimeError("round stream ended with uncommitted "
                                "shards and no failure raised")
         self._charge_round(clock, results)
-        return results
 
     @staticmethod
-    def _count_directives(faults_seen: dict, trace: list[dict],
-                          directives: dict[int, dict], it: int) -> None:
-        """Tally the injected faults of a *completed* round.
+    def _count_directives(st: _FitState, directives: dict[int, dict],
+                          it: int) -> None:
+        """Tally the tolerated stalls of a *completed* round.
 
-        Tallies go to the restore-proof ``faults_seen`` dict, not the
+        Tallies go to the restore-proof ``st.stragglers``, not the
         (checkpoint-snapshotted) counters: the directives are one-shot,
         so a replayed round runs clean and could never re-count them.
         """
         for wid, d in directives.items():
-            if "corrupt" in d:
-                faults_seen["injected"] += 1
-                trace.append({"kind": "corrupt_partial", "worker": wid,
-                              "iteration": it})
             if d.get("stall_s"):
-                faults_seen["stalls"] += 1
-                trace.append({"kind": "stall", "worker": wid,
-                              "iteration": it,
-                              "stall_s": d["stall_s"]})
-
-    def _check_partials(self, merged: np.ndarray,
-                        results: list[RoundResult], plan: ShardPlan,
-                        x: np.ndarray, labels: np.ndarray,
-                        sample_weight: np.ndarray | None,
-                        faults_seen: dict, trace: list[dict],
-                        it: int) -> None:
-        """ABFT checksum over the merged partials.
-
-        The worker-order sum of per-shard partials must agree with the
-        sequential-continuation merge up to float64 re-association.  On
-        alarm, each worker's partial is recomputed shard-locally (bit
-        -exactly, thanks to the continuation design) to localize the
-        corrupt worker; the merged sums are already authoritative, so
-        the event counts as detected *and* corrected.  Detection events
-        tally into the restore-proof ``faults_seen`` (one-shot faults
-        never replay, so a checkpoint restore must not erase them).
-        """
-        total = np.zeros_like(merged)
-        for res in results:
-            total += res.partial
-        scale = np.maximum(1.0, np.maximum(np.abs(total), np.abs(merged)))
-        if not (np.abs(total - merged) > PARTIAL_CHECK_RTOL * scale).any():
-            return
-        faults_seen["detected"] += 1
-        located = False
-        for res, shard in zip(results, plan.shards):
-            ref = StreamedAccumulator(merged.shape[0], x.shape[1])
-            if sample_weight is not None:
-                ref.bind_weights(sample_weight[shard.slice])
-            ref.feed(x[shard.slice], labels[shard.slice])
-            bad = ref.packed() != res.partial
-            if bad.any():
-                located = True
-                faults_seen["corrected"] += 1
-                trace.append({"kind": "corrupt_partial_detected",
-                              "worker": res.worker_id, "iteration": it,
-                              "cells": int(bad.sum())})
-        if not located:  # pragma: no cover - defensive
-            trace.append({"kind": "partial_mismatch_unlocated",
-                          "iteration": it})
+                st.stragglers += 1
+                st.trace.append({"kind": "stall", "worker": wid,
+                                 "iteration": it,
+                                 "stall_s": d["stall_s"]})

@@ -122,11 +122,7 @@ def _result_nbytes(res: RoundResult) -> int:
     second ``pickle.dumps`` of arrays the pipe already serialised once
     — the estimate is for the transport counters, not for billing.
     """
-    n = 256
-    for arr in (res.labels, res.best, res.partial):
-        if arr is not None:
-            n += arr.nbytes
-    return n
+    return 256 + res.labels.nbytes + res.best.nbytes
 
 
 def _round_failure(iteration: int, crashed: list[int], stalled: list[int],

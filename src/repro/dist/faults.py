@@ -1,4 +1,4 @@
-"""Worker-level fault injection: crash, stall, corrupt-partial.
+"""Worker-level fault injection: crash, stall, wedge.
 
 The paper's ABFT/DMR protects against *silent* SEUs inside a device;
 this module models the orthogonal failure class of a distributed fit —
@@ -14,12 +14,6 @@ kind                      models
                           :class:`WorkerCrash`)
 ``stall``                 a straggler: the worker sleeps before
                           answering its round
-``corrupt_partial``       the worker's returned partial sums carry a
-                          single flipped bit — located through the
-                          same :class:`~repro.gpusim.faults.FaultPlan`
-                          fractional geometry the SEU injector uses,
-                          and caught by the coordinator's checksum
-                          test over the merged partials
 ``wedge``                 the worker answers its round normally, then
                           wedges *between* rounds: its next heartbeat
                           ``ping`` sleeps for ``wedge_s``.  Invisible
@@ -43,17 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpusim.faults import FaultPlan
-
-__all__ = ["CRASH", "STALL", "CORRUPT_PARTIAL", "WEDGE", "WORKER_FAULT_KINDS",
+__all__ = ["CRASH", "STALL", "WEDGE", "WORKER_FAULT_KINDS",
            "WorkerCrash", "WorkerStall", "WorkerFaultPlan",
            "WorkerFaultInjector"]
 
 CRASH = "crash"
 STALL = "stall"
-CORRUPT_PARTIAL = "corrupt_partial"
 WEDGE = "wedge"
-WORKER_FAULT_KINDS = (CRASH, STALL, CORRUPT_PARTIAL, WEDGE)
+WORKER_FAULT_KINDS = (CRASH, STALL, WEDGE)
 
 
 class WorkerCrash(RuntimeError):
@@ -111,18 +102,11 @@ class WorkerStall(WorkerCrash):
 
 @dataclass(frozen=True)
 class WorkerFaultPlan:
-    """One scheduled worker-level fault.
-
-    ``seu`` reuses the SEU taxonomy's :class:`FaultPlan` to locate the
-    corrupt-partial flip inside the worker's packed ``(K, N+1)`` sums
-    (fractional coordinates, so one plan applies to any shape); it is
-    None for crash/stall plans.
-    """
+    """One scheduled worker-level fault."""
 
     kind: str
     worker_id: int
     iteration: int
-    seu: FaultPlan | None = None
     stall_s: float = 0.0
     wedge_s: float = 600.0
 
@@ -130,8 +114,6 @@ class WorkerFaultPlan:
         if self.kind not in WORKER_FAULT_KINDS:
             raise ValueError(f"unknown worker fault kind {self.kind!r}; "
                              f"choose from {WORKER_FAULT_KINDS}")
-        if self.kind == CORRUPT_PARTIAL and self.seu is None:
-            raise ValueError("corrupt_partial plans need an seu FaultPlan")
 
 
 class WorkerFaultInjector:
@@ -143,34 +125,26 @@ class WorkerFaultInjector:
         Explicitly scheduled faults (each fires once).
     rng : np.random.Generator or seed, optional
         Randomness source for the probabilistic mode.
-    p_crash, p_stall, p_corrupt : float
+    p_crash, p_stall : float
         Per-(worker, iteration) probabilities of drawing each fault
         kind (evaluated in that order; at most one fires per cell).
     stall_s : float
         Sleep duration of drawn stalls.
-    corrupt_bit : int
-        Bit index flipped by drawn corrupt-partial faults (defaults to
-        a high-exponent bit so the checksum test sees it; low mantissa
-        bits escape the threshold exactly like sub-threshold SEUs).
     max_faults : int, optional
         Global cap across all kinds (None = unlimited).
     """
 
     def __init__(self, plans=(), *, rng=None, p_crash: float = 0.0,
-                 p_stall: float = 0.0, p_corrupt: float = 0.0,
-                 stall_s: float = 0.005, corrupt_bit: int = 55,
+                 p_stall: float = 0.0, stall_s: float = 0.005,
                  max_faults: int | None = None):
-        for name, p in (("p_crash", p_crash), ("p_stall", p_stall),
-                        ("p_corrupt", p_corrupt)):
+        for name, p in (("p_crash", p_crash), ("p_stall", p_stall)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         self.plans: list[WorkerFaultPlan] = list(plans)
         self.rng = np.random.default_rng(rng)
         self.p_crash = float(p_crash)
         self.p_stall = float(p_stall)
-        self.p_corrupt = float(p_corrupt)
         self.stall_s = float(stall_s)
-        self.corrupt_bit = int(corrupt_bit)
         self.max_faults = max_faults
         self.fired: list[WorkerFaultPlan] = []
         self._fired_scheduled: set[int] = set()       # indices into plans
@@ -198,14 +172,6 @@ class WorkerFaultInjector:
         return cls([WorkerFaultPlan(WEDGE, worker_id, iteration,
                                     wedge_s=wedge_s)])
 
-    @classmethod
-    def corrupt_at(cls, worker_id: int, iteration: int, *, bit: int = 55,
-                   row_frac: float = 0.5,
-                   col_frac: float = 0.5) -> "WorkerFaultInjector":
-        seu = FaultPlan(step=0, row_frac=row_frac, col_frac=col_frac, bit=bit)
-        return cls([WorkerFaultPlan(CORRUPT_PARTIAL, worker_id, iteration,
-                                    seu=seu)])
-
     # ------------------------------------------------------------------
     @property
     def _budget_left(self) -> bool:
@@ -223,12 +189,6 @@ class WorkerFaultInjector:
         elif self.p_stall and self.rng.random() < self.p_stall:
             plan = WorkerFaultPlan(STALL, worker_id, iteration,
                                    stall_s=self.stall_s)
-        elif self.p_corrupt and self.rng.random() < self.p_corrupt:
-            seu = FaultPlan(step=0, row_frac=float(self.rng.random()),
-                            col_frac=float(self.rng.random()),
-                            bit=self.corrupt_bit)
-            plan = WorkerFaultPlan(CORRUPT_PARTIAL, worker_id, iteration,
-                                   seu=seu)
         self._drawn[key] = plan
         return plan
 
@@ -237,10 +197,8 @@ class WorkerFaultInjector:
         """Per-worker fault directives for one round (one-shot each).
 
         Returns a dict ``worker_id -> directive`` where a directive is
-        ``{"crash": True}``, ``{"stall_s": s}``, ``{"wedge_s": s}`` or
-        ``{"corrupt": FaultPlan}``; workers absent from the dict run
-        clean.  Every
-        plan returned here is marked fired and will never be returned
+        ``{"crash": True}``, ``{"stall_s": s}`` or ``{"wedge_s": s}``;
+        workers absent from the dict run clean.  Every plan returned here is marked fired and will never be returned
         again — including when the iteration replays after recovery.
         """
         directives: dict[int, dict] = {}
@@ -255,8 +213,7 @@ class WorkerFaultInjector:
                     plan = cand
                     self._fired_scheduled.add(idx)
                     break
-            if plan is None and (self.p_crash or self.p_stall
-                                 or self.p_corrupt):
+            if plan is None and (self.p_crash or self.p_stall):
                 key = (iteration, wid)
                 plan = self._draw(iteration, wid)
                 if plan is not None and key in self._drawn_fired:
@@ -270,8 +227,6 @@ class WorkerFaultInjector:
                 directives[wid] = {"crash": True}
             elif plan.kind == STALL:
                 directives[wid] = {"stall_s": plan.stall_s}
-            elif plan.kind == WEDGE:
-                directives[wid] = {"wedge_s": plan.wedge_s}
             else:
-                directives[wid] = {"corrupt": plan.seu}
+                directives[wid] = {"wedge_s": plan.wedge_s}
         return directives

@@ -3,23 +3,17 @@
 Every process-executor worker needs its GEMM-unit-aligned shard of the
 dataset, and the pipes would otherwise pickle it into the child at
 boot — and again for every hot-spare promotion and elastic re-expand.
-Instead the coordinator places ``x`` (and ``sample_weight``) once in
-:mod:`multiprocessing.shared_memory` segments; every worker maps its
+Instead the coordinator places ``x`` once in a
+:mod:`multiprocessing.shared_memory` segment; every worker maps its
 shard as a *view* of the same physical pages.  Worker factories then
 pickle only a tiny :class:`ArrayRef`, so a cold spawn, a spare
-promotion and a re-expand all attach in O(1).
+promotion and a re-expand all attach in O(1).  The dataset is the only
+segment: workers sum nothing, so they need neither the sample weights
+nor a transposed operand — both stay with the coordinator's merge.
 
-When the fit hoists the transposed update operand, the coordinator
-builds it straight into a segment of its own
-(:meth:`ShmSession.share_transpose`): the coordinator's merge pass
-reads that segment, and every child borrows its shard's column
-view of it, so a process fleet holds one transpose in total — no child
-hoists (or checkpoints) a copy of its own.
-
-Per-round payloads (centroids out; labels, distances and the fused
-partial back) stay on the executor's pipes: a round moves a few bytes
-per shard row plus one ``(K, N+1)`` partial per worker, which no
-compute-bound shape can notice.
+Per-round payloads (centroids out; labels and distances back) stay on
+the executor's pipes: a round moves a few bytes per shard row, which
+no compute-bound shape can notice.
 
 **Cleanup.**  Segments are created by the coordinator process only,
 so they are registered with the interpreter's ``resource_tracker`` —
@@ -32,9 +26,7 @@ spawn), so the registration set is one idempotent pool — the creator's
 unlink unregisters exactly once and no child can race a second unlink.
 :meth:`ShmSession.close` unlinks everything eagerly on the normal
 path; Linux keeps existing mappings valid after an unlink, so a
-straggler child never faults.  The coordinator's own view of the
-transpose segment is different: closing unmaps it, so the coordinator
-drops every binding of that view before it closes the session.
+straggler child never faults.
 
 Bit-identity: the shard view holds the exact bytes the factory would
 otherwise have pickled, so a segment-backed fit is bit-identical to
@@ -50,8 +42,6 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
-
-from repro.core.engine import transpose_blocked
 
 __all__ = ["SEGMENT_PREFIX", "ArrayRef", "ShmSession", "attach_array",
            "detach_all"]
@@ -107,40 +97,20 @@ def attach_array(ref: ArrayRef) -> np.ndarray:
 # -- coordinator-side session ------------------------------------------
 
 class ShmSession:
-    """Owns the dataset, weight and transpose segments of one sharded fit.
+    """Owns the dataset segment of one sharded fit.
 
     Created by the coordinator for every process-executor fit: the
-    dataset (and weights) are copied into shared segments once, and
-    :meth:`share_transpose` adds the transposed update operand when the
-    fit hoists it.  :meth:`close` unlinks everything and is idempotent;
-    a process killed before it runs is covered by the resource tracker
-    (see the module docstring).
+    dataset is copied into a shared segment once.  :meth:`close`
+    unlinks it and is idempotent; a process killed before it runs is
+    covered by the resource tracker (see the module docstring).
     """
 
-    def __init__(self, x: np.ndarray, sample_weight: np.ndarray | None = None):
+    def __init__(self, x: np.ndarray):
         self._prefix = (f"{SEGMENT_PREFIX}-{os.getpid()}-"
                         f"{secrets.token_hex(4)}")
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._closed = False
         self.data_ref = self._create_array("x", x)
-        self.weight_ref = (None if sample_weight is None
-                           else self._create_array("w", sample_weight))
-        self.xt_ref: ArrayRef | None = None
-
-    def share_transpose(self, x: np.ndarray) -> np.ndarray:
-        """Build ``x``'s transposed operand in a segment of its own.
-
-        Returns the coordinator's view of it and sets :attr:`xt_ref`
-        for the children.  The view is valid until :meth:`close`; the
-        bits are :func:`~repro.core.engine.transpose_blocked`'s.
-        """
-        m, n = x.shape
-        seg = self._create("xt", max(1, x.nbytes))
-        xt = np.ndarray((n, m), dtype=x.dtype, buffer=seg.buf)
-        transpose_blocked(x, out=xt)
-        self.xt_ref = ArrayRef(name=seg.name, shape=(n, m),
-                               dtype=x.dtype.str)
-        return xt
 
     # -- segment bookkeeping -------------------------------------------
     def _create(self, tag: str, size: int) -> shared_memory.SharedMemory:

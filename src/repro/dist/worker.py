@@ -5,14 +5,12 @@ configured assignment kernel (the same :func:`build_assignment` product
 the single-device estimator uses, fast mode only).  Per round it runs
 one fused assignment pass over its shard against the broadcast centroids
 and returns a :class:`RoundResult` with the shard's labels, min squared
-distances, fused partial sums and counters — the "map" half of the
-coordinator's map-reduce Lloyd iteration.
+distances and counters — the "map" half of the coordinator's map-reduce
+Lloyd iteration.  A worker sums nothing: the coordinator's shard-ordered
+merge is the round's only accumulation.
 
 Determinism: the shard's labels/distances are bit-identical to the rows
-a single-worker engine would produce (see :mod:`repro.dist.plan`), and
-the fused partial sums are bit-identical to a sequential accumulation
-over the shard alone — which is exactly what the coordinator's
-localization step recomputes when its checksum test fires.
+a single-worker engine would produce (see :mod:`repro.dist.plan`).
 
 SEU injection inside a worker draws a fresh, per-round injector seeded
 from ``(base_seed, worker_id, iteration)``: the fault pattern of
@@ -29,12 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.accumulate import StreamedAccumulator
 from repro.core.variants import build_assignment
 from repro.dist.faults import WorkerCrash
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.faults import FaultInjector
-from repro.utils.bits import flip_bit
 
 __all__ = ["RoundResult", "ShardWorker", "build_worker"]
 
@@ -47,7 +43,6 @@ class RoundResult:
     iteration: int
     labels: np.ndarray            # (shard_rows,) int64, owned
     best: np.ndarray              # (shard_rows,) kernel dtype, owned
-    partial: np.ndarray           # (K, N+1) float64 fused sums ‖ counts
     counters: PerfCounters
     timings: list = field(default_factory=list)
     wall_s: float = 0.0
@@ -58,7 +53,7 @@ class RoundResult:
 
 
 class ShardWorker:
-    """One shard's assignment + fused accumulation, round by round.
+    """One shard's assignment pass, round by round.
 
     Parameters
     ----------
@@ -72,24 +67,17 @@ class ShardWorker:
         dependent).
     n_clusters : int
         K (redundant with cfg but kept explicit for the engine cache).
-    sample_weight : ndarray of shape (shard_rows,), optional
-        This shard's slice of the fit's sample weights.
     base_seed : int
         Entropy root of the per-round SEU injector streams.
-    x_t : ndarray of shape (N, shard_rows), optional
-        The shard's columns of a transposed update operand the caller
-        already holds (a coordinator passes a view of its own).  The
-        engine borrows it; without it the worker runs the per-feed
-        staging path.  A worker never hoists a transpose of its own, so
-        one hoist decision — the coordinator's — covers the whole fleet
-        and a declined fit holds no transpose anywhere.  Its per-sample
-        norms are recomputed at every boot (one O(shard) pass), a
-        replacement's included.
+
+    The worker's assignment passes feed no accumulator, so its engine
+    never hoists a transposed update operand.  Its per-sample norms are
+    recomputed at every boot (one O(shard) pass), a replacement's
+    included.
     """
 
     def __init__(self, worker_id: int, x_shard: np.ndarray, cfg,
-                 n_clusters: int, *, sample_weight=None, base_seed: int = 0,
-                 x_t=None):
+                 n_clusters: int, *, base_seed: int = 0):
         if cfg.mode != "fast":
             raise ValueError("ShardWorker requires mode='fast'")
         if cfg.tile == "auto":
@@ -102,13 +90,7 @@ class ShardWorker:
         m, k = x_shard.shape
         self.kernel = build_assignment(
             cfg, m, k, np.random.default_rng(self.base_seed))
-        # a shard worker never owns a transpose: it borrows the fleet's
-        # (``x_t``) or runs the staging path, so the coordinator's hoist
-        # decision holds for the whole fleet
-        self.kernel.engine.operand_budget = 0
-        self.kernel.begin_fit(x_shard, n_clusters, x_t=x_t)
-        self.acc = StreamedAccumulator(n_clusters, k)
-        self.acc.bind_weights(sample_weight)
+        self.kernel.begin_fit(x_shard, n_clusters)
         self._wedge_s = 0.0
         # cooperative cancellation: the engine checks this token at
         # every chunk boundary, so an abandoned in-process worker stops
@@ -131,10 +113,10 @@ class ShardWorker:
 
     def run_round(self, y: np.ndarray, iteration: int,
                   directive: dict | None = None) -> RoundResult:
-        """One fused assignment pass over the shard.
+        """One assignment pass over the shard.
 
         ``directive`` (from :class:`repro.dist.faults.WorkerFaultInjector`)
-        may order this worker to stall, crash, or corrupt its partial.
+        may order this worker to stall, crash or wedge.
         """
         t0 = time.perf_counter()
         if directive:
@@ -143,13 +125,7 @@ class ShardWorker:
             if directive.get("crash"):
                 raise WorkerCrash(self.worker_id, iteration)
         self._round_injector(iteration)
-        self.acc.reset()
-        res = self.kernel.assign(self.x, y, accumulator=self.acc)
-        partial = self.acc.packed()
-        if directive and "corrupt" in directive:
-            plan = directive["corrupt"]
-            r, c = plan.locate(partial.shape[0], partial.shape[1])
-            partial[r, c] = flip_bit(partial[r, c], plan.bit)
+        res = self.kernel.assign(self.x, y)
         if directive and directive.get("wedge_s"):
             # wedge AFTER answering: the round succeeds, the next ping
             # hangs — visible only to the between-round heartbeat
@@ -157,7 +133,7 @@ class ShardWorker:
         return RoundResult(
             worker_id=self.worker_id, iteration=iteration,
             labels=res.labels.copy(), best=res.min_sqdist.copy(),
-            partial=partial, counters=res.counters, timings=res.timings,
+            counters=res.counters, timings=res.timings,
             wall_s=time.perf_counter() - t0)
 
     def ping(self) -> bool:
@@ -189,43 +165,26 @@ class ShardWorker:
 
 
 def build_worker(worker_id: int, *, x: np.ndarray | None = None, plan, cfg,
-                 n_clusters: int, sample_weight=None,
-                 base_seed: int = 0, data_ref=None, weight_ref=None,
-                 x_t: np.ndarray | None = None,
-                 xt_ref=None) -> ShardWorker:
+                 n_clusters: int, base_seed: int = 0,
+                 data_ref=None) -> ShardWorker:
     """Module-level worker factory (picklable for the process executor).
 
-    Slices the worker's shard out of the full arrays via the
+    Slices the worker's shard out of the full array via the
     :class:`~repro.dist.plan.ShardPlan`, so one factory serves the
     initial spawn and every post-crash respawn alike.  Lookup is by
     worker id, not position: after an elastic re-plan the surviving ids
     are sparse.
 
-    On the process executor the factory carries ``data_ref`` /
-    ``weight_ref`` (:class:`repro.dist.shm.ArrayRef`) instead of the
-    arrays themselves: the worker maps the shared dataset segment and
-    takes its shard as a zero-copy **view**, so pickling the factory —
-    at boot, spare promotion, or elastic re-expand — ships only the
-    tiny refs, never the rows.
-
-    A coordinator that hoisted the transposed operand of the full ``x``
-    also passes it — the array itself (``x_t``) to in-process fleets,
-    its segment ref (``xt_ref``) to process children — and every worker
-    borrows its column view ``x_t[:, lo:hi]``, so the fleet holds one
-    transpose in total.
+    On the process executor the factory carries ``data_ref``
+    (:class:`repro.dist.shm.ArrayRef`) instead of the array itself: the
+    worker maps the shared dataset segment and takes its shard as a
+    zero-copy **view**, so pickling the factory — at boot, spare
+    promotion, or elastic re-expand — ships only the tiny ref, never
+    the rows.
     """
-    if data_ref is not None or xt_ref is not None:
-        from repro.dist.shm import attach_array
     if data_ref is not None:
+        from repro.dist.shm import attach_array
         x = attach_array(data_ref)
-        if weight_ref is not None:
-            sample_weight = attach_array(weight_ref)
-    if xt_ref is not None:
-        x_t = attach_array(xt_ref)
     shard = plan.shard_of(worker_id)
-    w = (None if sample_weight is None
-         else sample_weight[shard.lo:shard.hi])
     return ShardWorker(worker_id, x[shard.lo:shard.hi], cfg, n_clusters,
-                       sample_weight=w, base_seed=base_seed,
-                       x_t=(None if x_t is None
-                            else x_t[:, shard.lo:shard.hi]))
+                       base_seed=base_seed)

@@ -14,10 +14,9 @@ simulator visits blocks, and so the vectorised ``fast`` execution mode can
 apply the *same* plan to whole block regions of the distance matrix.
 
 This module covers *silent* in-device SEUs.  The orthogonal failure
-class — a whole worker/process dying, stalling or returning a corrupted
-partial result — lives in :mod:`repro.dist.faults`, which reuses the
-:class:`FaultPlan` geometry for its corrupt-partial flips and reports
-through the same :class:`~repro.gpusim.counters.PerfCounters` fields.
+class — a whole worker/process dying, stalling or wedging — lives in
+:mod:`repro.dist.faults` and reports through the same
+:class:`~repro.gpusim.counters.PerfCounters` fields.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Bounded, low-overhead span tracer for the whole stack.
 
 :class:`TraceRecorder` records **nested wall-clock spans** — the
-coordinator's ``fit -> round -> {broadcast, compute, gather, merge,
-update, abft_check, checkpoint}`` tree and the engine's ``fit ->
+coordinator's ``fit -> {broadcast, compute -> merge, recovery, round
+-> {update, checkpoint}}`` tree and the engine's ``fit ->
 iteration -> {assign_chunk, gemm, update_feed, bounds_refresh}`` tree —
 into a bounded in-memory ring.  It is **off by default** everywhere:
 every instrumentation site in the engine and the coordinator is gated

@@ -643,6 +643,61 @@ class TestFitCache:
         assert km._assigner.engine.stats.scratch_bytes == 0
 
 
+class TestRowNorms:
+    """``row_norms`` writes the per-sample norms band by band: the bits
+    of the whole-array ``np.sum(x * x, axis=1)``, through no x-sized
+    temporary."""
+
+    #: band bytes giving 7-row bands at 16 float32 features
+    SEVEN_ROWS = 7 * 16 * 4
+
+    @pytest.mark.parametrize("m", [1, 6, 7, 8, 14, 15, 100])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_across_band_edges(self, monkeypatch, dtype, m):
+        itemsize = np.dtype(dtype).itemsize
+        monkeypatch.setattr(engine_mod, "NORM_BAND_BYTES",
+                            self.SEVEN_ROWS // 4 * itemsize)
+        rng = np.random.default_rng(m)
+        x = (rng.standard_normal((m, 16))
+             * rng.uniform(1e-3, 1e3, (m, 1))).astype(dtype)
+        want = np.sum(x * x, axis=1, dtype=dtype)
+        got = engine_mod.row_norms(x)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @pytest.mark.parametrize("layout", ["fortran", "row_stride",
+                                        "col_stride"])
+    def test_any_layout_keeps_the_whole_array_bits(self, monkeypatch,
+                                                   layout):
+        monkeypatch.setattr(engine_mod, "NORM_BAND_BYTES", self.SEVEN_ROWS)
+        rng = np.random.default_rng(1)
+        base = rng.standard_normal((43, 32)).astype(np.float32)
+        x = {"fortran": np.asfortranarray(base[:, :16]),
+             "row_stride": base[::3, :16],
+             "col_stride": base[:, ::2]}[layout]
+        want = np.sum(x * x, axis=1, dtype=np.float32)
+        assert np.array_equal(engine_mod.row_norms(x).view(np.uint32),
+                              want.view(np.uint32))
+
+    def test_begin_fit_allocates_no_x_sized_temporary(self):
+        import tracemalloc
+
+        x = np.random.default_rng(2).standard_normal(
+            (40_000, 64)).astype(np.float32)
+        eng = FastPathEngine(None, np.float32)
+        tracemalloc.start()
+        try:
+            cache = eng.begin_fit(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            eng.end_fit()
+        # norms + labels + best, plus one band: far below x.nbytes
+        assert peak < x.nbytes // 4
+        assert np.array_equal(cache.x_norms,
+                              np.sum(x * x, axis=1, dtype=np.float32))
+
+
 class TestBlockMap:
     def test_row_major_ids_and_extents(self):
         tile = default_tensorop_tile(np.float32)  # TB 128x64

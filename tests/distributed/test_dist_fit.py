@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro import FTKMeans
+from repro.core.update import UpdateStage
 from repro.dist import WorkerFaultInjector
+from repro.dist import coordinator as coordinator_mod
+from repro.utils.bits import flip_bit
 
 M, N_FEATURES, K = 1537, 12, 7  # M deliberately not a GEMM-unit multiple
 
@@ -65,30 +68,6 @@ class TestBitIdentity:
 
 
 class TestWorkerFaults:
-    def test_corrupt_partial_detected_and_contained(self, x):
-        clean = fit(x, n_workers=3)
-        km = fit(x, n_workers=3,
-                 worker_faults=WorkerFaultInjector.corrupt_at(1, 2))
-        # the merged sums are authoritative: the fit is unharmed ...
-        assert_same_fit(km, clean)
-        # ... and the corruption was injected, detected and localized
-        assert km.counters_.errors_injected >= 1
-        assert km.counters_.errors_detected >= 1
-        assert km.counters_.errors_corrected >= 1
-        events = [e for e in km.dist_trace_
-                  if e["kind"] == "corrupt_partial_detected"]
-        assert events and events[0]["worker"] == 1
-        assert events[0]["iteration"] == 2
-
-    def test_low_bit_corruption_escapes_threshold(self, x):
-        # a flip in the lowest mantissa bits lands under the checksum
-        # threshold: it escapes, mirroring sub-threshold SEU semantics
-        km = fit(x, n_workers=2,
-                 worker_faults=WorkerFaultInjector.corrupt_at(0, 1, bit=0))
-        assert km.counters_.errors_injected == 1
-        assert not [e for e in km.dist_trace_
-                    if e["kind"] == "corrupt_partial_detected"]
-
     def test_stall_is_tolerated_and_counted(self, x):
         clean = fit(x, n_workers=2)
         km = fit(x, n_workers=2,
@@ -99,9 +78,50 @@ class TestWorkerFaults:
         assert [e for e in km.dist_trace_ if e["kind"] == "stall"]
 
     def test_random_faults_respect_max_faults(self, x):
-        inj = WorkerFaultInjector(rng=0, p_corrupt=1.0, max_faults=2)
+        inj = WorkerFaultInjector(rng=0, p_stall=1.0, stall_s=0.001,
+                                  max_faults=2)
         km = fit(x, n_workers=2, worker_faults=inj)
-        assert km.counters_.errors_injected == 2
+        assert len(inj.fired) == 2
+        assert km.counters_.worker_stalls == 2
+
+
+def _flip_high_bit(sums):
+    """An SEU in the merged sums: one exponent bit of one cell."""
+    sums[K // 2, 1] = flip_bit(sums[K // 2, 1], 55)
+
+
+class _CorruptRound3(UpdateStage):
+    """The coordinator's update stage, hit by one SEU in round 3."""
+
+    rounds = 0
+
+    def update(self, *args, **kw):
+        self.rounds += 1
+        if self.rounds == 3:
+            self.corrupt_hook = _flip_high_bit
+        return super().update(*args, **kw)
+
+
+class TestMergedSumGuard:
+    """The sums a sharded fit uses are the coordinator's merged sums,
+    and the update's e1/e2 checksum guard protects them on every
+    executor: a corrupted round is detected and recovered onto the
+    clean single-worker bits."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_corrupted_merge_is_detected_and_recovered(self, x, executor,
+                                                       monkeypatch):
+        single = fit(x)
+        monkeypatch.setattr(coordinator_mod, "UpdateStage", _CorruptRound3)
+        km = fit(x, n_workers=3, executor=executor)
+        assert km.n_iter_ >= 3
+        assert single.counters_.errors_detected == 0
+        assert km.counters_.errors_injected == 1
+        assert km.counters_.errors_detected >= 1
+        assert km.counters_.dmr_mismatches == 1
+        assert np.array_equal(km.cluster_centers_.view(np.uint32),
+                              single.cluster_centers_.view(np.uint32))
+        assert np.array_equal(km.labels_, single.labels_)
 
 
 class TestConfigSurface:

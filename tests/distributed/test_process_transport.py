@@ -116,9 +116,10 @@ class TestBitIdentity:
         (start,) = spy_start
         assert start["data_ref"] is not None
         assert not start["has_rows"]
-        # the dataset and the fleet's transposed update operand
-        assert sorted(name.rsplit("-", 1)[1]
-                      for name in start["segments"]) == ["x", "xt"]
+        # the dataset only: workers sum nothing, so they need neither
+        # the weights nor the coordinator's transposed merge operand
+        assert [name.rsplit("-", 1)[1]
+                for name in start["segments"]] == ["x"]
 
     def test_weighted_fit_bit_identical(self, x):
         rng = np.random.default_rng(7)

@@ -420,24 +420,18 @@ class TestCrashRecovery:
                               clean.cluster_centers_)
 
     def test_fault_tallies_survive_a_later_restore(self, x):
-        # a stall + corrupt fire at iteration 3 (committed), a crash at
+        # a stall fires at iteration 3 (committed), a crash at
         # iteration 4 restores the iteration-2 checkpoint: the one-shot
-        # faults never replay, so their tallies must not vanish with
-        # the restored counter snapshot
-        from repro.dist.faults import CORRUPT_PARTIAL, STALL
-        from repro.gpusim.faults import FaultPlan
+        # stall never replays, so its tally must not vanish with the
+        # restored counter snapshot
+        from repro.dist.faults import STALL
 
-        seu = FaultPlan(step=0, row_frac=0.5, col_frac=0.5, bit=55)
         faults = WorkerFaultInjector([
             WorkerFaultPlan(STALL, 0, 3, stall_s=0.001),
-            WorkerFaultPlan(CORRUPT_PARTIAL, 1, 3, seu=seu),
             WorkerFaultPlan(CRASH, 1, 4),
         ])
         km = fit(x, checkpoint_every=2, worker_faults=faults)
         assert km.counters_.worker_stalls == 1
-        assert km.counters_.errors_injected >= 1
-        assert km.counters_.errors_detected >= 1
-        assert km.counters_.errors_corrected >= 1
         assert km.counters_.worker_crashes == 1
 
     def test_counters_describe_committed_trajectory_only(self, x):

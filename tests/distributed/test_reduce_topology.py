@@ -5,8 +5,7 @@ produce the single-worker fit bit for bit — streaming commits only
 reorder *when* each shard folds relative to arrivals, never the fold
 order itself.  The contract tests here booby-trap exactly the ways the
 merge could silently go wrong: out-of-shard-order arrivals must not
-change commit order, and a crash or a corrupted partial must replay
-through recovery (or be contained by the checksum) onto the exact
+change commit order, and a crash must replay through recovery onto the exact
 clean bits.
 """
 
@@ -95,30 +94,11 @@ class TestStreamBitIdentity:
         assert_same_fit(km, ref)
         assert km.dist_recoveries_ == 1
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_stream_contains_corrupt_partial_off_serial(self, x, ref,
-                                                        executor):
-        km = fit(x, n_workers=4, executor=executor,
-                 worker_faults=WorkerFaultInjector.corrupt_at(2, 3))
-        assert_same_fit(km, ref)
-        assert km.counters_.errors_detected == 1
-        assert km.counters_.errors_corrected == 1
-
     def test_process_crash_recovery(self, x, ref):
         km = fit(x, n_workers=8, executor="process", checkpoint_every=2,
                  worker_faults=WorkerFaultInjector.crash_at(1, 3))
         assert_same_fit(km, ref)
         assert km.dist_recoveries_ == 1
-
-    def test_stream_contains_corrupt_partial(self, x, ref):
-        """ABFT under the stream merge: the checksum over the returned
-        partials catches a corrupted one, the coordinator-side merge is
-        authoritative, and the fit's bits never move."""
-        km = fit(x, n_workers=8, executor="serial",
-                 worker_faults=WorkerFaultInjector.corrupt_at(3, 2))
-        assert_same_fit(km, ref)
-        assert km.counters_.errors_detected == 1
-        assert km.counters_.errors_corrected == 1
 
 
 class _ReversedArrivalExecutor(SerialExecutor):
@@ -276,31 +256,30 @@ class TestMergeOperandHoist:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_declined_fleet_hoists_nowhere(self, x, monkeypatch, executor):
         """A budget that admits a shard but not x: the coordinator
-        declines, and its decision holds for every worker — none hoists
-        its own shard, so the fleet never holds more than x."""
-        boots, charged = [], []
-        init = ShardWorker.__init__
+        declines, and no worker hoists its own shard — workers feed no
+        accumulator — so the fleet never holds more than x."""
+        rounds, charged = [], []
+        run_round = ShardWorker.run_round
         record = FastPathEngine._record_alloc
 
-        def boot_spy(worker, *args, **kw):
-            init(worker, *args, **kw)
-            engine = worker.kernel.engine
-            engine._ensure_update_operand(engine._cache)
-            boots.append((worker.x.nbytes, worker.kernel.engine._cache.x_t))
+        def round_spy(worker, *args, **kw):
+            res = run_round(worker, *args, **kw)
+            rounds.append((worker.x.nbytes, worker.kernel.engine._cache.x_t))
+            return res
 
         def charge_spy(engine, name, nbytes):
             charged.append(name)
             record(engine, name, nbytes)
 
-        monkeypatch.setattr(ShardWorker, "__init__", boot_spy)
+        monkeypatch.setattr(ShardWorker, "run_round", round_spy)
         monkeypatch.setattr(FastPathEngine, "_record_alloc", charge_spy)
         monkeypatch.setattr(engine_mod, "host_operand_budget",
                             lambda: x.nbytes - 1)
         y0 = x[:K].copy()
         cfg = _cfg(executor=executor, chunk_bytes=x.nbytes // 8)
         res = Coordinator(cfg).fit(x, y0)
-        assert len(boots) == cfg.n_workers
-        for shard_nbytes, x_t in boots:
+        assert len(rounds) == cfg.n_workers * len(res.inertia_history)
+        for shard_nbytes, x_t in rounds:
             assert shard_nbytes < x.nbytes - 1      # would have hoisted
             assert x_t is None
         assert "operand_cache_transpose" not in charged
@@ -346,6 +325,51 @@ class TestRemovedKnobs:
             engine.begin_fit(x, 3, preload={"x_norms": engine._cache.x_norms})
         engine.end_fit()
         assert not hasattr(repro.dist, "WorkerCacheStore")
+
+
+class TestRemovedWorkerPartials:
+    """Workers return no partial sums, so nothing exists to corrupt,
+    check or lend them an operand for."""
+
+    def test_round_results_carry_no_partial(self):
+        from dataclasses import fields
+
+        from repro.dist.worker import RoundResult
+
+        assert "partial" not in {f.name for f in fields(RoundResult)}
+        assert not hasattr(Coordinator, "_check_partials")
+        assert not hasattr(coordinator_mod, "PARTIAL_CHECK_RTOL")
+
+    def test_corrupt_partial_fault_kind_is_gone(self):
+        from repro.dist import faults
+
+        assert faults.WORKER_FAULT_KINDS == ("crash", "stall", "wedge")
+        assert not hasattr(WorkerFaultInjector, "corrupt_at")
+        with pytest.raises(TypeError):
+            WorkerFaultInjector(p_corrupt=0.5)
+        with pytest.raises(TypeError):
+            faults.WorkerFaultPlan("crash", 0, 1, seu=None)
+
+    def test_borrowed_operand_surface_is_gone(self):
+        from repro.core.variants import build_assignment
+        from repro.dist.shm import ShmSession
+
+        x = np.random.default_rng(0).random((64, 4)).astype(np.float32)
+        cfg = KMeansConfig(n_clusters=3, tile=None)
+        kw = dict(x=x, plan=ShardPlan.build(64, 1, 16), n_clusters=3,
+                  cfg=cfg)
+        for removed in ("x_t", "xt_ref", "weight_ref", "sample_weight"):
+            with pytest.raises(TypeError):
+                build_worker(0, **{removed: None}, **kw)
+        with pytest.raises(TypeError):
+            ShardWorker(0, x, cfg, 3, sample_weight=None)
+        engine = FastPathEngine(None, np.float32)
+        with pytest.raises(TypeError):
+            engine.begin_fit(x, 3, x_t=np.ascontiguousarray(x.T))
+        kernel = build_assignment(cfg, 64, 4, np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            kernel.begin_fit(x, 3, x_t=np.ascontiguousarray(x.T))
+        assert not hasattr(ShmSession, "share_transpose")
 
 
 class TestReduceOccupancy:
@@ -420,8 +444,8 @@ class TestEstimatorSurface:
         assert isinstance(km.dist_reduce_busy_s_, float)
         assert km.dist_reduce_busy_s_ >= 0.0
         assert km.n_iter_ == len(km.inertia_history_)
-        # the coordinator's per-round ABFT test lands in counters_
-        assert km.counters_.checksum_tests == km.n_iter_
+        # the fleet runs the single-worker fit's checks, no more
+        assert km.counters_.checksum_tests == ref.counters_.checksum_tests
 
     def test_estimator_surfaces_every_dist_result_counter(self, x,
                                                           monkeypatch):

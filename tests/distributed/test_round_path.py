@@ -5,9 +5,9 @@ Every backend implements one collect loop, ``collect_round_stream``;
 ``run_round`` is ``send_round`` plus ``collect_round``.  These tests
 drive each backend directly through those helpers, check the coordinator
 creates the dataset segment only for the process executor, that the
-segment holds the exact bytes of ``x`` and ``sample_weight``, and that a
-fit ending in an error leaves no live worker, unlinks the segment and
-still records the span of the round or recovery that failed.
+segment holds the exact bytes of ``x``, and that a fit ending in an
+error leaves no live worker, unlinks the segment and still records the
+span of the round or recovery that failed.
 """
 
 import os
@@ -94,7 +94,6 @@ class TestOneCollectLoop:
             assert got.iteration == 1
             assert np.array_equal(got.labels, want.labels)
             assert np.array_equal(got.best, want.best)
-            assert np.array_equal(got.partial, want.partial)
 
     def test_collect_round_puts_arrivals_in_worker_order(self, data):
         y = data[:K].copy()
@@ -145,17 +144,13 @@ class TestSessionScope:
     def test_session_holds_exact_bytes(self, dtype):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((40, 5)).astype(dtype)
-        w = rng.random(40)
-        sess = ShmSession(x, w)
+        sess = ShmSession(x)
         try:
             xs = attach_array(sess.data_ref)
-            ws = attach_array(sess.weight_ref)
-            assert xs.dtype == x.dtype and ws.dtype == w.dtype
+            assert xs.dtype == x.dtype
             assert xs.tobytes() == x.tobytes()
-            assert ws.tobytes() == w.tobytes()
             assert sess.data_ref.name.startswith(
                 f"{SEGMENT_PREFIX}-{os.getpid()}-")
-            assert sess.weight_ref.name != sess.data_ref.name
         finally:
             sess.close()
 
@@ -165,7 +160,6 @@ class TestSessionScope:
         x = base[::2, 1::2]
         sess = ShmSession(x)
         try:
-            assert sess.weight_ref is None
             view = attach_array(sess.data_ref)
             assert view.shape == x.shape
             assert view.flags.c_contiguous
@@ -198,16 +192,17 @@ class TestErrorTeardown:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_tail_error_tears_down(self, data, executor, monkeypatch):
         children = []
+        tracer = TraceRecorder()
+        coord = Coordinator(_cfg(executor=executor), tracer=tracer)
 
-        def check_partials(self, merged, results, plan, x, *args):
-            if results[0].iteration == 3:
-                children.extend(getattr(self.executor, "_procs",
+        def count_directives(st, directives, it):
+            if it == 3:
+                children.extend(getattr(coord.executor, "_procs",
                                         {}).values())
                 raise RuntimeError("boom in the round tail")
 
-        monkeypatch.setattr(Coordinator, "_check_partials", check_partials)
-        tracer = TraceRecorder()
-        coord = Coordinator(_cfg(executor=executor), tracer=tracer)
+        monkeypatch.setattr(Coordinator, "_count_directives",
+                            staticmethod(count_directives))
         with pytest.raises(RuntimeError, match="boom"):
             coord.fit(data, data[:K].copy())
         assert len(children) == (3 if executor == "process" else 0)
@@ -218,8 +213,8 @@ class TestErrorTeardown:
         assert rounds[-1].t1 is not None
 
 
-def _fail_at_3(self, merged, results, *args):
-    if results[0].iteration == 3:
+def _fail_at_3(st, directives, it):
+    if it == 3:
         raise RuntimeError("boom in the off-critical tail")
 
 
@@ -235,18 +230,14 @@ class TestErrorSpans:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_tail_error_records_its_round(self, data, executor,
                                           monkeypatch):
-        monkeypatch.setattr(Coordinator, "_check_partials", _fail_at_3)
+        monkeypatch.setattr(Coordinator, "_count_directives",
+                            staticmethod(_fail_at_3))
         tracer = TraceRecorder()
         coord = Coordinator(_cfg(executor=executor), tracer=tracer)
         with pytest.raises(RuntimeError, match="boom"):
             coord.fit(data, data[:K].copy())
         rounds = self._spans(tracer, "round")
         assert [s.meta["iteration"] for s in rounds] == [1, 2, 3]
-        checks = self._spans(tracer, "abft_check")
-        assert len(checks) == 3
-        for check, rnd in zip(checks, rounds):
-            assert check.parent == "round"
-            assert rnd.t0 <= check.t0 <= check.t1 <= rnd.t1
         (fit,) = self._spans(tracer, "fit")
         assert fit.t0 <= rounds[-1].t0 <= rounds[-1].t1 <= fit.t1
 

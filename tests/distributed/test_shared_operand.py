@@ -1,23 +1,29 @@
-"""A fleet holds one transposed update operand.
+"""A fleet round accumulates each row once, from one transpose.
 
-The coordinator hoists the whole-data transpose once; every worker
-borrows its shard's column view instead of hoisting a copy of its own —
-serial and thread workers of the array, process children of its
-shared-memory segment — at first boot and at every later one (respawn,
-hot spare promotion, elastic re-plan).  The fit stays the single-worker
-fit bit for bit.
+The coordinator's shard-ordered merge is the round's only
+accumulation: workers return labels and distances and sum nothing, so
+a fleet feeds exactly M rows per round, no worker engine holds a
+transposed operand, and the coordinator hoists the fleet's one
+transpose for its own merge — at first boot and through every later
+one (respawn, hot spare promotion, elastic re-plan, re-expansion).  A
+process fit shares only the dataset segment.  The fit stays the
+single-worker fit bit for bit.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 import repro.dist.coordinator as coordinator_mod
 from repro import FTKMeans
+from repro.core.accumulate import StreamedAccumulator
 from repro.core.config import KMeansConfig
 from repro.core.engine import FastPathEngine
-from repro.dist import Coordinator, WorkerFaultInjector
+from repro.core.update import UpdateStage
+from repro.dist import WorkerFaultInjector
 from repro.dist.plan import ShardPlan
-from repro.dist.shm import ShmSession, attach_array, detach_all
+from repro.dist.shm import SEGMENT_PREFIX, ShmSession
 from repro.dist.worker import ShardWorker, build_worker
 
 M, N_FEATURES, K = 1537, 12, 7
@@ -49,39 +55,32 @@ def assert_same_fit(a, b):
 
 
 def _watch(monkeypatch) -> dict:
-    """Record the coordinator's transposes, every worker boot's
-    (shard, engine x_t) and every engine charge."""
-    seen = {"xt": [], "boots": [], "charged": []}
+    """Record the coordinator's transposes, each worker round's engine
+    operands and fed chunks, and every engine charge."""
+    seen = {"xt": [], "rounds": [], "charged": []}
     transpose = coordinator_mod.transpose_blocked
-    init = ShardWorker.__init__
+    run_round = ShardWorker.run_round
     record = FastPathEngine._record_alloc
 
     def t_spy(a):
         seen["xt"].append(transpose(a))
         return seen["xt"][-1]
 
-    def boot_spy(worker, *args, **kw):
-        init(worker, *args, **kw)
-        seen["boots"].append((worker.x, worker.kernel.engine._cache.x_t))
+    def round_spy(worker, *args, **kw):
+        res = run_round(worker, *args, **kw)
+        engine = worker.kernel.engine
+        seen["rounds"].append((set(engine.export_operands()),
+                               engine.stats.update_chunks_fed))
+        return res
 
     def charge_spy(engine, name, nbytes):
         seen["charged"].append(name)
         record(engine, name, nbytes)
 
     monkeypatch.setattr(coordinator_mod, "transpose_blocked", t_spy)
-    monkeypatch.setattr(ShardWorker, "__init__", boot_spy)
+    monkeypatch.setattr(ShardWorker, "run_round", round_spy)
     monkeypatch.setattr(FastPathEngine, "_record_alloc", charge_spy)
     return seen
-
-
-def _assert_one_shared_operand(seen, min_boots):
-    (xt,) = seen["xt"]                      # one transpose per fleet
-    assert xt.shape == (N_FEATURES, M)
-    assert len(seen["boots"]) >= min_boots
-    for shard, x_t in seen["boots"]:
-        assert x_t is not None and np.shares_memory(x_t, xt)
-        assert np.array_equal(x_t, shard.T)
-    assert "operand_cache_transpose" not in seen["charged"]
 
 
 def _crash(**kw):
@@ -102,26 +101,63 @@ SCENARIOS = {
 }
 
 
-class TestSharedFleetOperand:
+class TestOneTranspose:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_every_boot_borrows_the_coordinator_operand(
-            self, x, ref, monkeypatch, executor, scenario):
+    def test_only_the_coordinator_transposes(self, x, ref, monkeypatch,
+                                             executor, scenario):
+        """The coordinator hoists one x-sized transpose; no worker
+        engine holds one or feeds an accumulator, through any
+        membership history."""
         kwargs, kinds = SCENARIOS[scenario]
         seen = _watch(monkeypatch)
         km = fit(x, n_workers=3, executor=executor, **kwargs())
         assert [e["kind"] for e in km.dist_trace_] == kinds
         assert_same_fit(km, ref)
-        _assert_one_shared_operand(
-            seen, min_boots=3 if scenario == "steady" else 4)
+        (xt,) = seen["xt"]
+        assert xt.shape == (N_FEATURES, M)
+        # every round ran at least two workers (a re-plan shrinks to 2)
+        assert len(seen["rounds"]) >= 2 * km.n_iter_
+        for operands, chunks_fed in seen["rounds"]:
+            assert operands == {"x_norms"}
+            assert chunks_fed == 0
+        assert "operand_cache_transpose" not in seen["charged"]
 
 
-class TestProcessFleetOperand:
-    def test_factories_carry_the_segment_not_the_array(self, x, ref,
-                                                       monkeypatch):
+class TestOnePass:
+    @pytest.mark.parametrize("n_workers", [2, 3, 5])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_a_round_feeds_each_row_once(self, x, ref, monkeypatch,
+                                         executor, n_workers):
+        """Rows fed into any accumulator between two updates: exactly
+        M, the coordinator's merge, in every round."""
+        fed = [0]
+        per_round = []
+        feed = StreamedAccumulator.feed
+        update = UpdateStage.update
+
+        def feed_spy(acc, x_chunk, labels_chunk):
+            fed[0] += len(x_chunk)
+            feed(acc, x_chunk, labels_chunk)
+
+        def update_spy(stage, *args, **kw):
+            per_round.append(fed[0])
+            fed[0] = 0
+            return update(stage, *args, **kw)
+
+        monkeypatch.setattr(StreamedAccumulator, "feed", feed_spy)
+        monkeypatch.setattr(UpdateStage, "update", update_spy)
+        km = fit(x, n_workers=n_workers, executor=executor)
+        assert_same_fit(km, ref)
+        assert km.n_workers_ == n_workers
+        assert per_round == [M] * km.n_iter_
+
+
+class TestProcessFleet:
+    def test_factories_carry_only_the_dataset_ref(self, x, monkeypatch):
         """Every process factory — first boot, respawn, promoted spare
-        — hands its child the transpose segment's ref (never the array,
-        which would pickle a copy into each child)."""
+        — hands its child the dataset segment's ref and nothing
+        x-sized: no rows, weights or transpose."""
         made = []
         real = coordinator_mod.partial
 
@@ -129,58 +165,45 @@ class TestProcessFleetOperand:
             made.append(kw)
             return real(fn, **kw)
 
+        w = np.random.default_rng(1).uniform(0.5, 2.0, M)
+        kw = dict(n_clusters=K, variant="tensorop", seed=3, max_iter=6)
+        single = FTKMeans(**kw).fit(x, sample_weight=w)
         monkeypatch.setattr(coordinator_mod, "partial", partial_spy)
-        km = fit(x, n_workers=2, executor="process",
-                 **_crash(hot_spares=1)())
+        km = FTKMeans(n_workers=2, executor="process",
+                      **_crash(hot_spares=1)(), **kw).fit(x, sample_weight=w)
         assert ([e["kind"] for e in km.dist_trace_]
                 == ["crash", "restore", "promote"])
-        assert_same_fit(km, ref)
+        assert_same_fit(km, single)
         assert made
-        for kw in made:
-            assert kw.get("x_t") is None
-            assert kw["xt_ref"].shape == (N_FEATURES, M)
+        for factory_kw in made:
+            assert set(factory_kw) == {"plan", "cfg", "n_clusters",
+                                       "base_seed", "data_ref"}
+            assert factory_kw["data_ref"].shape == (M, N_FEATURES)
 
-    def test_child_borrows_its_column_view(self, x):
-        """What a child does with the ref: map the segment and borrow
-        its shard's columns."""
-        session = ShmSession(x)
-        plan = ShardPlan.build(M, 2, 256)
-        cfg = KMeansConfig(n_clusters=K, variant="tensorop", seed=3,
-                           tile=None)
-        shard = plan.shard_of(1)
-        try:
-            xt = session.share_transpose(x)
-            assert np.array_equal(xt, x.T)
-            worker = build_worker(1, plan=plan, cfg=cfg, n_clusters=K,
-                                  data_ref=session.data_ref,
-                                  xt_ref=session.xt_ref)
-            x_t = worker.kernel.engine._cache.x_t
-            assert np.shares_memory(x_t, attach_array(session.xt_ref))
-            assert np.array_equal(x_t, x[shard.lo:shard.hi].T)
-            worker.close()
-        finally:
-            detach_all()
-            session.close()
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_a_process_fit_creates_only_the_data_segment(
+            self, x, monkeypatch, weighted):
+        tags = []
+        create = ShmSession._create
+
+        def create_spy(session, tag, size):
+            tags.append((tag, size))
+            return create(session, tag, size)
+
+        monkeypatch.setattr(ShmSession, "_create", create_spy)
+        w = (np.random.default_rng(2).uniform(0.5, 2.0, M) if weighted
+             else None)
+        kw = dict(n_clusters=K, variant="tensorop", seed=3, max_iter=6)
+        single = FTKMeans(**kw).fit(x, sample_weight=w)
+        km = FTKMeans(n_workers=2, executor="process",
+                      **kw).fit(x, sample_weight=w)
+        assert tags == [("x", x.nbytes)]
+        assert_same_fit(km, single)
+        assert not [e for e in os.listdir("/dev/shm")
+                    if e.startswith(f"{SEGMENT_PREFIX}-{os.getpid()}-")]
 
 
-class TestBorrowedView:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_respawn_reslices_the_borrowed_view(self, x, monkeypatch,
-                                                executor):
-        """A respawned worker rebuilds its norms and re-slices the
-        coordinator's view; the fit stays the single-worker fit."""
-        y0 = x[:K].copy()
-        ref0 = FTKMeans(n_clusters=K, variant="tensorop", seed=3,
-                        max_iter=10, init_centroids=y0).fit(x)
-        seen = _watch(monkeypatch)
-        cfg = KMeansConfig(n_clusters=K, n_workers=2, seed=3, max_iter=10,
-                           checkpoint_every=2, target_workers=2,
-                           executor=executor)
-        res = Coordinator(
-            cfg, worker_faults=WorkerFaultInjector.crash_at(0, 3)).fit(x, y0)
-        assert np.array_equal(res.centroids, ref0.cluster_centers_)
-        _assert_one_shared_operand(seen, min_boots=3)
-
+class TestWorkerNorms:
     @pytest.mark.parametrize("scenario", sorted(set(SCENARIOS) - {"steady"}))
     def test_every_boot_computes_its_own_norms(self, x, monkeypatch,
                                                scenario):
@@ -202,38 +225,9 @@ class TestBorrowedView:
             assert not any(np.shares_memory(got, other)
                            for _, other in norms[:i])
 
-    @pytest.mark.parametrize("bad", ["shape", "dtype"])
-    def test_a_mismatched_view_is_ignored(self, x, bad):
-        """A lent transpose of the wrong shape or dtype is never
-        trusted: the engine falls back to its own hoist decision."""
-        xt = (np.ascontiguousarray(x[1:].T) if bad == "shape"
-              else np.ascontiguousarray(x.T, dtype=np.float64))
-        engine = FastPathEngine(None, np.float32)
-        engine.operand_budget = 0
-        try:
-            engine.begin_fit(x, K, x_t=xt)
-            assert engine._cache.x_t is None
-            assert engine._ensure_update_operand(engine._cache) is None
-        finally:
-            engine.end_fit()
-
-    def test_a_borrowed_view_is_not_charged(self, x):
-        """The engine borrows a lent transpose as-is: no copy and no
-        ``operand_cache_transpose`` charge."""
-        xt = np.ascontiguousarray(x.T)
-        charged = []
-        engine = FastPathEngine(None, np.float32,
-                                alloc_hook=lambda n, b: charged.append(n))
-        try:
-            engine.begin_fit(x, K, x_t=xt)
-            assert engine._cache.x_t is xt
-            assert "operand_cache_transpose" not in charged
-        finally:
-            engine.end_fit()
-
     def test_a_worker_never_owns_a_transpose(self, x):
-        """Without a lent view a worker runs the staging path: it
-        never hoists its shard, and it computes its own norms."""
+        """A worker's round feeds no accumulator: it never hoists its
+        shard, and it computes its own norms."""
         cfg = KMeansConfig(n_clusters=K, variant="tensorop", seed=3,
                            tile=None)
         plan = ShardPlan.build(M, 2, 256)
@@ -241,7 +235,8 @@ class TestBorrowedView:
         workers = [build_worker(0, **kw), build_worker(1, **kw)]
         try:
             for worker in workers:
-                worker.run_round(x[:K].copy(), 1)
+                res = worker.run_round(x[:K].copy(), 1)
+                assert not hasattr(res, "partial")
                 cache = worker.kernel.engine._cache
                 assert cache.x_t is None
                 assert np.array_equal(
