@@ -95,7 +95,8 @@ class KMeansConfig:
         coordinator sums the rows in shard order with
         sequential-continuation semantics (the round's only
         accumulation), so the fit stays bit-identical to
-        ``n_workers=1`` for any shard count or executor.  1 (default) keeps the in-process engine.
+        ``n_workers=1`` for any shard count or executor.  1 (default)
+        keeps the in-process engine.
     executor:
         Worker backend when ``n_workers > 1``: 'serial' (in-process
         loop, correctness/debug), 'thread' (worker threads; BLAS

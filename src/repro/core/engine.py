@@ -275,8 +275,11 @@ def transpose_blocked(x: np.ndarray) -> np.ndarray:
     return out
 
 
-#: bytes of ``x`` per band of :func:`row_norms` (one band-sized temporary)
-NORM_BAND_BYTES = 1 << 18
+#: bytes of ``x`` per band of :func:`row_norms`: the band's ``x * x``
+#: temporary stays under glibc's initial 128 KiB mmap threshold, so
+#: freeing it never raises the allocator's dynamic threshold for the
+#: rest of the process
+NORM_BAND_BYTES = 1 << 16
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
