@@ -3,7 +3,7 @@
 A :class:`ShardWorker` owns one shard of the sample matrix and a fully
 configured assignment kernel (the same :func:`build_assignment` product
 the single-device estimator uses, fast mode only).  Per round it runs
-one fused assignment pass over its shard against the broadcast centroids
+one assignment pass over its shard against the broadcast centroids
 and returns a :class:`RoundResult` with the shard's labels, min squared
 distances and counters — the "map" half of the coordinator's map-reduce
 Lloyd iteration.  A worker sums nothing: the coordinator's shard-ordered
