@@ -58,7 +58,7 @@ __all__ = [
 
 #: newest schema generation per trajectory family (the versions the
 #: benches write today; the loader accepts every generation up to it)
-SCHEMA_FAMILIES = {"fastpath_walltime": 4, "dist_scaling": 9}
+SCHEMA_FAMILIES = {"fastpath_walltime": 4, "dist_scaling": 10}
 
 #: config keys that must match for two fast-path records to share a
 #: trend series (problem shape + perf-relevant engine config; the
@@ -381,19 +381,17 @@ def detect_changepoint(series, *, min_segment: int = 2,
 
 def _check_trend(traj: Trajectory, record: dict, *, slack: float,
                  label: str) -> str:
-    """Shared trend gate: changepoint over the same-host same-shape
-    series *ending at the fresh record*; fail when the recent segment
-    is a sustained slowdown the fresh record belongs to."""
+    """Shared trend gate: changepoint over the file's same-host
+    same-shape series *extended by the fresh record*; fail when the
+    recent segment is a sustained slowdown the fresh record belongs to.
+    The fresh record is not in the file yet: ``runner --smoke`` writes
+    it only once every gate has passed."""
     host = record.get("host")
     shape = traj.shape_of(migrate_entry(record, traj.family))
-    series = traj.series(host, shape)
     fresh = traj.wall_of(record)
     if fresh is None:
         return f"{label} trend check skipped: record has no wall"
-    if not series or abs(series[-1] - fresh) > 1e-12:
-        # the fresh record is normally already appended to the file;
-        # when gating a not-yet-written record, extend the series
-        series = series + [fresh]
+    series = traj.series(host, shape) + [fresh]
     if len(series) < 4:
         return (f"{label} trend check skipped: only {len(series)} "
                 f"same-host entries at this shape")

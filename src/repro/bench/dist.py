@@ -8,7 +8,11 @@ workers × M grid and records, per cell:
   slowest shard per round, so ``sim_time_s_`` models multi-device
   scaling even when the host serialises the workers);
 * a bit-identity flag against the single-worker fast path (the
-  determinism contract is re-asserted on every bench run).
+  determinism contract is re-asserted on every bench run);
+* the widest BLAS thread count any worker ran at (``blas_threads``)
+  and the parallel efficiency ``wall_speedup_vs_single / min(W,
+  cores)``; ``runner --smoke`` gates W x ``blas_threads`` <= cores on
+  every multi-worker cell.
 
 A **recovery run** measures the fault-tolerance overhead: the same fit
 with an injected worker crash mid-way (checkpoint/restart enabled)
@@ -66,6 +70,7 @@ import numpy as np
 
 from repro.bench.fastpath import write_record
 from repro.core.api import FTKMeans
+from repro.core.blas import get_threads, host_cores
 from repro.dist.faults import WorkerFaultInjector
 from repro.obs.trace import TraceRecorder
 
@@ -75,6 +80,9 @@ __all__ = ["run_dist_bench", "run_smoke", "DEFAULT_RESULT_PATH", "main"]
 #: BENCH_fastpath.json, resolved against the working directory)
 DEFAULT_RESULT_PATH = Path("BENCH_dist.json")
 
+#: v10 added ``cores`` and, on every grid row and the ``selfheal``
+#: record, ``blas_threads`` (plus ``efficiency`` on grid rows) — the
+#: BLAS thread budget ``runner --smoke`` gates.
 #: v9 made the ``checkpoint`` record two fits (no checkpoints vs
 #: on-disk ``checkpoint_every=1``; every save is synchronous) and
 #: dropped the per-cell ``metrics`` dumps from the grid and ``reduce``
@@ -97,7 +105,7 @@ DEFAULT_RESULT_PATH = Path("BENCH_dist.json")
 #: v2 added the ``elastic`` stall-then-shrink record; v3 the
 #: ``checkpoint`` sync-vs-async overhead record; v4 the ``selfheal``
 #: kill → spawn → re-expand record
-SCHEMA = "dist_scaling/v9"
+SCHEMA = "dist_scaling/v10"
 
 #: full grid (CI-feasible, a few minutes)
 FULL_SHAPE = dict(m_grid=(60_000, 120_000), n_features=64, n_clusters=64,
@@ -157,6 +165,7 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
     if not reduce_workers_grid or min(reduce_workers_grid) < 1:
         raise ValueError(f"bad reduce_workers_grid {reduce_workers_grid!r}")
     rng = np.random.default_rng(seed)
+    cores = host_cores()
 
     grid = []
     rec_data = None
@@ -175,6 +184,7 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
                 km, wall = _fit_once(x, y0, n_clusters=n_clusters,
                                      iters=iters, workers=workers,
                                      executor=executor, seed=seed)
+            speedup = base[1] / max(1e-12, wall)
             row = {
                 "workers": workers,
                 "m": m,
@@ -189,7 +199,10 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
                     np.array_equal(km.labels_, base[0].labels_)
                     and np.array_equal(km.cluster_centers_,
                                        base[0].cluster_centers_)),
-                "wall_speedup_vs_single": base[1] / max(1e-12, wall),
+                "wall_speedup_vs_single": speedup,
+                "efficiency": speedup / min(workers, cores),
+                "blas_threads": (km.dist_blas_threads_ if workers > 1
+                                 else get_threads() or 0),
                 "sim_speedup_vs_single": (
                     base[0].sim_time_s_ / max(1e-12, km.sim_time_s_)),
             }
@@ -392,6 +405,7 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
         # segment instead of re-pickling the shard, so this is where
         # the boot-time win shows up
         "boot_stats": healed.dist_boot_stats_,
+        "blas_threads": healed.dist_blas_threads_,
     }
 
     # -- reduce: coordinator occupancy over a widening fleet.  Serial
@@ -435,6 +449,7 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "host": platform.node(),
         "numpy": np.__version__,
+        "cores": cores,
         "config": {
             "m_grid": list(m_grid), "n_features": n_features,
             "n_clusters": n_clusters, "iters": iters, "dtype": dtype,
@@ -470,7 +485,9 @@ def _summarise(record: dict) -> str:
         lines.append(
             f"  M={row['m']} workers={row['workers']}: "
             f"wall {row['wall_s']:.3f} s "
-            f"({row['wall_speedup_vs_single']:.2f}x) | sim "
+            f"({row['wall_speedup_vs_single']:.2f}x, efficiency "
+            f"{row['efficiency']:.2f}, {row['blas_threads']} BLAS "
+            f"threads) | sim "
             f"{row['sim_time_s']:.4f} s "
             f"({row['sim_speedup_vs_single']:.2f}x) | bit-identical "
             f"{row['bit_identical_vs_single']}")

@@ -4,11 +4,13 @@
 reproductions and prints them in paper order.
 
 ``python -m repro.bench.runner --smoke`` instead runs the wall-clock
-gating benchmarks — the fast-path run (appending to
-``BENCH_fastpath.json``) followed by a tiny 2-worker sharded scaling +
-crash-recovery + elastic stall-then-shrink + kill-spawn-re-expand
-self-healing run (appending to ``BENCH_dist.json``) — suitable as a
-tier-1 perf canary.  The self-healing record's per-recovered-round
+gating benchmarks — the fast-path run (for ``BENCH_fastpath.json``)
+followed by a tiny 2-worker sharded scaling + crash-recovery + elastic
+stall-then-shrink + kill-spawn-re-expand self-healing run (for
+``BENCH_dist.json``) — suitable as a tier-1 perf canary.  Both records
+are appended to their trajectories only after every gate has passed,
+so a failed run leaves the files as they were and cannot fail the next
+run as a stale report.  The self-healing record's per-recovered-round
 overhead and the fast-path record's bound-pruned assignment wall (plus
 its final ``active_frac``) are gated against the best prior same-host,
 same-shape entry just like the fast-path wall.  The reduce curve
@@ -22,7 +24,9 @@ TF32 fit must take the stacked fast lane with the per-unit walk's bits
 (:func:`check_fast_lane`).  The pruning record's shuffled-row twin
 must match the unpruned engine bit for bit on every pass and end with
 the active fraction of its contiguous layout
-(:func:`check_row_pruning`).
+(:func:`check_row_pruning`).  Every multi-worker cell of the dist
+record must have run W x BLAS threads <= cores and stay bit-identical
+(:func:`check_blas_budget`).
 ``--trace-out``
 forwards a trace output path to the dist smoke (a ``.jsonl`` suffix
 streams spans live as each closes; any other suffix writes a post-hoc
@@ -61,9 +65,10 @@ import numpy as np
 
 from repro.bench import analysis, figures
 from repro.bench.tables import print_figure
+from repro.core.blas import get_threads
 
-__all__ = ["all_figures", "check_fast_lane", "check_fastpath_regression",
-           "check_hoist_twin",
+__all__ = ["all_figures", "check_blas_budget", "check_fast_lane",
+           "check_fastpath_regression", "check_hoist_twin",
            "check_pruning_regression", "check_reduce_scaling",
            "check_row_pruning",
            "check_selfheal_regression", "check_stale_report", "main"]
@@ -90,8 +95,8 @@ def check_fastpath_regression(record: dict, path, *,
     """Compare a fresh fast-path record against the trajectory's best.
 
     Scans ``path`` for prior entries from the **same host** whose
-    problem shape and perf-relevant config match ``record`` (excluding
-    the freshly appended entry itself), takes the best (smallest) prior
+    problem shape and perf-relevant config match ``record`` (the fresh
+    record is not in the file yet), takes the best (smallest) prior
     engine wall and raises :class:`SystemExit` when the fresh wall
     exceeds ``slack`` times it.  Entries recorded on other machines are
     never compared — cross-host wall clocks would fail honest runs on
@@ -105,7 +110,7 @@ def check_fastpath_regression(record: dict, path, *,
     except (OSError, json.JSONDecodeError):
         return "regression check skipped: no readable trajectory"
     shape = {k: record["config"][k] for k in _SHAPE_KEYS}
-    prior = [e for e in entries[:-1]
+    prior = [e for e in entries
              if e.get("host") == record.get("host")
              and all(e.get("config", {}).get(k) == v
                      for k, v in shape.items())]
@@ -212,7 +217,7 @@ def check_pruning_regression(record: dict, path, *,
     if not pr:
         return "pruning check skipped: record has no pruning entry"
     shape = {k: record["config"][k] for k in _SHAPE_KEYS}
-    prior = [e["pruning"] for e in entries[:-1]
+    prior = [e["pruning"] for e in entries
              if e.get("host") == record.get("host")
              and e.get("pruning")
              and all(e.get("config", {}).get(k) == v
@@ -260,7 +265,7 @@ def check_selfheal_regression(record: dict, path, *,
     if not sh:
         return "selfheal check skipped: record has no selfheal entry"
     shape = {k: record["config"][k] for k in _DIST_SHAPE_KEYS}
-    prior = [e["selfheal"] for e in entries[:-1]
+    prior = [e["selfheal"] for e in entries
              if e.get("host") == record.get("host")
              and e.get("selfheal")
              and all(e.get("config", {}).get(k) == v
@@ -311,7 +316,7 @@ def check_reduce_scaling(record: dict, path, *,
         return ("reduce check ok (fresh record only): no readable "
                 "trajectory")
     shape = {k: record["config"][k] for k in _DIST_SHAPE_KEYS}
-    prior = [row["reduce_busy_s"] for e in entries[:-1]
+    prior = [row["reduce_busy_s"] for e in entries
              if e.get("host") == record.get("host")
              and all(e.get("config", {}).get(k) == v
                      for k, v in shape.items())
@@ -329,6 +334,37 @@ def check_reduce_scaling(record: dict, path, *,
             f"same-shape entry ({best * 1e3:.2f} ms) in {path.name}")
     return (f"reduce check ok at {widest} workers: stream "
             f"{fresh * 1e3:.2f} ms (best prior {best * 1e3:.2f} ms)")
+
+
+def check_blas_budget(record: dict) -> str:
+    """Gate the BLAS thread budget of a dist record (schema v10).
+
+    Every multi-worker grid cell, and the self-heal fit (a process
+    fleet through a kill, a cold spawn and a re-expand), must have run
+    its workers at W x ``blas_threads`` <= the host's cores and stayed
+    bit-identical to the single-worker fit.  A structural gate: no wall
+    clock, so no host-drift slack.  Skipped where this process cannot
+    read the BLAS thread count.  Raises :class:`SystemExit` otherwise;
+    returns a verdict line.
+    """
+    if get_threads() is None:
+        return "blas budget check skipped: BLAS thread count not readable"
+    cores = record.get("cores") or 0
+    cells = [(f"W={r['workers']} M={r['m']}", r["workers"],
+              r.get("blas_threads") or 0, r["bit_identical_vs_single"])
+             for r in record["grid"] if r["workers"] > 1]
+    sh = record.get("selfheal")
+    if sh:
+        cells.append(("selfheal", sh["workers"], sh.get("blas_threads") or 0,
+                      sh["recovered_bit_identical"]))
+    bad = [f"{name} ({w} x {t} threads, bit-identical {same})"
+           for name, w, t, same in cells
+           if not same or t < 1 or w * t > cores]
+    if bad:
+        raise SystemExit(
+            f"BLAS BUDGET REGRESSION on {cores} cores: {', '.join(bad)}")
+    return (f"blas budget ok: {len(cells)} fleets at workers x threads <= "
+            f"{cores} cores, bit-identical")
 
 
 def check_stale_report(report_path, fastpath_path, dist_path) -> str:
@@ -412,35 +448,44 @@ def main(argv=None) -> None:
 
         out = args.out or str(fastpath.DEFAULT_RESULT_PATH)
         dist_out = args.dist_out or str(dist_bench.DEFAULT_RESULT_PATH)
+        gate = not args.no_regression_check
         # gate FIRST: a stale committed report must fail before the
         # fresh records legitimately change the trajectory files
-        if args.report != "-" and not args.no_regression_check:
+        if args.report != "-" and gate:
             print("  " + check_stale_report(args.report, out, dist_out))
-        record = fastpath.main(["--smoke"]
-                               + (["--out", args.out] if args.out else [])
-                               + extra)
+        # the benches write nothing: each gate compares against the
+        # trajectory as it was, and the records join it only once every
+        # gate has passed
+        record = fastpath.main(["--smoke", "--out", "-"] + extra)
         print("  " + check_hoist_twin(record))
         print("  " + check_fast_lane(record))
         print("  " + check_row_pruning(record))
-        if out != "-" and not args.no_regression_check:
+        if out != "-" and gate:
             print("  " + check_fastpath_regression(
                 record, out, slack=args.regression_slack))
             print("  " + check_pruning_regression(
                 record, out, slack=args.regression_slack))
             print("  " + analysis.check_fastpath_trend(record, out))
-        if args.dist_out != "-":
+        dist_record = None
+        if dist_out != "-":
             dist_record = dist_bench.main(
-                ["--smoke"]
-                + (["--out", args.dist_out] if args.dist_out else [])
+                ["--smoke", "--out", "-"]
                 + (["--trace-out", args.trace_out] if args.trace_out
                    else []))
-            if dist_out != "-" and not args.no_regression_check:
+            print("  " + check_blas_budget(dist_record))
+            if gate:
                 print("  " + check_selfheal_regression(
                     dist_record, dist_out, slack=args.regression_slack))
                 print("  " + check_reduce_scaling(
                     dist_record, dist_out, slack=args.regression_slack))
                 print("  " + analysis.check_dist_trend(
                     dist_record, dist_out))
+        if out != "-":
+            print(f"  recorded -> {fastpath.write_record(record, out)}")
+        if dist_record is not None:
+            path = fastpath.write_record(dist_record, dist_out,
+                                         schema=dist_bench.SCHEMA)
+            print(f"  recorded -> {path}")
         if args.report != "-":
             path = analysis.write_perf_report(args.report, out, dist_out)
             print(f"  perf report -> {path}")

@@ -105,7 +105,10 @@ class FTKMeans:
     in each direction; 0 on the in-process backends) and
     ``dist_boot_stats_`` (worker boot/attach walls
     aggregated by kind: cold spawn vs spare promote vs warm
-    reconfigure).
+    reconfigure) and ``dist_blas_threads_`` (the widest BLAS thread
+    count any worker ran at; ``thread`` / ``process`` fleets hold each
+    worker to ``cores // n_workers``, see :mod:`repro.core.blas`; 0
+    when the count is unknown).
 
     ``spawn_hook`` (constructor-only, like ``worker_faults``) is the
     fleet manager's budget callback for booting replacement workers
@@ -362,6 +365,7 @@ class FTKMeans:
         self.dist_broadcast_bytes_ = res.broadcast_bytes
         self.dist_gather_bytes_ = res.gather_bytes
         self.dist_boot_stats_ = res.boot_stats
+        self.dist_blas_threads_ = res.blas_threads
         # predict/score run single-pass through an ordinary assigner
         self._assigner = build_assignment(cfg, m, k, rng)
         return self

@@ -75,6 +75,18 @@ in row order, the post-shrink trajectory stays bit-identical to
 replacement spawns.  With ``elastic=False`` (default) recovery respawns
 the full original worker set, as before.
 
+**BLAS thread budget.**  Workers that run at the same time share the
+host's cores, so on the ``thread`` and ``process`` backends each runs
+at most ``max(1, cores // W)`` BLAS threads
+(:func:`repro.core.blas.fleet_budget`, W the fit's starting fleet; a
+shrink keeps the budget).  Process children set it at boot; in-process
+workers share this process's count, so the fit holds the budget from
+executor start to shutdown — the count is process-global, so the
+caller's other threads run at the budget too while the fit lasts.  The
+``serial`` backend runs one worker at a time and never touches the
+count.  Every round reports the count its workers ran at; the widest
+lands on :attr:`DistFitResult.blas_threads` and the ``fit`` span.
+
 **Self-healing membership.**  ``target_workers`` / ``hot_spares`` /
 ``heartbeat_interval`` hand membership to a
 :class:`~repro.dist.fleet.FleetManager`: between-round heartbeats catch
@@ -103,6 +115,7 @@ from functools import partial
 import numpy as np
 
 from repro.core.accumulate import StreamedAccumulator
+from repro.core.blas import fleet_budget, thread_budget
 from repro.core.config import KMeansConfig
 from repro.core.convergence import ConvergenceMonitor
 from repro.core.engine import transpose_blocked
@@ -153,6 +166,7 @@ class DistFitResult:
     broadcast_bytes: int = 0             # pipe bytes coordinator->workers
     gather_bytes: int = 0                # pipe bytes workers->coordinator
     boot_stats: dict = field(default_factory=dict)  # boot walls by kind
+    blas_threads: int = 0                # widest worker BLAS count (0: unknown)
 
 
 class ReduceOccupancy:
@@ -214,6 +228,7 @@ class _FitState:
     shrinks: int = 0
     heartbeat_failures: int = 0
     stragglers: int = 0           # tolerated (sub-deadline) stalls
+    blas_threads: int = 0         # widest BLAS count a worker ran at
 
     def snapshot(self, iteration: int) -> dict:
         return {"iteration": iteration, "y": self.y.copy(),
@@ -308,7 +323,7 @@ class Coordinator:
         :attr:`event_bus`.
     tracer : :class:`repro.obs.trace.TraceRecorder`, optional
         Span recorder for the coordinator-side stage taxonomy ``fit ->
-        {broadcast, compute -> merge, recovery, round -> {update,
+        {boot, broadcast, compute -> merge, recovery, round -> {update,
         checkpoint}}`` (see ``docs/observability.md``).  Off
         by default; when enabled it records names and clocks only —
         numerics are untouched, so traced fits stay bit-identical.
@@ -481,14 +496,24 @@ class Coordinator:
         ckpt_save_s = time.perf_counter() - t0
 
         occ = ReduceOccupancy()
+        # concurrent workers share the host's cores: cores // W BLAS
+        # threads each, for the whole fit.  Process children adopt it at
+        # boot; in-process workers run at this process's count, which
+        # the fit holds until shutdown
+        budget = (fleet_budget(plan.n_workers) if self.executor.concurrent
+                  else None)
+        self.executor.blas_threads = budget
+        held = None if isinstance(self.executor, ProcessExecutor) else budget
         # the fit span brackets the whole round loop including the
         # shutdown tail
         with tr.span("fit", m=int(m), n_features=int(k),
-                     n_workers=int(plan.n_workers)):
+                     n_workers=int(plan.n_workers)) as fit_sp, \
+                thread_budget(held):
             try:
                 self.fleet.attach(self.executor, plan)
                 self.executor.reset_transport_stats()
-                self.executor.start(make_factory(plan), plan.worker_ids)
+                with tr.span("boot", n_workers=int(plan.n_workers)):
+                    self.executor.start(make_factory(plan), plan.worker_ids)
                 it = 1
                 while it <= cfg.max_iter:
                     directives = (self.faults.directives_for_round(
@@ -502,9 +527,12 @@ class Coordinator:
                         # compute span they genuinely overlap
                         with tr.span("compute", iteration=int(it)) as sp:
                             g0 = self.executor.gather_bytes
-                            self._stream_reduce(
+                            results = self._stream_reduce(
                                 st.plan, x, labels, best, st.counters,
                                 st.clock, merge_acc, occ, tr)
+                            st.blas_threads = max(
+                                [st.blas_threads]
+                                + [r.blas_threads for r in results])
                             if sp is not None:
                                 sp.meta["payload_bytes"] = (
                                     self.executor.gather_bytes - g0)
@@ -575,6 +603,8 @@ class Coordinator:
                 # /dev/shm holds no strays once the fit is gone
                 if shm_session is not None:
                     shm_session.close()
+            if fit_sp is not None:
+                fit_sp.meta["blas_threads"] = st.blas_threads
 
         # fold the restore-proof tallies into the final counter totals:
         # crashes and deadline-tripped stalls count the workers lost,
@@ -601,7 +631,8 @@ class Coordinator:
             reduce_busy_s=occ.busy_s,
             broadcast_bytes=int(self.executor.broadcast_bytes),
             gather_bytes=int(self.executor.gather_bytes),
-            boot_stats=_boot_stats(self.executor.boot_events))
+            boot_stats=_boot_stats(self.executor.boot_events),
+            blas_threads=st.blas_threads)
 
     # ------------------------------------------------------------------
     def _recover(self, crash: WorkerCrash, st: _FitState, make_factory,
@@ -734,9 +765,9 @@ class Coordinator:
                        labels: np.ndarray, best: np.ndarray,
                        counters: PerfCounters, clock: SimClock,
                        merge_acc: StreamedAccumulator,
-                       occ: ReduceOccupancy, tr) -> None:
+                       occ: ReduceOccupancy, tr) -> list[RoundResult]:
         """The round's collect and merge: arrival-ordered consume,
-        shard-ordered commit.
+        shard-ordered commit; returns the results in shard order.
 
         Results are buffered as they arrive and committed strictly in
         shard order — the order the sequential-continuation merge
@@ -773,6 +804,7 @@ class Coordinator:
             raise RuntimeError("round stream ended with uncommitted "
                                "shards and no failure raised")
         self._charge_round(clock, results)
+        return results
 
     @staticmethod
     def _count_directives(st: _FitState, directives: dict[int, dict],

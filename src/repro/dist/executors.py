@@ -102,6 +102,7 @@ import time
 from abc import ABC, abstractmethod
 from multiprocessing.connection import wait as conn_wait
 
+from repro.core.blas import thread_budget
 from repro.dist.faults import WorkerCrash, WorkerStall
 from repro.dist.shm import detach_all as _shm_detach_all
 from repro.dist.worker import RoundResult, ShardWorker
@@ -148,12 +149,22 @@ class BaseExecutor(ABC):
     workers are classified stalled (None = no deadline); the coordinator
     sets it from the fit configuration (and re-arms it per round under
     the adaptive deadline).
+
+    ``blas_threads`` — the per-worker BLAS thread budget
+    (:func:`repro.core.blas.fleet_budget`) of the current fit; the
+    coordinator sets it on ``concurrent`` backends and leaves it None
+    (count untouched) otherwise.
     """
+
+    #: workers run their rounds at the same time, so they share the
+    #: host's cores (and need a BLAS thread budget)
+    concurrent = False
 
     def __init__(self) -> None:
         self._factory = None
         self._worker_ids: tuple[int, ...] = ()
         self.round_timeout: float | None = None
+        self.blas_threads: int | None = None
         self._stashed_round: tuple | None = None
         self._spare_tokens = 0
         #: optional :class:`repro.obs.events.EventBus` — the coordinator
@@ -403,6 +414,7 @@ class ThreadExecutor(BaseExecutor):
     returning."""
 
     name = "thread"
+    concurrent = True
 
     def _spawn(self) -> None:
         self._workers = {wid: self._factory(wid) for wid in self._worker_ids}
@@ -538,13 +550,19 @@ _SPARE_READY = "__spare_ready__"
 #: heartbeat reply sentinel
 _PONG = "__pong__"
 
-def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
+def _child_main(conn, factory, worker_id: int, stale_conns=(),
+                blas_threads: int | None = None) -> None:
     """Process-executor child loop: build the worker, answer messages.
 
     ``stale_conns`` are parent-side pipe ends a *forked* child inherited
     (other workers' conns, spare conns, and this pipe's own parent end);
     they are closed first thing so that coordinator death reaches every
     worker as pipe EOF instead of deadlocking the fleet on fd copies.
+
+    ``blas_threads`` is the fit's per-worker BLAS budget, set for the
+    child's whole life — a spare and a re-targeted child keep it.  A
+    forked child inherits an already-loaded OpenBLAS, so an environment
+    variable set at spawn would come too late.
 
     Messages are tagged tuples — ``("round", y, iteration, directive)``,
     ``("ping",)``, ``("configure", factory, worker_id)`` — or ``None``
@@ -560,6 +578,12 @@ def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
     """
     for stale in stale_conns:
         stale.close()
+    with thread_budget(blas_threads):
+        _serve(conn, factory, worker_id)
+
+
+def _serve(conn, factory, worker_id: int) -> None:
+    """The child's message loop (see :func:`_child_main`)."""
     worker = None
     if factory is not None:
         worker = factory(worker_id)
@@ -608,6 +632,7 @@ class ProcessExecutor(BaseExecutor):
     """
 
     name = "process"
+    concurrent = True
 
     #: recv bound (seconds) for the *remaining* connections once a round
     #: has already lost a worker and no round deadline is configured: a
@@ -678,7 +703,8 @@ class ProcessExecutor(BaseExecutor):
                      + tuple(entry[1] for entry in self._spares)
                      + (parent,))
         proc = self._ctx.Process(target=_child_main,
-                                 args=(child, factory, wid, stale),
+                                 args=(child, factory, wid, stale,
+                                       self.blas_threads),
                                  daemon=True)
         proc.start()
         child.close()

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.blas import get_threads
 from repro.core.variants import build_assignment
 from repro.dist.faults import WorkerCrash
 from repro.gpusim.counters import PerfCounters
@@ -46,6 +47,7 @@ class RoundResult:
     counters: PerfCounters
     timings: list = field(default_factory=list)
     wall_s: float = 0.0
+    blas_threads: int = 0         # BLAS threads the pass ran at (0: unknown)
 
     @property
     def sim_time_s(self) -> float:
@@ -134,7 +136,8 @@ class ShardWorker:
             worker_id=self.worker_id, iteration=iteration,
             labels=res.labels.copy(), best=res.min_sqdist.copy(),
             counters=res.counters, timings=res.timings,
-            wall_s=time.perf_counter() - t0)
+            wall_s=time.perf_counter() - t0,
+            blas_threads=get_threads() or 0)
 
     def ping(self) -> bool:
         """Heartbeat probe: answer promptly unless wedged.

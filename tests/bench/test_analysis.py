@@ -121,7 +121,7 @@ class TestLoader:
         with pytest.raises(analysis.SchemaError):
             analysis.load_trajectory(tmp_path / "missing.json")
 
-    def test_dist_loader_accepts_v9_rejects_v10(self, tmp_path):
+    def test_dist_loader_accepts_v10_rejects_v11(self, tmp_path):
         p = tmp_path / "dist.json"
 
         def write(schema):
@@ -130,11 +130,11 @@ class TestLoader:
                 "entries": [{"bench": "dist_scaling", "schema": schema,
                              "config": {"m_grid": [1024]}}]}))
 
-        write("dist_scaling/v9")
+        write("dist_scaling/v10")
         traj = analysis.load_trajectory(p)
         assert traj.family == "dist_scaling"
-        assert [e["schema_version"] for e in traj.entries] == [9]
-        write("dist_scaling/v10")
+        assert [e["schema_version"] for e in traj.entries] == [10]
+        write("dist_scaling/v11")
         with pytest.raises(analysis.SchemaError, match="postdates"):
             analysis.load_trajectory(p)
 
@@ -216,57 +216,61 @@ class TestChangepoint:
 
 
 class TestTrendGate:
-    def test_sustained_slowdown_fails(self, tmp_path):
+    """The gated record is not in the file yet (``runner --smoke``
+    writes it only after every gate passes): each case writes the
+    priors and gates the last wall as the fresh record."""
+
+    @staticmethod
+    def _gate(tmp_path, walls):
         p = tmp_path / "t.json"
-        walls = [1.0, 1.05, 0.95, 1.0, 1.9, 2.0, 2.1]
         doc = _fp_doc(walls)
+        fresh = doc["entries"].pop()
         p.write_text(json.dumps(doc))
-        fresh = doc["entries"][-1]
+        return fresh, p
+
+    def test_sustained_slowdown_fails(self, tmp_path):
+        fresh, p = self._gate(tmp_path, [1.0, 1.05, 0.95, 1.0, 1.9, 2.0,
+                                         2.1])
         with pytest.raises(SystemExit, match="TREND REGRESSION"):
             analysis.check_fastpath_trend(fresh, p)
 
     def test_flat_series_passes(self, tmp_path):
-        p = tmp_path / "t.json"
-        walls = [1.0, 1.05, 0.95, 1.0, 1.02, 0.98]
-        doc = _fp_doc(walls)
-        p.write_text(json.dumps(doc))
-        assert "ok" in analysis.check_fastpath_trend(
-            doc["entries"][-1], p)
+        fresh, p = self._gate(tmp_path, [1.0, 1.05, 0.95, 1.0, 1.02, 0.98])
+        assert "ok" in analysis.check_fastpath_trend(fresh, p)
 
     def test_shift_within_slack_passes(self, tmp_path):
         # 1.0 -> 1.3 is a real changepoint but under the 1.5x slack
-        p = tmp_path / "t.json"
-        walls = [1.0, 1.01, 0.99, 1.0, 1.3, 1.31, 1.29, 1.3]
-        doc = _fp_doc(walls)
-        p.write_text(json.dumps(doc))
-        verdict = analysis.check_fastpath_trend(doc["entries"][-1], p)
+        fresh, p = self._gate(tmp_path, [1.0, 1.01, 0.99, 1.0, 1.3, 1.31,
+                                         1.29, 1.3])
+        verdict = analysis.check_fastpath_trend(fresh, p)
         assert "ok" in verdict and "changepoint" in verdict
 
     def test_noise_floor_spares_tiny_walls(self, tmp_path):
         # 10 ms -> 50 ms is a 5x shift but under the 0.1 s floor
-        p = tmp_path / "t.json"
-        walls = [0.01, 0.011, 0.009, 0.01, 0.05, 0.051, 0.049, 0.05]
-        doc = _fp_doc(walls)
-        p.write_text(json.dumps(doc))
-        assert "ok" in analysis.check_fastpath_trend(
-            doc["entries"][-1], p)
+        fresh, p = self._gate(tmp_path, [0.01, 0.011, 0.009, 0.01, 0.05,
+                                         0.051, 0.049, 0.05])
+        assert "ok" in analysis.check_fastpath_trend(fresh, p)
 
     def test_short_series_skips(self, tmp_path):
-        p = tmp_path / "t.json"
-        doc = _fp_doc([1.0, 2.0])
-        p.write_text(json.dumps(doc))
-        assert "skipped" in analysis.check_fastpath_trend(
-            doc["entries"][-1], p)
+        fresh, p = self._gate(tmp_path, [1.0, 2.0])
+        assert "skipped" in analysis.check_fastpath_trend(fresh, p)
+
+    def test_fresh_wall_equal_to_last_prior_still_counts(self, tmp_path):
+        # three priors plus a fresh record repeating the last wall make
+        # a four-entry series: the fresh record is never mistaken for
+        # an already-appended entry
+        fresh, p = self._gate(tmp_path, [1.0, 1.0, 1.0, 1.0])
+        assert "4 same-shape entries" in analysis.check_fastpath_trend(
+            fresh, p)
 
     def test_other_hosts_and_shapes_excluded(self, tmp_path):
         p = tmp_path / "t.json"
         doc = {"schema": "fastpath_walltime/v1",
                "entries": [_fp_entry(1.0, host="other") for _ in range(6)]
-               + [_fp_entry(9.0, m=999) for _ in range(6)]
-               + [_fp_entry(5.0)]}
+               + [_fp_entry(9.0, m=999) for _ in range(6)]}
         p.write_text(json.dumps(doc))
         assert "skipped" in analysis.check_fastpath_trend(
-            doc["entries"][-1], p)
+            _fp_entry(5.0), p)
 
     def test_unreadable_file_skips(self, tmp_path):
         fresh = _fp_entry(1.0)
@@ -283,10 +287,11 @@ class TestTrendGate:
                            "n_clusters": 16, "iters": 3,
                            "dtype": "float32", "checkpoint_every": 2},
                 "recovery": {"clean_wall_s": wall}})
+        fresh = entries.pop()
         p.write_text(json.dumps({"schema": "dist_scaling/v1",
                                  "entries": entries}))
         with pytest.raises(SystemExit, match="TREND REGRESSION"):
-            analysis.check_dist_trend(entries[-1], p)
+            analysis.check_dist_trend(fresh, p)
 
 
 class TestWriteRecordSchemaBump:

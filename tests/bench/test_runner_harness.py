@@ -183,7 +183,7 @@ class TestRegressionGate:
         fresh = self._entry(1.0)
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v2",
-             "entries": [self._entry(0.1), fresh]}))
+             "entries": [self._entry(0.1)]}))
         with pytest.raises(SystemExit, match="PERF REGRESSION"):
             runner.check_fastpath_regression(fresh, out, slack=1.5)
 
@@ -192,7 +192,7 @@ class TestRegressionGate:
         fresh = self._entry(0.09)
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v2",
-             "entries": [self._entry(0.1), fresh]}))
+             "entries": [self._entry(0.1)]}))
         verdict = runner.check_fastpath_regression(fresh, out, slack=1.5)
         assert "ok" in verdict
 
@@ -201,7 +201,7 @@ class TestRegressionGate:
         fresh = self._entry(1.0)
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v2",
-             "entries": [self._entry(0.1, m=999), fresh]}))
+             "entries": [self._entry(0.1, m=999)]}))
         assert "skipped" in runner.check_fastpath_regression(fresh, out)
 
     def test_noise_floor_spares_tiny_walls(self, tmp_path):
@@ -211,7 +211,7 @@ class TestRegressionGate:
         fresh = self._entry(0.008)
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v2",
-             "entries": [self._entry(0.001), fresh]}))
+             "entries": [self._entry(0.001)]}))
         assert "ok" in runner.check_fastpath_regression(fresh, out,
                                                         slack=1.5)
 
@@ -223,7 +223,7 @@ class TestRegressionGate:
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v2",
              "entries": [self._entry(0.1, host="fastbox"),
-                         self._entry(0.1, chunk_bytes=1 << 20), fresh]}))
+                         self._entry(0.1, chunk_bytes=1 << 20)]}))
         assert "skipped" in runner.check_fastpath_regression(fresh, out)
 
     def test_smoke_gate_end_to_end(self, tmp_path, capsys):
@@ -262,7 +262,7 @@ class TestPruningGate:
         fresh = self._entry(1.0)
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v3",
-             "entries": [self._entry(0.3), fresh]}))
+             "entries": [self._entry(0.3)]}))
         with pytest.raises(SystemExit, match="PRUNING REGRESSION"):
             runner.check_pruning_regression(fresh, out, slack=1.5)
 
@@ -271,7 +271,7 @@ class TestPruningGate:
         fresh = self._entry(0.2, frac=0.8)
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v3",
-             "entries": [self._entry(0.3, frac=0.0), fresh]}))
+             "entries": [self._entry(0.3, frac=0.0)]}))
         with pytest.raises(SystemExit, match="active_frac"):
             runner.check_pruning_regression(fresh, out, slack=1.5)
 
@@ -280,7 +280,7 @@ class TestPruningGate:
         fresh = self._entry(0.25)
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v3",
-             "entries": [self._entry(0.3), fresh]}))
+             "entries": [self._entry(0.3)]}))
         assert "ok" in runner.check_pruning_regression(fresh, out,
                                                        slack=1.5)
 
@@ -289,7 +289,7 @@ class TestPruningGate:
         fresh = self._entry(0.08)
         out.write_text(json.dumps(
             {"schema": "fastpath_walltime/v3",
-             "entries": [self._entry(0.01), fresh]}))
+             "entries": [self._entry(0.01)]}))
         assert "ok" in runner.check_pruning_regression(fresh, out,
                                                        slack=1.5)
 
@@ -303,7 +303,7 @@ class TestPruningGate:
              "entries": [self._entry(0.1, host="fastbox"),
                          self._entry(0.1, m=999),
                          self._entry(0.1, iters=4),
-                         legacy, fresh]}))
+                         legacy]}))
         assert "skipped" in runner.check_pruning_regression(fresh, out)
 
 
@@ -321,9 +321,9 @@ class TestDistSmokeGate:
                      "--report", str(tmp_path / "perf.md"),
                      "--m", "1024", "--iters", "1"])
         doc = json.loads(dist_out.read_text())
-        assert doc["schema"] == "dist_scaling/v9"
+        assert doc["schema"] == "dist_scaling/v10"
         (record,) = doc["entries"]
-        assert record["schema"] == "dist_scaling/v9"
+        assert record["schema"] == "dist_scaling/v10"
         workers = [row["workers"] for row in record["grid"]]
         assert workers == record["config"]["workers_grid"] == [1, 2]
         for row in record["grid"]:
@@ -392,6 +392,16 @@ class TestDistSmokeGate:
         # record
         assert "transport" not in record
         assert sh["boot_stats"]["cold_spawn"]["count"] >= 1
+        # the BLAS thread budget of schema v10 (gated by
+        # check_blas_budget): concurrent fleets stay within the cores
+        assert record["cores"] >= 1
+        for row in record["grid"]:
+            assert row["blas_threads"] >= 1
+            assert row["efficiency"] > 0
+            if row["workers"] > 1:
+                assert (row["workers"] * row["blas_threads"]
+                        <= record["cores"])
+        assert sh["workers"] * sh["blas_threads"] <= record["cores"]
 
     def test_dist_bench_cli_direct(self, tmp_path):
         from repro.bench import dist as dist_bench
@@ -403,6 +413,71 @@ class TestDistSmokeGate:
              "--out", str(out)])
         assert [r["m"] for r in record["grid"]] == [2048, 2048]
         assert json.loads(out.read_text())["entries"]
+
+
+class TestNoPoisonedTrajectory:
+    """A failed smoke run writes nothing: the records join their
+    trajectories only after every gate passed, so one failure cannot
+    fail the next run as a stale report."""
+
+    @pytest.mark.parametrize("module,gate", [
+        (runner, "check_fast_lane"),                # first gate
+        (runner.analysis, "check_dist_trend")])     # last gate
+    def test_forced_gate_failure_leaves_files_untouched(
+            self, tmp_path, monkeypatch, module, gate):
+        fp_out = tmp_path / "fastpath.json"
+        dist_out = tmp_path / "dist.json"
+        fp_out.write_text(json.dumps(
+            {"schema": "fastpath_walltime/v4", "entries": []}))
+        dist_out.write_text(json.dumps(
+            {"schema": "dist_scaling/v10", "entries": []}))
+        before = fp_out.read_bytes(), dist_out.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise SystemExit(f"FORCED FAILURE in {gate}")
+
+        monkeypatch.setattr(module, gate, fail)
+        with pytest.raises(SystemExit, match="FORCED FAILURE"):
+            runner.main(["--smoke", "--out", str(fp_out),
+                         "--dist-out", str(dist_out), "--report", "-",
+                         "--m", "1024", "--iters", "1"])
+        assert (fp_out.read_bytes(), dist_out.read_bytes()) == before
+
+
+class TestBlasBudgetGate:
+    """Every multi-worker cell of the dist record must run W x BLAS
+    threads <= cores and stay bit-identical; no wall clock."""
+
+    @staticmethod
+    def _record(threads=1, identical=True, heal_threads=1, cores=2):
+        return {"cores": cores,
+                "grid": [{"workers": 1, "m": 64, "blas_threads": 2,
+                          "bit_identical_vs_single": True},
+                         {"workers": 2, "m": 64, "blas_threads": threads,
+                          "bit_identical_vs_single": identical}],
+                "selfheal": {"workers": 2, "blas_threads": heal_threads,
+                             "recovered_bit_identical": True}}
+
+    def test_budgeted_fleet_passes(self):
+        assert "blas budget ok" in runner.check_blas_budget(self._record())
+
+    @pytest.mark.parametrize("patch", [
+        {"threads": 2},                 # 2 workers x 2 threads on 2 cores
+        {"heal_threads": 2},            # the process fleet oversubscribes
+        {"threads": 0},                 # the count went unrecorded
+        {"identical": False}])
+    def test_violation_fails_loudly(self, patch):
+        with pytest.raises(SystemExit, match="BLAS BUDGET REGRESSION"):
+            runner.check_blas_budget(self._record(**patch))
+
+    def test_single_worker_cells_are_not_fleets(self):
+        # the W=1 row runs at the caller's count, wider than a share
+        assert "ok" in runner.check_blas_budget(self._record(cores=4))
+
+    def test_unreadable_count_skips(self, monkeypatch):
+        monkeypatch.setattr(runner, "get_threads", lambda: None)
+        assert "skipped" in runner.check_blas_budget(
+            self._record(threads=2))
 
 
 class TestSelfhealGate:
@@ -424,7 +499,7 @@ class TestSelfhealGate:
         fresh = self._entry(1.0)
         out.write_text(json.dumps(
             {"schema": "dist_scaling/v4",
-             "entries": [self._entry(0.3), fresh]}))
+             "entries": [self._entry(0.3)]}))
         with pytest.raises(SystemExit, match="SELFHEAL REGRESSION"):
             runner.check_selfheal_regression(fresh, out, slack=1.5)
 
@@ -433,7 +508,7 @@ class TestSelfhealGate:
         fresh = self._entry(0.25)
         out.write_text(json.dumps(
             {"schema": "dist_scaling/v4",
-             "entries": [self._entry(0.3), fresh]}))
+             "entries": [self._entry(0.3)]}))
         assert "ok" in runner.check_selfheal_regression(fresh, out,
                                                         slack=1.5)
 
@@ -444,7 +519,7 @@ class TestSelfhealGate:
         fresh = self._entry(0.08)
         out.write_text(json.dumps(
             {"schema": "dist_scaling/v4",
-             "entries": [self._entry(0.01), fresh]}))
+             "entries": [self._entry(0.01)]}))
         assert "ok" in runner.check_selfheal_regression(fresh, out,
                                                         slack=1.5)
 
@@ -458,7 +533,7 @@ class TestSelfhealGate:
              "entries": [self._entry(0.1, host="fastbox"),
                          self._entry(0.1, m_grid=(999,)),
                          self._entry(0.1, workers=4),
-                         legacy_v3, fresh]}))
+                         legacy_v3]}))
         assert "skipped" in runner.check_selfheal_regression(fresh, out)
 
 
@@ -489,7 +564,7 @@ class TestReduceGate:
 
     def test_bit_mismatch_fails(self, tmp_path):
         fresh = self._entry(0.01, identical=False)
-        out = self._write(tmp_path, [fresh])
+        out = self._write(tmp_path, [])
         with pytest.raises(SystemExit, match="bit-identical"):
             runner.check_reduce_scaling(fresh, out)
 
@@ -497,11 +572,11 @@ class TestReduceGate:
         fresh = self._entry(1.0)
         out = self._write(tmp_path, [
             self._entry(0.1, extra=("star", "tree")),
-            self._entry(0.001, host="fastbox"), fresh])
+            self._entry(0.001, host="fastbox")])
         with pytest.raises(SystemExit, match="stream occupancy"):
             runner.check_reduce_scaling(fresh, out, slack=1.5)
 
     def test_noise_floor_spares_tiny_occupancy(self, tmp_path):
         fresh = self._entry(0.012)
-        out = self._write(tmp_path, [self._entry(0.002), fresh])
+        out = self._write(tmp_path, [self._entry(0.002)])
         assert "ok" in runner.check_reduce_scaling(fresh, out, slack=1.5)

@@ -474,6 +474,7 @@ class TestEstimatorSurface:
             "reduce_busy_s": "dist_reduce_busy_s_",
             "broadcast_bytes": "dist_broadcast_bytes_",
             "gather_bytes": "dist_gather_bytes_",
+            "blas_threads": "dist_blas_threads_",
             "inertia": "inertia_",
             "n_iter": "n_iter_",
         }

@@ -45,13 +45,14 @@ class TestTracingNeutrality:
             s.name for s in rec.spans}
 
     @given(m=st.integers(64, 400), n_workers=st.integers(2, 3),
-           executor=st.sampled_from(["serial", "thread"]),
+           executor=st.sampled_from(["serial", "thread", "process"]),
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=6, deadline=None)
     def test_traced_sharded_fit_bit_identical(self, m, n_workers, executor,
                                               seed):
-        """The coordinator's hoist span (and the workers' borrowed
-        views under it) leaves a sharded fit's bits alone."""
+        """The coordinator's hoist and boot spans, the BLAS thread count
+        on the fit span (and the workers' borrowed views) leave a
+        sharded fit's bits alone."""
         rng = np.random.default_rng(seed)
         x = rng.random((m, 8), dtype=np.float64).astype(np.float32)
 
@@ -69,3 +70,10 @@ class TestTracingNeutrality:
         assert base.inertia_history_ == traced.inertia_history_
         hoists = [s for s in rec.spans if s.name == "operand_hoist"]
         assert len(hoists) == 1 and hoists[0].meta["nbytes"] == x.nbytes
+        boots = [s for s in rec.spans if s.name == "boot"]
+        assert len(boots) == 1
+        assert boots[0].meta["n_workers"] == traced.n_workers_
+        (fit_span,) = [s for s in rec.spans
+                       if s.name == "fit" and "blas_threads" in s.meta]
+        assert fit_span.meta["blas_threads"] == traced.dist_blas_threads_
+        assert traced.dist_blas_threads_ == base.dist_blas_threads_
