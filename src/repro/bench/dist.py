@@ -22,8 +22,8 @@ flag.
 
 An **elastic run** measures the shrink-recovery path: a worker stalls
 past the round deadline mid-fit (process executor, so the detector
-really terminates the child) and the coordinator re-shards onto the
-survivors instead of respawning — the ``elastic`` record carries the
+really terminates the child) and the fleet re-shards onto the
+survivors' warm children — the ``elastic`` record carries the
 detection + shrink overhead, the post-shrink worker count and the
 bit-identity flag against the uninterrupted fit.
 

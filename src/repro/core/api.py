@@ -334,8 +334,7 @@ class FTKMeans:
             y0 = self._run_init(x, rng)
 
         coord = Coordinator(
-            cfg, executor=cfg.executor,
-            checkpoint=CheckpointStore(self._checkpoint_dir),
+            cfg, checkpoint=CheckpointStore(self._checkpoint_dir),
             worker_faults=self._worker_faults,
             spawn_hook=self._spawn_hook,
             event_bus=self._event_bus,

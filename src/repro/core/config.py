@@ -127,9 +127,11 @@ class KMeansConfig:
     elastic:
         With ``n_workers > 1``: recover from a worker loss by
         re-sharding the lost rows onto the surviving workers
-        (shrink-and-continue) instead of respawning the full worker
-        set.  The re-plan keeps shard boundaries on the same GEMM-unit
-        grid and shards in row order, so the fit stays bit-identical to
+        (shrink-and-continue) instead of rebuilding the lost workers in
+        place.  A ready hot spare still promotes first, and without
+        ``target_workers`` / ``hot_spares`` the fleet stays shrunk.
+        The re-plan keeps shard boundaries on the same GEMM-unit grid
+        and shards in row order, so the fit stays bit-identical to
         ``n_workers=1`` for any membership history.
     target_workers:
         With ``n_workers > 1``: fleet size the self-healing manager
@@ -137,8 +139,8 @@ class KMeansConfig:
         shrink followed by re-expansion at a later round boundary —
         replacements reuse the lost worker ids, so a full regrow
         restores the original shard plan).  None (default, with
-        ``hot_spares=0``) leaves recovery to the ``elastic`` policy;
-        must not exceed ``n_workers``.
+        ``hot_spares=0``) means no re-expansion; must not exceed
+        ``n_workers``.
     hot_spares:
         With ``n_workers > 1``: replacement capacity provisioned ahead
         of any failure.  On the process backend these are genuinely

@@ -12,11 +12,12 @@ the failure class orthogonal to the paper's in-device SEUs.
   merge (bit-identical to single-worker for any shard count *and any
   membership history*) streamed as results arrive — the round's only
   accumulation, checked by the update's e1/e2 checksum guard — plus
-  checkpoint/restart recovery, round-deadline stall detection
-  (:class:`WorkerStall`) and elastic shrink-onto-survivors recovery;
-* :class:`FleetManager` — self-healing membership: between-round
-  heartbeats, hot-spare promotion, and shrink → re-expand back to the
-  target fleet size (bit-identical across any membership history);
+  checkpoint/restart recovery and round-deadline stall detection
+  (:class:`WorkerStall`);
+* :class:`FleetManager` — every membership change: between-round
+  heartbeats, in-place rebuilds (hot-spare promotion or cold respawn)
+  and shrink → re-expand back to the target fleet size (bit-identical
+  across any membership history);
 * :class:`CheckpointStore` — atomic in-memory or on-disk snapshots,
   the only state a fit persists;
 * :class:`WorkerFaultInjector` — crash / stall / wedge injection for

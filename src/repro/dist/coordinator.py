@@ -26,11 +26,12 @@ then every ``checkpoint_every`` iterations; each save is durable when
 it returns.  When a
 worker dies — a :class:`WorkerCrash` from the executor, whether injected
 in-process or a real child-process death — the coordinator restores the
-newest snapshot, restarts the executor (all workers rebuild from the
-factory) and replays.  The Lloyd step is deterministic given ``(x, y)``
-and worker SEU streams are keyed by ``(seed, worker, iteration)``, so
-the replayed trajectory — and the final centroids — are bit-identical
-to an uninterrupted run.
+newest snapshot, lets the :class:`~repro.dist.fleet.FleetManager` make
+the one membership change (rebuild the lost ids in place, or re-plan
+onto the survivors) and replays.  The Lloyd step is deterministic given
+``(x, y)`` and worker SEU streams are keyed by ``(seed, worker,
+iteration)``, so the replayed trajectory — and the final centroids —
+are bit-identical to an uninterrupted run.
 
 **Dataset segment.**  On the process executor the coordinator places
 ``x`` once in a shared-memory segment
@@ -53,9 +54,9 @@ requires, so the sums never depend on which worker answered first
 counts only insofar as it extends past the round's last result arrival
 (work hidden under a still-computing worker is free).
 
-**Failure detection and elastic membership.**  ``round_timeout`` arms
-the executors' round deadline: a worker that has not answered in time
-is terminated and surfaces as a typed :class:`WorkerStall` (counted in
+**Failure detection.**  ``cfg.round_timeout`` arms the executors'
+round deadline: a worker that has not answered in time is terminated
+and surfaces as a typed :class:`WorkerStall` (counted in
 ``PerfCounters.worker_stalls``) instead of hanging the fit forever —
 the stalled-but-alive failure mode a blocking ``recv()`` could never
 escape.  ``round_timeout="auto"`` sizes the deadline adaptively:
@@ -63,17 +64,7 @@ before each round the executor deadline is re-armed to
 ``ADAPTIVE_MULT`` × the median of the last ``ADAPTIVE_WINDOW`` observed
 round times (floored at ``ADAPTIVE_FLOOR_S``); until
 ``ADAPTIVE_MIN_SAMPLES`` rounds have been observed no deadline is
-armed, so a cold start can never be misread as a stall.  With ``elastic=True`` the coordinator recovers by *shrinking*:
-it asks the :class:`ShardPlan` to re-plan the lost rows onto the
-surviving workers (boundaries stay on the same GEMM-unit grid, shards
-stay in row order), restores the newest checkpoint and continues with
-fewer workers — no respawn of the dead.  Because per-row outputs are
-shard-geometry-independent and the merge is a sequential continuation
-in row order, the post-shrink trajectory stays bit-identical to
-``n_workers=1`` for **any membership history**.  The same
-:meth:`ShardPlan.replan` re-expands onto a larger member set when a
-replacement spawns.  With ``elastic=False`` (default) recovery respawns
-the full original worker set, as before.
+armed, so a cold start can never be misread as a stall.
 
 **BLAS thread budget.**  Workers that run at the same time share the
 host's cores, so on the ``thread`` and ``process`` backends each runs
@@ -87,21 +78,23 @@ caller's other threads run at the budget too while the fit lasts.  The
 count.  Every round reports the count its workers ran at; the widest
 lands on :attr:`DistFitResult.blas_threads` and the ``fit`` span.
 
-**Self-healing membership.**  ``target_workers`` / ``hot_spares`` /
-``heartbeat_interval`` hand membership to a
-:class:`~repro.dist.fleet.FleetManager`: between-round heartbeats catch
-a wedged worker well before the round deadline would; a loss with
-enough ready spares is healed by *promotion in place* (only the dead
-ids rebuild — survivors keep running with their warm caches, the plan
-never changes); otherwise the fit shrinks onto the survivors exactly
-like the elastic path and *re-expands* back to the target size at a
-later round boundary, replacements reusing the missing worker ids so a
-full regrow restores the original shard plan.  Every transition
-recovers through the same checkpoint-restore machinery, so the final
-centroids stay bit-identical to ``n_workers=1`` regardless of the
-membership history.  The snapshots are the only persisted state: a
-replacement worker rebuilds its shard's per-fit invariants at boot, as
-every first boot does.
+**Membership.**  The fit's :class:`~repro.dist.fleet.FleetManager`
+(configured by ``cfg.elastic`` / ``target_workers`` / ``hot_spares`` /
+``heartbeat_interval``) runs the between-round heartbeats and makes
+every membership change: a loss is healed in place (ready spares
+promoted, other lost ids cold-spawned; the plan never changes and
+survivors keep their warm caches) or by *shrinking* — the
+:class:`ShardPlan` re-plans the lost rows onto the survivors
+(boundaries stay on the same GEMM-unit grid, shards stay in row order)
+— and a shrunken fleet with a target *re-expands* at a later round
+boundary, replacements reusing the missing worker ids so a full regrow
+restores the original plan.  Because per-row outputs are
+shard-geometry-independent and the merge is a sequential continuation
+in row order, the trajectory stays bit-identical to ``n_workers=1`` for
+**any membership history**.  Each change lands in :meth:`_FitState.record`,
+the fit's one membership record.  The snapshots are the only persisted
+state: a replacement worker rebuilds its shard's per-fit invariants at
+boot, as every first boot does.
 """
 
 from __future__ import annotations
@@ -125,7 +118,7 @@ from repro.dist.checkpoint import CheckpointStore
 from repro.dist.executors import (BaseExecutor, ProcessExecutor,
                                   make_executor)
 from repro.dist.faults import WorkerCrash, WorkerFaultInjector
-from repro.dist.fleet import FleetManager
+from repro.dist.fleet import FleetManager, Move
 from repro.dist.plan import ShardPlan
 from repro.dist.shm import ShmSession
 from repro.dist.worker import RoundResult, build_worker
@@ -241,6 +234,27 @@ class _FitState:
         self.clock = snap["clock"]
         self.counters = snap["counters"]
 
+    def record(self, move: Move, iteration: int, bus: EventBus) -> None:
+        """Adopt the plan of one membership ``move`` and log it: the
+        trace entry, the shrink tally and, for an expand, the
+        coordinator's ``re_expand`` event.  A respawn changes neither
+        plan nor trace (its crash and restore entries describe it)."""
+        self.plan = move.plan
+        members = list(move.plan.worker_ids)
+        if move.kind == "promote":
+            entry = {"promoted": list(move.ids)}
+        elif move.kind == "shrink":
+            self.shrinks += 1
+            entry = {"lost": list(move.ids), "survivors": members}
+        elif move.kind == "expand":
+            entry = {"members": members}
+            bus.publish("re_expand", source="coordinator",
+                        iteration=int(iteration), members=members)
+        else:
+            return
+        self.trace.append({"kind": move.kind, "iteration": iteration,
+                           **entry, "n_workers": move.plan.n_workers})
+
 
 def _boot_stats(events: list[dict]) -> dict:
     """Aggregate a fit's boot events by kind (count / total / mean / max).
@@ -271,45 +285,20 @@ class Coordinator:
     cfg : KMeansConfig
         The fit configuration (``mode='fast'``; ``cfg.n_workers`` sets
         the requested shard count unless an explicit ``plan`` is given).
-    executor : str or BaseExecutor, optional
-        Backend name ('serial' / 'thread' / 'process') or a prebuilt
-        executor; defaults to ``cfg.executor``.
+    executor : BaseExecutor, optional
+        A prebuilt executor (e.g. a test backend); defaults to a fresh
+        ``cfg.executor`` backend.
     plan : ShardPlan, optional
         Explicit shard plan (tests); defaults to a unit-aligned balanced
         plan over ``cfg.n_workers``.
     checkpoint : CheckpointStore, optional
-        Snapshot store; defaults to a fresh in-memory store.
-    checkpoint_every : int, optional
-        Snapshot period in iterations; defaults to ``cfg.checkpoint_every``
-        (0 = only the iteration-0 snapshot, i.e. recovery restarts the
-        fit from iteration 0).
+        Snapshot store (saved every ``cfg.checkpoint_every``
+        iterations); defaults to a fresh in-memory store.
     worker_faults : WorkerFaultInjector, optional
         Worker-level fault source for the rounds.
     max_recoveries : int
         Crash-recovery budget; one more crash raises the
         :class:`WorkerCrash` to the caller.
-    elastic : bool, optional
-        Recover from a worker loss by re-sharding onto the survivors
-        instead of respawning the full set; defaults to ``cfg.elastic``.
-    round_timeout : float or "auto", optional
-        Seconds each executor round may take before unanswered workers
-        are classified stalled (:class:`WorkerStall`); defaults to
-        ``cfg.round_timeout`` (None = no deadline, the legacy blocking
-        behaviour).  ``"auto"`` re-arms the deadline each round from a
-        trailing median of observed round times (see the class
-        ``ADAPTIVE_*`` attributes).
-    target_workers : int, optional
-        Fleet size the :class:`FleetManager` steers back toward after
-        losses (promotion / re-expansion); defaults to
-        ``cfg.target_workers``.  None (and ``hot_spares=0``) leaves
-        membership to the legacy elastic/restart policy.
-    hot_spares : int, optional
-        Pre-provisioned replacement capacity (see
-        :meth:`BaseExecutor.prewarm_spares`); defaults to
-        ``cfg.hot_spares``.
-    heartbeat_interval : float, optional
-        Seconds between between-round liveness sweeps (None disables);
-        defaults to ``cfg.heartbeat_interval``.
     spawn_hook : callable, optional
         ``spawn_hook(n_needed) -> int | None`` — budget/veto on booting
         replacement workers during re-expansion (promotion of
@@ -339,54 +328,34 @@ class Coordinator:
     ADAPTIVE_MIN_SAMPLES = 2
 
     def __init__(self, cfg: KMeansConfig, *,
-                 executor: str | BaseExecutor | None = None,
+                 executor: BaseExecutor | None = None,
                  plan: ShardPlan | None = None,
                  checkpoint: CheckpointStore | None = None,
-                 checkpoint_every: int | None = None,
                  worker_faults: WorkerFaultInjector | None = None,
                  max_recoveries: int = 8,
-                 elastic: bool | None = None,
-                 round_timeout: float | str | None = None,
-                 target_workers: int | None = None,
-                 hot_spares: int | None = None,
-                 heartbeat_interval: float | None = None,
                  spawn_hook=None,
                  event_bus: EventBus | None = None, tracer=None):
         if cfg.mode != "fast":
             raise ValueError("sharded execution requires mode='fast'")
+        if executor is not None and not isinstance(executor, BaseExecutor):
+            raise TypeError("executor= takes a BaseExecutor; name a "
+                            "backend with cfg.executor")
         self.cfg = cfg
-        executor = executor if executor is not None else cfg.executor
-        self.executor = (executor if isinstance(executor, BaseExecutor)
-                         else make_executor(executor))
+        self.executor = (executor if executor is not None
+                         else make_executor(cfg.executor))
         self.plan = plan
         self.store = checkpoint if checkpoint is not None else CheckpointStore()
-        self.checkpoint_every = (cfg.checkpoint_every
-                                 if checkpoint_every is None
-                                 else int(checkpoint_every))
         self.faults = worker_faults
         self.max_recoveries = int(max_recoveries)
-        self.elastic = bool(cfg.elastic if elastic is None else elastic)
-        round_timeout = (cfg.round_timeout if round_timeout is None
-                         else round_timeout)
-        self.adaptive_timeout = round_timeout == "auto"
-        if self.adaptive_timeout:
-            round_timeout = None  # armed per round from observed times
-        if round_timeout is not None and round_timeout <= 0:
-            raise ValueError(
-                f"round_timeout must be > 0, got {round_timeout}")
-        self.round_timeout = (None if round_timeout is None
-                              else float(round_timeout))
-        self.executor.round_timeout = self.round_timeout
+        # "auto" arms the deadline per round from observed times
+        self.adaptive_timeout = cfg.round_timeout == "auto"
+        self.executor.round_timeout = (None if self.adaptive_timeout
+                                       else cfg.round_timeout)
         self.event_bus = event_bus if event_bus is not None else EventBus()
         self.tracer = tracer
         self.fleet = FleetManager(
-            target_workers=(cfg.target_workers if target_workers is None
-                            else target_workers),
-            hot_spares=(cfg.hot_spares if hot_spares is None
-                        else hot_spares),
-            heartbeat_interval=(cfg.heartbeat_interval
-                                if heartbeat_interval is None
-                                else heartbeat_interval),
+            target_workers=cfg.target_workers, hot_spares=cfg.hot_spares,
+            heartbeat_interval=cfg.heartbeat_interval, elastic=cfg.elastic,
             spawn_hook=spawn_hook, event_bus=self.event_bus)
         # the snapshot store and the executor publish on the fit's bus
         # unless pre-wired to one of their own
@@ -457,7 +426,7 @@ class Coordinator:
         # functools.partial of a module-level function: picklable, so
         # the process executor can ship it under any start method.  The
         # plan is baked in, so every membership change builds a fresh
-        # factory for the executor restart.  With the dataset segment
+        # factory for the rebuilt workers.  With the dataset segment
         # the factory carries a segment *ref* instead of the array —
         # booting a replacement (cold, spare promote, or re-expand)
         # pickles a few hundred bytes and attaches the shard as a view
@@ -568,15 +537,7 @@ class Coordinator:
                         grown = self.fleet.maybe_expand(st.plan,
                                                         make_factory)
                         if grown is not None:
-                            st.plan = grown
-                            members = list(grown.worker_ids)
-                            st.trace.append({"kind": "expand",
-                                             "iteration": it,
-                                             "members": members,
-                                             "n_workers": grown.n_workers})
-                            self.event_bus.publish(
-                                "re_expand", source="coordinator",
-                                iteration=int(it), members=members)
+                            st.record(grown, it, self.event_bus)
 
                         # -- tail ----------------------------------------
                         self._count_directives(st, directives, it)
@@ -586,8 +547,8 @@ class Coordinator:
                                         else np.sum(best64))
                         n_iter = it
                         converged = st.monitor.update(inertia, upd.shift)
-                        if (self.checkpoint_every
-                                and it % self.checkpoint_every == 0):
+                        if (cfg.checkpoint_every
+                                and it % cfg.checkpoint_every == 0):
                             with tr.span("checkpoint", iteration=int(it)):
                                 t0 = time.perf_counter()
                                 self.store.save(it, st.snapshot(it))
@@ -641,13 +602,11 @@ class Coordinator:
         iteration to resume from.
 
         Restores the store's newest snapshot (at worst the fit's
-        iteration-0 one) into ``st``, then re-establishes a working
-        fleet under one of three policies: the fleet manager promotes
-        ready spares in place or shrinks onto the survivors; ``elastic``
-        shrinks onto the survivors; otherwise the full membership
-        respawns.  Re-raises ``crash`` once the recovery budget is
-        spent.  The ``recovery`` span is a ``with`` block, so it is
-        recorded on every exit, error paths included.
+        iteration-0 one) into ``st``, then makes the one membership
+        change the fleet manager decides (:meth:`FleetManager.recover`).
+        Re-raises ``crash`` once the recovery budget is spent.  The
+        ``recovery`` span is a ``with`` block, so it is recorded on
+        every exit, error paths included.
         """
         st.recoveries += 1
         st.crash_workers_lost += len(crash.crashed_ids)
@@ -681,7 +640,7 @@ class Coordinator:
             self.event_bus.publish("restore", source="coordinator",
                                    iteration=int(restored_it))
             # the adaptive deadline's history describes the pre-recovery
-            # membership: after an elastic shrink the surviving shards
+            # membership: after a shrink the surviving shards
             # are larger and an honest round is legitimately slower, so
             # the median must re-warm (deadline disarmed for the warm-up
             # rounds) instead of condemning healthy survivors as phantom
@@ -689,40 +648,8 @@ class Coordinator:
             if self.adaptive_timeout:
                 st.round_times.clear()
                 self.executor.round_timeout = None
-            survivors = tuple(w for w in st.plan.worker_ids
-                              if w not in crash.failed_ids)
-            if self.fleet.manages_membership and survivors:
-                # fleet recovery: promote ready spares onto the dead ids
-                # in place (plan unchanged, survivors keep running) or
-                # shrink onto the survivors now and re-expand at a later
-                # round boundary
-                st.plan, action = self.fleet.recover(
-                    st.plan, make_factory, crash)
-            elif self.elastic and survivors:
-                # shrink: the lost rows re-shard onto the survivors
-                # (same unit grid, same row order, so the merge bits
-                # never move); only survivors respawn
-                st.plan = st.plan.replan(survivors)
-                self.executor.restart(make_factory(st.plan),
-                                      st.plan.worker_ids)
-                action = "shrink"
-            else:
-                # non-elastic (or every member lost at once): respawn
-                # the current membership in full
-                self.executor.restart()
-                action = "restart"
-            if action == "promote":
-                st.trace.append({"kind": "promote",
-                                 "iteration": crash.iteration,
-                                 "promoted": sorted(crash.failed_ids),
-                                 "n_workers": st.plan.n_workers})
-            elif action == "shrink":
-                st.shrinks += 1
-                st.trace.append({"kind": "shrink",
-                                 "iteration": crash.iteration,
-                                 "lost": sorted(crash.failed_ids),
-                                 "survivors": list(st.plan.worker_ids),
-                                 "n_workers": st.plan.n_workers})
+            st.record(self.fleet.recover(st.plan, make_factory, crash),
+                      crash.iteration, self.event_bus)
         return restored_it + 1
 
     def _send(self, tr, st: _FitState, it: int, directives: dict) -> float:

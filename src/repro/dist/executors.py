@@ -21,10 +21,8 @@ Every backend streams a round's results through one collect loop,
 the coordinator's merge commits in shard order whatever the arrival
 order — so every accumulated bit is executor-independent.  A crashed
 worker surfaces as :class:`~repro.dist.faults.WorkerCrash` from the
-collect;
-``restart()`` rebuilds the worker set from the factory the coordinator
-registered with :meth:`start` — or from a *new* (factory, worker set)
-when the coordinator re-shards elastically after a loss.
+collect, and the fleet manager (:mod:`repro.dist.fleet`) recovers
+through the two membership verbs below.
 
 **Failure detection.**  Every backend honours ``round_timeout`` (seconds
 per round, None = wait forever): a worker that has not answered when the
@@ -68,9 +66,8 @@ early arrivals discards them through the same recovery path.
 ``collect_round()`` drains the stream and returns the results in
 worker order; ``run_round()`` is ``send_round`` plus ``collect_round``.
 
-**Membership management.**  The fleet manager
-(:mod:`repro.dist.fleet`) drives four further verbs on top of the round
-protocol:
+**Membership management.**  The fleet manager drives four further
+verbs on top of the round protocol:
 
 * ``heartbeat(iteration, timeout)`` — a cheap between-rounds liveness
   probe.  A worker that answered its round but *then* wedged is
@@ -84,12 +81,18 @@ protocol:
   dead worker's shard skips the child's cold-start entirely; on the
   in-process backends a spare is just a promotion token (there is no
   boot cost to hide).
-* ``replace_workers(factory, worker_ids)`` — replace exactly the named
-  workers, leaving the survivors untouched (workers are stateless
+* ``replace_workers(factory, worker_ids)`` — rebuild the named workers
+  in place, leaving the survivors untouched (workers are stateless
   between rounds, so survivors keep their warm operand caches).
 * ``reconfigure(factory, worker_ids)`` — adopt a new (factory, worker
-  set) like ``restart`` but reusing warm children where possible; the
-  base implementation simply delegates to ``restart``.
+  set), re-targeting warm children where the backend has them.
+
+Both verbs discard a round that was sent but not collected, and neither
+keeps a worker that still runs one: such a worker — a drain-abandoned
+child, an answer never read, a thread whose cancelled pass has not
+returned — is rebuilt for its id (process children are reaped, thread
+workers dropped un-closed), so a stale answer can never be read as a
+later round's result or a boot handshake.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ from multiprocessing.connection import wait as conn_wait
 from repro.core.blas import thread_budget
 from repro.dist.faults import WorkerCrash, WorkerStall
 from repro.dist.shm import detach_all as _shm_detach_all
-from repro.dist.worker import RoundResult, ShardWorker
+from repro.dist.worker import RoundResult
 
 __all__ = ["BaseExecutor", "SerialExecutor", "ThreadExecutor",
            "ProcessExecutor", "make_executor"]
@@ -143,7 +146,7 @@ def _round_failure(iteration: int, crashed: list[int], stalled: list[int],
 
 
 class BaseExecutor(ABC):
-    """Round-based execution of a (re-startable) worker set.
+    """Round-based execution of a worker set.
 
     ``round_timeout`` — seconds each round may take before unanswered
     workers are classified stalled (None = no deadline); the coordinator
@@ -163,14 +166,14 @@ class BaseExecutor(ABC):
     def __init__(self) -> None:
         self._factory = None
         self._worker_ids: tuple[int, ...] = ()
+        self._workers: dict = {}
         self.round_timeout: float | None = None
         self.blas_threads: int | None = None
         self._stashed_round: tuple | None = None
         self._spare_tokens = 0
         #: optional :class:`repro.obs.events.EventBus` — the coordinator
-        #: wires its fit bus in so worker-set lifecycle transitions
-        #: (``executor_start`` / ``executor_restart``, source
-        #: ``"executor"``) appear in the same ordered event stream as
+        #: wires its fit bus in so the pool's ``executor_start`` (source
+        #: ``"executor"``) appears in the same ordered event stream as
         #: the fleet and checkpoint events
         self.event_bus = None
         #: per-fit transport counters: round-payload bytes moved over
@@ -202,34 +205,35 @@ class BaseExecutor(ABC):
         self._publish("executor_start", backend=getattr(self, "name", "?"),
                       worker_ids=list(self._worker_ids))
 
-    def restart(self, factory=None, worker_ids=None) -> None:
-        """Tear down every worker and rebuild (crash recovery).
-
-        With no arguments the original worker set respawns from the
-        registered factory; passing a new ``factory`` / ``worker_ids``
-        re-registers them first — the elastic path, where the
-        coordinator re-shards onto the survivors and restarts only
-        those.  Surviving workers restart too either way, so the whole
-        round replays from a clean slate.
-        """
-        if factory is not None:
-            self._factory = factory
-        if worker_ids is not None:
-            self._worker_ids = tuple(worker_ids)
-        self._teardown()
-        self._spawn()
-        self._publish("executor_restart",
-                      backend=getattr(self, "name", "?"),
-                      worker_ids=list(self._worker_ids))
-
     def shutdown(self) -> None:
         self._teardown()
 
-    @abstractmethod
-    def _spawn(self) -> None: ...
+    def _spawn(self) -> None:
+        self._workers = {wid: self._factory(wid) for wid in self._worker_ids}
 
-    @abstractmethod
-    def _teardown(self) -> None: ...
+    def _teardown(self) -> None:
+        busy = self._abandon_round()
+        for wid, w in self._workers.items():
+            self._release(w, wid in busy)
+        self._workers = {}
+
+    def _abandon_round(self) -> set[int]:
+        """Discard the round sent but not collected; returns the ids
+        whose worker is still running one (none in the base, which
+        computes inside the collect)."""
+        self._stashed_round = None
+        return set()
+
+    @staticmethod
+    def _release(worker, busy: bool) -> None:
+        """Close a dropped in-process worker — unless a thread still
+        runs it: then it is left un-closed (the thread owns it; GC
+        reclaims it once the pass returns) and cancelled, so the
+        abandoned pass stops at its next chunk boundary."""
+        if not busy:
+            worker.close()
+        elif hasattr(worker, "cancel"):
+            worker.cancel()
 
     def send_round(self, y, iteration: int,
                    directives: dict[int, dict]) -> None:
@@ -287,44 +291,37 @@ class BaseExecutor(ABC):
         return self._spare_tokens
 
     def replace_workers(self, factory, worker_ids) -> None:
-        """Replace exactly ``worker_ids``; every other worker is left
-        running untouched (promotion in place — the shard plan did not
-        change, so survivors keep their warm per-fit operand caches).
+        """Rebuild ``worker_ids`` in place from ``factory``; every other
+        worker is left running untouched (the shard plan did not change,
+        so survivors keep their warm per-fit operand caches).
 
-        The shared in-process implementation rebuilds the named workers
-        from ``factory``; zombie workers abandoned by a heartbeat (see
-        :class:`ThreadExecutor`) are dropped without a close.
+        The uncollected round is discarded, and a survivor still running
+        it is rebuilt too.  Each named id spends one spare token, if any.
         """
         self._factory = factory
         worker_ids = tuple(worker_ids)
-        zombies = getattr(self, "_zombies", set())
-        for wid in worker_ids:
+        busy = self._abandon_round()
+        for wid in worker_ids + tuple(sorted(busy - set(worker_ids))):
             old = self._workers.pop(wid, None)
-            if old is not None and wid not in zombies:
-                old.close()
-            zombies.discard(wid)
+            if old is not None:
+                self._release(old, wid in busy)
             self._workers[wid] = factory(wid)
         self._spare_tokens = max(0, self._spare_tokens - len(worker_ids))
 
-    def reconfigure(self, factory=None, worker_ids=None) -> None:
-        """Adopt a new (factory, worker set), reusing warm state where
-        the backend can; base implementation = plain :meth:`restart`."""
-        self.restart(factory, worker_ids)
+    def reconfigure(self, factory, worker_ids) -> None:
+        """Adopt a new (factory, worker set): every worker is dropped
+        and rebuilt, since its shard changed.  The process backend
+        overrides this to re-target its warm children instead."""
+        self._factory = factory
+        self._worker_ids = tuple(worker_ids)
+        self._teardown()
+        self._spawn()
 
 
 class SerialExecutor(BaseExecutor):
     """In-process sequential backend (the bit-reference)."""
 
     name = "serial"
-
-    def _spawn(self) -> None:
-        self._workers: dict[int, ShardWorker] = {
-            wid: self._factory(wid) for wid in self._worker_ids}
-
-    def _teardown(self) -> None:
-        for w in getattr(self, "_workers", {}).values():
-            w.close()
-        self._workers = {}
 
     def collect_round_stream(self):
         """Yield each worker's result as soon as it is computed.
@@ -416,37 +413,23 @@ class ThreadExecutor(BaseExecutor):
     name = "thread"
     concurrent = True
 
-    def _spawn(self) -> None:
-        self._workers = {wid: self._factory(wid) for wid in self._worker_ids}
+    def __init__(self) -> None:
+        super().__init__()
         self._inflight: dict[int, _RoundTask] = {}
         self._round_it: int | None = None
         #: workers whose heartbeat ping was abandoned mid-wedge: a
-        #: daemon thread still owns them, so teardown / replacement must
-        #: drop them without a close
+        #: daemon thread still owns them, like a stalled round's worker
         self._zombies: set[int] = set()
 
-    def _teardown(self) -> None:
-        # a stalled thread cannot be killed, and joining it would block
-        # recovery for the whole stall — abandon it instead: its worker
-        # is left un-closed (the thread still owns it; engine caches are
-        # reclaimed by GC once the round finishes, and the daemon thread
-        # never blocks process exit).  Heartbeat zombies are abandoned
-        # the same way.
-        running = {wid for wid, task in getattr(self, "_inflight",
-                                                {}).items()
-                   if not task.done.is_set()}
-        running |= set(getattr(self, "_zombies", ()))
-        for wid, w in getattr(self, "_workers", {}).items():
-            if wid not in running:
-                w.close()
-            elif hasattr(w, "cancel"):
-                # cooperative stop: the abandoned pass raises out of its
-                # chunk loop within one chunk instead of burning CPU to
-                # the end of the shard
-                w.cancel()
-        self._workers = {}
-        self._inflight = {}
-        self._zombies = set()
+    def _abandon_round(self) -> set[int]:
+        """A stalled thread cannot be killed, and joining it would block
+        recovery for the whole stall — so its worker (and a heartbeat
+        zombie's) is reported busy, to be dropped un-closed and
+        cancelled; the daemon thread never blocks process exit."""
+        busy = {wid for wid, task in self._inflight.items()
+                if not task.done.is_set()} | self._zombies
+        self._inflight, self._round_it, self._zombies = {}, None, set()
+        return busy
 
     def send_round(self, y, iteration, directives) -> None:
         self._round_it = iteration
@@ -639,7 +622,8 @@ class ProcessExecutor(BaseExecutor):
     #: second stalled worker must never turn a crash into a hang.  On
     #: expiry the pending children are abandoned, not killed — without a
     #: configured deadline nothing licenses classifying them stalled —
-    #: and the recovery restart's teardown reaps them.
+    #: and the recovery's membership verb reaps them and boots a fresh
+    #: child for each id (membership and shard unchanged).
     DRAIN_TIMEOUT = 5.0
 
     #: seconds teardown waits for a child to exit after the shutdown
@@ -666,11 +650,17 @@ class ProcessExecutor(BaseExecutor):
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = mp.get_context(start_method)
+        self._round_state: tuple | None = None
+        self._procs: dict[int, mp.Process] = {}
+        self._conns: dict[int, object] = {}
         #: pre-booted unconfigured children: [proc, conn, ready] — ready
         #: flips True once the _SPARE_READY handshake has been consumed
         self._spares: list[list] = []
         #: boots awaiting their ready handshake: wid -> (kind, t0)
         self._boot_pending: dict[int, tuple[str, float]] = {}
+        #: children sent a round whose answer was never read (still
+        #: computing, or answered into a pipe nobody drains)
+        self._unanswered: set[int] = set()
 
     # -- boot-wall accounting ------------------------------------------
     def _note_boot(self, wid: int, kind: str) -> None:
@@ -699,7 +689,7 @@ class ProcessExecutor(BaseExecutor):
             # objects to the child to close at boot; under 'spawn'
             # nothing is inherited and pickling them would *duplicate*
             # the handles instead.
-            stale = (tuple(getattr(self, "_conns", {}).values())
+            stale = (tuple(self._conns.values())
                      + tuple(entry[1] for entry in self._spares)
                      + (parent,))
         proc = self._ctx.Process(target=_child_main,
@@ -711,9 +701,6 @@ class ProcessExecutor(BaseExecutor):
         return proc, parent
 
     def _spawn(self) -> None:
-        self._round_state: tuple | None = None
-        self._procs: dict[int, mp.Process] = {}
-        self._conns: dict[int, object] = {}
         for wid in self._worker_ids:
             self._note_boot(wid, "cold_spawn")
             proc, parent = self._boot_child(self._factory, wid)
@@ -737,17 +724,25 @@ class ProcessExecutor(BaseExecutor):
                                   reason="worker failed to start")
             self._finish_boot(wid)
 
+    def _abandon_round(self) -> set[int]:
+        busy = self._unanswered & set(self._procs)
+        self._round_state, self._unanswered = None, set()
+        return busy
+
     def _teardown(self) -> None:
-        spare_conns = [entry[1] for entry in getattr(self, "_spares", [])]
-        spare_procs = [entry[0] for entry in getattr(self, "_spares", [])]
-        for conn in list(getattr(self, "_conns", {}).values()) + spare_conns:
+        # a child still owing an answer reads the shutdown message only
+        # after its round, eating the join grace: kill it outright
+        for wid in self._abandon_round():
+            self._kill_worker(wid)
+        spare_conns = [entry[1] for entry in self._spares]
+        spare_procs = [entry[0] for entry in self._spares]
+        for conn in list(self._conns.values()) + spare_conns:
             try:
                 conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
             conn.close()
-        for proc in list(getattr(self, "_procs",
-                                 {}).values()) + spare_procs:
+        for proc in list(self._procs.values()) + spare_procs:
             proc.join(timeout=self.JOIN_TIMEOUT)
             if proc.is_alive():
                 proc.terminate()
@@ -759,11 +754,12 @@ class ProcessExecutor(BaseExecutor):
     def _kill_worker(self, wid: int) -> None:
         """Escalated removal of a stalled child: terminate, then kill.
 
-        The worker is dropped from the live maps so teardown/respawn
-        never touches the corpse again.
+        The worker is dropped from the live maps so teardown and the
+        membership verbs never touch the corpse again.
         """
         proc = self._procs.pop(wid, None)
         conn = self._conns.pop(wid, None)
+        self._unanswered.discard(wid)
         if proc is not None and proc.is_alive():
             proc.terminate()
             proc.join(timeout=1.0)
@@ -820,6 +816,7 @@ class ProcessExecutor(BaseExecutor):
         for wid in self._worker_ids:
             payload = ("round", y, iteration, directives.get(wid))
             self.broadcast_bytes += _pickled_nbytes(payload)
+            self._unanswered.add(wid)
             if deadline is None:
                 try:
                     self._conns[wid].send(payload)
@@ -878,8 +875,7 @@ class ProcessExecutor(BaseExecutor):
                 # the user never opted into stall detection, so pending
                 # children may just be slow: abandon their answers (the
                 # round is discarded by recovery anyway) without killing
-                # them; the recovery restart's teardown reaps them,
-                # escalating only if they ignore it
+                # them; they stay unanswered, so recovery reaps them
                 pending.clear()
                 break
             for conn in ready:
@@ -894,6 +890,7 @@ class ProcessExecutor(BaseExecutor):
                     self._kill_worker(wid)
                     crashed.append(wid)
                     continue
+                self._unanswered.discard(wid)
                 if isinstance(result, RoundResult):
                     self.gather_bytes += _result_nbytes(result)
                 yield wid, result
@@ -1022,18 +1019,21 @@ class ProcessExecutor(BaseExecutor):
             self._finish_boot(wid)
 
     def replace_workers(self, factory, worker_ids) -> None:
-        """Promote spares (or cold-spawn) onto exactly ``worker_ids``.
+        """Rebuild exactly ``worker_ids`` in place: promote ready spares,
+        cold-spawn once the pool runs dry.
 
         Survivors are left running — they keep their warm engine caches
-        and never re-handshake.  Ready spares are configured in place
-        (the whole child cold-start is skipped); only if the pool runs
-        dry does a replacement pay a cold spawn.  Two-phase: all
-        configures are sent before any ready handshake is awaited, so
-        multiple replacements boot concurrently.
+        and never re-handshake — except a child still owing an answer
+        of the discarded round, which is reaped and rebuilt for its id
+        after the named ones.  Two-phase: all configures are sent before
+        any ready handshake is awaited, so the replacements boot
+        concurrently.
         """
         self._factory = factory
         worker_ids = tuple(worker_ids)
-        for wid in worker_ids:
+        busy = self._abandon_round()
+        rebuild = worker_ids + tuple(sorted(busy - set(worker_ids)))
+        for wid in rebuild:
             self._kill_worker(wid)           # sweep any corpse remains
             spare = self._take_ready_spare()
             if spare is not None:
@@ -1045,24 +1045,21 @@ class ProcessExecutor(BaseExecutor):
                 proc, conn = self._boot_child(factory, wid)
             self._procs[wid] = proc
             self._conns[wid] = conn
-        self._collect_ready(worker_ids,
-                            "replacement worker failed to start")
+        self._collect_ready(rebuild, "replacement worker failed to start")
 
-    def reconfigure(self, factory=None, worker_ids=None) -> None:
+    def reconfigure(self, factory, worker_ids) -> None:
         """Adopt a new (factory, worker set), reusing warm children.
 
-        Like ``restart`` but without burning the brood: every live
-        child (and every ready spare) is re-targeted with a configure
-        message — it closes its old worker and builds the new shard in
-        the warm interpreter.  Surplus warm children demote back into
-        the spare pool; missing slots cold-spawn.  Used by the fleet's
-        shrink and re-expand transitions.
+        Every live child that owes no answer (and every ready spare) is
+        re-targeted with a configure message — it closes its old worker
+        and builds the new shard in the warm interpreter; children
+        still owing one are reaped.  Surplus warm children demote back
+        into the spare pool; missing slots cold-spawn.
         """
-        if factory is not None:
-            self._factory = factory
-        if worker_ids is not None:
-            self._worker_ids = tuple(worker_ids)
-        self._round_state = None
+        self._factory = factory
+        self._worker_ids = tuple(worker_ids)
+        for wid in self._abandon_round():
+            self._kill_worker(wid)
         pool = [(self._procs[wid], self._conns[wid])
                 for wid in list(self._procs)]
         self._procs, self._conns = {}, {}

@@ -51,8 +51,9 @@ class WorkerCrash(RuntimeError):
     """A worker died (injected or real) during a round.
 
     The coordinator catches this, restores the last checkpoint and
-    restarts (or elastically re-shards) the executor; it propagates only
-    when recovery is exhausted (``max_recoveries``).
+    lets the fleet manager rebuild the lost workers in place or re-shard
+    onto the survivors; it propagates only when recovery is exhausted
+    (``max_recoveries``).
 
     A round can lose more than one worker: executors collect *every*
     failure of the round before raising (a second dead or stalled worker
@@ -87,9 +88,8 @@ class WorkerStall(WorkerCrash):
     Raised by executors whose ``round_timeout`` expired while one or
     more workers had not answered.  A subclass of :class:`WorkerCrash`
     so every existing recovery path applies; the coordinator classifies
-    it separately (``worker_stalls`` vs ``worker_crashes``) and, with
-    ``elastic=True``, re-shards onto the survivors instead of
-    respawning the stalled worker.
+    it separately (``worker_stalls`` vs ``worker_crashes``); recovery
+    is the same as for a crash.
     """
 
     def __init__(self, worker_id: int, iteration: int,

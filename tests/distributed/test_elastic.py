@@ -158,8 +158,8 @@ class TestStallDetection:
         # followed by blocking recv()s — a second, stalled worker then
         # hung recovery forever.  The bounded drain abandons it instead
         # (no deadline was configured, so nothing licenses calling it
-        # stalled: it stays a member, is reaped at teardown and
-        # respawns clean), while the crashed worker is evicted.
+        # stalled: it stays a member, and the shrink reaps its child
+        # and boots a clean one), while the crashed worker is evicted.
         y0 = x[:K].copy()
         ref = FTKMeans(n_clusters=K, variant="tensorop", seed=3,
                        max_iter=10, init_centroids=y0).fit(x)
@@ -312,6 +312,5 @@ class TestConfigValidation:
     def test_knobs_reach_the_coordinator(self):
         cfg = KMeansConfig(n_workers=2, elastic=True, round_timeout=2.5)
         coord = Coordinator(cfg)
-        assert coord.elastic is True
-        assert coord.round_timeout == 2.5
+        assert coord.fleet.elastic is True
         assert coord.executor.round_timeout == 2.5

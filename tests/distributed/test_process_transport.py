@@ -334,3 +334,27 @@ class TestBootStats:
         assert_same_fit(km, ref)
         stats = km.dist_boot_stats_
         assert stats["spare_promote"]["count"] >= 1
+
+    def test_default_recovery_cold_spawns_only_the_lost_id(self, x, ref):
+        # the rebuild is in place: survivors keep their children, so the
+        # fit boots W children plus one replacement, nothing else
+        km = fit(x, n_workers=3, executor="process", checkpoint_every=2,
+                 worker_faults=WorkerFaultInjector.crash_at(1, 4))
+        assert_same_fit(km, ref)
+        assert km.n_workers_ == 3
+        assert set(km.dist_boot_stats_) == {"cold_spawn"}
+        assert km.dist_boot_stats_["cold_spawn"]["count"] == 3 + 1
+
+    def test_elastic_stall_shrink_retargets_warm_children(self, x, ref):
+        # a stall past the deadline kills its child; the shrink
+        # re-targets the two survivors' warm children instead of
+        # booting a second cold batch
+        km = fit(x, n_workers=3, executor="process", checkpoint_every=2,
+                 elastic=True, round_timeout=1.0,
+                 worker_faults=WorkerFaultInjector.stall_at(
+                     1, 4, stall_s=100.0))
+        assert_same_fit(km, ref)
+        assert km.n_workers_ == 2
+        stats = km.dist_boot_stats_
+        assert stats["cold_spawn"]["count"] == 3
+        assert stats["reconfigure"]["count"] == 2

@@ -316,9 +316,12 @@ class TestWorkerCancellation:
         finally:
             ex.shutdown()
 
-    def test_teardown_cancels_running_workers(self, data):
-        # a restart with a round in flight abandons its tasks; teardown
-        # must cancel them so the daemon threads die at the next chunk
+    @pytest.mark.parametrize("verb,ids", [("reconfigure", (0, 1)),
+                                          ("replace_workers", (1,))])
+    def test_teardown_cancels_running_workers(self, data, verb, ids):
+        # a membership change with a round in flight abandons its tasks
+        # — worker 0's too when only worker 1 is named: it must be
+        # cancelled so its daemon thread dies at the next chunk
         x, y0 = data
         cfg = KMeansConfig(n_clusters=K, chunk_bytes=8 << 10, seed=0)
         plan = ShardPlan.build(len(x), 2, 256)
@@ -328,9 +331,10 @@ class TestWorkerCancellation:
             ex.send_round(y0, 1, {0: {"stall_s": 1.0}})
             time.sleep(0.05)                # let the round start
             tasks = dict(ex._inflight)
-            ex.restart(self._factory(x, plan, cfg), plan.worker_ids)
+            getattr(ex, verb)(self._factory(x, plan, cfg), ids)
             assert tasks[0].done.wait(5.0)
             assert isinstance(tasks[0].exc, EngineCancelled)
+            assert not ex._inflight
         finally:
             ex.shutdown()
 

@@ -441,3 +441,46 @@ class TestCrashRecovery:
                       worker_faults=WorkerFaultInjector.crash_at(1, 3))
         assert (crashed.counters_.checksum_tests
                 == clean.counters_.checksum_tests)
+
+
+class TestAbandonedDrainAnswers:
+    """A crash and a stall in one round on ``process`` with no round
+    deadline: the drain bound (``DRAIN_TIMEOUT``) abandons the
+    stalling child's answer without killing it.  Recovery must never
+    read that stale answer — not as a round result after an in-place
+    promotion, nor as the ready handshake of a shrink's re-targeted
+    child — under any recovery policy."""
+
+    SHAPE, N_CLUSTERS = (6000, 16), 5
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(7)
+        return rng.standard_normal(self.SHAPE).astype(np.float32)
+
+    def _fit(self, x, **kw):
+        base = dict(n_clusters=self.N_CLUSTERS, seed=3, max_iter=6,
+                    tol=0.0, init="random")
+        base.update(kw)
+        return FTKMeans(**base).fit(x)
+
+    @pytest.mark.parametrize("policy", [
+        {}, {"elastic": True}, {"target_workers": 3}, {"hot_spares": 1}],
+        ids=["default", "elastic", "target_workers", "hot_spares"])
+    def test_recovery_never_reads_an_abandoned_answer(self, data, policy,
+                                                      monkeypatch):
+        from repro.dist.executors import ProcessExecutor
+        from repro.dist.faults import STALL
+
+        monkeypatch.setattr(ProcessExecutor, "DRAIN_TIMEOUT", 0.5)
+        single = self._fit(data)
+        faults = WorkerFaultInjector([
+            WorkerFaultPlan(CRASH, 0, 2),
+            WorkerFaultPlan(STALL, 1, 2, stall_s=1.5)])
+        km = self._fit(data, n_workers=3, executor="process",
+                       checkpoint_every=1, worker_faults=faults, **policy)
+        assert km.dist_recoveries_ == 1
+        assert np.array_equal(km.cluster_centers_.view(np.uint32),
+                              single.cluster_centers_.view(np.uint32))
+        assert np.array_equal(km.labels_, single.labels_)
+        assert km.inertia_history_ == single.inertia_history_

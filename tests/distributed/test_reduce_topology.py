@@ -295,11 +295,27 @@ class TestMergeOperandHoist:
 class TestRemovedKnobs:
     @pytest.mark.parametrize("knob", ["reduce_topology", "event_hook",
                                       "transport", "worker_cache",
-                                      "overlap_rounds"])
+                                      "overlap_rounds", "checkpoint_every",
+                                      "elastic", "round_timeout",
+                                      "target_workers", "hot_spares",
+                                      "heartbeat_interval"])
     def test_coordinator_rejects(self, knob):
         Coordinator(_cfg())
         with pytest.raises(TypeError):
             Coordinator(_cfg(), **{knob: None})
+
+    def test_coordinator_takes_backends_by_config_only(self):
+        # a backend name belongs in cfg.executor; executor= is for a
+        # prebuilt (e.g. fake) backend
+        assert Coordinator(_cfg(executor="thread")).executor.name == "thread"
+        with pytest.raises(TypeError):
+            Coordinator(_cfg(), executor="thread")
+
+    def test_executors_have_no_restart(self):
+        for cls in (BaseExecutor, SerialExecutor, ThreadExecutor,
+                    ProcessExecutor):
+            assert not hasattr(cls, "restart"), cls
+        assert not hasattr(FleetManager, "manages_membership")
 
     def test_executors_have_no_round_cancel_or_overlap_flag(self):
         for cls in (BaseExecutor, SerialExecutor, ThreadExecutor,

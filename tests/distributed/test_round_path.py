@@ -241,7 +241,7 @@ class TestErrorSpans:
         (fit,) = self._spans(tracer, "fit")
         assert fit.t0 <= rounds[-1].t0 <= rounds[-1].t1 <= fit.t1
 
-    @pytest.mark.parametrize("step", ["fleet_recover", "executor_restart",
+    @pytest.mark.parametrize("step", ["fleet_recover", "replace_workers",
                                       "max_recoveries"])
     def test_recovery_error_records_its_recovery(self, data, step,
                                                  monkeypatch):
@@ -252,8 +252,8 @@ class TestErrorSpans:
         if step == "fleet_recover":
             kw = dict(hot_spares=1)
             monkeypatch.setattr(FleetManager, "recover", boom)
-        elif step == "executor_restart":
-            monkeypatch.setattr(SerialExecutor, "restart", boom)
+        elif step == "replace_workers":
+            monkeypatch.setattr(SerialExecutor, "replace_workers", boom)
         tracer = TraceRecorder()
         coord = Coordinator(
             _cfg(executor="serial", checkpoint_every=2, **kw),

@@ -293,7 +293,7 @@ class TestSpawnReExpand:
         cfg = KMeansConfig(n_clusters=K, n_workers=2, seed=3, max_iter=10,
                            checkpoint_every=2, hot_spares=1)
         coord = Coordinator(
-            cfg, spawn_hook=hook, executor="serial",
+            cfg, spawn_hook=hook,
             worker_faults=WorkerFaultInjector.crash_at(0, 3))
         res = coord.fit(x, y0)
         assert res.promotions == 1
@@ -421,39 +421,50 @@ class TestOperandHoist:
                                                  sample_weight=w))
 
 
-class TestRestartInFlight:
-    """Recovery restarts the executor with a round sent but not (fully)
-    collected; the restart must discard that round, not replay it."""
+#: the two membership verbs recovery uses: a re-plan of every member,
+#: and an in-place rebuild of worker 1 only (worker 0 still owes the
+#: uncollected round, so it must be rebuilt too)
+MEMBERSHIP_VERBS = [("reconfigure", (0, 1)), ("replace_workers", (1,))]
 
+
+class TestMembershipInFlight:
+    """Recovery changes membership with a round sent but not (fully)
+    collected; the change must discard that round, not replay it or
+    read its answers."""
+
+    @pytest.mark.parametrize("verb,ids", MEMBERSHIP_VERBS)
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_restart_discards_uncollected_round(self, executor):
+    def test_membership_change_discards_uncollected_round(self, executor,
+                                                          verb, ids):
         ex = make_executor(executor)
         ex.start(_ping_factory, (0, 1))
         try:
             ex.send_round(np.zeros(4), 1, {})
-            ex.restart(_ping_factory, (0, 1))
+            getattr(ex, verb)(_ping_factory, ids)
             out = ex.run_round(np.zeros(4), 2, {})
             assert [r[2] for r in out] == [2, 2]   # no stale round 1
         finally:
             ex.shutdown()
 
-    def test_restart_abandons_wedged_round_quickly(self):
-        # the uncollected round holds a child that would sleep 600 s:
-        # restart must escalate past it after the join grace (shortened
-        # here), not drain it
+    @pytest.mark.parametrize("verb,ids", MEMBERSHIP_VERBS)
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_membership_change_abandons_wedged_round_quickly(self, executor,
+                                                             verb, ids):
+        # the uncollected round holds a worker that would sleep 600 s:
+        # the change must reap (process) or drop (thread) it, not wait
         import time
 
-        ex = make_executor("process")
-        ex.JOIN_TIMEOUT = 0.5
+        ex = make_executor(executor)
         ex.start(_sleepy_factory, (0, 1))
         try:
             ex.send_round(np.zeros(4), 1, {0: {"sleep_s": 600.0}})
             time.sleep(0.1)                # let the sleeper start
             t0 = time.monotonic()
-            ex.restart(_sleepy_factory, (0, 1))
+            getattr(ex, verb)(_sleepy_factory, ids)
             out = ex.run_round(np.zeros(4), 2, {})
-            assert time.monotonic() - t0 < 15.0
             assert [r[2] for r in out] == [2, 2]
+            ex.shutdown()
+            assert time.monotonic() - t0 < 15.0
         finally:
             ex.shutdown()
 
@@ -484,11 +495,12 @@ class TestConfigValidation:
         assert coord.fleet.target_workers == 2
         assert coord.fleet.hot_spares == 1
         assert coord.fleet.heartbeat_interval == 2.5
-        assert coord.fleet.manages_membership
+        assert coord.fleet.elastic is False
 
     def test_default_fleet_is_inert(self):
-        coord = Coordinator(KMeansConfig(n_workers=2))
-        assert not coord.fleet.manages_membership
+        fleet = Coordinator(KMeansConfig(n_workers=2)).fleet
+        assert fleet.target_workers is None and fleet.hot_spares == 0
+        assert fleet.elastic is False and fleet.heartbeat_interval is None
 
     def test_estimator_exposes_selfheal_attrs(self, x, ref):
         km = fit(x, n_workers=2, hot_spares=1, heartbeat_interval=5.0)
